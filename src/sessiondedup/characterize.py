@@ -26,6 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .tensors import _feature_list
+
 __all__ = [
     "FeatureDupStats",
     "SessionHistogram",
@@ -59,13 +61,6 @@ class DupStats:
     byte_weighted_partial_pct: float
     partition: SessionHistogram
     per_batch: SessionHistogram | None = None
-
-
-def _feature_list(rec, key: str) -> np.ndarray:
-    arr = rec.features.get(key)
-    if arr is None:
-        return np.empty(0, dtype=np.int64)
-    return np.asarray(arr, dtype=np.int64)
 
 
 def session_histogram(records, window: str = "partition", batch_size: int = 4096) -> SessionHistogram:

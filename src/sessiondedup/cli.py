@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -71,14 +72,11 @@ class ModeTotals:
         self.fill_s += b.stage_timings.fill_s
         self.convert_s += b.stage_timings.convert_s
         self.process_s += b.stage_timings.process_s
-        self.stats.a2a_bytes_fwd += st.a2a_bytes_fwd
-        self.stats.a2a_bytes_back += st.a2a_bytes_back
-        self.stats.lookup_count += st.lookup_count
-        self.stats.activation_elements = max(
-            self.stats.activation_elements, st.activation_elements
-        )
-        self.stats.pooling_mac_count += st.pooling_mac_count
-        self.stats.index_select_elements += st.index_select_elements
+        for f in fields(st):
+            # activation_elements is a peak; every other counter adds up
+            combine = max if f.name == "activation_elements" else operator.add
+            total = combine(getattr(self.stats, f.name), getattr(st, f.name))
+            setattr(self.stats, f.name, total)
 
 
 @dataclass
@@ -145,9 +143,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     out = _resolve_out(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     fin = storage.open_table(src)
-    records = []
-    for batch in storage.scan(fin, 65536):
-        records.extend(batch.records)
+    records = storage.read_records(fin)
     fout = storage.write_table(
         records,
         out,
@@ -168,9 +164,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 def cmd_characterize(args: argparse.Namespace) -> int:
     src = _resolve_in(args.dataset)
     f = storage.open_table(src)
-    records = []
-    for batch in storage.scan(f, 65536):
-        records.extend(batch.records)
+    records = storage.read_records(f)
     keys = args.keys.split(",") if args.keys else list(f.feature_keys)
     keys = [k for k in keys if k]
     for k in keys:
@@ -208,13 +202,10 @@ def _generic_model_spec(
     """Fallback model for arbitrary datasets: every feature its own
     sum-pooled dedup group, table rows sized from the data."""
     max_id = {k: 0 for k in f.feature_keys}
-    for batch in storage.scan(f, 65536):
-        for rec in batch.records:
-            for k, arr in rec.features.items():
-                if arr.size:
-                    m = int(arr.max())
-                    if m > max_id[k]:
-                        max_id[k] = m
+    for ordinal in range(len(f.stripes)):
+        for k, jt in storage.read_stripe(f, ordinal).features.entries.items():
+            if jt.values.size:
+                max_id[k] = max(max_id[k], int(jt.values.max()))
     tables = {
         k: trainer_sim.TableConfig(rows=max_id[k] + 1, dim=dim)
         for k in f.feature_keys
@@ -262,7 +253,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         reader.read_batches(f, dl_spec.without_dedup()) if run_baseline else iter(())
     )
     n = 0
-    scores_equal = True
+    skipped_rows = 0
     while True:
         if args.batches and n >= args.batches:
             break
@@ -270,20 +261,19 @@ def cmd_bench(args: argparse.Namespace) -> int:
         bb = next(base_iter, None) if run_baseline else None
         if db is None and bb is None:
             break
+        rows = (db if db is not None else bb).batch_size
+        if rows < plan.num_ranks:  # only the last batch can be this short
+            skipped_rows = rows
+            break
         sd = sb = None
         if db is not None:
-            if db.batch_size < plan.num_ranks:
-                break  # tail smaller than the rank count; stop cleanly
             sd, std = trainer_sim.forward_iteration(db, model, plan, "dedup", tables)
             totals["dedup"].add_batch(db, std)
         if bb is not None:
-            if bb.batch_size < plan.num_ranks:
-                break
             sb, stb = trainer_sim.forward_iteration(bb, model, plan, "baseline", tables)
             totals["baseline"].add_batch(bb, stb)
         if sd is not None and sb is not None:
             if not np.array_equal(sd, sb):
-                scores_equal = False
                 raise RuntimeError(
                     "dedup and baseline scores diverged; this build is broken"
                 )
@@ -294,7 +284,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     speedups = {}
     if run_dedup and run_baseline:
         speedups = {
-            "scores_equal": scores_equal,
+            "scores_equal": True,  # a divergence raises above
             "bytes_out_ratio": _ratio(bl.bytes_out, dd.bytes_out),
             "a2a_fwd_ratio": _ratio(bl.stats.a2a_bytes_fwd, dd.stats.a2a_bytes_fwd),
             "a2a_back_ratio": _ratio(bl.stats.a2a_bytes_back, dd.stats.a2a_bytes_back),
@@ -309,6 +299,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             "mode": args.mode,
             "seed": args.seed,
             "batches": n,
+            "skipped_rows": skipped_rows,
             "model_groups": [list(g.keys) for g in model.groups],
         },
         storage={

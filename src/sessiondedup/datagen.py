@@ -231,12 +231,14 @@ def generate_dataset(
     return [all_records[i] for i in order]
 
 
-def splitmix64(x: int) -> int:
-    """Stateless 64-bit mix, used as the sharding hash."""
-    x = (x + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-    return x ^ (x >> 31)
+def splitmix64(x):
+    """Stateless 64-bit mix of an integer or integer array, taken as
+    uint64 bits: the sharding hash and the ``mod_hash`` transform."""
+    with np.errstate(over="ignore"):
+        z = np.asarray(x).astype(np.uint64) + np.uint64(0x9E3779B97F4A7C15)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
 
 def shard_logs(
@@ -251,10 +253,11 @@ def shard_logs(
         raise ValueError("num_shards must be >= 1")
     if key not in ("session_id", "random_hash"):
         raise ValueError(f"unknown shard key {key!r}")
+    ids = [r.session_id for r in records] if key == "session_id" else range(len(records))
+    hashed = splitmix64(np.array(ids, dtype=np.int64)) % np.uint64(num_shards)
     shards: list[list[ImpressionRecord]] = [[] for _ in range(num_shards)]
-    for pos, rec in enumerate(records):
-        hashed = splitmix64(rec.session_id if key == "session_id" else pos)
-        shards[hashed % num_shards].append(rec)
+    for rec, shard in zip(records, hashed.tolist()):
+        shards[shard].append(rec)
     return shards
 
 

@@ -22,6 +22,7 @@ from typing import Iterator
 import json
 import numpy as np
 
+from .datagen import splitmix64
 from .storage import ColumnarFile, ScanBatch, scan
 from .tensors import (
     IKJT,
@@ -48,8 +49,6 @@ __all__ = [
     "save_dataloader_spec",
 ]
 
-_U64 = np.uint64
-
 
 @dataclass(frozen=True)
 class Transform:
@@ -66,18 +65,11 @@ class Transform:
             raise ValueError(f"{self.op} needs a positive param")
 
 
-def _splitmix64_vec(x: np.ndarray) -> np.ndarray:
-    z = x.astype(_U64) + _U64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> _U64(27))) * _U64(0x94D049BB133111EB)
-    return z ^ (z >> _U64(31))
-
-
 def apply_transform(values: np.ndarray, t: Transform) -> np.ndarray:
     if t.op == "identity":
         return values
     if t.op == "mod_hash":
-        return (_splitmix64_vec(values) % _U64(t.param)).astype(np.int64)
+        return (splitmix64(values) % np.uint64(t.param)).astype(np.int64)
     return np.clip(values, 0, t.param)
 
 
@@ -158,18 +150,23 @@ def fill(stream: Iterator[ScanBatch]) -> tuple[ScanBatch | None, float]:
 
 
 def convert(rows, spec: DataloaderSpec) -> ReaderBatch:
-    """Turn raw rows into tensors: one IKJT per dedup group, one plain
-    jagged tensor per remaining key."""
+    """Turn a raw batch into tensors: one IKJT per dedup group, one plain
+    jagged tensor per remaining key. ``rows`` is a :class:`ScanBatch`,
+    or a sequence of records, which is copied into columns once."""
     if not rows:
         raise ValueError("convert needs a non-empty row batch")
     t0 = time.perf_counter()
+    if isinstance(rows, ScanBatch):
+        labels = rows.labels
+    else:
+        labels = np.fromiter((r.label for r in rows), dtype=np.int64, count=len(rows))
+        rows = build_kjt(rows, spec.keys)
     ikjts = [build_ikjt(rows, group) for group in spec.dedup_sparse_features]
     plain = spec.plain_keys
     kjts = dict(build_kjt(rows, plain).entries) if plain else {}
-    labels = np.fromiter((r.label for r in rows), dtype=np.int64, count=len(rows))
     elapsed = time.perf_counter() - t0
     batch = ReaderBatch(
-        batch_size=len(rows), kjts=kjts, ikjts=ikjts, labels=labels
+        batch_size=labels.size, kjts=kjts, ikjts=ikjts, labels=labels
     )
     batch.stage_timings.convert_s = elapsed
     return batch
@@ -243,7 +240,7 @@ def read_batches(
         raw, fill_s = fill(stream)
         if raw is None:
             return
-        batch = convert(raw.records, spec)
+        batch = convert(raw, spec)
         batch.stage_timings.fill_s = fill_s
         batch.bytes_in = raw.bytes_read
         batch = process(batch, spec.transforms)

@@ -26,6 +26,7 @@ from typing import Iterator
 import numpy as np
 
 from .datagen import ImpressionRecord
+from .tensors import KJT, JaggedTensor
 from .varint import decode_varints, encode_varints
 
 __all__ = [
@@ -37,6 +38,7 @@ __all__ = [
     "write_table",
     "open_table",
     "scan",
+    "read_records",
     "compression_report",
     "stream_sizes",
     "DEFAULT_STRIPE_ROWS",
@@ -76,10 +78,59 @@ class ColumnarFile:
         return sum(s.row_count for s in self.stripes)
 
 
-@dataclass
+@dataclass(eq=False)
 class ScanBatch:
-    records: list[ImpressionRecord]
+    """Consecutive rows in columns, as stored: one entry per row in
+    ``session_ids``, ``timestamps`` and ``labels``, and one jagged tensor
+    per feature key in ``features``."""
+
+    session_ids: np.ndarray
+    timestamps: np.ndarray
+    labels: np.ndarray
+    features: KJT
     bytes_read: int  # compressed file bytes consumed for this batch
+
+    def __len__(self) -> int:
+        return self.features.batch_size
+
+    @property
+    def records(self) -> list[ImpressionRecord]:
+        """The rows as records, whose feature lists are read-only views
+        of the batch's value buffers."""
+        cols = [
+            (key, jt.values, np.append(jt.offsets, jt.values.size).tolist())
+            for key, jt in self.features.entries.items()
+        ]
+        rows = zip(self.session_ids.tolist(), self.timestamps.tolist(), self.labels.tolist())
+        return [
+            ImpressionRecord(sid, ts, {k: v[b[i] : b[i + 1]] for k, v, b in cols}, label)
+            for i, (sid, ts, label) in enumerate(rows)
+        ]
+
+
+def _join(parts: list[tuple[ScanBatch, int, int]], bytes_read: int) -> ScanBatch:
+    """One batch from the rows ``start:stop`` of each ``(batch, start,
+    stop)`` part, in order."""
+
+    def cat(arrays):
+        return np.concatenate([a[lo:hi] for a, (_, lo, hi) in zip(arrays, parts)])
+
+    entries = {}
+    for key in parts[0][0].features.entries:
+        jts = [b.features.entries[key] for b, _, _ in parts]
+        ends = [np.append(jt.offsets, jt.values.size) for jt in jts]
+        lengths = cat([np.diff(e) for e in ends])
+        offsets = np.zeros(lengths.size, dtype=np.int64)
+        np.cumsum(lengths[:-1], out=offsets[1:])
+        values = [jt.values[e[lo] : e[hi]] for jt, e, (_, lo, hi) in zip(jts, ends, parts)]
+        entries[key] = JaggedTensor(values=np.concatenate(values), offsets=offsets)
+    return ScanBatch(
+        session_ids=cat([b.session_ids for b, _, _ in parts]),
+        timestamps=cat([b.timestamps for b, _, _ in parts]),
+        labels=cat([b.labels for b, _, _ in parts]),
+        features=KJT(batch_size=sum(hi - lo for _, lo, hi in parts), entries=entries),
+        bytes_read=bytes_read,
+    )
 
 
 @dataclass(frozen=True)
@@ -200,6 +251,13 @@ def _encode_stripe(
 
 def open_table(path: str | Path) -> ColumnarFile:
     path = Path(path)
+    try:
+        return _open_table(path)
+    except (struct.error, UnicodeDecodeError) as exc:
+        raise StorageError(f"{path}: corrupt header or footer: {exc}") from exc
+
+
+def _open_table(path: Path) -> ColumnarFile:
     size = path.stat().st_size
     if size < 16 + len(MAGIC) * 2:
         raise StorageError(f"{path}: too small to be a columnar file")
@@ -215,18 +273,27 @@ def open_table(path: str | Path) -> ColumnarFile:
         keys = []
         for _ in range(n_keys):
             (klen,) = struct.unpack("<I", f.read(4))
+            if klen > size:
+                raise StorageError(f"{path}: key length {klen} exceeds the file")
             keys.append(f.read(klen).decode("utf-8"))
+        if len(set(keys)) != len(keys):
+            raise StorageError(f"{path}: duplicate feature key in schema")
+        header_end = f.tell()
         f.seek(size - 16)
         footer_offset, trailer = struct.unpack("<Q8s", f.read(16))
         if trailer != MAGIC:
             raise StorageError(f"{path}: bad trailer magic")
+        if not header_end <= footer_offset <= size - 20:
+            raise StorageError(f"{path}: footer offset {footer_offset} outside the file")
         f.seek(footer_offset)
         (n_stripes,) = struct.unpack("<I", f.read(4))
+        if 4 + 12 * n_stripes != size - 16 - footer_offset:
+            raise StorageError(f"{path}: footer size does not match {n_stripes} stripes")
         stripes = []
-        prev_end = 0
+        prev_end = header_end - 1
         for i in range(n_stripes):
             offset, rows = struct.unpack("<QI", f.read(12))
-            if offset <= prev_end:
+            if not prev_end < offset < footer_offset:
                 raise StorageError(f"{path}: stripe {i} offset not increasing")
             prev_end = offset
             stripes.append((offset, rows))
@@ -266,48 +333,7 @@ def _read_stream(buf: memoryview, pos: int, ordinal: int, count: int | None):
     return arr, pos + comp_len, raw_len, comp_len
 
 
-def _decode_stripe(
-    file: ColumnarFile, ordinal: int, blob: bytes
-) -> list[ImpressionRecord]:
-    buf = memoryview(blob)
-    if len(buf) < 4:
-        raise StorageError(f"stripe {ordinal}: truncated header")
-    (rows,) = struct.unpack_from("<I", buf, 0)
-    if rows != file.stripes[ordinal].row_count:
-        raise StorageError(
-            f"stripe {ordinal}: row count {rows} != index "
-            f"{file.stripes[ordinal].row_count}"
-        )
-    pos = 4
-    sids, pos, _, _ = _read_stream(buf, pos, ordinal, rows)
-    ts, pos, _, _ = _read_stream(buf, pos, ordinal, rows)
-    labels, pos, _, _ = _read_stream(buf, pos, ordinal, rows)
-    columns: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    for key in file.feature_keys:
-        lengths, pos, _, _ = _read_stream(buf, pos, ordinal, rows)
-        values, pos, _, _ = _read_stream(buf, pos, ordinal, int(lengths.sum()))
-        bounds = np.zeros(rows + 1, dtype=np.int64)
-        np.cumsum(lengths, out=bounds[1:])
-        values.setflags(write=False)
-        columns[key] = (values, bounds)
-    out = []
-    for i in range(rows):
-        feats = {
-            key: vals[bounds[i] : bounds[i + 1]]
-            for key, (vals, bounds) in columns.items()
-        }
-        out.append(
-            ImpressionRecord(
-                session_id=int(sids[i]),
-                timestamp=int(ts[i]),
-                features=feats,
-                label=int(labels[i]),
-            )
-        )
-    return out
-
-
-def read_stripe(file: ColumnarFile, ordinal: int) -> list[ImpressionRecord]:
+def read_stripe(file: ColumnarFile, ordinal: int) -> ScanBatch:
     if not 0 <= ordinal < len(file.stripes):
         raise StorageError(f"stripe {ordinal} out of range")
     info = file.stripes[ordinal]
@@ -316,28 +342,63 @@ def read_stripe(file: ColumnarFile, ordinal: int) -> list[ImpressionRecord]:
         blob = f.read(info.byte_size)
     if len(blob) != info.byte_size:
         raise StorageError(f"stripe {ordinal}: short read")
-    return _decode_stripe(file, ordinal, blob)
+    buf = memoryview(blob)
+    if len(buf) < 4:
+        raise StorageError(f"stripe {ordinal}: truncated header")
+    (rows,) = struct.unpack_from("<I", buf, 0)
+    if rows != info.row_count:
+        raise StorageError(
+            f"stripe {ordinal}: row count {rows} != index {info.row_count}"
+        )
+    if rows == 0:
+        raise StorageError(f"stripe {ordinal}: no rows")
+    pos = 4
+    sids, pos, _, _ = _read_stream(buf, pos, ordinal, rows)
+    ts, pos, _, _ = _read_stream(buf, pos, ordinal, rows)
+    labels, pos, _, _ = _read_stream(buf, pos, ordinal, rows)
+    entries = {}
+    for key in file.feature_keys:
+        lengths, pos, _, _ = _read_stream(buf, pos, ordinal, rows)
+        if lengths.min() < 0:
+            raise StorageError(f"stripe {ordinal}: feature {key!r}: negative row length")
+        values, pos, _, _ = _read_stream(buf, pos, ordinal, int(lengths.sum()))
+        offsets = np.zeros(rows, dtype=np.int64)
+        np.cumsum(lengths[:-1], out=offsets[1:])
+        entries[key] = JaggedTensor(values=values, offsets=offsets)
+    if pos != len(buf):
+        raise StorageError(f"stripe {ordinal}: {len(buf) - pos} bytes past the last stream")
+    features = KJT(batch_size=rows, entries=entries)
+    return ScanBatch(sids, ts, labels, features, bytes_read=info.byte_size)
+
+
+def read_records(file: ColumnarFile) -> list[ImpressionRecord]:
+    """Every row of the file as a record, decoded one stripe at a time."""
+    return [rec for i in range(len(file.stripes)) for rec in read_stripe(file, i).records]
 
 
 def scan(file: ColumnarFile, batch_size: int) -> Iterator[ScanBatch]:
-    """Yield record batches in file order.
+    """Yield columnar batches of ``batch_size`` rows in file order.
 
     The final batch may be short. ``bytes_read`` charges each stripe's
     compressed size to the batch that forced its decode.
     """
     if batch_size < 1:
         raise StorageError("batch_size must be >= 1")
-    pending: list[ImpressionRecord] = []
-    pending_bytes = 0
+    parts: list[tuple[ScanBatch, int, int]] = []  # rows read, not yet yielded
+    held = pending_bytes = 0
     for ordinal, info in enumerate(file.stripes):
-        pending.extend(read_stripe(file, ordinal))
+        stripe = read_stripe(file, ordinal)
         pending_bytes += info.byte_size
-        while len(pending) >= batch_size:
-            batch, pending = pending[:batch_size], pending[batch_size:]
-            yield ScanBatch(records=batch, bytes_read=pending_bytes)
-            pending_bytes = 0
-    if pending:
-        yield ScanBatch(records=pending, bytes_read=pending_bytes)
+        start = 0
+        while held + len(stripe) - start >= batch_size:
+            stop = start + batch_size - held
+            yield _join(parts + [(stripe, start, stop)], pending_bytes)
+            parts, held, pending_bytes, start = [], 0, 0, stop
+        if start < len(stripe):
+            parts.append((stripe, start, len(stripe)))
+            held += len(stripe) - start
+    if parts:
+        yield _join(parts, pending_bytes)
 
 
 def stream_sizes(file: ColumnarFile) -> tuple[int, int]:

@@ -14,7 +14,6 @@ are marked read-only) and safe to share across threads.
 
 from __future__ import annotations
 
-import hashlib
 import struct
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -225,26 +224,22 @@ class PartialIKJT:
         return self.values[off : off + length]
 
 
-def _row_features(row) -> Mapping:
-    feats = getattr(row, "features", None)
-    if feats is not None:
-        return feats
-    if isinstance(row, Mapping):
-        return row
-    raise TypeError(f"cannot extract features from {type(row).__name__}")
-
-
 def _feature_list(row, key: str) -> np.ndarray:
-    # Absent feature keys are treated as empty lists.
-    feats = _row_features(row)
-    seq = feats.get(key)
-    if seq is None:
-        return np.empty(0, dtype=np.int64)
-    return _as_id_array(seq)
+    # A record or a feature dict; absent feature keys are empty lists.
+    seq = getattr(row, "features", row).get(key)
+    return np.empty(0, dtype=np.int64) if seq is None else _as_id_array(seq)
 
 
-def build_kjt(rows: Sequence, keys: Sequence[str]) -> KJT:
-    """Convert a batch of records into a KJT, preserving batch order."""
+def build_kjt(rows, keys: Sequence[str]) -> KJT:
+    """Gather ``keys`` of a batch into a KJT, preserving batch order.
+
+    A columnar batch (a KJT, or a batch whose ``features`` is one, such
+    as a storage ``ScanBatch``) is sliced and shares its buffers. A
+    sequence of records or feature dicts is copied into columns.
+    """
+    columns = rows if isinstance(rows, KJT) else getattr(rows, "features", None)
+    if isinstance(columns, KJT):
+        return KJT(columns.batch_size, {key: columns.entries[key] for key in keys})
     if len(rows) == 0:
         raise ValueError("empty batch")
     entries = {
@@ -254,57 +249,44 @@ def build_kjt(rows: Sequence, keys: Sequence[str]) -> KJT:
     return KJT(batch_size=len(rows), entries=entries)
 
 
-def _pack_group_row(arrs: Sequence[np.ndarray]) -> bytes:
-    parts = []
-    for arr in arrs:
-        parts.append(struct.pack("<I", arr.size))
-        parts.append(arr.astype(_I64, copy=False).tobytes())
-    return b"".join(parts)
-
-
-def _content_hash(packed: bytes) -> int:
-    return int.from_bytes(hashlib.blake2b(packed, digest_size=8).digest(), "little")
-
-
-def build_ikjt(rows: Sequence, group: Sequence[str]) -> IKJT:
+def build_ikjt(rows, group: Sequence[str]) -> IKJT:
     """Deduplicate a feature group across the whole batch into an IKJT.
 
     Batch rows i and j share an ``inverse_lookup`` entry iff all features
-    in the group have identical lists at i and j. Detection uses a 64-bit
-    content hash followed by a full byte comparison on hash match, so
-    hash collisions can never merge unequal rows. Unique rows are
-    numbered in first-occurrence order.
+    in the group have identical lists at i and j. Each batch row is laid
+    out as ``(length, values..., zero padding)`` per feature in one int64
+    matrix, and whole matrix rows are compared, so unequal rows can never
+    merge. Unique rows are numbered in first-occurrence order. ``rows``
+    is anything :func:`build_kjt` accepts.
     """
-    if len(rows) == 0:
-        raise ValueError("empty batch")
     if len(group) == 0:
         raise ValueError("empty dedup group")
-    row_lists = [[_feature_list(r, key) for key in group] for r in rows]
-    inverse = np.empty(len(rows), dtype=np.int64)
-    buckets: dict[int, list[tuple[int, bytes]]] = {}
-    first_rows: list[int] = []
-    for i, arrs in enumerate(row_lists):
-        packed = _pack_group_row(arrs)
-        bucket = buckets.setdefault(_content_hash(packed), [])
-        uid = -1
-        for cand_uid, cand_packed in bucket:
-            if cand_packed == packed:
-                uid = cand_uid
-                break
-        if uid < 0:
-            uid = len(first_rows)
-            first_rows.append(i)
-            bucket.append((uid, packed))
-        inverse[i] = uid
-    per_feature = {
-        key: JaggedTensor.from_rows([row_lists[i][k] for i in first_rows])
-        for k, key in enumerate(group)
-    }
+    kjt = build_kjt(rows, group)
+    n = kjt.batch_size
+    jts = [kjt.entries[key] for key in group]
+    lengths = [jt.row_lengths() for jt in jts]
+    widths = [1 + int(lens.max()) for lens in lengths]
+    table = np.zeros((n, sum(widths)), dtype=np.int64)
+    col = 0
+    for jt, lens, width in zip(jts, lengths, widths):
+        table[:, col] = lens
+        row_of = np.repeat(np.arange(n), lens)
+        pos_in_row = np.arange(jt.values.size) - np.repeat(jt.offsets, lens)
+        table[row_of, col + 1 + pos_in_row] = jt.values
+        col += width
+    whole_rows = table.view(np.dtype((np.void, table.shape[1] * _I64.itemsize)))
+    _, first, inverse = np.unique(
+        whole_rows.ravel(), return_index=True, return_inverse=True
+    )
+    # np.unique numbers rows in sorted order; renumber by first occurrence.
+    order = np.argsort(first)
     return IKJT(
-        batch_size=len(rows),
+        batch_size=n,
         group_keys=tuple(group),
-        inverse_lookup=inverse,
-        per_feature=per_feature,
+        inverse_lookup=np.argsort(order)[inverse.ravel()],
+        per_feature={
+            key: jagged_index_select(jt, first[order]) for key, jt in zip(group, jts)
+        },
     )
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -232,13 +232,8 @@ class IterationStats:
 
     def dominated_by(self, other: "IterationStats") -> bool:
         """True when every counter here is <= the other's."""
-        return (
-            self.a2a_bytes_fwd <= other.a2a_bytes_fwd
-            and self.a2a_bytes_back <= other.a2a_bytes_back
-            and self.lookup_count <= other.lookup_count
-            and self.activation_elements <= other.activation_elements
-            and self.pooling_mac_count <= other.pooling_mac_count
-            and self.index_select_elements <= other.index_select_elements
+        return all(
+            getattr(self, f.name) <= getattr(other, f.name) for f in fields(self)
         )
 
 

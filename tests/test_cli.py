@@ -237,6 +237,25 @@ class TestBench:
         b = run_once(tmp_path / "b.json")
         assert a == b
 
+    def test_bench_reports_skipped_tail(self, clustered_ds, tmp_path):
+        # one full batch, then a 1-row tail that 2 ranks cannot split
+        rows = open_table(clustered_ds).row_count
+        report_path = tmp_path / "r.json"
+        code = run(
+            [
+                "bench",
+                clustered_ds,
+                "--batch-size", rows - 1,
+                "--ranks", 2,
+                "--out", report_path,
+            ]
+        )
+        assert code == 0
+        report = json.loads(report_path.read_text())
+        assert report["config"]["batches"] == 1
+        assert report["config"]["skipped_rows"] == 1
+        assert report["reader"]["dedup"]["rows"] == rows - 1
+
     def test_plotdata_from_report(self, clustered_ds, tmp_path):
         report_path = tmp_path / "report.json"
         run(

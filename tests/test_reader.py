@@ -22,7 +22,8 @@ from sessiondedup.reader import (
     read_batches,
     save_dataloader_spec,
 )
-from sessiondedup.storage import open_table, scan, write_table
+from sessiondedup import storage
+from sessiondedup.storage import open_table, read_records, scan, write_table
 from sessiondedup.tensors import ikjt_to_kjt, jt_equal, kjt_equal
 
 
@@ -292,3 +293,32 @@ class TestPipeline:
             expanded = ikjt_to_kjt(d.ikjts[0])
             assert jt_equal(expanded.entries["seq"], b.kjts["seq"])
             assert jt_equal(d.kjts["item"], b.kjts["item"])
+
+    @pytest.mark.parametrize("batch_size", [64, 256])
+    def test_columnar_batches_match_records(self, dataset_file, tmp_path, batch_size):
+        # stripe_rows=100 makes batches that cut stripes and span them
+        path = tmp_path / "s100.sesscol"
+        write_table(read_records(open_table(dataset_file)), path, stripe_rows=100)
+        spec = DataloaderSpec(
+            keys=("seq", "item"),
+            dedup_sparse_features=(("seq",),),
+            batch_size=batch_size,
+        )
+        batches = list(scan(open_table(path), batch_size))
+        assert len(batches) > 2
+        for b in batches:
+            assert emit(convert(b, spec)) == emit(convert(b.records, spec))
+
+    def test_read_batches_builds_no_records(self, dataset_file, monkeypatch):
+        def no_records(*args, **kwargs):
+            raise AssertionError("a row object was built")
+
+        monkeypatch.setattr(storage, "ImpressionRecord", no_records)
+        spec = DataloaderSpec(
+            keys=("seq", "item"),
+            dedup_sparse_features=(("seq",),),
+            transforms=(Transform(op="mod_hash", key="item", param=4096),),
+            batch_size=300,
+        )
+        f = open_table(dataset_file)
+        assert sum(b.batch_size for b in read_batches(f, spec)) == f.row_count

@@ -4,9 +4,13 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sessiondedup import storage
 from sessiondedup.datagen import (
     FeatureSpec,
+    ImpressionRecord,
     SampleCountDist,
     SessionConfig,
     generate_dataset,
@@ -102,7 +106,7 @@ class TestRoundTrip:
         ]
         path = tmp_path / "one.sesscol"
         write_table(one, path)
-        got = read_stripe(open_table(path), 0)
+        got = read_stripe(open_table(path), 0).records
         assert_same_records(got, one)
 
     def test_empty_lists_survive(self, tmp_path):
@@ -230,3 +234,75 @@ class TestCompression:
         # compressed stream payloads can't exceed the file size
         assert comp < path.stat().st_size
         assert raw > 0
+
+
+def _row_tuples(batches):
+    return [
+        (r.session_id, r.timestamp, r.label, [a.tolist() for a in r.features.values()])
+        for b in batches
+        for r in b.records
+    ]
+
+
+@pytest.fixture(scope="module")
+def small_file(tmp_path_factory):
+    recs = [
+        ImpressionRecord(
+            s,
+            t,
+            {"f": np.arange(t % 4, dtype=np.int64) + s, "g": np.array([s], dtype=np.int64)},
+            t % 2,
+        )
+        for s in range(3)
+        for t in range(6)
+    ]
+    path = tmp_path_factory.mktemp("fuzz") / "small.sesscol"
+    write_table(recs, path, stripe_rows=5)
+    return path, path.read_bytes(), _row_tuples(scan(open_table(path), 4))
+
+
+class TestCorruption:
+    def test_negative_row_length_rejected(self, tmp_path):
+        # Lengths [-1, 5] sum to the 4 stored values, so the zlib, varint
+        # and count checks all pass; only the length check can catch it.
+        recs = [
+            ImpressionRecord(0, t, {"f": np.array([7, 8], dtype=np.int64)}, 0)
+            for t in range(2)
+        ]
+        path = tmp_path / "neg.sesscol"
+        f = write_table(recs, path)
+        start = f.stripes[0].offset
+        streams = ([0, 0], [0, 1], [0, 0], [-1, 5], [7, 8, 7, 8])
+        blob = struct.pack("<I", 2) + b"".join(
+            storage._pack_stream(np.array(a, dtype=np.int64), f.level) for a in streams
+        )
+        footer = struct.pack("<IQIQ", 1, start, 2, start + len(blob)) + MAGIC
+        path.write_bytes(path.read_bytes()[:start] + blob + footer)
+        with pytest.raises(StorageError, match=r"stripe 0: feature 'f': negative row length"):
+            list(scan(open_table(path), 2))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_corruption_raises_only_storage_error(self, small_file, data):
+        """A truncated file always raises. Any other damage raises
+        StorageError, or leaves every row intact (the level, reserved and
+        key-name header bytes and deflate's padding bits are unchecked)."""
+        path, good, rows = small_file
+        buf = bytearray(good)
+        kind = data.draw(st.sampled_from(["truncate", "flip", "overwrite"]))
+        if kind == "truncate":
+            del buf[data.draw(st.integers(0, len(buf) - 1)) :]
+        elif kind == "flip":
+            bit = data.draw(st.integers(0, 8 * len(buf) - 1))
+            buf[bit // 8] ^= 1 << (bit % 8)
+        else:
+            pos = data.draw(st.integers(0, len(buf) - 8))
+            buf[pos : pos + 8] = data.draw(st.binary(min_size=8, max_size=8))
+        bad = path.with_name("bad.sesscol")
+        bad.write_bytes(bytes(buf))
+        try:
+            got = _row_tuples(scan(open_table(bad), 4))
+        except StorageError:
+            return
+        assert kind != "truncate"
+        assert got == rows

@@ -150,6 +150,12 @@ class TestBuildIkjt:
         rows = [{"x": [1, 2], "y": [3]}, {"x": [1], "y": [2, 3]}]
         ikjt = build_ikjt(rows, ["x", "y"])
         np.testing.assert_array_equal(ikjt.inverse_lookup, [0, 1])
+        # zero padding up to the longest row must not merge rows either
+        ikjt = build_ikjt([{"x": []}, {"x": [0]}, {"x": [0, 0]}], ["x"])
+        np.testing.assert_array_equal(ikjt.inverse_lookup, [0, 1, 2])
+        rows = [{"x": [0], "y": []}, {"x": [], "y": [0]}]
+        ikjt = build_ikjt(rows, ["x", "y"])
+        np.testing.assert_array_equal(ikjt.inverse_lookup, [0, 1])
 
     def test_empty_group_rejected(self):
         with pytest.raises(ValueError, match="empty dedup group"):
