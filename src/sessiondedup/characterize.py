@@ -21,12 +21,12 @@ Counting rules:
 from __future__ import annotations
 
 import io
-from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tensors import _feature_list
+from .storage import ScanBatch
+from .tensors import JaggedTensor, _unique_rows, build_kjt, jagged_index_select
 
 __all__ = [
     "FeatureDupStats",
@@ -39,6 +39,8 @@ __all__ = [
     "compute_dup_stats",
     "dup_stats_to_csv",
 ]
+
+_BLOCK_ROWS = 4096  # rows per block of whole sessions; bounds the sorts' memory
 
 
 @dataclass(frozen=True)
@@ -60,10 +62,19 @@ class DupStats:
     byte_weighted_exact_pct: float
     byte_weighted_partial_pct: float
     partition: SessionHistogram
-    per_batch: SessionHistogram | None = None
+    per_batch: SessionHistogram
 
 
-def session_histogram(records, window: str = "partition", batch_size: int = 4096) -> SessionHistogram:
+def _columns(rows, keys):
+    """Session ids and ``keys`` KJTs of a ScanBatch, a sequence of them or of records."""
+    rows = [rows] if isinstance(rows, ScanBatch) else rows
+    if rows and isinstance(rows[0], ScanBatch):
+        return np.concatenate([b.session_ids for b in rows]), [build_kjt(b, keys) for b in rows]
+    sids = np.fromiter((r.session_id for r in rows), dtype=np.int64, count=len(rows))
+    return sids, [build_kjt(rows, keys)] if rows else []
+
+
+def session_histogram(rows, window: str = "partition", batch_size: int = 4096) -> SessionHistogram:
     """Samples-per-session distribution over the chosen window.
 
     ``partition`` counts over the whole stream; ``batch`` splits the
@@ -74,113 +85,101 @@ def session_histogram(records, window: str = "partition", batch_size: int = 4096
         raise ValueError(f"unknown window {window!r}")
     if window == "batch" and batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    counts: Counter[int] = Counter()
-    if window == "partition":
-        per_session: Counter[int] = Counter(r.session_id for r in records)
-        counts.update(per_session.values())
-    else:
-        for start in range(0, len(records), batch_size):
-            chunk = records[start : start + batch_size]
-            per_session = Counter(r.session_id for r in chunk)
-            counts.update(per_session.values())
-    total_groups = sum(counts.values())
-    total_samples = sum(k * v for k, v in counts.items())
-    mean = total_samples / total_groups if total_groups else 0.0
-    return SessionHistogram(counts=dict(sorted(counts.items())), mean=mean)
+    sids = _columns(rows, ())[0]
+    chunk = np.arange(sids.size) // batch_size if window == "batch" else np.zeros_like(sids)
+    _, per_session = np.unique(np.stack([chunk, sids], axis=1), axis=0, return_counts=True)
+    sizes, freq = np.unique(per_session, return_counts=True)
+    mean = sids.size / per_session.size if per_session.size else 0.0
+    return SessionHistogram(counts=dict(zip(sizes.tolist(), freq.tolist())), mean=mean)
 
 
-def exact_dup_pct(records, key: str) -> float:
-    """Percent of samples whose list for ``key`` repeats another
-    same-session sample's list."""
-    total = 0
-    classes: set[tuple[int, bytes]] = set()
-    for rec in records:
-        total += 1
-        classes.add((rec.session_id, _feature_list(rec, key).tobytes()))
-    if total == 0:
-        return 0.0
-    return 100.0 * (total - len(classes)) / total
+def _dup_ids(sids: np.ndarray, jt: JaggedTensor) -> int:
+    """ID occurrences beyond, per (session, value), the most copies any
+    one row holds; ``sids`` gives each row's session."""
+    row = np.repeat(np.arange(jt.row_count), jt.row_lengths())
+    order = np.lexsort((row, jt.values, sids[row]))
+    row, vals = row[order], jt.values[order]
+    sess = sids[row]
+    new_id = np.concatenate(([True], (sess[1:] != sess[:-1]) | (vals[1:] != vals[:-1])))
+    run_start = np.flatnonzero(new_id | np.concatenate(([False], row[1:] != row[:-1])))
+    copies = np.diff(np.append(run_start, row.size))  # per (session, value, row)
+    most = np.maximum.reduceat(copies, np.flatnonzero(new_id[run_start]))
+    return row.size - int(most.sum())
 
 
-def partial_dup_pct(records, key: str) -> float:
-    """Percent of individual ID occurrences for ``key`` that repeat
-    across same-session samples."""
-    # Per (session, value): duplicated occurrences are everything beyond
-    # the single sample holding the most copies.
-    total_mult: dict[int, Counter[int]] = defaultdict(Counter)
-    max_mult: dict[int, Counter[int]] = defaultdict(Counter)
-    total = 0
-    for rec in records:
-        arr = _feature_list(rec, key)
-        total += arr.size
-        if arr.size == 0:
-            continue
-        vals, mult = np.unique(arr, return_counts=True)
-        tm = total_mult[rec.session_id]
-        mm = max_mult[rec.session_id]
-        for v, m in zip(vals.tolist(), mult.tolist()):
-            tm[v] += m
-            if m > mm[v]:
-                mm[v] = m
-    if total == 0:
-        return 0.0
-    dup = 0
-    for sid, tm in total_mult.items():
-        mm = max_mult[sid]
-        dup += sum(tm.values()) - sum(mm.values())
-    return 100.0 * dup / total
+def _gather(jts: list[JaggedTensor], starts: np.ndarray, idx: np.ndarray) -> JaggedTensor:
+    """Rows ``idx`` of ``jts`` laid end to end, ``jts[p]`` holding the
+    rows from ``starts[p]``."""
+    by_row = np.argsort(idx)
+    cuts = np.searchsorted(idx[by_row], starts)
+    parts = [jagged_index_select(jt, idx[by_row[a:b]] - s) for jt, s, a, b in zip(jts, starts, cuts, cuts[1:])]
+    lengths = np.concatenate([part.row_lengths() for part in parts])
+    joined = JaggedTensor(np.concatenate([part.values for part in parts]), np.cumsum(lengths) - lengths)
+    return jagged_index_select(joined, np.argsort(by_row))
 
 
-def _avg_len(records, key: str) -> float:
-    total = 0
-    n = 0
-    for rec in records:
-        total += _feature_list(rec, key).size
-        n += 1
-    return total / n if n else 0.0
+def _feature_stats(sids: np.ndarray, kjts, keys) -> dict[str, FeatureDupStats]:
+    """Each distinct key's statistics, counted in one pass: rows are
+    sorted by session, and each block holds the sessions whose first row
+    falls in one ``_BLOCK_ROWS`` window of that order. Blocks hold whole
+    sessions, so their integer counts add up exactly."""
+    n = max(sids.size, 1)  # with no rows every count, and so every statistic, is 0
+    counts = {key: [0, 0, 0] for key in keys}  # duplicate rows, IDs, duplicate IDs
+    starts = np.cumsum([0] + [kjt.batch_size for kjt in kjts])
+    order = np.argsort(sids, kind="stable")
+    first = np.flatnonzero(np.diff(sids[order], prepend=sids[order[:1]] - 1))
+    bounds = [*first[np.unique(first // _BLOCK_ROWS, return_index=True)[1]].tolist(), sids.size]
+    for lo, hi in zip(bounds, bounds[1:]):
+        idx = order[lo:hi]
+        block_sids = sids[idx]
+        for key, c in counts.items():
+            jt = _gather([kjt.entries[key] for kjt in kjts], starts, idx)
+            c[0] += hi - lo - _unique_rows([JaggedTensor(block_sids, np.arange(hi - lo)), jt])[0].size
+            c[1] += jt.values.size
+            c[2] += _dup_ids(block_sids, jt)
+    return {
+        key: FeatureDupStats(100.0 * dup_rows / n, 100.0 * dup_ids / max(ids, 1), ids / n)
+        for key, (dup_rows, ids, dup_ids) in counts.items()
+    }
 
 
-def byte_weighted(records, keys) -> tuple[float, float]:
-    """Average-length-weighted exact and partial percentages across
-    features: features carrying more IDs count proportionally more."""
-    records = list(records)
-    weights = []
-    exacts = []
-    partials = []
-    for key in keys:
-        weights.append(_avg_len(records, key))
-        exacts.append(exact_dup_pct(records, key))
-        partials.append(partial_dup_pct(records, key))
-    wsum = sum(weights)
+def _blend(per_feature: dict[str, FeatureDupStats], keys) -> tuple[float, float]:
+    stats = [per_feature[key] for key in keys]
+    wsum = sum(fs.avg_len for fs in stats)
     if wsum == 0:
         return 0.0, 0.0
-    exact = sum(w * e for w, e in zip(weights, exacts)) / wsum
-    partial = sum(w * p for w, p in zip(weights, partials)) / wsum
+    exact = sum(fs.avg_len * fs.exact_dup_pct for fs in stats) / wsum
+    partial = sum(fs.avg_len * fs.partial_dup_pct for fs in stats) / wsum
     return exact, partial
 
 
-def compute_dup_stats(records, keys, batch_size: int | None = 4096) -> DupStats:
-    records = list(records)
-    per_feature = {
-        key: FeatureDupStats(
-            exact_dup_pct=exact_dup_pct(records, key),
-            partial_dup_pct=partial_dup_pct(records, key),
-            avg_len=_avg_len(records, key),
-        )
-        for key in keys
-    }
-    bw_exact, bw_partial = byte_weighted(records, keys) if keys else (0.0, 0.0)
-    partition = session_histogram(records, "partition")
-    per_batch = (
-        session_histogram(records, "batch", batch_size) if batch_size else None
-    )
-    return DupStats(
-        per_feature=per_feature,
-        byte_weighted_exact_pct=bw_exact,
-        byte_weighted_partial_pct=bw_partial,
-        partition=partition,
-        per_batch=per_batch,
-    )
+def exact_dup_pct(rows, key: str) -> float:
+    """Percent of samples whose list for ``key`` repeats another
+    same-session sample's list."""
+    return _feature_stats(*_columns(rows, [key]), [key])[key].exact_dup_pct
+
+
+def partial_dup_pct(rows, key: str) -> float:
+    """Percent of individual ID occurrences for ``key`` that repeat
+    across same-session samples."""
+    return _feature_stats(*_columns(rows, [key]), [key])[key].partial_dup_pct
+
+
+def byte_weighted(rows, keys) -> tuple[float, float]:
+    """Average-length-weighted exact and partial percentages across
+    features: features carrying more IDs count proportionally more."""
+    return _blend(_feature_stats(*_columns(rows, keys), keys), keys)
+
+
+def compute_dup_stats(rows, keys, batch_size: int = 4096) -> DupStats:
+    """Per-feature and byte-weighted duplication plus the session
+    histograms over the whole stream and per ``batch_size`` chunk.
+    ``rows`` is a storage ``ScanBatch``, a sequence of them (one stream,
+    in order) or a sequence of records."""
+    per_batch = session_histogram(rows, "batch", batch_size)  # checks batch_size first
+    per_feature = _feature_stats(*_columns(rows, keys), keys)
+    partition = session_histogram(rows, "partition")
+    return DupStats(per_feature, *_blend(per_feature, keys), partition, per_batch)
 
 
 def dup_stats_to_csv(stats: DupStats) -> str:

@@ -164,14 +164,14 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 def cmd_characterize(args: argparse.Namespace) -> int:
     src = _resolve_in(args.dataset)
     f = storage.open_table(src)
-    records = storage.read_records(f)
     keys = args.keys.split(",") if args.keys else list(f.feature_keys)
     keys = [k for k in keys if k]
     for k in keys:
         if k not in f.feature_keys:
             raise ValueError(f"unknown feature key {k!r}")
-    stats = charmod.compute_dup_stats(records, keys, batch_size=args.batch_size)
-    print(f"records: {len(records)}")
+    stripes = [storage.read_stripe(f, i) for i in range(len(f.stripes))]
+    stats = charmod.compute_dup_stats(stripes, keys, batch_size=args.batch_size)
+    print(f"records: {f.row_count}")
     print(
         f"samples/session: partition mean {stats.partition.mean:.3f}, "
         f"batch({args.batch_size}) mean {stats.per_batch.mean:.3f}"

@@ -182,6 +182,8 @@ def write_table(
         raise StorageError("stripe_rows must be >= 1")
     if clustering not in ("none", "by_session"):
         raise StorageError(f"unknown clustering mode {clustering!r}")
+    if not 0 <= level <= 9:
+        raise StorageError(f"compression level {level} outside 0-9")
     if not records:
         raise StorageError("refusing to write an empty table")
     keys = tuple(records[0].features.keys())
@@ -264,11 +266,15 @@ def _open_table(path: Path) -> ColumnarFile:
     with open(path, "rb") as f:
         if f.read(8) != MAGIC:
             raise StorageError(f"{path}: bad magic")
-        version, codec, level, _ = struct.unpack("<IBBH", f.read(8))
+        version, codec, level, reserved = struct.unpack("<IBBH", f.read(8))
         if version != VERSION:
             raise StorageError(f"{path}: unsupported version {version}")
         if codec != CODEC_ZLIB:
             raise StorageError(f"{path}: unknown codec tag {codec}")
+        if level > 9:
+            raise StorageError(f"{path}: compression level {level} outside 0-9")
+        if reserved:
+            raise StorageError(f"{path}: reserved header field is {reserved}, not 0")
         (n_keys,) = struct.unpack("<I", f.read(4))
         keys = []
         for _ in range(n_keys):

@@ -249,21 +249,17 @@ def build_kjt(rows, keys: Sequence[str]) -> KJT:
     return KJT(batch_size=len(rows), entries=entries)
 
 
-def build_ikjt(rows, group: Sequence[str]) -> IKJT:
-    """Deduplicate a feature group across the whole batch into an IKJT.
+def _unique_rows(jts: Sequence[JaggedTensor]) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows across jagged tensors of equal row count.
 
-    Batch rows i and j share an ``inverse_lookup`` entry iff all features
-    in the group have identical lists at i and j. Each batch row is laid
-    out as ``(length, values..., zero padding)`` per feature in one int64
-    matrix, and whole matrix rows are compared, so unequal rows can never
-    merge. Unique rows are numbered in first-occurrence order. ``rows``
-    is anything :func:`build_kjt` accepts.
+    Row i of the input is the tuple of row i of every tensor. Each row is
+    laid out as ``(length, values..., zero padding)`` per tensor in one
+    int64 matrix, and whole matrix rows are compared, so unequal rows can
+    never compare equal. Returns the index of the first row of each
+    distinct row, in sorted order of the matrix rows, and each row's
+    ordinal into that array.
     """
-    if len(group) == 0:
-        raise ValueError("empty dedup group")
-    kjt = build_kjt(rows, group)
-    n = kjt.batch_size
-    jts = [kjt.entries[key] for key in group]
+    n = jts[0].row_count
     lengths = [jt.row_lengths() for jt in jts]
     widths = [1 + int(lens.max()) for lens in lengths]
     table = np.zeros((n, sum(widths)), dtype=np.int64)
@@ -278,12 +274,29 @@ def build_ikjt(rows, group: Sequence[str]) -> IKJT:
     _, first, inverse = np.unique(
         whole_rows.ravel(), return_index=True, return_inverse=True
     )
+    return first, inverse.ravel()
+
+
+def build_ikjt(rows, group: Sequence[str]) -> IKJT:
+    """Deduplicate a feature group across the whole batch into an IKJT.
+
+    Batch rows i and j share an ``inverse_lookup`` entry iff all features
+    in the group have identical lists at i and j (compared by
+    :func:`_unique_rows`, so unequal rows can never merge). Unique rows
+    are numbered in first-occurrence order. ``rows`` is anything
+    :func:`build_kjt` accepts.
+    """
+    if len(group) == 0:
+        raise ValueError("empty dedup group")
+    kjt = build_kjt(rows, group)
+    jts = [kjt.entries[key] for key in group]
+    first, inverse = _unique_rows(jts)
     # np.unique numbers rows in sorted order; renumber by first occurrence.
     order = np.argsort(first)
     return IKJT(
-        batch_size=n,
+        batch_size=kjt.batch_size,
         group_keys=tuple(group),
-        inverse_lookup=np.argsort(order)[inverse.ravel()],
+        inverse_lookup=np.argsort(order)[inverse],
         per_feature={
             key: jagged_index_select(jt, first[order]) for key, jt in zip(group, jts)
         },

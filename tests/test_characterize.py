@@ -20,6 +20,7 @@ from sessiondedup.datagen import (
     SessionConfig,
     generate_dataset,
 )
+from sessiondedup.storage import read_stripe, scan, write_table
 
 
 def rec(sid, key_lists, ts=0):
@@ -41,6 +42,31 @@ def brute_exact_pct(records, key):
                 dup += 1
                 break
     return 100.0 * dup / len(records) if records else 0.0
+
+
+def brute_histogram(records, batch_size=None):
+    """Samples-per-session value -> frequency, pooled over consecutive
+    ``batch_size`` chunks (one chunk when None)."""
+    step = batch_size or len(records)
+    counts = Counter()
+    for start in range(0, len(records), step):
+        chunk = records[start : start + step]
+        counts.update(Counter(r.session_id for r in chunk).values())
+    return dict(sorted(counts.items()))
+
+
+def as_columns(records, tmp_path):
+    """The records written with 100-row stripes, unclustered and by
+    session; each file read back as one ScanBatch and as its list of
+    stripe batches, each paired with the file's rows as records."""
+    out = []
+    for clustering in ("none", "by_session"):
+        path = tmp_path / f"{clustering}.sesscol"
+        f = write_table(records, path, stripe_rows=100, clustering=clustering)
+        stripes = [read_stripe(f, i) for i in range(len(f.stripes))]
+        rows = [r for b in stripes for r in b.records]
+        out += [(next(scan(f, f.row_count)), rows), (stripes, rows)]
+    return out
 
 
 def brute_partial_pct(records, key):
@@ -84,7 +110,7 @@ class TestExactDupPct:
         records = [rec(0, {"f": [7]}), rec(1, {"f": [7]})]
         assert exact_dup_pct(records, "f") == 0.0
 
-    def test_matches_brute_force(self):
+    def test_matches_brute_force(self, tmp_path):
         cfg = SessionConfig(
             num_sessions=50,
             samples_per_session=SampleCountDist(kind="geometric", mean=10.0),
@@ -100,9 +126,9 @@ class TestExactDupPct:
             )
         ]
         records = generate_dataset(cfg, specs)
-        assert exact_dup_pct(records, "f") == pytest.approx(
-            brute_exact_pct(records, "f")
-        )
+        want = brute_exact_pct(records, "f")
+        for rows in [records, *(cols for cols, _ in as_columns(records, tmp_path))]:
+            assert exact_dup_pct(rows, "f") == pytest.approx(want)
 
     def test_window_monotonicity(self):
         cfg = SessionConfig(
@@ -165,7 +191,7 @@ class TestPartialDupPct:
         records = generate_dataset(cfg, specs)
         assert partial_dup_pct(records, "f") >= exact_dup_pct(records, "f")
 
-    def test_matches_brute_force(self):
+    def test_matches_brute_force(self, tmp_path):
         cfg = SessionConfig(
             num_sessions=40,
             samples_per_session=SampleCountDist(kind="geometric", mean=9.0),
@@ -181,9 +207,9 @@ class TestPartialDupPct:
             )
         ]
         records = generate_dataset(cfg, specs)
-        assert partial_dup_pct(records, "f") == pytest.approx(
-            brute_partial_pct(records, "f")
-        )
+        want = brute_partial_pct(records, "f")
+        for rows in [records, *(cols for cols, _ in as_columns(records, tmp_path))]:
+            assert partial_dup_pct(rows, "f") == pytest.approx(want)
 
 
 class TestByteWeighted:
@@ -293,3 +319,48 @@ class TestDupStats:
         for key, fs in stats.per_feature.items():
             assert parsed[key][0] == pytest.approx(fs.exact_dup_pct, abs=1e-6)
             assert parsed[key][1] == pytest.approx(fs.partial_dup_pct, abs=1e-6)
+
+
+def _session_over_block():
+    # Session 0 holds more rows than characterize counts in one block
+    # (4096), cycling three lists, among small sessions before and after.
+    small = [(s, [s, s + 1]) for s in range(1, 41) for _ in range(3)]
+    big = [(0, [t % 3, 7]) for t in range(4200)]
+    return small[:60] + big + small[60:]
+
+
+# (session id, list of key "f") rows
+ADVERSARIAL = {
+    "session-over-block": _session_over_block(),
+    "all-empty": [(s, []) for s in range(5) for _ in range(s + 1)],
+    # session 0 repeats one list, session 1 never repeats an ID
+    "all-dup-and-no-dup": [(0, [1, 2, 3])] * 5 + [(1, [10 * t, 10 * t + 1]) for t in range(5)],
+    # zero padding must not merge [], [0] and [0, 0]
+    "zero-padding": [(0, []), (0, [0]), (0, [0, 0]), (0, [0])],
+}
+
+
+class TestColumnarInput:
+    """A columnar ScanBatch, or a list of them, gives exactly what its
+    rows as records give, and both match the brute-force oracles."""
+
+    @pytest.mark.parametrize("case", [*ADVERSARIAL, "generator"])
+    def test_batch_matches_records_and_brute_force(self, case, stream, tmp_path):
+        if case == "generator":
+            records, keys = stream, ["seq", "item"]
+        else:  # plus a key "g" constant within each session
+            rows = ADVERSARIAL[case]
+            records = [rec(s, {"f": f, "g": [s]}, ts=t) for t, (s, f) in enumerate(rows)]
+            keys = ["f", "g"]
+        for batch, rows in as_columns(records, tmp_path):
+            for key in keys:
+                want = brute_exact_pct(rows, key)
+                assert exact_dup_pct(batch, key) == exact_dup_pct(rows, key) == want
+                want = brute_partial_pct(rows, key)
+                assert partial_dup_pct(batch, key) == partial_dup_pct(rows, key) == want
+            assert byte_weighted(batch, keys) == byte_weighted(rows, keys)
+            for window, size in (("partition", None), ("batch", 64)):
+                hist = session_histogram(batch, window, 64)
+                assert hist == session_histogram(rows, window, 64)
+                assert hist.counts == brute_histogram(rows, size)
+            assert compute_dup_stats(batch, keys, 64) == compute_dup_stats(rows, keys, 64)

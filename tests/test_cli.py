@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import sessiondedup
+from sessiondedup import storage
 from sessiondedup.cli import main
 from sessiondedup.datagen import (
     FeatureSpec,
@@ -147,6 +148,25 @@ class TestCharacterize:
         run(["gen", "--config", small_config_path, "--out", ds])
         assert run(["characterize", ds, "--keys", "zzz"]) == 1
         assert "error [characterize]" in capsys.readouterr().err
+
+    def test_zero_batch_size_fails_before_output(self, small_config_path, tmp_path, capsys):
+        ds = tmp_path / "ds.sesscol"
+        run(["gen", "--config", small_config_path, "--out", ds])
+        capsys.readouterr()
+        assert run(["characterize", ds, "--batch-size", 0]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "error [characterize]: batch_size must be >= 1" in err
+
+    def test_builds_no_records(self, small_config_path, tmp_path, monkeypatch):
+        ds = tmp_path / "ds.sesscol"
+        run(["gen", "--config", small_config_path, "--out", ds])
+
+        def no_records(*args, **kwargs):
+            raise AssertionError("a row object was built")
+
+        monkeypatch.setattr(storage, "ImpressionRecord", no_records)
+        assert run(["characterize", ds]) == 0
 
 
 class TestBench:

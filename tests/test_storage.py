@@ -62,12 +62,19 @@ class TestRoundTrip:
         got = [r for batch in scan(f, 64) for r in batch.records]
         assert_same_records(got, records)
 
-    @pytest.mark.parametrize("level", [1, 6, 9])
+    @pytest.mark.parametrize("level", [0, 1, 6, 9])
     def test_levels_round_trip(self, records, tmp_path, level):
         path = tmp_path / f"l{level}.sesscol"
         write_table(records, path, level=level)
         got = [r for b in scan(open_table(path), 256) for r in b.records]
         assert_same_records(got, records)
+
+    @pytest.mark.parametrize("level", [-1, 10, 300])
+    def test_level_outside_range_rejected_before_writing(self, records, tmp_path, level):
+        path = tmp_path / "bad-level.sesscol"
+        with pytest.raises(StorageError, match="level"):
+            write_table(records, path, level=level)
+        assert not path.exists()
 
     def test_by_session_reorders_then_round_trips(self, records, tmp_path):
         path = tmp_path / "c.sesscol"
@@ -281,12 +288,30 @@ class TestCorruption:
         with pytest.raises(StorageError, match=r"stripe 0: feature 'f': negative row length"):
             list(scan(open_table(path), 2))
 
+    @pytest.mark.parametrize(
+        "fmt, offset, value, message",
+        [("<B", 13, 200, "level 200"), ("<H", 14, 1, "reserved"), ("<H", 14, 0x8000, "reserved")],
+        ids=["level", "reserved-low", "reserved-high"],
+    )
+    def test_header_level_and_reserved_checked(
+        self, small_file, tmp_path, fmt, offset, value, message
+    ):
+        # Header: magic (8) | u32 version | u8 codec | u8 level (13) | u16 reserved (14)
+        _, good, _ = small_file
+        data = bytearray(good)
+        struct.pack_into(fmt, data, offset, value)
+        bad = tmp_path / "bad-header.sesscol"
+        bad.write_bytes(bytes(data))
+        with pytest.raises(StorageError, match=message):
+            open_table(bad)
+
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_corruption_raises_only_storage_error(self, small_file, data):
         """A truncated file always raises. Any other damage raises
-        StorageError, or leaves every row intact (the level, reserved and
-        key-name header bytes and deflate's padding bits are unchecked)."""
+        StorageError, or leaves every row intact (a level byte still in
+        0-9, the key-name header bytes and deflate's padding bits are
+        unchecked)."""
         path, good, rows = small_file
         buf = bytearray(good)
         kind = data.draw(st.sampled_from(["truncate", "flip", "overwrite"]))
