@@ -253,17 +253,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
         reader.read_batches(f, dl_spec.without_dedup()) if run_baseline else iter(())
     )
     n = 0
-    skipped_rows = 0
     while True:
         if args.batches and n >= args.batches:
             break
         db = next(dedup_iter, None) if run_dedup else None
         bb = next(base_iter, None) if run_baseline else None
         if db is None and bb is None:
-            break
-        rows = (db if db is not None else bb).batch_size
-        if rows < plan.num_ranks:  # only the last batch can be this short
-            skipped_rows = rows
             break
         sd = sb = None
         if db is not None:
@@ -299,7 +294,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
             "mode": args.mode,
             "seed": args.seed,
             "batches": n,
-            "skipped_rows": skipped_rows,
             "model_groups": [list(g.keys) for g in model.groups],
         },
         storage={

@@ -58,6 +58,10 @@ __all__ = [
 ELEMENT_POOLING = ("sum", "avg", "max")
 POOLING_OPS = ELEMENT_POOLING + ("attention",)
 
+# Score elements (rows x n x n) per stacked attention block, so one long
+# sequence never allocates a huge score tensor.
+_ATTENTION_BLOCK_ELEMENTS = 1 << 22
+
 
 def _key_seed(base: int, *names: str) -> np.random.Generator:
     tag = hashlib.blake2b("|".join(names).encode("utf-8"), digest_size=8).digest()
@@ -348,6 +352,18 @@ def attention_pool(
     Input: per group feature, (activations, offsets) with a shared row
     count. Returns one output vector per row plus the multiply-accumulate
     count (3nd^2 + 2n^2 d + d^2 per non-empty row of sequence length n).
+
+    Rows are bucketed by sequence length n (the sum of their per-key
+    lengths); each bucket runs as stacked (m, n, d) blocks of at most
+    ``_ATTENTION_BLOCK_ELEMENTS`` score elements, so the Python work
+    grows with the number of distinct lengths, not with the row count.
+    A row's output does not depend on which rows share its block: every
+    matmul runs per stacked matrix with the shapes of a lone row (the
+    output projection as (1, d) @ (d, d), since a (m, d) product can
+    round differently), the softmax sum and the mean reduce each row
+    along the same axis as a lone (n, d) row would, and only the max,
+    which is exact, takes a different reduction path.
+    Empty rows give zero vectors.
     """
     if not per_key_activations:
         raise ValueError("attention needs at least one feature")
@@ -360,29 +376,54 @@ def attention_pool(
             raise ValueError(
                 f"activation dim {acts.shape[1]} != attention dim {d}"
             )
-    scale = np.float32(1.0 / math.sqrt(d))
     out = np.zeros((n_rows, d), dtype=np.float32)
-    macs = 0
-    all_bounds = [
-        (acts, np.append(offs, acts.shape[0])) for acts, offs in per_key_activations
-    ]
-    for i in range(n_rows):
-        segs = [acts[b[i] : b[i + 1]] for acts, b in all_bounds]
-        x = segs[0] if len(segs) == 1 else np.concatenate(segs, axis=0)
-        n = x.shape[0]
-        if n == 0:
-            continue
-        q = x @ params.w_q
-        k = x @ params.w_k
-        v = x @ params.w_v
-        scores = (q @ k.T) * scale
-        scores -= scores.max(axis=1, keepdims=True)
-        np.exp(scores, out=scores)
-        scores /= scores.sum(axis=1, keepdims=True)
-        ctx = scores @ v
-        pooled = ctx.mean(axis=0)
-        out[i] = pooled @ params.w_o
-        macs += 3 * n * d * d + 2 * n * n * d + d * d
+    # (keys, rows) starts and lengths, with starts into the keys' joined
+    # activations.
+    bases = np.cumsum([0] + [acts.shape[0] for acts, _ in per_key_activations])
+    starts = np.stack(
+        [offs + base for (_, offs), base in zip(per_key_activations, bases)]
+    )
+    key_lens = np.stack(
+        [np.diff(offs, append=acts.shape[0]) for acts, offs in per_key_activations]
+    )
+    lengths = key_lens.sum(axis=0)
+    rows = np.flatnonzero(lengths)
+    rows = rows[np.argsort(lengths[rows], kind="stable")]
+    ns = lengths[rows]
+    macs = int(np.sum(3 * ns * d * d + 2 * ns * ns * d + d * d))
+
+    # One gather lays every row's sequence out in sorted row order, each
+    # row's keys in group order.
+    seg_starts = starts[:, rows].T.ravel()
+    seg_lens = key_lens[:, rows].T.ravel()
+    seg_out = np.cumsum(seg_lens) - seg_lens
+    gather = np.repeat(seg_starts - seg_out, seg_lens) + np.arange(
+        seg_lens.sum(), dtype=np.int64
+    )
+    joined = np.concatenate([acts for acts, _ in per_key_activations])
+    seqs = joined[gather]
+
+    scale = np.float32(1.0 / math.sqrt(d))
+    run_starts = np.flatnonzero(np.diff(ns, prepend=-1))
+    run_stops = np.append(run_starts[1:], ns.size)
+    pos = 0
+    for first, stop in zip(run_starts.tolist(), run_stops.tolist()):
+        n = int(ns[first])
+        step = max(1, _ATTENTION_BLOCK_ELEMENTS // (n * n))
+        for a in range(first, stop, step):
+            m = min(step, stop - a)
+            x = seqs[pos : pos + m * n].reshape(m, n, d)
+            pos += m * n
+            q = x @ params.w_q
+            k = x @ params.w_k
+            v = x @ params.w_v
+            scores = (q @ k.transpose(0, 2, 1)) * scale
+            scores -= scores.max(axis=2, keepdims=True, initial=-np.inf)
+            np.exp(scores, out=scores)
+            scores /= scores.sum(axis=2, keepdims=True)
+            ctx = scores @ v
+            pooled = ctx.mean(axis=1, keepdims=True)
+            out[rows[a : a + m]] = (pooled @ params.w_o)[:, 0]
     return out, macs
 
 
@@ -411,26 +452,26 @@ def slice_ikjt_rows(ikjt: IKJT, start: int, stop: int) -> IKJT:
 def split_batch(batch: ReaderBatch, num_ranks: int) -> list[ReaderBatch]:
     """Contiguous per-rank chunks of one reader batch (data parallelism).
 
-    The first B mod R chunks take the extra rows. Dedup tensors are
-    sub-sliced, never re-deduplicated.
+    A batch of B rows gives min(R, B) chunks, so ranks beyond the row
+    count get no chunk and contribute no slices. The first B mod R
+    chunks take the extra rows. Plain tensors are sliced as contiguous
+    row ranges; dedup tensors are sub-sliced, never re-deduplicated.
     """
     if num_ranks < 1:
         raise ValueError("num_ranks must be >= 1")
-    if batch.batch_size < num_ranks:
-        raise ValueError(
-            f"cannot split {batch.batch_size} rows across {num_ranks} ranks"
-        )
-    base, extra = divmod(batch.batch_size, num_ranks)
+    if batch.batch_size < 1:
+        raise ValueError("cannot split an empty batch")
+    n_chunks = min(num_ranks, batch.batch_size)
+    base, extra = divmod(batch.batch_size, n_chunks)
     chunks = []
     start = 0
-    for r in range(num_ranks):
+    for r in range(n_chunks):
         stop = start + base + (1 if r < extra else 0)
-        rows = np.arange(start, stop, dtype=np.int64)
         chunks.append(
             ReaderBatch(
                 batch_size=stop - start,
                 kjts={
-                    key: jagged_index_select(jt, rows)
+                    key: _slice_rows(jt, start, stop)
                     for key, jt in batch.kjts.items()
                 },
                 ikjts=[slice_ikjt_rows(ik, start, stop) for ik in batch.ikjts],
@@ -439,6 +480,13 @@ def split_batch(batch: ReaderBatch, num_ranks: int) -> list[ReaderBatch]:
         )
         start = stop
     return chunks
+
+
+def _slice_rows(jt: JaggedTensor, start: int, stop: int) -> JaggedTensor:
+    # Rows [start, stop) as views of the tensor's buffers, offsets rebased to 0.
+    lo = jt.offsets[start]
+    hi = jt.offsets[stop] if stop < jt.row_count else jt.values.size
+    return JaggedTensor(values=jt.values[lo:hi], offsets=jt.offsets[start:stop] - lo)
 
 
 def _identity_ikjt(keys: tuple[str, ...], kjts: dict[str, JaggedTensor], b: int) -> IKJT:

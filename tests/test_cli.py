@@ -257,8 +257,8 @@ class TestBench:
         b = run_once(tmp_path / "b.json")
         assert a == b
 
-    def test_bench_reports_skipped_tail(self, clustered_ds, tmp_path):
-        # one full batch, then a 1-row tail that 2 ranks cannot split
+    def test_bench_scores_short_tail(self, clustered_ds, tmp_path):
+        # one full batch, then a 1-row tail with fewer rows than ranks
         rows = open_table(clustered_ds).row_count
         report_path = tmp_path / "r.json"
         code = run(
@@ -272,9 +272,12 @@ class TestBench:
         )
         assert code == 0
         report = json.loads(report_path.read_text())
-        assert report["config"]["batches"] == 1
-        assert report["config"]["skipped_rows"] == 1
-        assert report["reader"]["dedup"]["rows"] == rows - 1
+        assert report["config"]["batches"] == 2
+        assert "skipped_rows" not in report["config"]
+        assert report["reader"]["dedup"]["rows"] == rows
+        assert report["reader"]["baseline"]["rows"] == rows
+        # bench raises when any batch's dedup and baseline scores differ
+        assert report["speedups"]["scores_equal"] is True
 
     def test_plotdata_from_report(self, clustered_ds, tmp_path):
         report_path = tmp_path / "report.json"

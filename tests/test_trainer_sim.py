@@ -1,7 +1,11 @@
 """Tests for the simulated-rank forward sparse path."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sessiondedup.datagen import (
     FeatureSpec,
@@ -12,6 +16,7 @@ from sessiondedup.datagen import (
 )
 from sessiondedup.reader import DataloaderSpec, convert
 from sessiondedup.tensors import JaggedTensor, build_ikjt, build_kjt, ikjt_to_kjt, jt_equal
+from sessiondedup import trainer_sim
 from sessiondedup.trainer_sim import (
     AttentionParams,
     EmbeddingTable,
@@ -82,6 +87,55 @@ def random_batch(rng, batch_size, keys=("u", "v"), dup_rate=0.6, max_len=6):
         feats["plain_item"] = rng.integers(0, 1000, size=2).tolist()
         rows.append(rec(sid, i, feats, label=int(rng.random() < 0.5)))
     return rows
+
+
+def _attention_pool_reference(per_key_activations, params):
+    """Row-by-row attention pooling: the oracle for ``attention_pool``."""
+    n_rows = per_key_activations[0][1].size
+    d = params.dim
+    scale = np.float32(1.0 / math.sqrt(d))
+    out = np.zeros((n_rows, d), dtype=np.float32)
+    macs = 0
+    all_bounds = [
+        (acts, np.append(offs, acts.shape[0])) for acts, offs in per_key_activations
+    ]
+    for i in range(n_rows):
+        segs = [acts[b[i] : b[i + 1]] for acts, b in all_bounds]
+        x = segs[0] if len(segs) == 1 else np.concatenate(segs, axis=0)
+        n = x.shape[0]
+        if n == 0:
+            continue
+        q = x @ params.w_q
+        k = x @ params.w_k
+        v = x @ params.w_v
+        scores = (q @ k.T) * scale
+        scores -= scores.max(axis=1, keepdims=True)
+        np.exp(scores, out=scores)
+        scores /= scores.sum(axis=1, keepdims=True)
+        ctx = scores @ v
+        pooled = ctx.mean(axis=0)
+        out[i] = pooled @ params.w_o
+        macs += 3 * n * d * d + 2 * n * n * d + d * d
+    return out, macs
+
+
+def _attention_inputs(rng, lens_per_key, dim):
+    """(activations, offsets) per key from a (keys, rows) length table."""
+    inputs = []
+    for lens in lens_per_key:
+        lens = np.asarray(lens, dtype=np.int64)
+        offs = np.cumsum(lens) - lens
+        acts = rng.uniform(-1, 1, size=(int(lens.sum()), dim)).astype(np.float32)
+        inputs.append((acts, offs))
+    return inputs
+
+
+def _assert_matches_reference(inputs, params):
+    out, macs = attention_pool(inputs, params)
+    ref_out, ref_macs = _attention_pool_reference(inputs, params)
+    assert out.dtype == np.float32
+    assert np.array_equal(out, ref_out)
+    assert macs == ref_macs
 
 
 class TestPool:
@@ -249,6 +303,78 @@ class TestAttentionPool:
             attention_pool([(acts, np.array([0], dtype=np.int64))], params)
 
 
+
+class TestBatchedAttentionPool:
+    """Length-bucketed ``attention_pool`` against the row-by-row oracle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda keys: st.integers(0, 40).flatmap(
+                lambda rows: st.lists(
+                    st.lists(st.integers(0, 6), min_size=rows, max_size=rows),
+                    min_size=keys,
+                    max_size=keys,
+                )
+            )
+        ),
+        st.sampled_from([1, 4, 16]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_reference(self, lens_per_key, dim, seed):
+        rng = np.random.default_rng(seed)
+        inputs = _attention_inputs(rng, lens_per_key, dim)
+        _assert_matches_reference(inputs, AttentionParams.create("g", dim, seed=seed))
+
+    @pytest.mark.parametrize(
+        "lens_per_key",
+        [
+            pytest.param([[]], id="zero-rows"),
+            pytest.param([[0, 0, 0], [0, 0, 0]], id="all-empty"),
+            pytest.param([[5]], id="single-row"),
+            pytest.param(
+                [[0, 1, 2, 3, 3, 0], [3, 2, 1, 0, 0, 3], [0, 0, 0, 0, 0, 0]],
+                id="same-n-split-differently",
+            ),
+            pytest.param([list(range(60, 0, -1))], id="many-lengths"),
+        ],
+    )
+    def test_edge_cases_match_reference(self, lens_per_key):
+        rng = np.random.default_rng(len(lens_per_key[0]))
+        inputs = _attention_inputs(rng, lens_per_key, 16)
+        _assert_matches_reference(inputs, AttentionParams.create("g", 16, seed=3))
+
+    def test_row_output_independent_of_block(self):
+        rng = np.random.default_rng(5)
+        dim = 16
+        params = AttentionParams.create("g", dim, seed=5)
+        row = rng.uniform(-1, 1, size=(7, dim)).astype(np.float32)
+        alone, _ = attention_pool([(row, np.array([0], dtype=np.int64))], params)
+        copies, _ = attention_pool(
+            [(np.concatenate([row] * 1000), np.arange(0, 7000, 7, dtype=np.int64))],
+            params,
+        )
+        mixed_rows = [
+            rng.uniform(-1, 1, size=(n, dim)).astype(np.float32)
+            for n in (3, 7, 12, 1, 0, 30)
+        ]
+        mixed_rows.insert(2, row)
+        lens = np.array([r.shape[0] for r in mixed_rows], dtype=np.int64)
+        mixed, _ = attention_pool(
+            [(np.concatenate(mixed_rows), np.cumsum(lens) - lens)], params
+        )
+        assert np.array_equal(copies, np.repeat(alone, 1000, axis=0))
+        assert np.array_equal(mixed[2], alone[0])
+
+    def test_long_sequences_split_into_sub_blocks(self):
+        # 300 rows of n=200 hold 12M score elements, about three blocks
+        rng = np.random.default_rng(6)
+        lens = [[200] * 300]
+        assert 300 * 200 * 200 > 2 * trainer_sim._ATTENTION_BLOCK_ELEMENTS
+        inputs = _attention_inputs(rng, lens, 16)
+        _assert_matches_reference(inputs, AttentionParams.create("g", 16, seed=6))
+
+
 class TestActivationAccounting:
     def test_worked_memory_example(self):
         assert activation_bytes(4096, 1000, 128, 4) == 4096 * 1000 * 128 * 4
@@ -366,11 +492,28 @@ class TestSplitBatch:
             np.concatenate([c.labels for c in chunks]), batch.labels
         )
 
-    def test_too_many_ranks_rejected(self):
+    def test_more_ranks_than_rows(self):
+        # a short tail batch: ranks beyond the row count get no chunk,
+        # and every row is still scored, bit-equal across modes and ranks
         rows = random_batch(np.random.default_rng(3), 2)
         batch = convert(rows, self.reader_spec())
-        with pytest.raises(ValueError):
-            split_batch(batch, 3)
+        chunks = split_batch(batch, 3)
+        assert [c.batch_size for c in chunks] == [1, 1]
+        assert [c.kjts["plain_item"].row(0).tolist() for c in chunks] == [
+            list(r.features["plain_item"]) for r in rows
+        ]
+        model = TestForwardIteration().model_spec()
+        tables = build_tables(model)
+        base_batch = convert(rows, self.reader_spec().without_dedup())
+        one_rank, _ = forward_iteration(
+            batch, model, make_round_robin_plan(model, 1), "dedup", tables
+        )
+        plan = make_round_robin_plan(model, 3)
+        dedup, _ = forward_iteration(batch, model, plan, "dedup", tables)
+        base, _ = forward_iteration(base_batch, model, plan, "baseline", tables)
+        assert dedup.shape == (2,)
+        assert np.array_equal(dedup, base)
+        assert np.array_equal(dedup, one_rank)
 
 
 class TestSliceIkjtRows:
