@@ -1,6 +1,6 @@
 """Dataset duplication characterization.
 
-Quantifies how much of a record stream is redundant: samples per session
+Quantifies how much of a row stream is redundant: samples per session
 (whole-stream and per-batch), the percent of samples whose feature list
 exactly repeats another same-session sample, and the percent of
 individual ID occurrences already present in other same-session samples.
@@ -66,12 +66,10 @@ class DupStats:
 
 
 def _columns(rows, keys):
-    """Session ids and ``keys`` KJTs of a ScanBatch, a sequence of them or of records."""
+    """Session ids and ``keys`` KJTs of a ScanBatch or a sequence of them."""
     rows = [rows] if isinstance(rows, ScanBatch) else rows
-    if rows and isinstance(rows[0], ScanBatch):
-        return np.concatenate([b.session_ids for b in rows]), [build_kjt(b, keys) for b in rows]
-    sids = np.fromiter((r.session_id for r in rows), dtype=np.int64, count=len(rows))
-    return sids, [build_kjt(rows, keys)] if rows else []
+    sids = [b.session_ids for b in rows] or [np.empty(0, dtype=np.int64)]
+    return np.concatenate(sids), [build_kjt(b, keys) for b in rows]
 
 
 def session_histogram(rows, window: str = "partition", batch_size: int = 4096) -> SessionHistogram:
@@ -174,8 +172,8 @@ def byte_weighted(rows, keys) -> tuple[float, float]:
 def compute_dup_stats(rows, keys, batch_size: int = 4096) -> DupStats:
     """Per-feature and byte-weighted duplication plus the session
     histograms over the whole stream and per ``batch_size`` chunk.
-    ``rows`` is a storage ``ScanBatch``, a sequence of them (one stream,
-    in order) or a sequence of records."""
+    ``rows`` is a storage ``ScanBatch`` or a sequence of them (one
+    stream, in order)."""
     per_batch = session_histogram(rows, "batch", batch_size)  # checks batch_size first
     per_feature = _feature_stats(*_columns(rows, keys), keys)
     partition = session_histogram(rows, "partition")

@@ -121,11 +121,11 @@ def cmd_gen(args: argparse.Namespace) -> int:
             samples_per_session=cfg.samples_per_session,
             seed=args.seed,
         )
-    records = datagen.generate_dataset(cfg, specs)
+    table = datagen.generate_dataset(cfg, specs)
     out = _resolve_out(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     f = storage.write_table(
-        records,
+        table,
         out,
         stripe_rows=args.stripe_rows,
         clustering=args.clustering,
@@ -143,9 +143,8 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     out = _resolve_out(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     fin = storage.open_table(src)
-    records = storage.read_records(fin)
     fout = storage.write_table(
-        records,
+        next(storage.scan(fin, fin.row_count)),
         out,
         stripe_rows=args.stripe_rows,
         clustering="by_session",

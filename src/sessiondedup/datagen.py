@@ -4,9 +4,9 @@ Each session draws a sample count, initializes its user-sequence
 features once, and then mutates each feature between impressions with
 probability ``change_prob`` (a mutation shifts the list by one: drop the
 oldest ID, append a fresh one). Item-kind features are redrawn on every
-impression. Records from all sessions are interleaved by a global
-timestamp, modeling logs where a session's impressions are spread across
-a partition rather than adjacent.
+impression. The sessions' rows are interleaved by a global timestamp
+into one columnar table, modeling logs where a session's impressions are
+spread across a partition rather than adjacent.
 
 Everything is deterministic given the config seed: each session owns an
 independent child RNG, so a session's content does not depend on how
@@ -21,14 +21,15 @@ from pathlib import Path
 
 import numpy as np
 
+from .storage import ScanBatch
+from .tensors import KJT, gather_windows
+
 __all__ = [
     "FeatureSpec",
     "SampleCountDist",
     "SessionConfig",
-    "ImpressionRecord",
     "generate_dataset",
     "shard_logs",
-    "serialize_log_records",
     "load_config",
     "save_config",
     "default_config",
@@ -127,19 +128,14 @@ class SessionConfig:
             raise ValueError("num_sessions must be >= 1")
 
 
-@dataclass
-class ImpressionRecord:
-    session_id: int
-    timestamp: int
-    features: dict[str, np.ndarray]
-    label: int
-
-
-def _draw_length(avg_len: float, rng: np.random.Generator) -> int:
+def _draw_lengths(avg_len: float, count: int, rng: np.random.Generator) -> np.ndarray:
     # floor(l) plus a Bernoulli on the fraction keeps the mean exact.
     base = int(avg_len)
     frac = avg_len - base
-    return base + (1 if frac > 0 and rng.random() < frac else 0)
+    lengths = np.full(count, base, dtype=np.int64)
+    if frac > 0:
+        lengths += rng.random(count) < frac
+    return lengths
 
 
 def _session_rng(seed: int, index: int) -> np.random.Generator:
@@ -147,12 +143,10 @@ def _session_rng(seed: int, index: int) -> np.random.Generator:
 
 
 def _gen_session(
-    session_id: int,
-    count: int,
-    specs: list[FeatureSpec],
-    rng: np.random.Generator,
-) -> list[dict[str, np.ndarray]]:
-    """Feature dicts for one session's impressions, in session order."""
+    count: int, specs: list[FeatureSpec], rng: np.random.Generator
+) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """One session's features, in session order: per key, a pool of IDs
+    and each impression's ``(start, length)`` window into it."""
     # One mutation coin sequence per sync group so grouped features
     # change on exactly the same impressions.
     group_of = {
@@ -167,41 +161,37 @@ def _gen_session(
         g = group_of[s.key]
         if g not in coins:
             coins[g] = rng.random(count - 1) < s.change_prob
-    rows: list[dict[str, np.ndarray]] = [dict() for _ in range(count)]
+    windows = {}
     for s in specs:
         if s.kind == "user_sequence":
-            length = _draw_length(s.avg_len, rng)
-            flips = coins[group_of[s.key]]
+            length = int(_draw_lengths(s.avg_len, 1, rng)[0])
             # Shift-append update: impression i reads a length-window of
             # a shared pool, starting at the number of changes so far.
-            shifts = np.zeros(count, dtype=np.int64)
-            if count > 1:
-                np.cumsum(flips, out=shifts[1:])
-            pool = rng.integers(0, s.vocab_size, length + int(shifts[-1]), dtype=np.int64)
-            pool.setflags(write=False)
-            for i in range(count):
-                rows[i][s.key] = pool[shifts[i] : shifts[i] + length]
+            starts = np.zeros(count, dtype=np.int64)
+            np.cumsum(coins[group_of[s.key]], out=starts[1:])
+            lengths = np.full(count, length, dtype=np.int64)
         else:
-            lengths = np.array(
-                [_draw_length(s.avg_len, rng) for _ in range(count)], dtype=np.int64
-            )
-            flat = rng.integers(0, s.vocab_size, int(lengths.sum()), dtype=np.int64)
-            flat.setflags(write=False)
-            bounds = np.zeros(count + 1, dtype=np.int64)
-            np.cumsum(lengths, out=bounds[1:])
-            for i in range(count):
-                rows[i][s.key] = flat[bounds[i] : bounds[i + 1]]
-    return rows
+            lengths = _draw_lengths(s.avg_len, count, rng)
+            starts = np.cumsum(lengths) - lengths
+        pool = rng.integers(0, s.vocab_size, int(starts[-1] + lengths[-1]), dtype=np.int64)
+        windows[s.key] = (pool, starts, lengths)
+    return windows
 
 
 def generate_dataset(
     session_cfg: SessionConfig, feature_specs: list[FeatureSpec]
-) -> list[ImpressionRecord]:
-    """Generate the full interleaved record stream for a config."""
+) -> ScanBatch:
+    """Generate the full interleaved impression log for a config, as one
+    columnar table in (timestamp, session_id) order."""
     keys = [s.key for s in feature_specs]
     if len(set(keys)) != len(keys):
         raise ValueError("duplicate feature keys")
-    all_records: list[ImpressionRecord] = []
+    # Columns grow as raw int64 bytes, so no per-session array outlives
+    # its session; per key: "pool" holds every session's ID pool end to
+    # end, "start" and "length" each row's window into it.
+    columns = {name: bytearray() for name in ("session_id", "timestamp", "label")}
+    for key in keys:
+        columns.update({(key, name): bytearray() for name in ("pool", "start", "length")})
     # Timestamps are drawn over one shared horizon so sessions overlap
     # heavily; a global sort then interleaves them.
     mean_s = session_cfg.samples_per_session.mean
@@ -211,24 +201,34 @@ def generate_dataset(
         count = session_cfg.samples_per_session.sample(rng)
         ts = np.sort(rng.integers(0, horizon, count))
         ts += np.arange(count)  # break ties: strictly increasing in session
-        labels = rng.random(count) < _LABEL_RATE
-        rows = _gen_session(idx, count, feature_specs, rng)
-        for i in range(count):
-            all_records.append(
-                ImpressionRecord(
-                    session_id=idx,
-                    timestamp=int(ts[i]),
-                    features=rows[i],
-                    label=int(labels[i]),
-                )
-            )
-    order = np.lexsort(
-        (
-            np.fromiter((r.session_id for r in all_records), dtype=np.int64),
-            np.fromiter((r.timestamp for r in all_records), dtype=np.int64),
+        columns["session_id"] += np.full(count, idx, dtype=np.int64).tobytes()
+        columns["timestamp"] += ts.tobytes()
+        columns["label"] += (rng.random(count) < _LABEL_RATE).astype(np.int64).tobytes()
+        for key, (pool, starts, lengths) in _gen_session(count, feature_specs, rng).items():
+            base = len(columns[key, "pool"]) // 8
+            columns[key, "pool"] += pool.tobytes()
+            columns[key, "start"] += (starts + base).tobytes()
+            columns[key, "length"] += lengths.tobytes()
+
+    def column(name):
+        return np.frombuffer(columns.pop(name), dtype=np.int64)
+
+    session_ids = column("session_id")
+    ts = column("timestamp")
+    order = np.lexsort((session_ids, ts))
+    # Each row's values are gathered once, straight into final order.
+    features = {
+        key: gather_windows(
+            column((key, "pool")), column((key, "start"))[order], column((key, "length"))[order]
         )
+        for key in keys
+    }
+    return ScanBatch(
+        session_ids=session_ids[order],
+        timestamps=ts[order],
+        labels=column("label")[order],
+        features=KJT(batch_size=order.size, entries=features),
     )
-    return [all_records[i] for i in order]
 
 
 def splitmix64(x):
@@ -241,41 +241,21 @@ def splitmix64(x):
     return z ^ (z >> np.uint64(31))
 
 
-def shard_logs(
-    records: list[ImpressionRecord], num_shards: int, key: str = "session_id"
-) -> list[list[ImpressionRecord]]:
-    """Route records to shards, preserving stream order within each shard.
+def shard_logs(table: ScanBatch, num_shards: int, key: str = "session_id") -> list:
+    """Route a table's rows to shards, preserving stream order within
+    each shard. An empty shard is None.
 
     ``session_id`` keying keeps every session whole on one shard;
-    ``random_hash`` routes each record independently.
+    ``random_hash`` routes each row independently.
     """
     if num_shards < 1:
         raise ValueError("num_shards must be >= 1")
     if key not in ("session_id", "random_hash"):
         raise ValueError(f"unknown shard key {key!r}")
-    ids = [r.session_id for r in records] if key == "session_id" else range(len(records))
-    hashed = splitmix64(np.array(ids, dtype=np.int64)) % np.uint64(num_shards)
-    shards: list[list[ImpressionRecord]] = [[] for _ in range(num_shards)]
-    for rec, shard in zip(records, hashed.tolist()):
-        shards[shard].append(rec)
-    return shards
-
-
-def serialize_log_records(records: list[ImpressionRecord]) -> bytes:
-    """Row-major varint serialization of records, for shard-level
-    compression comparisons."""
-    from .varint import encode_varints
-
-    if not records:
-        return b""
-    # One flat stream keeps this a single codec call.
-    pieces: list[np.ndarray] = []
-    for rec in records:
-        head = [rec.session_id, rec.timestamp, rec.label, len(rec.features)]
-        head.extend(len(arr) for arr in rec.features.values())
-        pieces.append(np.array(head, dtype=np.int64))
-        pieces.extend(rec.features.values())
-    return encode_varints(np.concatenate(pieces))
+    ids = table.session_ids if key == "session_id" else np.arange(len(table))
+    hashed = splitmix64(ids) % np.uint64(num_shards)
+    rows = [np.flatnonzero(hashed == shard) for shard in range(num_shards)]
+    return [table.take_rows(idx) if idx.size else None for idx in rows]
 
 
 def _dist_to_json(dist: SampleCountDist) -> dict:

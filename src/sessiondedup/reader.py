@@ -149,18 +149,13 @@ def fill(stream: Iterator[ScanBatch]) -> tuple[ScanBatch | None, float]:
     return nxt, time.perf_counter() - t0
 
 
-def convert(rows, spec: DataloaderSpec) -> ReaderBatch:
+def convert(rows: ScanBatch, spec: DataloaderSpec) -> ReaderBatch:
     """Turn a raw batch into tensors: one IKJT per dedup group, one plain
-    jagged tensor per remaining key. ``rows`` is a :class:`ScanBatch`,
-    or a sequence of records, which is copied into columns once."""
+    jagged tensor per remaining key."""
     if not rows:
         raise ValueError("convert needs a non-empty row batch")
     t0 = time.perf_counter()
-    if isinstance(rows, ScanBatch):
-        labels = rows.labels
-    else:
-        labels = np.fromiter((r.label for r in rows), dtype=np.int64, count=len(rows))
-        rows = build_kjt(rows, spec.keys)
+    labels = rows.labels
     ikjts = [build_ikjt(rows, group) for group in spec.dedup_sparse_features]
     plain = spec.plain_keys
     kjts = dict(build_kjt(rows, plain).entries) if plain else {}

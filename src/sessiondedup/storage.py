@@ -25,8 +25,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .datagen import ImpressionRecord
-from .tensors import KJT, JaggedTensor
+from .tensors import KJT, JaggedTensor, jagged_index_select, slice_rows
 from .varint import decode_varints, encode_varints
 
 __all__ = [
@@ -38,7 +37,6 @@ __all__ = [
     "write_table",
     "open_table",
     "scan",
-    "read_records",
     "compression_report",
     "stream_sizes",
     "DEFAULT_STRIPE_ROWS",
@@ -88,47 +86,49 @@ class ScanBatch:
     timestamps: np.ndarray
     labels: np.ndarray
     features: KJT
-    bytes_read: int  # compressed file bytes consumed for this batch
+    bytes_read: int = 0  # compressed file bytes consumed for this batch
+
+    def __post_init__(self) -> None:
+        for name in ("session_ids", "timestamps", "labels"):
+            shape = np.shape(getattr(self, name))
+            if shape != (len(self),):
+                raise ValueError(f"{name} has shape {shape}, expected ({len(self)},)")
 
     def __len__(self) -> int:
         return self.features.batch_size
 
-    @property
-    def records(self) -> list[ImpressionRecord]:
-        """The rows as records, whose feature lists are read-only views
-        of the batch's value buffers."""
-        cols = [
-            (key, jt.values, np.append(jt.offsets, jt.values.size).tolist())
-            for key, jt in self.features.entries.items()
-        ]
-        rows = zip(self.session_ids.tolist(), self.timestamps.tolist(), self.labels.tolist())
-        return [
-            ImpressionRecord(sid, ts, {k: v[b[i] : b[i + 1]] for k, v, b in cols}, label)
-            for i, (sid, ts, label) in enumerate(rows)
-        ]
+    def slice_rows(self, start: int, stop: int) -> "ScanBatch":
+        """Rows ``[start, stop)`` as views of this batch's buffers."""
+        return self._select(slice(start, stop), lambda jt: slice_rows(jt, start, stop))
+
+    def take_rows(self, indices: np.ndarray) -> "ScanBatch":
+        """Rows ``indices``, in that order, gathered into new buffers."""
+        return self._select(indices, lambda jt: jagged_index_select(jt, indices))
+
+    def _select(self, rows, select) -> "ScanBatch":
+        # ``rows`` picks from the plain columns, ``select`` from each feature.
+        session_ids = self.session_ids[rows]
+        entries = {key: select(jt) for key, jt in self.features.entries.items()}
+        return ScanBatch(
+            session_ids, self.timestamps[rows], self.labels[rows], KJT(session_ids.size, entries)
+        )
 
 
-def _join(parts: list[tuple[ScanBatch, int, int]], bytes_read: int) -> ScanBatch:
-    """One batch from the rows ``start:stop`` of each ``(batch, start,
-    stop)`` part, in order."""
-
-    def cat(arrays):
-        return np.concatenate([a[lo:hi] for a, (_, lo, hi) in zip(arrays, parts)])
-
+def _join(parts: list[ScanBatch], bytes_read: int) -> ScanBatch:
+    """One batch of the rows of ``parts``, in order."""
     entries = {}
-    for key in parts[0][0].features.entries:
-        jts = [b.features.entries[key] for b, _, _ in parts]
-        ends = [np.append(jt.offsets, jt.values.size) for jt in jts]
-        lengths = cat([np.diff(e) for e in ends])
-        offsets = np.zeros(lengths.size, dtype=np.int64)
-        np.cumsum(lengths[:-1], out=offsets[1:])
-        values = [jt.values[e[lo] : e[hi]] for jt, e, (_, lo, hi) in zip(jts, ends, parts)]
-        entries[key] = JaggedTensor(values=np.concatenate(values), offsets=offsets)
+    for key in parts[0].features.entries:
+        jts = [b.features.entries[key] for b in parts]
+        bases = np.cumsum([0] + [jt.values.size for jt in jts[:-1]])
+        entries[key] = JaggedTensor(
+            values=np.concatenate([jt.values for jt in jts]),
+            offsets=np.concatenate([jt.offsets + base for jt, base in zip(jts, bases)]),
+        )
     return ScanBatch(
-        session_ids=cat([b.session_ids for b, _, _ in parts]),
-        timestamps=cat([b.timestamps for b, _, _ in parts]),
-        labels=cat([b.labels for b, _, _ in parts]),
-        features=KJT(batch_size=sum(hi - lo for _, lo, hi in parts), entries=entries),
+        session_ids=np.concatenate([b.session_ids for b in parts]),
+        timestamps=np.concatenate([b.timestamps for b in parts]),
+        labels=np.concatenate([b.labels for b in parts]),
+        features=KJT(batch_size=sum(len(b) for b in parts), entries=entries),
         bytes_read=bytes_read,
     )
 
@@ -160,23 +160,18 @@ def _pack_stream(arr: np.ndarray, level: int) -> bytes:
     return struct.pack("<II", len(raw), len(comp)) + comp
 
 
-def _cluster_order(records: list[ImpressionRecord]) -> np.ndarray:
-    sids = np.fromiter((r.session_id for r in records), dtype=np.int64)
-    ts = np.fromiter((r.timestamp for r in records), dtype=np.int64)
-    return np.lexsort((ts, sids))  # stable: session blocks, time within
-
-
 def write_table(
-    records: list[ImpressionRecord],
+    table: ScanBatch,
     path: str | Path,
     stripe_rows: int = DEFAULT_STRIPE_ROWS,
     clustering: str = "none",
     level: int = DEFAULT_LEVEL,
 ) -> ColumnarFile:
-    """Write records to a columnar file and return its handle.
+    """Write a columnar table to a file and return its handle.
 
     ``by_session`` clustering stably sorts rows by (session_id,
-    timestamp) first; ``none`` preserves input order.
+    timestamp) first, gathering one stripe's rows at a time; ``none``
+    writes each stripe as a slice of the table's rows.
     """
     if stripe_rows < 1:
         raise StorageError("stripe_rows must be >= 1")
@@ -184,14 +179,12 @@ def write_table(
         raise StorageError(f"unknown clustering mode {clustering!r}")
     if not 0 <= level <= 9:
         raise StorageError(f"compression level {level} outside 0-9")
-    if not records:
+    if not table:
         raise StorageError("refusing to write an empty table")
-    keys = tuple(records[0].features.keys())
-    for i, rec in enumerate(records):
-        if tuple(rec.features.keys()) != keys:
-            raise StorageError(f"record {i} feature keys differ from schema")
+    keys = table.features.keys
+    order = None
     if clustering == "by_session":
-        records = [records[i] for i in _cluster_order(records)]
+        order = np.lexsort((table.timestamps, table.session_ids))  # stable
 
     path = Path(path)
     stripes: list[StripeInfo] = []
@@ -203,11 +196,15 @@ def write_table(
             kb = key.encode("utf-8")
             out.write(struct.pack("<I", len(kb)))
             out.write(kb)
-        for start in range(0, len(records), stripe_rows):
-            chunk = records[start : start + stripe_rows]
+        for start in range(0, len(table), stripe_rows):
+            stop = min(start + stripe_rows, len(table))
             offset = out.tell()
             try:
-                blob = _encode_stripe(chunk, keys, level)
+                if order is None:
+                    chunk = table.slice_rows(start, stop)
+                else:
+                    chunk = table.take_rows(order[start:stop])
+                blob = _encode_stripe(chunk, level)
             except Exception as exc:  # pragma: no cover - defensive
                 raise StorageError(f"stripe {len(stripes)}: write failed: {exc}") from exc
             out.write(blob)
@@ -230,25 +227,11 @@ def write_table(
     )
 
 
-def _encode_stripe(
-    chunk: list[ImpressionRecord], keys: tuple[str, ...], level: int
-) -> bytes:
-    parts = [struct.pack("<I", len(chunk))]
-    sids = np.fromiter((r.session_id for r in chunk), dtype=np.int64)
-    ts = np.fromiter((r.timestamp for r in chunk), dtype=np.int64)
-    labels = np.fromiter((r.label for r in chunk), dtype=np.int64)
-    parts.append(_pack_stream(sids, level))
-    parts.append(_pack_stream(ts, level))
-    parts.append(_pack_stream(labels, level))
-    for key in keys:
-        cols = [r.features[key] for r in chunk]
-        lengths = np.fromiter((c.size for c in cols), dtype=np.int64, count=len(cols))
-        values = (
-            np.concatenate(cols) if lengths.sum() else np.empty(0, dtype=np.int64)
-        )
-        parts.append(_pack_stream(lengths, level))
-        parts.append(_pack_stream(values, level))
-    return b"".join(parts)
+def _encode_stripe(chunk: ScanBatch, level: int) -> bytes:
+    streams = [chunk.session_ids, chunk.timestamps, chunk.labels]
+    for jt in chunk.features.entries.values():
+        streams += [jt.row_lengths(), jt.values]
+    return struct.pack("<I", len(chunk)) + b"".join(_pack_stream(a, level) for a in streams)
 
 
 def open_table(path: str | Path) -> ColumnarFile:
@@ -317,15 +300,27 @@ def _open_table(path: Path) -> ColumnarFile:
     )
 
 
-def _read_stream(buf: memoryview, pos: int, ordinal: int, count: int | None):
+def _stream_frame(buf: memoryview, pos: int, ordinal: int) -> tuple[int, int, int]:
+    """The declared (raw_len, comp_len) of the stream at ``pos`` and the
+    end of its body, which must lie inside the stripe."""
     if pos + 8 > len(buf):
         raise StorageError(f"stripe {ordinal}: truncated stream header")
     raw_len, comp_len = struct.unpack_from("<II", buf, pos)
-    pos += 8
-    if pos + comp_len > len(buf):
+    end = pos + 8 + comp_len
+    if end > len(buf):
         raise StorageError(f"stripe {ordinal}: truncated stream body")
+    return raw_len, comp_len, end
+
+
+def _check_stripe_end(buf: memoryview, pos: int, ordinal: int) -> None:
+    if pos != len(buf):
+        raise StorageError(f"stripe {ordinal}: {len(buf) - pos} bytes past the last stream")
+
+
+def _read_stream(buf: memoryview, pos: int, ordinal: int, count: int | None):
+    raw_len, _, end = _stream_frame(buf, pos, ordinal)
     try:
-        raw = zlib.decompress(bytes(buf[pos : pos + comp_len]))
+        raw = zlib.decompress(bytes(buf[pos + 8 : end]))
     except zlib.error as exc:
         raise StorageError(f"stripe {ordinal}: corrupt stream: {exc}") from exc
     if len(raw) != raw_len:
@@ -336,7 +331,7 @@ def _read_stream(buf: memoryview, pos: int, ordinal: int, count: int | None):
         arr = decode_varints(raw, count)
     except ValueError as exc:
         raise StorageError(f"stripe {ordinal}: corrupt varints: {exc}") from exc
-    return arr, pos + comp_len, raw_len, comp_len
+    return arr, end
 
 
 def read_stripe(file: ColumnarFile, ordinal: int) -> ScanBatch:
@@ -359,27 +354,21 @@ def read_stripe(file: ColumnarFile, ordinal: int) -> ScanBatch:
     if rows == 0:
         raise StorageError(f"stripe {ordinal}: no rows")
     pos = 4
-    sids, pos, _, _ = _read_stream(buf, pos, ordinal, rows)
-    ts, pos, _, _ = _read_stream(buf, pos, ordinal, rows)
-    labels, pos, _, _ = _read_stream(buf, pos, ordinal, rows)
+    sids, pos = _read_stream(buf, pos, ordinal, rows)
+    ts, pos = _read_stream(buf, pos, ordinal, rows)
+    labels, pos = _read_stream(buf, pos, ordinal, rows)
     entries = {}
     for key in file.feature_keys:
-        lengths, pos, _, _ = _read_stream(buf, pos, ordinal, rows)
+        lengths, pos = _read_stream(buf, pos, ordinal, rows)
         if lengths.min() < 0:
             raise StorageError(f"stripe {ordinal}: feature {key!r}: negative row length")
-        values, pos, _, _ = _read_stream(buf, pos, ordinal, int(lengths.sum()))
+        values, pos = _read_stream(buf, pos, ordinal, int(lengths.sum()))
         offsets = np.zeros(rows, dtype=np.int64)
         np.cumsum(lengths[:-1], out=offsets[1:])
         entries[key] = JaggedTensor(values=values, offsets=offsets)
-    if pos != len(buf):
-        raise StorageError(f"stripe {ordinal}: {len(buf) - pos} bytes past the last stream")
+    _check_stripe_end(buf, pos, ordinal)
     features = KJT(batch_size=rows, entries=entries)
     return ScanBatch(sids, ts, labels, features, bytes_read=info.byte_size)
-
-
-def read_records(file: ColumnarFile) -> list[ImpressionRecord]:
-    """Every row of the file as a record, decoded one stripe at a time."""
-    return [rec for i in range(len(file.stripes)) for rec in read_stripe(file, i).records]
 
 
 def scan(file: ColumnarFile, batch_size: int) -> Iterator[ScanBatch]:
@@ -390,7 +379,7 @@ def scan(file: ColumnarFile, batch_size: int) -> Iterator[ScanBatch]:
     """
     if batch_size < 1:
         raise StorageError("batch_size must be >= 1")
-    parts: list[tuple[ScanBatch, int, int]] = []  # rows read, not yet yielded
+    parts: list[ScanBatch] = []  # rows read, not yet yielded
     held = pending_bytes = 0
     for ordinal, info in enumerate(file.stripes):
         stripe = read_stripe(file, ordinal)
@@ -398,33 +387,36 @@ def scan(file: ColumnarFile, batch_size: int) -> Iterator[ScanBatch]:
         start = 0
         while held + len(stripe) - start >= batch_size:
             stop = start + batch_size - held
-            yield _join(parts + [(stripe, start, stop)], pending_bytes)
+            yield _join(parts + [stripe.slice_rows(start, stop)], pending_bytes)
             parts, held, pending_bytes, start = [], 0, 0, stop
         if start < len(stripe):
-            parts.append((stripe, start, len(stripe)))
+            parts.append(stripe.slice_rows(start, len(stripe)))
             held += len(stripe) - start
     if parts:
         yield _join(parts, pending_bytes)
 
 
 def stream_sizes(file: ColumnarFile) -> tuple[int, int]:
-    """Total (raw, compressed) stream bytes across all stripes."""
+    """Total (raw, compressed) stream bytes across all stripes.
+
+    Nothing is decompressed: ``raw_len`` is summed as each stream header
+    declares it. The framing is checked as :func:`read_stripe` checks it:
+    every stream body lies inside its stripe, and the last one ends
+    exactly at the stripe's end.
+    """
     raw_total = 0
     comp_total = 0
+    n_streams = 3 + 2 * len(file.feature_keys)
     with open(file.path, "rb") as f:
         for ordinal, info in enumerate(file.stripes):
             f.seek(info.offset)
-            blob = f.read(info.byte_size)
-            buf = memoryview(blob)
+            buf = memoryview(f.read(info.byte_size))
             pos = 4
-            n_streams = 3 + 2 * len(file.feature_keys)
             for _ in range(n_streams):
-                if pos + 8 > len(buf):
-                    raise StorageError(f"stripe {ordinal}: truncated stream header")
-                raw_len, comp_len = struct.unpack_from("<II", buf, pos)
+                raw_len, comp_len, pos = _stream_frame(buf, pos, ordinal)
                 raw_total += raw_len
                 comp_total += comp_len
-                pos += 8 + comp_len
+            _check_stripe_end(buf, pos, ordinal)
     return raw_total, comp_total
 
 

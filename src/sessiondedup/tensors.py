@@ -31,6 +31,8 @@ __all__ = [
     "build_partial_ikjt",
     "ikjt_to_kjt",
     "jagged_index_select",
+    "gather_windows",
+    "slice_rows",
     "dedupe_len",
     "dedupe_factor",
     "measured_dedupe_factor",
@@ -224,29 +226,14 @@ class PartialIKJT:
         return self.values[off : off + length]
 
 
-def _feature_list(row, key: str) -> np.ndarray:
-    # A record or a feature dict; absent feature keys are empty lists.
-    seq = getattr(row, "features", row).get(key)
-    return np.empty(0, dtype=np.int64) if seq is None else _as_id_array(seq)
-
-
 def build_kjt(rows, keys: Sequence[str]) -> KJT:
-    """Gather ``keys`` of a batch into a KJT, preserving batch order.
-
-    A columnar batch (a KJT, or a batch whose ``features`` is one, such
-    as a storage ``ScanBatch``) is sliced and shares its buffers. A
-    sequence of records or feature dicts is copied into columns.
-    """
-    columns = rows if isinstance(rows, KJT) else getattr(rows, "features", None)
-    if isinstance(columns, KJT):
-        return KJT(columns.batch_size, {key: columns.entries[key] for key in keys})
-    if len(rows) == 0:
+    """Gather ``keys`` of a columnar batch into a KJT, preserving batch
+    order and sharing its buffers. ``rows`` is a KJT or a batch whose
+    ``features`` is one, such as a storage ``ScanBatch``."""
+    if not rows:
         raise ValueError("empty batch")
-    entries = {
-        key: JaggedTensor.from_rows([_feature_list(r, key) for r in rows])
-        for key in keys
-    }
-    return KJT(batch_size=len(rows), entries=entries)
+    columns = rows if isinstance(rows, KJT) else rows.features
+    return KJT(columns.batch_size, {key: columns.entries[key] for key in keys})
 
 
 def _unique_rows(jts: Sequence[JaggedTensor]) -> tuple[np.ndarray, np.ndarray]:
@@ -303,22 +290,21 @@ def build_ikjt(rows, group: Sequence[str]) -> IKJT:
     )
 
 
-def build_partial_ikjt(rows: Sequence, key: str) -> PartialIKJT:
+def build_partial_ikjt(rows, key: str) -> PartialIKJT:
     """Greedy shift-aware encoding of one feature across a batch.
 
     For each row list, in batch order: reuse the leftmost contiguous
     window of the buffer equal to the list if one exists; otherwise, if
     the longest proper prefix of the list matches a suffix of the buffer,
     append only the non-overlapping tail; otherwise append the whole
-    list.
+    list. ``rows`` is anything :func:`build_kjt` accepts.
     """
-    if len(rows) == 0:
-        raise ValueError("empty batch")
+    jt = build_kjt(rows, [key]).entries[key]
     buf = bytearray()
-    windows = np.empty((len(rows), 2), dtype=np.int64)
+    windows = np.empty((jt.row_count, 2), dtype=np.int64)
     item = _I64.itemsize
-    for i, row in enumerate(rows):
-        arr = _feature_list(row, key)
+    for i in range(jt.row_count):
+        arr = jt.row(i)
         needle = arr.astype(_I64, copy=False).tobytes()
         n = arr.size
         if n == 0:
@@ -370,19 +356,28 @@ def jagged_index_select(jt: JaggedTensor, indices) -> JaggedTensor:
             raise IndexError(
                 f"index {int(idx[p])} at position {p} out of range for {n} rows"
             )
-    lengths = jt.row_lengths()
-    starts = jt.offsets
-    sel_len = lengths[idx]
-    out_offsets = np.zeros(idx.size, dtype=np.int64)
-    if idx.size > 1:
-        np.cumsum(sel_len[:-1], out=out_offsets[1:])
-    total = int(sel_len.sum())
+    return gather_windows(jt.values, jt.offsets[idx], jt.row_lengths()[idx])
+
+
+def gather_windows(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> JaggedTensor:
+    """Rows laid end to end, row k being the window
+    ``values[starts[k] : starts[k] + lengths[k]]``; windows may overlap."""
+    out_offsets = np.zeros(lengths.size, dtype=np.int64)
+    if lengths.size > 1:
+        np.cumsum(lengths[:-1], out=out_offsets[1:])
+    total = int(lengths.sum())
     # Gather: for output element t in row k, source index is
-    # starts[idx[k]] + (t - out_offsets[k]).
-    gather = np.repeat(starts[idx] - out_offsets, sel_len) + np.arange(
-        total, dtype=np.int64
-    )
-    return JaggedTensor(values=jt.values[gather], offsets=out_offsets)
+    # starts[k] + (t - out_offsets[k]).
+    gather = np.repeat(starts - out_offsets, lengths) + np.arange(total, dtype=np.int64)
+    return JaggedTensor(values=values[gather], offsets=out_offsets)
+
+
+def slice_rows(jt: JaggedTensor, start: int, stop: int) -> JaggedTensor:
+    """Rows ``[start, stop)`` as views of the tensor's buffers, offsets
+    rebased to 0."""
+    lo = jt.offsets[start]
+    hi = jt.offsets[stop] if stop < jt.row_count else jt.values.size
+    return JaggedTensor(values=jt.values[lo:hi], offsets=jt.offsets[start:stop] - lo)
 
 
 def ikjt_to_kjt(ikjt: IKJT) -> KJT:

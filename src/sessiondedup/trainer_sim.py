@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .reader import ReaderBatch
-from .tensors import JaggedTensor, IKJT, jagged_index_select, slice_stream_bytes
+from .tensors import JaggedTensor, IKJT, jagged_index_select, slice_rows, slice_stream_bytes
 
 __all__ = [
     "EmbeddingTable",
@@ -471,7 +471,7 @@ def split_batch(batch: ReaderBatch, num_ranks: int) -> list[ReaderBatch]:
             ReaderBatch(
                 batch_size=stop - start,
                 kjts={
-                    key: _slice_rows(jt, start, stop)
+                    key: slice_rows(jt, start, stop)
                     for key, jt in batch.kjts.items()
                 },
                 ikjts=[slice_ikjt_rows(ik, start, stop) for ik in batch.ikjts],
@@ -480,13 +480,6 @@ def split_batch(batch: ReaderBatch, num_ranks: int) -> list[ReaderBatch]:
         )
         start = stop
     return chunks
-
-
-def _slice_rows(jt: JaggedTensor, start: int, stop: int) -> JaggedTensor:
-    # Rows [start, stop) as views of the tensor's buffers, offsets rebased to 0.
-    lo = jt.offsets[start]
-    hi = jt.offsets[stop] if stop < jt.row_count else jt.values.size
-    return JaggedTensor(values=jt.values[lo:hi], offsets=jt.offsets[start:stop] - lo)
 
 
 def _identity_ikjt(keys: tuple[str, ...], kjts: dict[str, JaggedTensor], b: int) -> IKJT:

@@ -1,0 +1,76 @@
+"""Per-row records for tests: the one adapter between rows written out
+by hand (or iterated by brute-force oracles) and the columnar tables the
+library generates, writes, reads and converts."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from sessiondedup.storage import ScanBatch
+from sessiondedup.tensors import KJT, JaggedTensor
+from sessiondedup.varint import encode_varints
+
+
+@dataclass
+class ImpressionRecord:
+    session_id: int
+    timestamp: int
+    features: dict[str, np.ndarray]
+    label: int
+
+
+def _features(row) -> dict:
+    return getattr(row, "features", row)
+
+
+def as_batch(rows, keys=None) -> ScanBatch:
+    """Records or feature dicts as one columnar table, in order.
+
+    ``keys`` defaults to every key in the rows, in order of first
+    appearance; a row without a key holds an empty list there. Feature
+    dicts carry no session id, timestamp or label: those columns are 0.
+    """
+    rows = list(rows)
+    if keys is None:
+        keys = list(dict.fromkeys(key for row in rows for key in _features(row)))
+    entries = {
+        key: JaggedTensor.from_rows([_features(row).get(key, ()) for row in rows])
+        for key in keys
+    }
+
+    def column(attr):
+        return np.array([getattr(row, attr, 0) for row in rows], dtype=np.int64)
+
+    return ScanBatch(
+        column("session_id"), column("timestamp"), column("label"), KJT(len(rows), entries)
+    )
+
+
+def as_records(batch: ScanBatch) -> list[ImpressionRecord]:
+    """The rows of a table as records, whose feature lists are read-only
+    views of the table's value buffers."""
+    cols = [
+        (key, jt.values, np.append(jt.offsets, jt.values.size).tolist())
+        for key, jt in batch.features.entries.items()
+    ]
+    rows = zip(batch.session_ids.tolist(), batch.timestamps.tolist(), batch.labels.tolist())
+    return [
+        ImpressionRecord(sid, ts, {k: v[b[i] : b[i + 1]] for k, v, b in cols}, label)
+        for i, (sid, ts, label) in enumerate(rows)
+    ]
+
+
+def serialize_log_records(records) -> bytes:
+    """Row-major varint serialization of records: equal bytes mean equal
+    rows in equal order."""
+    if not records:
+        return b""
+    pieces: list[np.ndarray] = []
+    for rec in records:
+        head = [rec.session_id, rec.timestamp, rec.label, len(rec.features)]
+        head.extend(len(arr) for arr in rec.features.values())
+        pieces.append(np.array(head, dtype=np.int64))
+        pieces.extend(rec.features.values())
+    return encode_varints(np.concatenate(pieces))

@@ -22,9 +22,9 @@ from sessiondedup.characterize import (
     exact_dup_pct,
     partial_dup_pct,
 )
+from rows import ImpressionRecord, as_batch, as_records
 from sessiondedup.datagen import (
     FeatureSpec,
-    ImpressionRecord,
     SampleCountDist,
     SessionConfig,
     default_config,
@@ -122,17 +122,17 @@ def test_acceptance_1_worked_examples(capsys):
             rec(0, 1, {"b": [4, 5, 6]}),
             rec(0, 2, {"b": [3, 4, 5]}),
         ]
-        pikjt = build_partial_ikjt(rows_b, "b")
+        pikjt = build_partial_ikjt(as_batch(rows_b), "b")
         if pikjt.values.tolist() != [3, 4, 5, 6]:
             failures.append(f"partial values {pikjt.values.tolist()}")
         if pikjt.windows.tolist() != [[0, 3], [1, 3], [0, 3]]:
             failures.append(f"partial windows {pikjt.windows.tolist()}")
 
         # exact dedup of the same rows: inverse [0, 1, 0], 9 -> 6 IDs
-        ikjt_b = build_ikjt(rows_b, ["b"])
+        ikjt_b = build_ikjt(as_batch(rows_b), ["b"])
         if ikjt_b.inverse_lookup.tolist() != [0, 1, 0]:
             failures.append(f"inverse {ikjt_b.inverse_lookup.tolist()}")
-        factor = measured_dedupe_factor(ikjt_b, build_kjt(rows_b, ["b"]))
+        factor = measured_dedupe_factor(ikjt_b, build_kjt(as_batch(rows_b), ["b"]))
         if factor != {"b": 1.5}:
             failures.append(f"measured factor {factor}")
 
@@ -143,7 +143,7 @@ def test_acceptance_1_worked_examples(capsys):
             rec(0, 1, {"c": [7, 8], "d": [9]}),
             rec(0, 2, {"c": [10], "d": [11]}),
         ]
-        ikjt = build_ikjt(rows_cd, ["c", "d"])
+        ikjt = build_ikjt(as_batch(rows_cd), ["c", "d"])
         if ikjt.inverse_lookup.tolist() != [0, 0, 1]:
             failures.append(f"group inverse {ikjt.inverse_lookup.tolist()}")
         table = EmbeddingTable(
@@ -172,7 +172,7 @@ def test_acceptance_1_worked_examples(capsys):
             rec(0, 0, {"f": list(range(100))}),
             rec(0, 1, {"f": list(range(1, 101))}),
         ]
-        got = partial_dup_pct(shift_rows, "f")
+        got = partial_dup_pct(as_batch(shift_rows), "f")
         if got != 100.0 * 99 / 200:
             failures.append(f"partial dup {got} != 49.5")
 
@@ -182,7 +182,7 @@ def test_acceptance_1_worked_examples(capsys):
         for s in range(20):
             n = 16 if s % 2 == 0 else 17
             never.extend(rec(s, t, {"f": [s]}) for t in range(n))
-        got = exact_dup_pct(never, "f")
+        got = exact_dup_pct(as_batch(never), "f")
         if got != 100.0 * 15.5 / 16.5:
             failures.append(f"exact dup {got} != {100.0 * 15.5 / 16.5}")
 
@@ -242,8 +242,8 @@ def _one_equivalence_case(i, failures, coverage):
         transforms=transforms,
         batch_size=batch_size,
     )
-    dedup_batch = process(convert(rows, reader_spec), transforms)
-    base_batch = process(convert(rows, reader_spec.without_dedup()), transforms)
+    dedup_batch = process(convert(as_batch(rows), reader_spec), transforms)
+    base_batch = process(convert(as_batch(rows), reader_spec.without_dedup()), transforms)
 
     # every processed IKJT must expand to the processed baseline KJT
     for ikjt in dedup_batch.ikjts:
@@ -308,7 +308,7 @@ def test_acceptance_3_analytical_model(capsys):
                             change_prob=1.0 - d,
                         )
                     ]
-                    records = generate_dataset(cfg, specs)
+                    records = as_records(generate_dataset(cfg, specs))
                     records.sort(key=lambda r: (r.session_id, r.timestamp))
                     base_n = dedup_n = 0
                     for b in range(n_batches):
@@ -316,9 +316,9 @@ def test_acceptance_3_analytical_model(capsys):
                         if len(batch) < batch_size:
                             failures.append(f"S={s} ran out of records")
                             return
-                        base_n += build_kjt(batch, ["f"]).entries["f"].values.size
+                        base_n += build_kjt(as_batch(batch), ["f"]).entries["f"].values.size
                         dedup_n += (
-                            build_ikjt(batch, ["f"]).per_feature["f"].values.size
+                            build_ikjt(as_batch(batch), ["f"]).per_feature["f"].values.size
                         )
                     measured = base_n / dedup_n
                     predicted = dedupe_factor(
@@ -356,8 +356,8 @@ def test_acceptance_4_byte_dominance(capsys):
                 dedup_sparse_features=(("u",), ("v",)),
                 batch_size=batch_size,
             )
-            dedup_batch = convert(rows, reader_spec)
-            base_batch = convert(rows, reader_spec.without_dedup())
+            dedup_batch = convert(as_batch(rows), reader_spec)
+            base_batch = convert(as_batch(rows), reader_spec.without_dedup())
             model = ModelSpec(
                 tables={
                     "u": TableConfig(rows=1000, dim=8),
@@ -402,7 +402,7 @@ def test_acceptance_4_byte_dominance(capsys):
             for ik in dedup_batch.ikjts:
                 key = ik.group_keys[0]
                 factor = measured_dedupe_factor(
-                    ik, build_kjt(rows, [key])
+                    ik, build_kjt(as_batch(rows), [key])
                 )[key]
                 if factor < 1.5:
                     continue
@@ -517,16 +517,16 @@ def test_acceptance_6_characterization_oracle(capsys):
             ),
             FeatureSpec(key="item", kind="item", avg_len=2, vocab_size=4000),
         ]
-        records = generate_dataset(cfg, specs)
+        records = as_records(generate_dataset(cfg, specs))
         if len(records) > 10_000:
             records = records[:10_000]
         keys = ["seq", "cart", "item"]
         for key in keys:
-            got_e = exact_dup_pct(records, key)
+            got_e = exact_dup_pct(as_batch(records), key)
             want_e = brute_exact(records, key)
             if got_e != want_e:
                 failures.append(f"{key} exact {got_e} != brute {want_e}")
-            got_p = partial_dup_pct(records, key)
+            got_p = partial_dup_pct(as_batch(records), key)
             want_p = brute_partial(records, key)
             if got_p != want_p:
                 failures.append(f"{key} partial {got_p} != brute {want_p}")
@@ -539,7 +539,7 @@ def test_acceptance_6_characterization_oracle(capsys):
         want_wp = (
             sum(w * brute_partial(records, k) for w, k in zip(weights, keys)) / wsum
         )
-        got_we, got_wp = byte_weighted(records, keys)
+        got_we, got_wp = byte_weighted(as_batch(records), keys)
         if got_we != want_we:
             failures.append(f"byte-weighted exact {got_we} != {want_we}")
         if got_wp != want_wp:

@@ -13,9 +13,9 @@ from sessiondedup.characterize import (
     partial_dup_pct,
     session_histogram,
 )
+from rows import ImpressionRecord, as_batch, as_records
 from sessiondedup.datagen import (
     FeatureSpec,
-    ImpressionRecord,
     SampleCountDist,
     SessionConfig,
     generate_dataset,
@@ -62,9 +62,9 @@ def as_columns(records, tmp_path):
     out = []
     for clustering in ("none", "by_session"):
         path = tmp_path / f"{clustering}.sesscol"
-        f = write_table(records, path, stripe_rows=100, clustering=clustering)
+        f = write_table(as_batch(records), path, stripe_rows=100, clustering=clustering)
         stripes = [read_stripe(f, i) for i in range(len(f.stripes))]
-        rows = [r for b in stripes for r in b.records]
+        rows = [r for b in stripes for r in as_records(b)]
         out += [(next(scan(f, f.row_count)), rows), (stripes, rows)]
     return out
 
@@ -91,7 +91,7 @@ class TestExactDupPct:
     def test_never_updated_feature(self):
         # S identical samples per session leave S-1 duplicates each
         records = [rec(s, {"f": [1, 2, 3]}) for s in range(4) for _ in range(5)]
-        assert exact_dup_pct(records, "f") == pytest.approx(100 * 4 / 5)
+        assert exact_dup_pct(as_batch(records), "f") == pytest.approx(100 * 4 / 5)
 
     def test_max_rate_for_fractional_s(self):
         # half the sessions hold 16 samples, half 17: mean 16.5,
@@ -100,15 +100,15 @@ class TestExactDupPct:
         for s in range(40):
             n = 16 if s % 2 == 0 else 17
             records.extend(rec(s, {"f": [s]}) for _ in range(n))
-        assert exact_dup_pct(records, "f") == pytest.approx(100 * 15.5 / 16.5)
+        assert exact_dup_pct(as_batch(records), "f") == pytest.approx(100 * 15.5 / 16.5)
 
     def test_all_distinct(self):
         records = [rec(0, {"f": [i]}) for i in range(10)]
-        assert exact_dup_pct(records, "f") == 0.0
+        assert exact_dup_pct(as_batch(records), "f") == 0.0
 
     def test_cross_session_repeats_do_not_count(self):
         records = [rec(0, {"f": [7]}), rec(1, {"f": [7]})]
-        assert exact_dup_pct(records, "f") == 0.0
+        assert exact_dup_pct(as_batch(records), "f") == 0.0
 
     def test_matches_brute_force(self, tmp_path):
         cfg = SessionConfig(
@@ -125,9 +125,9 @@ class TestExactDupPct:
                 change_prob=0.1,
             )
         ]
-        records = generate_dataset(cfg, specs)
+        records = as_records(generate_dataset(cfg, specs))
         want = brute_exact_pct(records, "f")
-        for rows in [records, *(cols for cols, _ in as_columns(records, tmp_path))]:
+        for rows in [as_batch(records), *(cols for cols, _ in as_columns(records, tmp_path))]:
             assert exact_dup_pct(rows, "f") == pytest.approx(want)
 
     def test_window_monotonicity(self):
@@ -145,9 +145,9 @@ class TestExactDupPct:
                 change_prob=0.3,
             )
         ]
-        records = generate_dataset(cfg, specs)
-        half = exact_dup_pct(records[: len(records) // 2], "f")
-        assert exact_dup_pct(records, "f") >= half
+        records = as_records(generate_dataset(cfg, specs))
+        half = exact_dup_pct(as_batch(records[: len(records) // 2]), "f")
+        assert exact_dup_pct(as_batch(records), "f") >= half
 
 
 class TestPartialDupPct:
@@ -157,7 +157,7 @@ class TestPartialDupPct:
         a = list(range(100))
         b = list(range(1, 101))
         records = [rec(0, {"f": a}), rec(0, {"f": b})]
-        assert partial_dup_pct(records, "f") == pytest.approx(49.5)
+        assert partial_dup_pct(as_batch(records), "f") == pytest.approx(49.5)
 
     def test_identical_pair_counts_surplus_occurrences(self):
         # two identical 100-ID samples: each value appears twice but one
@@ -165,13 +165,13 @@ class TestPartialDupPct:
         # are duplicates
         a = list(range(100))
         records = [rec(0, {"f": a}), rec(0, {"f": a})]
-        assert partial_dup_pct(records, "f") == pytest.approx(50.0)
+        assert partial_dup_pct(as_batch(records), "f") == pytest.approx(50.0)
 
     def test_multiset_semantics_within_list(self):
         # [5, 5] vs [5]: the sample with two copies is canonical, the
         # lone occurrence elsewhere is the duplicate
         records = [rec(0, {"f": [5, 5]}), rec(0, {"f": [5]})]
-        assert partial_dup_pct(records, "f") == pytest.approx(100 / 3)
+        assert partial_dup_pct(as_batch(records), "f") == pytest.approx(100 / 3)
 
     def test_exact_never_exceeds_partial_on_generator_stream(self):
         cfg = SessionConfig(
@@ -188,8 +188,8 @@ class TestPartialDupPct:
                 change_prob=0.25,
             )
         ]
-        records = generate_dataset(cfg, specs)
-        assert partial_dup_pct(records, "f") >= exact_dup_pct(records, "f")
+        records = as_records(generate_dataset(cfg, specs))
+        assert partial_dup_pct(as_batch(records), "f") >= exact_dup_pct(as_batch(records), "f")
 
     def test_matches_brute_force(self, tmp_path):
         cfg = SessionConfig(
@@ -206,18 +206,18 @@ class TestPartialDupPct:
                 change_prob=0.4,
             )
         ]
-        records = generate_dataset(cfg, specs)
+        records = as_records(generate_dataset(cfg, specs))
         want = brute_partial_pct(records, "f")
-        for rows in [records, *(cols for cols, _ in as_columns(records, tmp_path))]:
+        for rows in [as_batch(records), *(cols for cols, _ in as_columns(records, tmp_path))]:
             assert partial_dup_pct(rows, "f") == pytest.approx(want)
 
 
 class TestByteWeighted:
     def test_single_feature_identity(self):
         records = [rec(0, {"f": [1, 2]}), rec(0, {"f": [1, 2]})]
-        exact, partial = byte_weighted(records, ["f"])
-        assert exact == exact_dup_pct(records, "f")
-        assert partial == partial_dup_pct(records, "f")
+        exact, partial = byte_weighted(as_batch(records), ["f"])
+        assert exact == exact_dup_pct(as_batch(records), "f")
+        assert partial == partial_dup_pct(as_batch(records), "f")
 
     def test_length_weighting_arithmetic(self):
         # feature short: avg_len 1, 0% duplication
@@ -227,7 +227,7 @@ class TestByteWeighted:
             rec(0, {"short": [1], "long": list(range(99))}),
             rec(0, {"short": [2], "long": list(range(99))}),
         ]
-        exact, partial = byte_weighted(records, ["short", "long"])
+        exact, partial = byte_weighted(as_batch(records), ["short", "long"])
         assert exact == pytest.approx(49.5)
         assert partial == pytest.approx(49.5)
 
@@ -235,7 +235,7 @@ class TestByteWeighted:
 class TestSessionHistogram:
     def test_one_record_per_session(self):
         records = [rec(s, {"f": [1]}) for s in range(5)]
-        hist = session_histogram(records, window="partition")
+        hist = session_histogram(as_batch(records), window="partition")
         assert hist.mean == 1.0
         assert hist.counts == {1: 5}
 
@@ -248,8 +248,8 @@ class TestSessionHistogram:
             seed=41,
         )
         specs = [FeatureSpec(key="f", kind="item", avg_len=1, vocab_size=10)]
-        records = generate_dataset(cfg, specs)
-        hist = session_histogram(records, window="partition")
+        records = as_records(generate_dataset(cfg, specs))
+        hist = session_histogram(as_batch(records), window="partition")
         assert hist.mean == pytest.approx(16.5, rel=0.02)
 
     def test_batch_window_mean_near_one_when_interleaved(self):
@@ -259,9 +259,9 @@ class TestSessionHistogram:
             seed=43,
         )
         specs = [FeatureSpec(key="f", kind="item", avg_len=1, vocab_size=10)]
-        records = generate_dataset(cfg, specs)
-        batch = session_histogram(records, window="batch", batch_size=4096)
-        partition = session_histogram(records, window="partition")
+        records = as_records(generate_dataset(cfg, specs))
+        batch = session_histogram(as_batch(records), window="batch", batch_size=4096)
+        partition = session_histogram(as_batch(records), window="partition")
         assert batch.mean < 2.0
         assert partition.mean == pytest.approx(16.0, rel=0.1)
 
@@ -347,7 +347,7 @@ class TestColumnarInput:
     @pytest.mark.parametrize("case", [*ADVERSARIAL, "generator"])
     def test_batch_matches_records_and_brute_force(self, case, stream, tmp_path):
         if case == "generator":
-            records, keys = stream, ["seq", "item"]
+            records, keys = as_records(stream), ["seq", "item"]
         else:  # plus a key "g" constant within each session
             rows = ADVERSARIAL[case]
             records = [rec(s, {"f": f, "g": [s]}, ts=t) for t, (s, f) in enumerate(rows)]
@@ -355,12 +355,12 @@ class TestColumnarInput:
         for batch, rows in as_columns(records, tmp_path):
             for key in keys:
                 want = brute_exact_pct(rows, key)
-                assert exact_dup_pct(batch, key) == exact_dup_pct(rows, key) == want
+                assert exact_dup_pct(batch, key) == exact_dup_pct(as_batch(rows), key) == want
                 want = brute_partial_pct(rows, key)
-                assert partial_dup_pct(batch, key) == partial_dup_pct(rows, key) == want
-            assert byte_weighted(batch, keys) == byte_weighted(rows, keys)
+                assert partial_dup_pct(batch, key) == partial_dup_pct(as_batch(rows), key) == want
+            assert byte_weighted(batch, keys) == byte_weighted(as_batch(rows), keys)
             for window, size in (("partition", None), ("batch", 64)):
                 hist = session_histogram(batch, window, 64)
-                assert hist == session_histogram(rows, window, 64)
+                assert hist == session_histogram(as_batch(rows), window, 64)
                 assert hist.counts == brute_histogram(rows, size)
-            assert compute_dup_stats(batch, keys, 64) == compute_dup_stats(rows, keys, 64)
+            assert compute_dup_stats(batch, keys, 64) == compute_dup_stats(as_batch(rows), keys, 64)

@@ -11,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
+import rows as row_adapter
 import sessiondedup
-from sessiondedup import storage
+from rows import as_records, serialize_log_records
 from sessiondedup.cli import main
 from sessiondedup.datagen import (
     FeatureSpec,
@@ -21,7 +22,6 @@ from sessiondedup.datagen import (
     save_config,
 )
 from sessiondedup.storage import open_table, scan
-from sessiondedup.datagen import serialize_log_records
 
 
 @pytest.fixture()
@@ -67,7 +67,7 @@ def run(argv):
 
 
 def read_all(path):
-    return [r for b in scan(open_table(path), 4096) for r in b.records]
+    return [r for b in scan(open_table(path), 4096) for r in as_records(b)]
 
 
 class TestGen:
@@ -165,7 +165,7 @@ class TestCharacterize:
         def no_records(*args, **kwargs):
             raise AssertionError("a row object was built")
 
-        monkeypatch.setattr(storage, "ImpressionRecord", no_records)
+        monkeypatch.setattr(row_adapter, "ImpressionRecord", no_records)
         assert run(["characterize", ds]) == 0
 
 

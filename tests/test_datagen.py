@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 
+from rows import as_batch, as_records, serialize_log_records
+
 from sessiondedup.datagen import (
     FeatureSpec,
     SampleCountDist,
@@ -13,7 +15,6 @@ from sessiondedup.datagen import (
     generate_dataset,
     load_config,
     save_config,
-    serialize_log_records,
     shard_logs,
     splitmix64,
 )
@@ -81,15 +82,15 @@ class TestSampleCountDist:
 class TestGenerateDataset:
     def test_deterministic(self):
         cfg, specs = small_config(seed=42)
-        a = generate_dataset(cfg, specs)
-        b = generate_dataset(cfg, specs)
+        a = as_records(generate_dataset(cfg, specs))
+        b = as_records(generate_dataset(cfg, specs))
         assert serialize_log_records(a) == serialize_log_records(b)
 
     def test_seed_changes_stream(self):
         cfg_a, specs = small_config(seed=1)
         cfg_b, _ = small_config(seed=2)
-        assert serialize_log_records(generate_dataset(cfg_a, specs)) != (
-            serialize_log_records(generate_dataset(cfg_b, specs))
+        assert serialize_log_records(as_records(generate_dataset(cfg_a, specs))) != (
+            serialize_log_records(as_records(generate_dataset(cfg_b, specs)))
         )
 
     def test_session_content_independent_of_population(self):
@@ -97,8 +98,8 @@ class TestGenerateDataset:
         # drawn over a population-wide horizon, so compare content only)
         cfg_small, specs = small_config(num_sessions=10)
         cfg_big, _ = small_config(num_sessions=40)
-        small = by_session(generate_dataset(cfg_small, specs))
-        big = by_session(generate_dataset(cfg_big, specs))
+        small = by_session(as_records(generate_dataset(cfg_small, specs)))
+        big = by_session(as_records(generate_dataset(cfg_big, specs)))
         for sid, recs in small.items():
             assert len(recs) == len(big[sid])
             for a, b in zip(recs, big[sid]):
@@ -108,7 +109,7 @@ class TestGenerateDataset:
 
     def test_interleaved_by_timestamp(self):
         cfg, specs = small_config()
-        records = generate_dataset(cfg, specs)
+        records = as_records(generate_dataset(cfg, specs))
         ts = [r.timestamp for r in records]
         assert ts == sorted(ts)
         # a clustered stream would have ~1 boundary per session
@@ -121,13 +122,13 @@ class TestGenerateDataset:
 
     def test_timestamps_strictly_increase_within_session(self):
         cfg, specs = small_config()
-        for recs in by_session(generate_dataset(cfg, specs)).values():
+        for recs in by_session(as_records(generate_dataset(cfg, specs))).values():
             ts = [r.timestamp for r in recs]
             assert all(a < b for a, b in zip(ts, ts[1:]))
 
     def test_unchanged_rate_matches_change_prob(self):
         cfg, specs = small_config(num_sessions=400, mean_s=10)
-        records = generate_dataset(cfg, specs)
+        records = as_records(generate_dataset(cfg, specs))
         same = total = 0
         for recs in by_session(records).values():
             for a, b in zip(recs, recs[1:]):
@@ -137,7 +138,7 @@ class TestGenerateDataset:
 
     def test_mutation_is_shift_by_one(self):
         cfg, specs = small_config(num_sessions=50)
-        for recs in by_session(generate_dataset(cfg, specs)).values():
+        for recs in by_session(as_records(generate_dataset(cfg, specs))).values():
             for a, b in zip(recs, recs[1:]):
                 fa, fb = a.features["seq"], b.features["seq"]
                 if np.array_equal(fa, fb):
@@ -169,7 +170,7 @@ class TestGenerateDataset:
             ),
         ]
         saw_change = False
-        for recs in by_session(generate_dataset(cfg, specs)).values():
+        for recs in by_session(as_records(generate_dataset(cfg, specs))).values():
             for a, b in zip(recs, recs[1:]):
                 items_same = np.array_equal(
                     a.features["cart_items"], b.features["cart_items"]
@@ -184,7 +185,7 @@ class TestGenerateDataset:
     def test_item_features_redrawn(self):
         cfg, specs = small_config(num_sessions=200)
         dup = total = 0
-        for recs in by_session(generate_dataset(cfg, specs)).values():
+        for recs in by_session(as_records(generate_dataset(cfg, specs))).values():
             for a, b in zip(recs, recs[1:]):
                 total += 1
                 dup += np.array_equal(a.features["item"], b.features["item"])
@@ -192,7 +193,7 @@ class TestGenerateDataset:
 
     def test_ids_within_vocab(self):
         cfg, specs = small_config()
-        for rec in generate_dataset(cfg, specs):
+        for rec in as_records(generate_dataset(cfg, specs)):
             for spec in specs:
                 vals = rec.features[spec.key]
                 assert vals.dtype == np.int64
@@ -202,7 +203,7 @@ class TestGenerateDataset:
 
     def test_avg_len_honored(self):
         cfg, specs = small_config(num_sessions=300)
-        lens = [len(r.features["seq"]) for r in generate_dataset(cfg, specs)]
+        lens = [len(r.features["seq"]) for r in as_records(generate_dataset(cfg, specs))]
         assert np.mean(lens) == pytest.approx(12, rel=0.05)
 
     def test_fractional_avg_len(self):
@@ -214,7 +215,7 @@ class TestGenerateDataset:
         specs = [
             FeatureSpec(key="f", kind="item", avg_len=2.5, vocab_size=100)
         ]
-        lens = [len(r.features["f"]) for r in generate_dataset(cfg, specs)]
+        lens = [len(r.features["f"]) for r in as_records(generate_dataset(cfg, specs))]
         assert set(lens) == {2, 3}
         assert np.mean(lens) == pytest.approx(2.5, abs=0.05)
 
@@ -226,7 +227,7 @@ class TestGenerateDataset:
 
     def test_label_rate(self):
         cfg, specs = small_config(num_sessions=800)
-        labels = [r.label for r in generate_dataset(cfg, specs)]
+        labels = [r.label for r in as_records(generate_dataset(cfg, specs))]
         assert set(labels) <= {0, 1}
         assert np.mean(labels) == pytest.approx(0.1, abs=0.02)
 
@@ -234,31 +235,31 @@ class TestGenerateDataset:
 class TestShardLogs:
     def test_session_keying_keeps_sessions_whole(self):
         cfg, specs = small_config(num_sessions=64)
-        records = generate_dataset(cfg, specs)
-        shards = shard_logs(records, 8, key="session_id")
+        records = as_records(generate_dataset(cfg, specs))
+        shards = shard_logs(as_batch(records), 8, key="session_id")
         assert sum(len(s) for s in shards) == len(records)
         owner = {}
         for i, shard in enumerate(shards):
-            for rec in shard:
+            for rec in as_records(shard):
                 assert owner.setdefault(rec.session_id, i) == i
 
     def test_hash_keying_scatters_sessions(self):
         cfg, specs = small_config(num_sessions=64, mean_s=16)
-        records = generate_dataset(cfg, specs)
-        shards = shard_logs(records, 8, key="random_hash")
+        records = as_records(generate_dataset(cfg, specs))
+        shards = shard_logs(as_batch(records), 8, key="random_hash")
         spread = {}
         for i, shard in enumerate(shards):
-            for rec in shard:
+            for rec in as_records(shard):
                 spread.setdefault(rec.session_id, set()).add(i)
         multi = sum(1 for s in spread.values() if len(s) > 1)
         assert multi > len(spread) * 0.5
 
     def test_shard_order_preserved(self):
         cfg, specs = small_config()
-        records = generate_dataset(cfg, specs)
-        pos = {id(r): i for i, r in enumerate(records)}
-        for shard in shard_logs(records, 4, key="random_hash"):
-            idx = [pos[id(r)] for r in shard]
+        records = as_records(generate_dataset(cfg, specs))
+        pos = {(r.session_id, r.timestamp): i for i, r in enumerate(records)}
+        for shard in shard_logs(as_batch(records), 4, key="random_hash"):
+            idx = [pos[r.session_id, r.timestamp] for r in as_records(shard)]
             assert idx == sorted(idx)
 
     def test_bad_args_rejected(self):
@@ -281,8 +282,8 @@ class TestConfigIO:
         cfg2, specs2 = load_config(path)
         assert cfg2 == cfg
         assert specs2 == specs
-        assert serialize_log_records(generate_dataset(cfg2, specs2)) == (
-            serialize_log_records(generate_dataset(cfg, specs))
+        assert serialize_log_records(as_records(generate_dataset(cfg2, specs2))) == (
+            serialize_log_records(as_records(generate_dataset(cfg, specs)))
         )
 
     def test_roundtrip_empirical_histogram(self, tmp_path):

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+import rows as row_adapter
+from rows import ImpressionRecord, as_batch, as_records
 from sessiondedup.datagen import (
     FeatureSpec,
-    ImpressionRecord,
     SampleCountDist,
     SessionConfig,
     generate_dataset,
@@ -22,8 +23,7 @@ from sessiondedup.reader import (
     read_batches,
     save_dataloader_spec,
 )
-from sessiondedup import storage
-from sessiondedup.storage import open_table, read_records, scan, write_table
+from sessiondedup.storage import open_table, scan, write_table
 from sessiondedup.tensors import ikjt_to_kjt, jt_equal, kjt_equal
 
 
@@ -74,7 +74,7 @@ def dataset_file(tmp_path_factory):
 
 class TestConvert:
     def test_worked_batch_encodings(self):
-        batch = convert(WORKED_ROWS, SPEC)
+        batch = convert(as_batch(WORKED_ROWS), SPEC)
         assert batch.batch_size == 3
         by_group = {ikjt.group_keys: ikjt for ikjt in batch.ikjts}
         b = by_group[("b",)]
@@ -88,18 +88,18 @@ class TestConvert:
         np.testing.assert_array_equal(batch.labels, [1, 0, 0])
 
     def test_grouped_features_share_inverse(self):
-        batch = convert(WORKED_ROWS, SPEC)
+        batch = convert(as_batch(WORKED_ROWS), SPEC)
         cd = next(i for i in batch.ikjts if i.group_keys == ("c", "d"))
         assert cd.per_feature["c"].row_count == cd.per_feature["d"].row_count
 
     def test_baseline_spec_emits_plain_kjts(self):
-        batch = convert(WORKED_ROWS, SPEC.without_dedup())
+        batch = convert(as_batch(WORKED_ROWS), SPEC.without_dedup())
         assert batch.ikjts == []
         assert set(batch.kjts) == {"b", "c", "d", "item"}
 
     def test_dedup_expansion_matches_baseline(self):
-        dedup = convert(WORKED_ROWS, SPEC)
-        base = convert(WORKED_ROWS, SPEC.without_dedup())
+        dedup = convert(as_batch(WORKED_ROWS), SPEC)
+        base = convert(as_batch(WORKED_ROWS), SPEC.without_dedup())
         for ikjt in dedup.ikjts:
             expanded = ikjt_to_kjt(ikjt)
             for key in ikjt.group_keys:
@@ -110,7 +110,7 @@ class TestConvert:
             convert([], SPEC)
 
     def test_convert_stage_timed(self):
-        batch = convert(WORKED_ROWS, SPEC)
+        batch = convert(as_batch(WORKED_ROWS), SPEC)
         assert batch.stage_timings.convert_s > 0
         assert batch.stage_timings.fill_s == 0
 
@@ -182,8 +182,8 @@ class TestTransforms:
             keys=("b",), dedup_sparse_features=(("b",),), transforms=(t,)
         )
         rows = WORKED_ROWS
-        dedup = process(convert(rows, spec), spec.transforms)
-        base = process(convert(rows, spec.without_dedup()), spec.transforms)
+        dedup = process(convert(as_batch(rows), spec), spec.transforms)
+        base = process(convert(as_batch(rows), spec.without_dedup()), spec.transforms)
         expanded = ikjt_to_kjt(dedup.ikjts[0])
         assert jt_equal(expanded.entries["b"], base.kjts["b"])
 
@@ -194,7 +194,7 @@ class TestTransforms:
             dedup_sparse_features=(("c", "d"),),
             transforms=(t,),
         )
-        batch = process(convert(WORKED_ROWS, spec), spec.transforms)
+        batch = process(convert(as_batch(WORKED_ROWS), spec), spec.transforms)
         cd = batch.ikjts[0]
         np.testing.assert_array_equal(cd.inverse_lookup, [0, 0, 1])
         assert cd.per_feature["c"].to_pylists() == [[7, 8], [9]]
@@ -202,25 +202,25 @@ class TestTransforms:
         assert cd.per_feature["d"].to_pylists() == [[9], [11]]
 
     def test_unknown_key_at_process_time_rejected(self):
-        batch = convert(WORKED_ROWS, SPEC)
+        batch = convert(as_batch(WORKED_ROWS), SPEC)
         with pytest.raises(ValueError, match="zzz"):
             process(batch, (Transform(op="clamp", key="zzz", param=1),))
 
 
 class TestEmit:
     def test_emit_deterministic_and_sized(self):
-        batch = convert(WORKED_ROWS, SPEC)
+        batch = convert(as_batch(WORKED_ROWS), SPEC)
         payload = emit(batch)
         assert batch.bytes_out == len(payload)
-        assert payload == emit(convert(WORKED_ROWS, SPEC))
+        assert payload == emit(convert(as_batch(WORKED_ROWS), SPEC))
 
     def test_dedup_payload_smaller_on_duplicated_batch(self):
         rows = [
             rec(0, i, {"f": list(range(40)), "g": [i]}) for i in range(32)
         ]
         spec = DataloaderSpec(keys=("f", "g"), dedup_sparse_features=(("f",),))
-        dedup_bytes = emit(convert(rows, spec))
-        base_bytes = emit(convert(rows, spec.without_dedup()))
+        dedup_bytes = emit(convert(as_batch(rows), spec))
+        base_bytes = emit(convert(as_batch(rows), spec.without_dedup()))
         assert len(dedup_bytes) < 0.2 * len(base_bytes)
 
     def test_identity_batch_overhead_is_lookup_plus_flag(self):
@@ -228,8 +228,8 @@ class TestEmit:
         # dedup payload adds only the B-entry inverse per group
         rows = [rec(0, i, {"f": [i, i + 1]}) for i in range(8)]
         spec = DataloaderSpec(keys=("f",), dedup_sparse_features=(("f",),))
-        dedup_bytes = emit(convert(rows, spec))
-        base_bytes = emit(convert(rows, spec.without_dedup()))
+        dedup_bytes = emit(convert(as_batch(rows), spec))
+        base_bytes = emit(convert(as_batch(rows), spec.without_dedup()))
         assert len(dedup_bytes) == len(base_bytes) + 8 * 8
 
 
@@ -298,7 +298,8 @@ class TestPipeline:
     def test_columnar_batches_match_records(self, dataset_file, tmp_path, batch_size):
         # stripe_rows=100 makes batches that cut stripes and span them
         path = tmp_path / "s100.sesscol"
-        write_table(read_records(open_table(dataset_file)), path, stripe_rows=100)
+        f = open_table(dataset_file)
+        write_table(next(scan(f, f.row_count)), path, stripe_rows=100)
         spec = DataloaderSpec(
             keys=("seq", "item"),
             dedup_sparse_features=(("seq",),),
@@ -307,13 +308,13 @@ class TestPipeline:
         batches = list(scan(open_table(path), batch_size))
         assert len(batches) > 2
         for b in batches:
-            assert emit(convert(b, spec)) == emit(convert(b.records, spec))
+            assert emit(convert(b, spec)) == emit(convert(as_batch(as_records(b)), spec))
 
     def test_read_batches_builds_no_records(self, dataset_file, monkeypatch):
         def no_records(*args, **kwargs):
             raise AssertionError("a row object was built")
 
-        monkeypatch.setattr(storage, "ImpressionRecord", no_records)
+        monkeypatch.setattr(row_adapter, "ImpressionRecord", no_records)
         spec = DataloaderSpec(
             keys=("seq", "item"),
             dedup_sparse_features=(("seq",),),

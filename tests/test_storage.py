@@ -8,16 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sessiondedup import storage
+from rows import ImpressionRecord, as_batch, as_records, serialize_log_records
+from sessiondedup.tensors import KJT, JaggedTensor
 from sessiondedup.datagen import (
     FeatureSpec,
-    ImpressionRecord,
     SampleCountDist,
     SessionConfig,
+    default_config,
     generate_dataset,
-    serialize_log_records,
+    save_config,
 )
 from sessiondedup.storage import (
     MAGIC,
+    ScanBatch,
     StorageError,
     compression_report,
     open_table,
@@ -45,7 +48,7 @@ def records():
         ),
         FeatureSpec(key="item", kind="item", avg_len=2, vocab_size=50_000),
     ]
-    return generate_dataset(cfg, specs)
+    return as_records(generate_dataset(cfg, specs))
 
 
 def assert_same_records(got, expected):
@@ -56,30 +59,30 @@ class TestRoundTrip:
     @pytest.mark.parametrize("stripe_rows", [1, 7, 128, 100_000])
     def test_unclustered_preserves_order(self, records, tmp_path, stripe_rows):
         path = tmp_path / "t.sesscol"
-        write_table(records, path, stripe_rows=stripe_rows)
+        write_table(as_batch(records), path, stripe_rows=stripe_rows)
         f = open_table(path)
         assert f.row_count == len(records)
-        got = [r for batch in scan(f, 64) for r in batch.records]
+        got = [r for batch in scan(f, 64) for r in as_records(batch)]
         assert_same_records(got, records)
 
     @pytest.mark.parametrize("level", [0, 1, 6, 9])
     def test_levels_round_trip(self, records, tmp_path, level):
         path = tmp_path / f"l{level}.sesscol"
-        write_table(records, path, level=level)
-        got = [r for b in scan(open_table(path), 256) for r in b.records]
+        write_table(as_batch(records), path, level=level)
+        got = [r for b in scan(open_table(path), 256) for r in as_records(b)]
         assert_same_records(got, records)
 
     @pytest.mark.parametrize("level", [-1, 10, 300])
     def test_level_outside_range_rejected_before_writing(self, records, tmp_path, level):
         path = tmp_path / "bad-level.sesscol"
         with pytest.raises(StorageError, match="level"):
-            write_table(records, path, level=level)
+            write_table(as_batch(records), path, level=level)
         assert not path.exists()
 
     def test_by_session_reorders_then_round_trips(self, records, tmp_path):
         path = tmp_path / "c.sesscol"
-        write_table(records, path, clustering="by_session")
-        got = [r for b in scan(open_table(path), 256) for r in b.records]
+        write_table(as_batch(records), path, clustering="by_session")
+        got = [r for b in scan(open_table(path), 256) for r in as_records(b)]
         expected = sorted(records, key=lambda r: (r.session_id, r.timestamp))
         assert_same_records(got, expected)
 
@@ -87,22 +90,20 @@ class TestRoundTrip:
         # clustering an already-clustered file must not change the rows
         p1 = tmp_path / "c1.sesscol"
         p2 = tmp_path / "c2.sesscol"
-        write_table(records, p1, clustering="by_session")
-        rows1 = [r for b in scan(open_table(p1), 512) for r in b.records]
-        write_table(rows1, p2, clustering="by_session")
-        rows2 = [r for b in scan(open_table(p2), 512) for r in b.records]
+        write_table(as_batch(records), p1, clustering="by_session")
+        rows1 = [r for b in scan(open_table(p1), 512) for r in as_records(b)]
+        write_table(as_batch(rows1), p2, clustering="by_session")
+        rows2 = [r for b in scan(open_table(p2), 512) for r in as_records(b)]
         assert_same_records(rows2, rows1)
 
     def test_write_is_deterministic(self, records, tmp_path):
         p1 = tmp_path / "a.sesscol"
         p2 = tmp_path / "b.sesscol"
-        write_table(records, p1)
-        write_table(records, p2)
+        write_table(as_batch(records), p1)
+        write_table(as_batch(records), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_single_record(self, tmp_path):
-        from sessiondedup.datagen import ImpressionRecord
-
         one = [
             ImpressionRecord(
                 session_id=5,
@@ -112,20 +113,18 @@ class TestRoundTrip:
             )
         ]
         path = tmp_path / "one.sesscol"
-        write_table(one, path)
-        got = read_stripe(open_table(path), 0).records
+        write_table(as_batch(one), path)
+        got = as_records(read_stripe(open_table(path), 0))
         assert_same_records(got, one)
 
     def test_empty_lists_survive(self, tmp_path):
-        from sessiondedup.datagen import ImpressionRecord
-
         recs = [
             ImpressionRecord(0, 0, {"f": np.array([], dtype=np.int64)}, 0),
             ImpressionRecord(0, 1, {"f": np.array([3], dtype=np.int64)}, 0),
         ]
         path = tmp_path / "e.sesscol"
-        write_table(recs, path)
-        got = [r for b in scan(open_table(path), 2) for r in b.records]
+        write_table(as_batch(recs), path)
+        got = [r for b in scan(open_table(path), 2) for r in as_records(b)]
         assert got[0].features["f"].size == 0
         np.testing.assert_array_equal(got[1].features["f"], [3])
 
@@ -133,28 +132,28 @@ class TestRoundTrip:
 class TestScan:
     def test_batch_sizes(self, records, tmp_path):
         path = tmp_path / "t.sesscol"
-        write_table(records, path, stripe_rows=100)
-        sizes = [len(b.records) for b in scan(open_table(path), 64)]
+        write_table(as_batch(records), path, stripe_rows=100)
+        sizes = [len(as_records(b)) for b in scan(open_table(path), 64)]
         assert all(s == 64 for s in sizes[:-1])
         assert sizes[-1] == len(records) - 64 * (len(sizes) - 1)
 
     def test_bytes_read_attribution(self, records, tmp_path):
         path = tmp_path / "t.sesscol"
-        f = write_table(records, path, stripe_rows=100)
+        f = write_table(as_batch(records), path, stripe_rows=100)
         total_stripe_bytes = sum(s.byte_size for s in f.stripes)
         scanned = sum(b.bytes_read for b in scan(open_table(path), 64))
         assert scanned == total_stripe_bytes
 
     def test_large_batch_spans_stripes(self, records, tmp_path):
         path = tmp_path / "t.sesscol"
-        write_table(records, path, stripe_rows=10)
+        write_table(as_batch(records), path, stripe_rows=10)
         batches = list(scan(open_table(path), len(records)))
         assert len(batches) == 1
-        assert_same_records(batches[0].records, records)
+        assert_same_records(as_records(batches[0]), records)
 
     def test_invalid_batch_size(self, records, tmp_path):
         path = tmp_path / "t.sesscol"
-        write_table(records, path)
+        write_table(as_batch(records), path)
         with pytest.raises(StorageError):
             next(scan(open_table(path), 0))
 
@@ -166,7 +165,7 @@ class TestValidation:
 
     def test_bad_magic(self, records, tmp_path):
         path = tmp_path / "t.sesscol"
-        write_table(records, path)
+        write_table(as_batch(records), path)
         data = bytearray(path.read_bytes())
         data[:8] = b"NOTAFILE"
         path.write_bytes(bytes(data))
@@ -175,14 +174,14 @@ class TestValidation:
 
     def test_truncated_file(self, records, tmp_path):
         path = tmp_path / "t.sesscol"
-        write_table(records, path)
+        write_table(as_batch(records), path)
         path.write_bytes(path.read_bytes()[:40])
         with pytest.raises(StorageError):
             open_table(path)
 
     def test_corrupt_stripe_names_ordinal(self, records, tmp_path):
         path = tmp_path / "t.sesscol"
-        f = write_table(records, path, stripe_rows=50)
+        f = write_table(as_batch(records), path, stripe_rows=50)
         assert len(f.stripes) >= 3
         data = bytearray(path.read_bytes())
         # flip bytes inside stripe 2's compressed payload
@@ -197,37 +196,39 @@ class TestValidation:
 
     def test_unknown_version(self, records, tmp_path):
         path = tmp_path / "t.sesscol"
-        write_table(records, path)
+        write_table(as_batch(records), path)
         data = bytearray(path.read_bytes())
         struct.pack_into("<I", data, len(MAGIC), 99)
         path.write_bytes(bytes(data))
         with pytest.raises(StorageError, match="version"):
             open_table(path)
 
-    def test_mismatched_schema_rejected(self, tmp_path):
-        from sessiondedup.datagen import ImpressionRecord
 
-        recs = [
-            ImpressionRecord(0, 0, {"f": np.array([1], dtype=np.int64)}, 0),
-            ImpressionRecord(0, 1, {"g": np.array([1], dtype=np.int64)}, 0),
-        ]
-        with pytest.raises(StorageError, match="schema"):
-            write_table(recs, tmp_path / "x.sesscol")
+class TestScanBatch:
+    @pytest.mark.parametrize("column", ["session_ids", "timestamps", "labels"])
+    @pytest.mark.parametrize("shape", [(2,), (4,), (3, 1), ()])
+    def test_columns_must_have_one_entry_per_row(self, column, shape):
+        features = KJT(3, {"f": JaggedTensor.from_rows([[1], [], [2, 3]])})
+        columns = {name: np.zeros(3, dtype=np.int64) for name in ("session_ids", "timestamps", "labels")}
+        ScanBatch(**columns, features=features, bytes_read=0)
+        columns[column] = np.zeros(shape, dtype=np.int64)
+        with pytest.raises(ValueError, match=column):
+            ScanBatch(**columns, features=features, bytes_read=0)
 
 
 class TestCompression:
     def test_clustering_improves_compression(self, records, tmp_path):
         pa = tmp_path / "plain.sesscol"
         pb = tmp_path / "clustered.sesscol"
-        fa = write_table(records, pa, clustering="none")
-        fb = write_table(records, pb, clustering="by_session")
+        fa = write_table(as_batch(records), pa, clustering="none")
+        fb = write_table(as_batch(records), pb, clustering="by_session")
         report = compression_report(fa, fb)
         assert report.relative_ratio > 1.0
         assert pb.stat().st_size < pa.stat().st_size
 
     def test_report_identities(self, records, tmp_path):
         path = tmp_path / "t.sesscol"
-        f = write_table(records, path)
+        f = write_table(as_batch(records), path)
         raw, comp = stream_sizes(f)
         assert raw > comp > 0
         report = compression_report(f, f)
@@ -236,7 +237,7 @@ class TestCompression:
 
     def test_stream_sizes_sum_stripe_streams(self, records, tmp_path):
         path = tmp_path / "t.sesscol"
-        f = write_table(records, path, stripe_rows=64)
+        f = write_table(as_batch(records), path, stripe_rows=64)
         raw, comp = stream_sizes(f)
         # compressed stream payloads can't exceed the file size
         assert comp < path.stat().st_size
@@ -247,7 +248,7 @@ def _row_tuples(batches):
     return [
         (r.session_id, r.timestamp, r.label, [a.tolist() for a in r.features.values()])
         for b in batches
-        for r in b.records
+        for r in as_records(b)
     ]
 
 
@@ -264,7 +265,7 @@ def small_file(tmp_path_factory):
         for t in range(6)
     ]
     path = tmp_path_factory.mktemp("fuzz") / "small.sesscol"
-    write_table(recs, path, stripe_rows=5)
+    write_table(as_batch(recs), path, stripe_rows=5)
     return path, path.read_bytes(), _row_tuples(scan(open_table(path), 4))
 
 
@@ -277,7 +278,7 @@ class TestCorruption:
             for t in range(2)
         ]
         path = tmp_path / "neg.sesscol"
-        f = write_table(recs, path)
+        f = write_table(as_batch(recs), path)
         start = f.stripes[0].offset
         streams = ([0, 0], [0, 1], [0, 0], [-1, 5], [7, 8, 7, 8])
         blob = struct.pack("<I", 2) + b"".join(
@@ -305,6 +306,25 @@ class TestCorruption:
         with pytest.raises(StorageError, match=message):
             open_table(bad)
 
+    @pytest.mark.parametrize("delta, message", [(50, "truncated stream body"), (-1, "past the last stream")])
+    def test_stream_sizes_checks_stream_framing(self, small_file, tmp_path, delta, message):
+        # Change the last stream's comp_len in stripe 0: its body then runs
+        # into stripe 1, or stops short of the stripe's end.
+        path, good, _ = small_file
+        f = open_table(path)
+        data = bytearray(good)
+        pos = f.stripes[0].offset + 4
+        for _ in range(3 + 2 * len(f.feature_keys) - 1):
+            pos += 8 + struct.unpack_from("<I", data, pos + 4)[0]
+        (comp_len,) = struct.unpack_from("<I", data, pos + 4)
+        struct.pack_into("<I", data, pos + 4, comp_len + delta)
+        bad = tmp_path / "bad-frame.sesscol"
+        bad.write_bytes(bytes(data))
+        with pytest.raises(StorageError, match=f"stripe 0: .*{message}"):
+            stream_sizes(open_table(bad))
+        with pytest.raises(StorageError, match="stripe 0"):
+            read_stripe(open_table(bad), 0)
+
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_corruption_raises_only_storage_error(self, small_file, data):
@@ -331,3 +351,141 @@ class TestCorruption:
             return
         assert kind != "truncate"
         assert got == rows
+
+
+def _golden_configs():
+    """Small configs for the byte pins: the default feature mix, and one
+    whose every draw is variable-length (fractional user-sequence lengths
+    in one sync group, fractional and sub-1 item lengths) over one-sample
+    sessions (no mutation coins), an empirical histogram and a geometric
+    mean."""
+    configs = {"default": default_config(num_sessions=300)}
+    user = dict(kind="user_sequence", vocab_size=500, change_prob=0.3, sync_group="g")
+    specs = [
+        FeatureSpec(key="u55", avg_len=5.5, **user),
+        FeatureSpec(key="u225", avg_len=2.25, **user),
+        FeatureSpec(key="i04", kind="item", avg_len=0.4, vocab_size=50),
+        FeatureSpec(key="i37", kind="item", avg_len=3.7, vocab_size=50),
+    ]
+    for name, dist in {
+        "fixed1": SampleCountDist(kind="fixed", mean=1),
+        "empirical": SampleCountDist(kind="empirical", histogram={1: 1.0, 3: 2.0, 7: 0.5}),
+        "geometric": SampleCountDist(kind="geometric", mean=4.0),
+    }.items():
+        configs[name] = (SessionConfig(num_sessions=700, samples_per_session=dist), specs)
+    return configs
+
+
+def _golden_digests(tmp_path, monkeypatch, capsys):
+    """sha256 of every file and stdout the CLI writes for the golden
+    configs on seeds 0 and 1: ``gen`` in both clusterings, then
+    ``cluster`` and ``characterize`` of the unclustered file. The varied
+    configs use ``--stripe-rows 333``, which divides none of their row
+    counts."""
+    import hashlib
+
+    from sessiondedup.cli import DATA_DIR_ENV, main
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(DATA_DIR_ENV, raising=False)
+    capsys.readouterr()
+    out = {}
+
+    def sha(data):
+        return hashlib.sha256(data).hexdigest()
+
+    def run(tag, argv, written):
+        assert main([str(a) for a in argv]) == 0
+        out[f"{tag}.stdout"] = sha(capsys.readouterr().out.encode())
+        out[tag] = sha((tmp_path / written).read_bytes())
+
+    for name, (cfg, specs) in _golden_configs().items():
+        save_config(tmp_path / f"{name}.json", cfg, specs)
+        stripes = [] if name == "default" else ["--stripe-rows", 333]
+        for seed in (0, 1):
+            tag = f"{name}-s{seed}"
+            for mode in ("none", "by_session"):
+                path = f"{tag}-{mode}.sesscol"
+                gen = ["gen", "--config", f"{name}.json", "--seed", seed, "--clustering", mode]
+                run(f"{tag}-gen-{mode}", [*gen, "--out", path, *stripes], path)
+            raw = f"{tag}-none.sesscol"
+            run(f"{tag}-cluster", ["cluster", raw, "--out", f"{tag}-c.sesscol", *stripes], f"{tag}-c.sesscol")
+            csv = f"{tag}.csv"
+            run(f"{tag}-characterize", ["characterize", raw, "--batch-size", 256, "--out", csv], csv)
+    return out
+
+
+GOLDEN_DIGESTS = {
+    "default-s0-gen-none.stdout": "50db4569bfc23f7a85b676eff7ede500a341b206d71a940895277ded31f8612a",
+    "default-s0-gen-none": "25e0a0245f0ae1c4d8f8b2ab7c621485f1bc047dbca69574e120bdb1d75ea75b",
+    "default-s0-gen-by_session.stdout": "b23e7bca5020acf88330fb0635ea252cd722c3e068ca9cd7cd54e6c66678175c",
+    "default-s0-gen-by_session": "298aefbe5db3dbffeb6bc1d5cda59c882836b19a3086795128f142bc74f0bc6a",
+    "default-s0-cluster.stdout": "a6d3db3abc106998c62844639cd861b8a6645c69a0062a85f8fad012a7bb804d",
+    "default-s0-cluster": "298aefbe5db3dbffeb6bc1d5cda59c882836b19a3086795128f142bc74f0bc6a",
+    "default-s0-characterize.stdout": "099c4c411d64cf9e04deea850adc5bd81e22cfed3aa2ce7c38d4d636dcf0dfec",
+    "default-s0-characterize": "ce7303521d86f89cbb0eb232dcc68f9cd550dfd1c13f88352204ab0bc7ab6cca",
+    "default-s1-gen-none.stdout": "19be0a52ddc1a2c393d1202d481d55299ff7654a126fbb06a8a0a757fe109210",
+    "default-s1-gen-none": "5845a31716dc88ae7d10092d3f42e9c2c58de0f938fc954633a19ab359bab009",
+    "default-s1-gen-by_session.stdout": "8204b7591c9397641577663d3a8c77f323ad0181a0ad99596a49a81964d2ad7e",
+    "default-s1-gen-by_session": "e299aa11908ca3c93922c74eb300aafcb3217ea03b0af84c3f7f59cd2000f618",
+    "default-s1-cluster.stdout": "557358d1c47eb59d49a2743234519f02946f058cdbf9155b8bc1448d93f69514",
+    "default-s1-cluster": "e299aa11908ca3c93922c74eb300aafcb3217ea03b0af84c3f7f59cd2000f618",
+    "default-s1-characterize.stdout": "345dd73e1fd958177a9470bb14c8a752ddec20ab2a88a78628cabcb79fe590a8",
+    "default-s1-characterize": "15c8c462332c530b5af4437519a309b0096e613fb72520afcd88b6c6e089d580",
+    "fixed1-s0-gen-none.stdout": "3169e73f1ab0937d01c40cd04f3a95950f8dcc481c36e71f08712856878fa478",
+    "fixed1-s0-gen-none": "6e71d01750124951f9a542f10ef4d8ebdbeaa505076fb17819252a3ca289a3f1",
+    "fixed1-s0-gen-by_session.stdout": "4a8f7ada45940ff1d62cc14f26ff9ea20d6010b1ea8865d7ec9abff616e85d20",
+    "fixed1-s0-gen-by_session": "426625cf135f388a675a85643cf09ffe702e3387e41e6e4905511c85b376548f",
+    "fixed1-s0-cluster.stdout": "91b7fc6db6f6b74a7092f7f28d43a49ce5178f2ba672681080ea5ef434698938",
+    "fixed1-s0-cluster": "426625cf135f388a675a85643cf09ffe702e3387e41e6e4905511c85b376548f",
+    "fixed1-s0-characterize.stdout": "78e5b53f863f70ab9f8c36cb78d24c663ce56a80f8b23992168e409155d1401f",
+    "fixed1-s0-characterize": "5471e742b48234bd2a104a49b825cf8c4fedfa92eaec51a33547954b58b6b113",
+    "fixed1-s1-gen-none.stdout": "e3ca3aef0b12be7a36ccadb00c8685dd19c3f46ff9b462e28a4d55231e4a4ec8",
+    "fixed1-s1-gen-none": "d95cd5715d7814e1c2b685b209ccf8c6858c0908abdb3cecfa6483ce1898992f",
+    "fixed1-s1-gen-by_session.stdout": "719c233383a2e81a7c6f86c27096b1c3fbcbc9cad4289ef7b09212f1cbf54414",
+    "fixed1-s1-gen-by_session": "332658cbc0d9e70ee9e58de057e4bc4c2b91b71e5a13969f76c0d48d6939366f",
+    "fixed1-s1-cluster.stdout": "d5f8126c0ff88704d055de0b91a31d63d646b4a0cba7c65ef1d04875d54d7da0",
+    "fixed1-s1-cluster": "332658cbc0d9e70ee9e58de057e4bc4c2b91b71e5a13969f76c0d48d6939366f",
+    "fixed1-s1-characterize.stdout": "3a5f61fa63bcc267b27ca27376bc275813ab890f14a6f040bff30d8f4f76c4c9",
+    "fixed1-s1-characterize": "ccfb240b2bec71b2c48ef2b5298bea565ca6066fe132ca997feadb5e809befff",
+    "empirical-s0-gen-none.stdout": "05908f65161f9d298a760739ba16c5837d449f67e9d790f24fb50d723a38b3d2",
+    "empirical-s0-gen-none": "76d19242c3fe37cc2e8cd39e0bfb6d8a632b581a354674a8cd06d3df9991d277",
+    "empirical-s0-gen-by_session.stdout": "ddc2cce3b2ff4da6918d738ef642b46d0032cc73775cbe6e7686216432218434",
+    "empirical-s0-gen-by_session": "3341a685f766df4473112aa23ad7ea9d08608d896bf9effd4a827fbe87da1c69",
+    "empirical-s0-cluster.stdout": "885b506f2ca77c88922c6d37c90ac2273fbe0dfcd6c324cba0b13b813a5780b4",
+    "empirical-s0-cluster": "3341a685f766df4473112aa23ad7ea9d08608d896bf9effd4a827fbe87da1c69",
+    "empirical-s0-characterize.stdout": "75fa3ca3ff03a24798ef2f48c1cdede5f3e549d87fb4f35abda014818a889a02",
+    "empirical-s0-characterize": "b076d176025f59ca89b82e2533053804fc55466f49b7c4c736783685327fd643",
+    "empirical-s1-gen-none.stdout": "d05de66cc10c966a01aa5ffff4f89665d5b98d947e44217cdf161ad0092ca4cf",
+    "empirical-s1-gen-none": "ef8e94e17a49f8420801c819bbf92c2e0ae67a2e1e5af684d01df70ab07b042e",
+    "empirical-s1-gen-by_session.stdout": "a75a9cdab23e923ee5af84e88ba720c644cad449b20786fcc2a658dea62a67e5",
+    "empirical-s1-gen-by_session": "a354625cefd78ea7a9f0dc014ebc88e4e024822c0d08e41a7be04aeccb8450ec",
+    "empirical-s1-cluster.stdout": "3ea9602f46a416f45704d28575c7f3798fc8f7e901f43097ccf1b4f2f7445ced",
+    "empirical-s1-cluster": "a354625cefd78ea7a9f0dc014ebc88e4e024822c0d08e41a7be04aeccb8450ec",
+    "empirical-s1-characterize.stdout": "150fb06d930714aaec02f5058b95d1bbbfb110b76afeb71073647017ad058cfe",
+    "empirical-s1-characterize": "4e2e02ef0e9e2fa3b7361db03ff15a9559b1271766836a167e37f1bb21cdf970",
+    "geometric-s0-gen-none.stdout": "8e5c34b8df43d23a70d0141a02f35ac337701943cc4c0a9d4622fa5342d3a8f2",
+    "geometric-s0-gen-none": "c73c380b3485591ea725803cd2f629e5de3533df25a1bd697c7898359a11d1ea",
+    "geometric-s0-gen-by_session.stdout": "a598f86c26fe4a58fb25473a262ea22d8a0f57e99355cb83b269c540e1f3c3cb",
+    "geometric-s0-gen-by_session": "400159a9d2bd622cde5c589231afe82cfdb5496514a9357e24ebc6fa4a27dace",
+    "geometric-s0-cluster.stdout": "917f553031d6e8893d9a3f2834c5f8fcc833b54fa87c51c49be8f6592604f997",
+    "geometric-s0-cluster": "400159a9d2bd622cde5c589231afe82cfdb5496514a9357e24ebc6fa4a27dace",
+    "geometric-s0-characterize.stdout": "eae238df10d844a87ab69c939ff7c56ded8b58482c79671112862b864131e597",
+    "geometric-s0-characterize": "0bd88d9ce8c5c280877e622ce83f90cf107def92d796312985f31790c1a7d3ea",
+    "geometric-s1-gen-none.stdout": "219881603ba6e6985e5996cf970daa50d309f81ef5a9f1a25ba56f8e797c3ed9",
+    "geometric-s1-gen-none": "4c3fe2d8b933990a22a16cba45162518cf853c9ae46c75e9e9acba6bcbf1eaac",
+    "geometric-s1-gen-by_session.stdout": "5d44a94de6941ebe04f6d94cd0bb082a5b7762989145f6710aa31e260070800f",
+    "geometric-s1-gen-by_session": "33a863e83a65ecdfda5b5b6f8d4c96932026260d4ef2bb77b3b9a130fbaf0dc1",
+    "geometric-s1-cluster.stdout": "6f1778489075b0a34478e4d1d5a6bfd08cfb40323ecb440c9ef25b7d9bcb7ea5",
+    "geometric-s1-cluster": "33a863e83a65ecdfda5b5b6f8d4c96932026260d4ef2bb77b3b9a130fbaf0dc1",
+    "geometric-s1-characterize.stdout": "daf4e054d28ad6433d1a6ce30ea07131df5127a897f6b0cd4b5b35783062f6be",
+    "geometric-s1-characterize": "620f3157b28c86bad3afd2e32d32860a48675dd7f028f806ad14d84da9cf38d7",
+}
+
+
+class TestGoldenBytes:
+    """The digests were taken from the record-based generator and writer;
+    the columnar ones must reproduce every byte."""
+
+    def test_cli_outputs_match_pinned_digests(self, tmp_path, monkeypatch, capsys):
+        assert _golden_digests(tmp_path, monkeypatch, capsys) == GOLDEN_DIGESTS

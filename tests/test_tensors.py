@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rows import as_batch
 from sessiondedup.tensors import (
     IKJT,
     KJT,
@@ -77,18 +78,18 @@ class TestJaggedTensor:
 
 class TestBuildKjt:
     def test_duplicate_rows_kept(self):
-        kjt = build_kjt(ROWS, ["a"])
+        kjt = build_kjt(as_batch(ROWS), ["a"])
         a = kjt.entries["a"]
         np.testing.assert_array_equal(a.values, [1, 2, 1, 2])
         np.testing.assert_array_equal(a.offsets, [0, 2, 2])
 
     def test_single_row(self):
-        kjt = build_kjt([{"x": [7]}], ["x"])
+        kjt = build_kjt(as_batch([{"x": [7]}]), ["x"])
         np.testing.assert_array_equal(kjt.entries["x"].values, [7])
         np.testing.assert_array_equal(kjt.entries["x"].offsets, [0])
 
     def test_missing_key_is_empty_list(self):
-        kjt = build_kjt([{"a": [1]}, {}], ["a"])
+        kjt = build_kjt(as_batch([{"a": [1]}, {}]), ["a"])
         assert kjt.entries["a"].to_pylists() == [[1], []]
 
     def test_empty_batch_rejected(self):
@@ -101,13 +102,13 @@ class TestBuildKjt:
             {"a": rng.integers(0, 100, size=rng.integers(0, 8)).tolist()}
             for _ in range(1000)
         ]
-        kjt = build_kjt(rows, ["a"])
+        kjt = build_kjt(as_batch(rows), ["a"])
         assert kjt.entries["a"].to_pylists() == [list(r["a"]) for r in rows]
 
 
 class TestBuildIkjt:
     def test_single_feature_duplicate(self):
-        ikjt = build_ikjt(ROWS, ["b"])
+        ikjt = build_ikjt(as_batch(ROWS), ["b"])
         np.testing.assert_array_equal(ikjt.inverse_lookup, [0, 1, 0])
         b = ikjt.per_feature["b"]
         np.testing.assert_array_equal(b.offsets, [0, 3])
@@ -115,7 +116,7 @@ class TestBuildIkjt:
         assert ikjt.unique_count == 2
 
     def test_synchronized_group(self):
-        ikjt = build_ikjt(ROWS, ["c", "d"])
+        ikjt = build_ikjt(as_batch(ROWS), ["c", "d"])
         np.testing.assert_array_equal(ikjt.inverse_lookup, [0, 0, 1])
         assert ikjt.per_feature["c"].to_pylists() == [[7, 8], [10]]
         assert ikjt.per_feature["d"].to_pylists() == [[9], [11]]
@@ -128,38 +129,38 @@ class TestBuildIkjt:
             {"c": [7, 8], "e": [1]},
             {"c": [7, 8], "e": [2]},
         ]
-        ikjt = build_ikjt(rows, ["c", "e"])
+        ikjt = build_ikjt(as_batch(rows), ["c", "e"])
         # e differs, so the grouped rows are distinct even though c repeats
         np.testing.assert_array_equal(ikjt.inverse_lookup, [0, 1])
         assert ikjt.unique_count == 2
 
     def test_all_distinct_degenerates_to_identity(self):
         rows = [{"a": [i]} for i in range(5)]
-        ikjt = build_ikjt(rows, ["a"])
+        ikjt = build_ikjt(as_batch(rows), ["a"])
         np.testing.assert_array_equal(ikjt.inverse_lookup, np.arange(5))
         assert ikjt.unique_count == 5
 
     def test_first_occurrence_numbering(self):
         rows = [{"a": [5]}, {"a": [3]}, {"a": [5]}, {"a": [1]}, {"a": [3]}]
-        ikjt = build_ikjt(rows, ["a"])
+        ikjt = build_ikjt(as_batch(rows), ["a"])
         np.testing.assert_array_equal(ikjt.inverse_lookup, [0, 1, 0, 2, 1])
         assert ikjt.per_feature["a"].to_pylists() == [[5], [3], [1]]
 
     def test_length_boundary_not_confused(self):
         # [1, 2] + [3] vs [1] + [2, 3]: same concatenation, different rows
         rows = [{"x": [1, 2], "y": [3]}, {"x": [1], "y": [2, 3]}]
-        ikjt = build_ikjt(rows, ["x", "y"])
+        ikjt = build_ikjt(as_batch(rows), ["x", "y"])
         np.testing.assert_array_equal(ikjt.inverse_lookup, [0, 1])
         # zero padding up to the longest row must not merge rows either
-        ikjt = build_ikjt([{"x": []}, {"x": [0]}, {"x": [0, 0]}], ["x"])
+        ikjt = build_ikjt(as_batch([{"x": []}, {"x": [0]}, {"x": [0, 0]}]), ["x"])
         np.testing.assert_array_equal(ikjt.inverse_lookup, [0, 1, 2])
         rows = [{"x": [0], "y": []}, {"x": [], "y": [0]}]
-        ikjt = build_ikjt(rows, ["x", "y"])
+        ikjt = build_ikjt(as_batch(rows), ["x", "y"])
         np.testing.assert_array_equal(ikjt.inverse_lookup, [0, 1])
 
     def test_empty_group_rejected(self):
         with pytest.raises(ValueError, match="empty dedup group"):
-            build_ikjt(ROWS, [])
+            build_ikjt(as_batch(ROWS), [])
 
     def test_invalid_inverse_rejected(self):
         jt = JaggedTensor.from_rows([[1]])
@@ -182,28 +183,28 @@ class TestBuildIkjt:
 
 class TestIkjtToKjt:
     def test_expansion_restores_rows(self):
-        ikjt = build_ikjt(ROWS, ["b"])
+        ikjt = build_ikjt(as_batch(ROWS), ["b"])
         kjt = ikjt_to_kjt(ikjt)
         assert kjt.entries["b"].to_pylists() == [r["b"] for r in ROWS]
 
     def test_identity_lookup_is_noop(self):
         rows = [{"a": [i, i + 1]} for i in range(4)]
-        ikjt = build_ikjt(rows, ["a"])
+        ikjt = build_ikjt(as_batch(rows), ["a"])
         assert jt_equal(ikjt_to_kjt(ikjt).entries["a"], ikjt.per_feature["a"])
 
     @given(rows_strategy())
     @settings(max_examples=200, deadline=None)
     def test_expansion_equals_direct_kjt(self, rows):
         keys = sorted(rows[0])
-        ikjt = build_ikjt(rows, keys)
-        assert kjt_equal(ikjt_to_kjt(ikjt), build_kjt(rows, keys))
+        ikjt = build_ikjt(as_batch(rows), keys)
+        assert kjt_equal(ikjt_to_kjt(ikjt), build_kjt(as_batch(rows), keys))
 
     @given(rows_strategy())
     @settings(max_examples=200, deadline=None)
     def test_merge_soundness(self, rows):
         # rows sharing an inverse entry must agree on every grouped feature
         keys = sorted(rows[0])
-        ikjt = build_ikjt(rows, keys)
+        ikjt = build_ikjt(as_batch(rows), keys)
         inv = ikjt.inverse_lookup
         for i in range(len(rows)):
             for j in range(i + 1, len(rows)):
@@ -216,18 +217,18 @@ class TestIkjtToKjt:
 class TestPartialIkjt:
     def test_shifted_session_windows(self):
         rows = [{"b": [3, 4, 5]}, {"b": [4, 5, 6]}, {"b": [3, 4, 5]}]
-        pikjt = build_partial_ikjt(rows, "b")
+        pikjt = build_partial_ikjt(as_batch(rows), "b")
         np.testing.assert_array_equal(pikjt.values, [3, 4, 5, 6])
         np.testing.assert_array_equal(pikjt.windows, [(0, 3), (1, 3), (0, 3)])
 
     def test_identical_rows_share_window(self):
-        pikjt = build_partial_ikjt([{"b": [9, 9]}, {"b": [9, 9]}], "b")
+        pikjt = build_partial_ikjt(as_batch([{"b": [9, 9]}, {"b": [9, 9]}]), "b")
         np.testing.assert_array_equal(pikjt.values, [9, 9])
         np.testing.assert_array_equal(pikjt.windows, [(0, 2), (0, 2)])
 
     def test_reconstruction(self):
         rows = [{"b": [3, 4, 5]}, {"b": [4, 5, 6]}, {"b": [1]}, {"b": []}]
-        pikjt = build_partial_ikjt(rows, "b")
+        pikjt = build_partial_ikjt(as_batch(rows), "b")
         for i, row in enumerate(rows):
             np.testing.assert_array_equal(pikjt.row(i), row["b"])
 
@@ -239,7 +240,7 @@ class TestPartialIkjt:
         for _ in range(40):
             start += rng.integers(0, 3)
             rows.append({"b": pool[start : start + 20].tolist()})
-        pikjt = build_partial_ikjt(rows, "b")
+        pikjt = build_partial_ikjt(as_batch(rows), "b")
         brute = sum(len(r["b"]) for r in rows)
         assert pikjt.values.size <= brute
         for i, row in enumerate(rows):
@@ -336,14 +337,14 @@ class TestDedupeModel:
     def test_measured_factor_on_worked_batch(self):
         # three identical-session rows with one change: 9 values -> 6
         rows = [{"b": [3, 4, 5]}, {"b": [4, 5, 6]}, {"b": [3, 4, 5]}]
-        ikjt = build_ikjt(rows, ["b"])
-        baseline = build_kjt(rows, ["b"])
+        ikjt = build_ikjt(as_batch(rows), ["b"])
+        baseline = build_kjt(as_batch(rows), ["b"])
         assert measured_dedupe_factor(ikjt, baseline) == {"b": 1.5}
 
     def test_measured_factor_empty_feature(self):
         rows = [{"b": []}, {"b": []}]
-        ikjt = build_ikjt(rows, ["b"])
-        baseline = build_kjt(rows, ["b"])
+        ikjt = build_ikjt(as_batch(rows), ["b"])
+        baseline = build_kjt(as_batch(rows), ["b"])
         assert measured_dedupe_factor(ikjt, baseline) == {"b": 1.0}
 
 
@@ -351,19 +352,19 @@ class TestSerialization:
     def test_identity_ikjt_costs_exactly_one_slot_per_row(self):
         # all-distinct batch: IKJT carries the same streams plus B lookups
         rows = [{"a": [i, i + 1], "b": [i]} for i in range(16)]
-        kjt = build_kjt(rows, ["a", "b"])
-        ikjt = build_ikjt(rows, ["a", "b"])
+        kjt = build_kjt(as_batch(rows), ["a", "b"])
+        ikjt = build_ikjt(as_batch(rows), ["a", "b"])
         assert len(serialize_ikjt(ikjt)) == len(serialize_kjt(kjt)) + 8 * 16
 
     def test_duplicates_shrink_payload(self):
         rows = [{"a": list(range(50))} for _ in range(64)]
-        kjt = build_kjt(rows, ["a"])
-        ikjt = build_ikjt(rows, ["a"])
+        kjt = build_kjt(as_batch(rows), ["a"])
+        ikjt = build_ikjt(as_batch(rows), ["a"])
         assert len(serialize_ikjt(ikjt)) < len(serialize_kjt(kjt))
 
     def test_serialization_deterministic(self):
-        ikjt = build_ikjt(ROWS, ["c", "d"])
-        assert serialize_ikjt(ikjt) == serialize_ikjt(build_ikjt(ROWS, ["c", "d"]))
+        ikjt = build_ikjt(as_batch(ROWS), ["c", "d"])
+        assert serialize_ikjt(ikjt) == serialize_ikjt(build_ikjt(as_batch(ROWS), ["c", "d"]))
 
     def test_stream_size_accounting(self):
         jt = JaggedTensor.from_rows([[1, 2, 3], [4]])

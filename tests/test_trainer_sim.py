@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rows import ImpressionRecord, as_batch
 from sessiondedup.datagen import (
     FeatureSpec,
-    ImpressionRecord,
     SampleCountDist,
     SessionConfig,
     generate_dataset,
@@ -149,7 +149,7 @@ class TestPool:
         # dedup rows of the synchronized {c, d} group, concatenated per
         # row: [7, 8, 9] and [10, 11]; identity embeddings at dim=1
         table = identity_table("cd", 12)
-        ikjt = build_ikjt(WORKED_ROWS, ["c", "d"])
+        ikjt = build_ikjt(as_batch(WORKED_ROWS), ["c", "d"])
         seq_rows = [
             np.concatenate([ikjt.per_feature["c"].row(i), ikjt.per_feature["d"].row(i)])
             for i in range(ikjt.unique_count)
@@ -189,9 +189,9 @@ class TestEmbeddingLookup:
     def test_lookup_counts(self):
         # baseline looks up 9 IDs for feature b, dedup only 6
         table = identity_table("b", 16)
-        base = embedding_lookup(build_kjt(WORKED_ROWS, ["b"]).entries["b"], table)
+        base = embedding_lookup(build_kjt(as_batch(WORKED_ROWS), ["b"]).entries["b"], table)
         dedup = embedding_lookup(
-            build_ikjt(WORKED_ROWS, ["b"]).per_feature["b"], table
+            build_ikjt(as_batch(WORKED_ROWS), ["b"]).per_feature["b"], table
         )
         assert base.shape == (9, 1)
         assert dedup.shape == (6, 1)
@@ -204,8 +204,8 @@ class TestEmbeddingLookup:
 
     def test_expanded_dedup_activations_match_baseline(self):
         table = EmbeddingTable.create("b", rows=16, dim=8, seed=3)
-        ikjt = build_ikjt(WORKED_ROWS, ["b"])
-        baseline = build_kjt(WORKED_ROWS, ["b"]).entries["b"]
+        ikjt = build_ikjt(as_batch(WORKED_ROWS), ["b"])
+        baseline = build_kjt(as_batch(WORKED_ROWS), ["b"]).entries["b"]
         expanded = ikjt_to_kjt(ikjt).entries["b"]
         a = embedding_lookup(expanded, table)
         b = embedding_lookup(baseline, table)
@@ -392,7 +392,7 @@ class TestSdd:
         )
 
     def test_single_rank_is_local_serialization(self):
-        ikjt = build_ikjt(WORKED_ROWS, ["b"])
+        ikjt = build_ikjt(as_batch(WORKED_ROWS), ["b"])
         jt = ikjt.per_feature["b"]
         rf = RankFeatures(batch_size=3, slices={"b": jt})
         plan = self.make_plan(["b"], 1)
@@ -406,8 +406,8 @@ class TestSdd:
     def test_dedup_slices_shrink_values_stream(self):
         # each of 2 ranks transmits the worked batch's feature b:
         # 9 IDs as a KJT slice, 6 after dedup, factor 1.5
-        dedup_jt = build_ikjt(WORKED_ROWS, ["b"]).per_feature["b"]
-        base_jt = build_kjt(WORKED_ROWS, ["b"]).entries["b"]
+        dedup_jt = build_ikjt(as_batch(WORKED_ROWS), ["b"]).per_feature["b"]
+        base_jt = build_kjt(as_batch(WORKED_ROWS), ["b"]).entries["b"]
         plan = self.make_plan(["b"], 2)
         dedup = sdd(
             [RankFeatures(3, {"b": dedup_jt}), RankFeatures(3, {"b": dedup_jt})],
@@ -452,7 +452,7 @@ class TestSplitBatch:
 
     def test_chunk_sizes(self):
         rows = random_batch(np.random.default_rng(0), 10)
-        batch = convert(rows, self.reader_spec())
+        batch = convert(as_batch(rows), self.reader_spec())
         chunks = split_batch(batch, 4)
         assert [c.batch_size for c in chunks] == [3, 3, 2, 2]
 
@@ -460,7 +460,7 @@ class TestSplitBatch:
         rng = np.random.default_rng(1)
         rows = random_batch(rng, 13)
         spec = self.reader_spec()
-        batch = convert(rows, spec)
+        batch = convert(as_batch(rows), spec)
         chunks = split_batch(batch, 3)
         rebuilt = []
         for c in chunks:
@@ -486,7 +486,7 @@ class TestSplitBatch:
     def test_labels_split(self):
         rng = np.random.default_rng(2)
         rows = random_batch(rng, 9)
-        batch = convert(rows, self.reader_spec())
+        batch = convert(as_batch(rows), self.reader_spec())
         chunks = split_batch(batch, 2)
         np.testing.assert_array_equal(
             np.concatenate([c.labels for c in chunks]), batch.labels
@@ -496,7 +496,7 @@ class TestSplitBatch:
         # a short tail batch: ranks beyond the row count get no chunk,
         # and every row is still scored, bit-equal across modes and ranks
         rows = random_batch(np.random.default_rng(3), 2)
-        batch = convert(rows, self.reader_spec())
+        batch = convert(as_batch(rows), self.reader_spec())
         chunks = split_batch(batch, 3)
         assert [c.batch_size for c in chunks] == [1, 1]
         assert [c.kjts["plain_item"].row(0).tolist() for c in chunks] == [
@@ -504,7 +504,7 @@ class TestSplitBatch:
         ]
         model = TestForwardIteration().model_spec()
         tables = build_tables(model)
-        base_batch = convert(rows, self.reader_spec().without_dedup())
+        base_batch = convert(as_batch(rows), self.reader_spec().without_dedup())
         one_rank, _ = forward_iteration(
             batch, model, make_round_robin_plan(model, 1), "dedup", tables
         )
@@ -525,7 +525,7 @@ class TestSliceIkjtRows:
             rec(0, 3, {"f": [3]}),
             rec(0, 4, {"f": [2]}),
         ]
-        ikjt = build_ikjt(rows, ["f"])
+        ikjt = build_ikjt(as_batch(rows), ["f"])
         sub = slice_ikjt_rows(ikjt, 2, 5)
         # surviving rows [1], [3], [2] renumber to 0, 1, 2
         np.testing.assert_array_equal(sub.inverse_lookup, [0, 1, 2])
@@ -534,14 +534,14 @@ class TestSliceIkjtRows:
     def test_slice_matches_rebuild_logically(self):
         rng = np.random.default_rng(5)
         rows = random_batch(rng, 40, keys=("u",))
-        ikjt = build_ikjt(rows, ["u"])
+        ikjt = build_ikjt(as_batch(rows), ["u"])
         sub = slice_ikjt_rows(ikjt, 7, 29)
-        direct = build_ikjt(rows[7:29], ["u"])
+        direct = build_ikjt(as_batch(rows[7:29]), ["u"])
         np.testing.assert_array_equal(sub.inverse_lookup, direct.inverse_lookup)
         assert jt_equal(sub.per_feature["u"], direct.per_feature["u"])
 
     def test_bad_range_rejected(self):
-        ikjt = build_ikjt([rec(0, 0, {"f": [1]})], ["f"])
+        ikjt = build_ikjt(as_batch([rec(0, 0, {"f": [1]})]), ["f"])
         with pytest.raises(ValueError):
             slice_ikjt_rows(ikjt, 0, 2)
         with pytest.raises(ValueError):
@@ -651,8 +651,8 @@ class TestForwardIteration:
 
     def run_both(self, rows, model, ranks):
         reader_spec = self.reader_spec()
-        dedup_batch = convert(rows, reader_spec)
-        base_batch = convert(rows, reader_spec.without_dedup())
+        dedup_batch = convert(as_batch(rows), reader_spec)
+        base_batch = convert(as_batch(rows), reader_spec.without_dedup())
         plan = make_round_robin_plan(model, ranks)
         tables = build_tables(model)
         d_scores, d_stats = forward_iteration(dedup_batch, model, plan, "dedup", tables)
@@ -694,8 +694,8 @@ class TestForwardIteration:
         rows = random_batch(rng, 30)
         model = self.model_spec()
         reader_spec = self.reader_spec()
-        dedup_batch = convert(rows, reader_spec)
-        base_batch = convert(rows, reader_spec.without_dedup())
+        dedup_batch = convert(as_batch(rows), reader_spec)
+        base_batch = convert(as_batch(rows), reader_spec.without_dedup())
         _, d_stats, _, b_stats = self.run_both(rows, model, 1)
         ikjt = dedup_batch.ikjts[0]
         dedup_expected = (
@@ -725,7 +725,7 @@ class TestForwardIteration:
     def test_unknown_mode_rejected(self):
         rng = np.random.default_rng(31)
         rows = random_batch(rng, 4)
-        batch = convert(rows, self.reader_spec())
+        batch = convert(as_batch(rows), self.reader_spec())
         model = self.model_spec()
         plan = make_round_robin_plan(model, 1)
         with pytest.raises(ValueError, match="mode"):
@@ -734,7 +734,7 @@ class TestForwardIteration:
     def test_missing_group_encoding_rejected(self):
         rng = np.random.default_rng(37)
         rows = random_batch(rng, 4)
-        batch = convert(rows, self.reader_spec().without_dedup())
+        batch = convert(as_batch(rows), self.reader_spec().without_dedup())
         model = self.model_spec()
         plan = make_round_robin_plan(model, 1)
         with pytest.raises(ValueError, match="no IKJT"):
