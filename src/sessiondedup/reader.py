@@ -187,8 +187,12 @@ def process(batch: ReaderBatch, transforms) -> ReaderBatch:
         return JaggedTensor(values=values, offsets=jt.offsets)
 
     kjts = {key: run(key, jt) for key, jt in batch.kjts.items()}
+    # A group no transform targets keeps its IKJT object: rebuilding it
+    # would only re-run the constructor's checks.
     ikjts = [
-        IKJT(
+        ikjt
+        if by_key.keys().isdisjoint(ikjt.group_keys)
+        else IKJT(
             batch_size=ikjt.batch_size,
             group_keys=ikjt.group_keys,
             inverse_lookup=ikjt.inverse_lookup,
@@ -226,10 +230,8 @@ def emit(batch: ReaderBatch) -> bytes:
     return payload
 
 
-def read_batches(
-    file: ColumnarFile, spec: DataloaderSpec, with_emit: bool = True
-) -> Iterator[ReaderBatch]:
-    """Full fill -> convert -> process pipeline over a columnar file."""
+def read_batches(file: ColumnarFile, spec: DataloaderSpec) -> Iterator[ReaderBatch]:
+    """Full fill -> convert -> process -> emit pipeline over a columnar file."""
     stream = scan(file, spec.batch_size)
     while True:
         raw, fill_s = fill(stream)
@@ -239,8 +241,7 @@ def read_batches(
         batch.stage_timings.fill_s = fill_s
         batch.bytes_in = raw.bytes_read
         batch = process(batch, spec.transforms)
-        if with_emit:
-            emit(batch)
+        emit(batch)
         yield batch
 
 

@@ -115,7 +115,12 @@ class ScanBatch:
 
 
 def _join(parts: list[ScanBatch], bytes_read: int) -> ScanBatch:
-    """One batch of the rows of ``parts``, in order."""
+    """One batch of the rows of ``parts``, in order. A lone part (a batch
+    inside one stripe) is returned as it is, as views of that stripe;
+    only a batch that spans stripes is copied."""
+    if len(parts) == 1:
+        parts[0].bytes_read = bytes_read
+        return parts[0]
     entries = {}
     for key in parts[0].features.entries:
         jts = [b.features.entries[key] for b in parts]

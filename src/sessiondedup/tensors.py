@@ -32,6 +32,7 @@ __all__ = [
     "ikjt_to_kjt",
     "jagged_index_select",
     "gather_windows",
+    "window_index",
     "slice_rows",
     "dedupe_len",
     "dedupe_factor",
@@ -359,9 +360,10 @@ def jagged_index_select(jt: JaggedTensor, indices) -> JaggedTensor:
     return gather_windows(jt.values, jt.offsets[idx], jt.row_lengths()[idx])
 
 
-def gather_windows(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> JaggedTensor:
-    """Rows laid end to end, row k being the window
-    ``values[starts[k] : starts[k] + lengths[k]]``; windows may overlap."""
+def window_index(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Source index of every element when windows
+    ``[starts[k], starts[k] + lengths[k])`` are laid end to end, and the
+    laid-out rows' offsets."""
     out_offsets = np.zeros(lengths.size, dtype=np.int64)
     if lengths.size > 1:
         np.cumsum(lengths[:-1], out=out_offsets[1:])
@@ -369,6 +371,13 @@ def gather_windows(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray) 
     # Gather: for output element t in row k, source index is
     # starts[k] + (t - out_offsets[k]).
     gather = np.repeat(starts - out_offsets, lengths) + np.arange(total, dtype=np.int64)
+    return gather, out_offsets
+
+
+def gather_windows(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> JaggedTensor:
+    """Rows laid end to end, row k being the window
+    ``values[starts[k] : starts[k] + lengths[k]]``; windows may overlap."""
+    gather, out_offsets = window_index(starts, lengths)
     return JaggedTensor(values=values[gather], offsets=out_offsets)
 
 

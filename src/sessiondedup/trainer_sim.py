@@ -1,10 +1,16 @@
 """Desk-scale forward sparse path over simulated ranks.
 
-Simulates one training iteration's sparse pipeline: route feature slices
-to the ranks owning their embedding tables (the sparse-data
-distribution, SDD), look up embeddings, pool per row (element-wise or
-attention), send pooled vectors back, expand deduplicated rows, and
-score through a fixed interaction stub.
+Simulates one training iteration's sparse pipeline. The batch is split
+into per-rank chunks; each rank's feature slices are sent to the ranks
+owning their embedding tables (the sparse-data distribution, SDD), which
+look up embeddings, pool per row (element-wise or attention), send the
+pooled vectors back, and the source rank expands deduplicated rows and
+scores them through a fixed interaction stub.
+
+The exchange is accounting only: ``sdd`` counts the serialized bytes of
+every (rank, key) slice, and each rank's pooling units (one per group,
+then one per plain key) are pooled straight from that rank's own
+tensors, since where a slice is pooled changes no score and no counter.
 
 The baseline path runs every batch row; the dedup path runs each unique
 row once and expands afterwards. Both paths reduce each logical row's
@@ -27,7 +33,14 @@ from pathlib import Path
 import numpy as np
 
 from .reader import ReaderBatch
-from .tensors import JaggedTensor, IKJT, jagged_index_select, slice_rows, slice_stream_bytes
+from .tensors import (
+    IKJT,
+    JaggedTensor,
+    jagged_index_select,
+    slice_rows,
+    slice_stream_bytes,
+    window_index,
+)
 
 __all__ = [
     "EmbeddingTable",
@@ -37,7 +50,6 @@ __all__ = [
     "GroupConfig",
     "ModelSpec",
     "AttentionParams",
-    "KeySlice",
     "SddResult",
     "RankFeatures",
     "sdd",
@@ -248,18 +260,8 @@ def activation_bytes(
     return int(batch_size * list_len * dim * elem_bytes)
 
 
-@dataclass(frozen=True)
-class KeySlice:
-    """One rank's transmitted slice for one feature."""
-
-    src_rank: int
-    tensor: JaggedTensor
-
-
 @dataclass
 class SddResult:
-    # routed[owner_rank][key] lists every source rank's slice in rank order
-    routed: list[dict[str, list[KeySlice]]]
     a2a_bytes_fwd: int
     values_bytes_by_key: dict[str, int]
 
@@ -278,30 +280,25 @@ class RankFeatures:
 
 
 def sdd(local_batches: list[RankFeatures], plan: ShardingPlan) -> SddResult:
-    """Route every rank's feature slices to the owning ranks.
+    """Account for every rank sending its feature slices to their owners.
 
     a2a_bytes_fwd counts the canonical serialized size of each
-    transmitted (offsets, values) slice pair, local destinations
-    included, so R=1 reports the local serialization size.
+    transmitted (offsets, values) slice pair, one per (rank, key), local
+    destinations included, so R=1 reports the local serialization size.
     """
     keys = set(plan.assignment)
     for r, rf in enumerate(local_batches):
         if set(rf.slices) != keys:
             missing = keys.symmetric_difference(rf.slices)
             raise ValueError(f"rank {r} slice keys do not match plan: {sorted(missing)}")
-    routed: list[dict[str, list[KeySlice]]] = [
-        {} for _ in range(plan.num_ranks)
-    ]
     total = 0
     values_bytes: dict[str, int] = {k: 0 for k in keys}
-    for key, owner in plan.assignment.items():
-        lst = routed[owner].setdefault(key, [])
-        for src, rf in enumerate(local_batches):
+    for key in plan.assignment:
+        for rf in local_batches:
             jt = rf.slices[key]
             total += slice_stream_bytes(jt)
             values_bytes[key] += 8 * jt.values.size
-            lst.append(KeySlice(src_rank=src, tensor=jt))
-    return SddResult(routed=routed, a2a_bytes_fwd=total, values_bytes_by_key=values_bytes)
+    return SddResult(a2a_bytes_fwd=total, values_bytes_by_key=values_bytes)
 
 
 def embedding_lookup(
@@ -394,12 +391,7 @@ def attention_pool(
 
     # One gather lays every row's sequence out in sorted row order, each
     # row's keys in group order.
-    seg_starts = starts[:, rows].T.ravel()
-    seg_lens = key_lens[:, rows].T.ravel()
-    seg_out = np.cumsum(seg_lens) - seg_lens
-    gather = np.repeat(seg_starts - seg_out, seg_lens) + np.arange(
-        seg_lens.sum(), dtype=np.int64
-    )
+    gather, _ = window_index(starts[:, rows].T.ravel(), key_lens[:, rows].T.ravel())
     joined = np.concatenate([acts for acts, _ in per_key_activations])
     seqs = joined[gather]
 
@@ -482,39 +474,36 @@ def split_batch(batch: ReaderBatch, num_ranks: int) -> list[ReaderBatch]:
     return chunks
 
 
-def _identity_ikjt(keys: tuple[str, ...], kjts: dict[str, JaggedTensor], b: int) -> IKJT:
-    # Baseline path: same group structure, every row its own unique row.
-    return IKJT(
-        batch_size=b,
-        group_keys=keys,
-        inverse_lookup=np.arange(b, dtype=np.int64),
-        per_feature={k: kjts[k] for k in keys},
-    )
-
-
-def _group_encodings(
+def _pooling_units(
     chunk: ReaderBatch, spec: ModelSpec, mode: str
-) -> list[IKJT]:
-    """One IKJT per spec group, taken from the batch (dedup) or built
-    with an identity inverse (baseline)."""
-    out = []
+) -> list[tuple[dict[str, JaggedTensor], np.ndarray | None]]:
+    """One rank's pooling units in spec order: each group's transmitted
+    tensors with its inverse_lookup (the batch's IKJT in dedup mode, the
+    plain tensors and an identity inverse in baseline mode), then each
+    plain key's tensor with no inverse."""
+    units = []
     for g in spec.groups:
         if mode == "dedup":
-            match = [ik for ik in chunk.ikjts if ik.group_keys == g.keys]
-            if not match:
+            ik = next((ik for ik in chunk.ikjts if ik.group_keys == g.keys), None)
+            if ik is None:
                 raise ValueError(
                     f"batch has no IKJT for group {list(g.keys)}; "
                     "reader spec and model spec disagree"
                 )
-            out.append(match[0])
+            units.append(({k: ik.per_feature[k] for k in g.keys}, ik.inverse_lookup))
         else:
             missing = [k for k in g.keys if k not in chunk.kjts]
             if missing:
                 raise ValueError(
                     f"baseline batch lacks plain tensors for {missing}"
                 )
-            out.append(_identity_ikjt(g.keys, chunk.kjts, chunk.batch_size))
-    return out
+            identity = np.arange(chunk.batch_size, dtype=np.int64)
+            units.append(({k: chunk.kjts[k] for k in g.keys}, identity))
+    for key in spec.plain:
+        if key not in chunk.kjts:
+            raise ValueError(f"batch lacks plain feature {key!r}")
+        units.append(({key: chunk.kjts[key]}, None))
+    return units
 
 
 def forward_iteration(
@@ -537,82 +526,54 @@ def forward_iteration(
     dim = spec.dim
     stats = IterationStats()
     chunks = split_batch(batch, plan.num_ranks)
-    chunk_groups = [_group_encodings(c, spec, mode) for c in chunks]
-
-    # Build each rank's transmitted slices and run the exchange.
-    rank_feats = []
-    for c, groups in zip(chunks, chunk_groups):
-        slices: dict[str, JaggedTensor] = {}
-        for ik in groups:
-            for key in ik.group_keys:
-                slices[key] = ik.per_feature[key]
-        for key in spec.plain:
-            if key not in c.kjts:
-                raise ValueError(f"batch lacks plain feature {key!r}")
-            slices[key] = c.kjts[key]
-        rank_feats.append(RankFeatures(batch_size=c.batch_size, slices=slices))
-    exchange = sdd(rank_feats, plan)
+    rank_units = [_pooling_units(c, spec, mode) for c in chunks]
+    exchange = sdd(
+        [
+            RankFeatures(
+                batch_size=c.batch_size,
+                slices={k: jt for slices, _ in units for k, jt in slices.items()},
+            )
+            for c, units in zip(chunks, rank_units)
+        ],
+        plan,
+    )
     stats.a2a_bytes_fwd = exchange.a2a_bytes_fwd
 
-    attn_params = {
-        gi: AttentionParams.create("/".join(g.keys), dim, spec.seed)
-        for gi, g in enumerate(spec.groups)
+    # One op per pooling unit, in the units' order.
+    ops = [
+        AttentionParams.create("/".join(g.keys), dim, spec.seed)
         if g.pooling == "attention"
-    }
+        else g.pooling
+        for g in spec.groups
+    ] + list(spec.plain.values())
 
-    # Pooled outputs per (source chunk, block). Computation is organized
-    # by owner rank, mirroring where the work lands, but every slice is
-    # reduced with the same routines in both modes.
-    per_chunk_blocks: list[list[np.ndarray]] = [[] for _ in chunks]
-    for gi, g in enumerate(spec.groups):
-        owner = plan.assignment[g.keys[0]]
-        key_slices = {key: exchange.routed[owner][key] for key in g.keys}
-        for src, ik in enumerate(((cg[gi]) for cg in chunk_groups)):
-            u = ik.unique_count
-            acts = {}
-            for key in g.keys:
-                jt = key_slices[key][src].tensor
-                a = embedding_lookup(jt, tables[key], key)
-                acts[key] = (a, jt.offsets)
+    scores = []
+    for units in rank_units:
+        # Pooled blocks in unit order: groups, then plain keys.
+        blocks: list[np.ndarray] = []
+        for (slices, inv), op in zip(units, ops):
+            acts = []
+            for key, jt in slices.items():
+                acts.append((embedding_lookup(jt, tables[key], key), jt.offsets))
                 stats.lookup_count += jt.values.size
                 stats.activation_elements = max(
                     stats.activation_elements, jt.values.size * dim
                 )
-            if g.pooling == "attention":
-                pooled, macs = attention_pool(
-                    [acts[key] for key in g.keys], attn_params[gi]
-                )
+            if isinstance(op, AttentionParams):
+                pooled, macs = attention_pool(acts, op)
                 stats.pooling_mac_count += macs
-                blocks = [pooled]
+                unit_blocks = [pooled]
             else:
-                blocks = []
-                for key in g.keys:
-                    a, offs = acts[key]
-                    blocks.append(pool(a, offs, g.pooling))
-                    stats.pooling_mac_count += a.shape[0] * dim
-            stats.a2a_bytes_back += sum(b.shape[0] * dim * 4 for b in blocks)
-            inv = ik.inverse_lookup
-            for b in blocks:
-                per_chunk_blocks[src].append(b[inv])
-                stats.index_select_elements += inv.size * dim
-    for key, op in spec.plain.items():
-        owner = plan.assignment[key]
-        for src, ks in enumerate(exchange.routed[owner][key]):
-            jt = ks.tensor
-            a = embedding_lookup(jt, tables[key], key)
-            stats.lookup_count += jt.values.size
-            stats.activation_elements = max(
-                stats.activation_elements, jt.values.size * dim
-            )
-            pooled = pool(a, jt.offsets, op)
-            stats.pooling_mac_count += a.shape[0] * dim
-            stats.a2a_bytes_back += pooled.shape[0] * dim * 4
-            per_chunk_blocks[src].append(pooled)
+                unit_blocks = [pool(a, offs, op) for a, offs in acts]
+                stats.pooling_mac_count += sum(a.shape[0] for a, _ in acts) * dim
+            stats.a2a_bytes_back += sum(b.shape[0] * dim * 4 for b in unit_blocks)
+            if inv is not None:
+                unit_blocks = [b[inv] for b in unit_blocks]
+                stats.index_select_elements += len(unit_blocks) * inv.size * dim
+            blocks.extend(unit_blocks)
 
-    # Interaction stub: pairwise dots over pooled blocks, diagonal
-    # included so a single-block model still produces a signal.
-    scores = []
-    for src, blocks in enumerate(per_chunk_blocks):
+        # Interaction stub: pairwise dots over pooled blocks, diagonal
+        # included so a single-block model still produces a signal.
         z = np.stack(blocks, axis=1)  # (B, F, dim) float32
         inter = np.einsum("bfd,bgd->bfg", z, z)
         fi, fj = np.triu_indices(z.shape[1])
@@ -660,7 +621,6 @@ def default_model_spec(feature_specs, dim: int = 16, seed: int = 0) -> ModelSpec
     tables = {
         fs.key: TableConfig(rows=fs.vocab_size, dim=dim) for fs in feature_specs
     }
-    by_key = {fs.key: fs for fs in feature_specs}
     groups = []
     grouped: set[str] = set()
     sync: dict[str, list[str]] = {}

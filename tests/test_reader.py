@@ -201,6 +201,15 @@ class TestTransforms:
         # untouched feature keeps its values
         assert cd.per_feature["d"].to_pylists() == [[9], [11]]
 
+    def test_process_keeps_untouched_ikjts(self):
+        batch = convert(as_batch(WORKED_ROWS), SPEC)
+        same = process(batch, ())
+        assert all(a is b for a, b in zip(same.ikjts, batch.ikjts))
+        one = process(batch, (Transform(op="clamp", key="c", param=9),))
+        assert one.ikjts[0] is batch.ikjts[0]
+        assert one.ikjts[1] is not batch.ikjts[1]
+        assert one.ikjts[1].per_feature["c"].to_pylists() == [[7, 8], [9]]
+
     def test_unknown_key_at_process_time_rejected(self):
         batch = convert(as_batch(WORKED_ROWS), SPEC)
         with pytest.raises(ValueError, match="zzz"):
@@ -263,8 +272,8 @@ class TestPipeline:
             batch_size=512,
             transforms=(Transform(op="mod_hash", key="item", param=4096),),
         )
-        a = [emit(b) for b in read_batches(open_table(dataset_file), spec, with_emit=False)]
-        b = [emit(x) for x in read_batches(open_table(dataset_file), spec, with_emit=False)]
+        a = [emit(b) for b in read_batches(open_table(dataset_file), spec)]
+        b = [emit(x) for x in read_batches(open_table(dataset_file), spec)]
         assert a == b
 
     def test_clustered_batches_dedup_well(self, dataset_file):
@@ -286,8 +295,8 @@ class TestPipeline:
         )
         base_spec = spec.without_dedup()
         for d, b in zip(
-            read_batches(open_table(dataset_file), spec, with_emit=False),
-            read_batches(open_table(dataset_file), base_spec, with_emit=False),
+            read_batches(open_table(dataset_file), spec),
+            read_batches(open_table(dataset_file), base_spec),
         ):
             np.testing.assert_array_equal(d.labels, b.labels)
             expanded = ikjt_to_kjt(d.ikjts[0])

@@ -144,6 +144,17 @@ class TestScan:
         scanned = sum(b.bytes_read for b in scan(open_table(path), 64))
         assert scanned == total_stripe_bytes
 
+    # 100 is one stripe, 50 divides it (every batch inside one stripe),
+    # 64 does not (some batches span two stripes).
+    @pytest.mark.parametrize("batch_size", [100, 50, 64])
+    def test_batches_within_and_across_stripes(self, records, tmp_path, batch_size):
+        path = tmp_path / "t.sesscol"
+        f = write_table(as_batch(records), path, stripe_rows=100)
+        total_stripe_bytes = sum(s.byte_size for s in f.stripes)
+        batches = list(scan(open_table(path), batch_size))
+        assert sum(b.bytes_read for b in batches) == total_stripe_bytes
+        assert_same_records([r for b in batches for r in as_records(b)], records)
+
     def test_large_batch_spans_stripes(self, records, tmp_path):
         path = tmp_path / "t.sesscol"
         write_table(as_batch(records), path, stripe_rows=10)

@@ -25,6 +25,7 @@ from sessiondedup.tensors import (
     serialize_kjt,
     slice_stream_bytes,
     values_stream_bytes,
+    window_index,
 )
 
 # Worked micro-batch used throughout: feature b carries an exact duplicate
@@ -293,6 +294,20 @@ class TestJaggedIndexSelect:
         jt = JaggedTensor.from_rows([[1], [2]])
         with pytest.raises(IndexError, match="position 1"):
             jagged_index_select(jt, np.array([0, 5], dtype=np.int64))
+
+
+class TestWindowIndex:
+    def test_matches_concatenated_ranges(self):
+        rng = np.random.default_rng(7)
+        for _ in range(100):
+            n = int(rng.integers(0, 8))
+            starts = rng.integers(0, 40, size=n)
+            lengths = rng.integers(0, 5, size=n)
+            gather, offsets = window_index(starts, lengths)
+            expected = [i for s, k in zip(starts, lengths) for i in range(s, s + k)]
+            assert gather.tolist() == expected
+            assert offsets.tolist() == (np.cumsum(lengths) - lengths).tolist()
+            assert gather.dtype == offsets.dtype == np.int64
 
 
 class TestDedupeModel:

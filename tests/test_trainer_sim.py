@@ -1,6 +1,8 @@
 """Tests for the simulated-rank forward sparse path."""
 
+import hashlib
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -12,9 +14,11 @@ from sessiondedup.datagen import (
     FeatureSpec,
     SampleCountDist,
     SessionConfig,
+    default_config,
     generate_dataset,
 )
-from sessiondedup.reader import DataloaderSpec, convert
+from sessiondedup.reader import DataloaderSpec, convert, read_batches
+from sessiondedup.storage import write_table
 from sessiondedup.tensors import JaggedTensor, build_ikjt, build_kjt, ikjt_to_kjt, jt_equal
 from sessiondedup import trainer_sim
 from sessiondedup.trainer_sim import (
@@ -401,7 +405,6 @@ class TestSdd:
 
         assert result.a2a_bytes_fwd == slice_stream_bytes(jt)
         assert result.values_bytes_by_key["b"] == 8 * jt.values.size
-        assert result.routed[0]["b"][0].tensor is jt
 
     def test_dedup_slices_shrink_values_stream(self):
         # each of 2 ranks transmits the worked batch's feature b:
@@ -422,18 +425,6 @@ class TestSdd:
         ratio = base.values_bytes_by_key["b"] / dedup.values_bytes_by_key["b"]
         assert ratio == 1.5
         assert dedup.a2a_bytes_fwd < base.a2a_bytes_fwd
-
-    def test_routing_reaches_owner_in_rank_order(self):
-        jts = [
-            JaggedTensor.from_rows([[r]]) for r in range(3)
-        ]
-        plan = self.make_plan(["x"], 3)
-        batches = [RankFeatures(1, {"x": jt}) for jt in jts]
-        result = sdd(batches, plan)
-        slices = result.routed[plan.assignment["x"]]["x"]
-        assert [s.src_rank for s in slices] == [0, 1, 2]
-        for r, s in enumerate(slices):
-            assert s.tensor is jts[r]
 
     def test_key_mismatch_rejected(self):
         plan = self.make_plan(["x"], 1)
@@ -746,3 +737,94 @@ class TestForwardIteration:
         worse = IterationStats(a2a_bytes_fwd=1)
         assert stats.dominated_by(worse)
         assert not worse.dominated_by(stats)
+
+
+# Exact forward-pass output on a 600-session default-config dataset
+# (seed 0) read in batches of 2000 rows. Scores are the same in both modes and at every rank count, so one
+# sha256 list per clustering; the counters are per (clustering, ranks,
+# mode), one IterationStats tuple per batch.
+GOLDEN_SCORE_SHA256 = {
+    "none": [
+        "82188c6e7def42f59ab97b63a7daeb958aca3ac65ad55cbe26a6a091c87e5ca6",
+        "93827ec2f664f8fc5c34c254eaf0d4430b3cea2ad5f013a0fd2c180a93561216",
+        "e1ff9f6335bec846ff3321bfcc959ded0a62315259cf8fa12bf79071a733c374",
+        "d496c55df4162fac95b63bc1fa648d43e14156043845e71adf1f8eb1e8038bad",
+        "7c3dd1098b161e6c4f60d842d9d6eb2d1ba488a51fda200b4e2fb5029a1cdc10",
+    ],
+    "by_session": [
+        "e6a1b81618c4196427f3a236e4efb1a15f6d5edcc08c4e30cb83dc509f6f989f",
+        "68db005b3a4757d7df28b88e4940a0c44176d9fc891ae5aa2c4d35dcac2d4a71",
+        "70222a0d65e98be9bc9db7e4ce251f5f2f288a6dc4dad432720fd3eb0e57ae52",
+        "245ed62b3c1d4d5c2862d786328920c0cbdc49a405bf8d7e92739883f4d5c755",
+        "2f261967090b3cacf2da97204be7b7a01ae2f88286438914132fef45785e2e01",
+    ],
+}
+_BASELINE_R1 = [(2048112, 768000, 242000, 1536000, 118048000, 128000)] * 4 + [
+    (1175664, 440832, 138908, 881664, 67759552, 73472)
+]
+_BASELINE_R4 = [(2048448, 768000, 242000, 384000, 118048000, 128000)] * 4 + [
+    (1176000, 440832, 138908, 220416, 67759552, 73472)
+]
+GOLDEN_COUNTERS = {
+    ("none", 1, "baseline"): _BASELINE_R1,
+    ("none", 4, "baseline"): _BASELINE_R4,
+    ("none", 1, "dedup"): [
+        (808144, 439808, 93416, 555264, 42369664, 128000),
+        (799032, 437952, 92300, 536064, 42694336, 128000),
+        (793824, 437184, 91672, 529920, 42056320, 128000),
+        (800424, 437568, 92488, 549888, 42240640, 128000),
+        (573432, 281280, 66744, 403968, 31096192, 73472),
+    ],
+    ("none", 4, "dedup"): [
+        (1337296, 579584, 156788, 250368, 74553664, 128000),
+        (1331280, 578688, 156052, 244992, 74427712, 128000),
+        (1330536, 578496, 155956, 242688, 74768704, 128000),
+        (1316072, 574528, 154228, 241152, 73713472, 128000),
+        (885856, 364736, 104124, 162816, 50362048, 73472),
+    ],
+    ("by_session", 1, "baseline"): _BASELINE_R1,
+    ("by_session", 4, "baseline"): _BASELINE_R4,
+    ("by_session", 1, "dedup"): [
+        (499920, 359616, 56448, 291072, 24252160, 128000),
+        (505272, 360192, 57084, 303360, 25632448, 128000),
+        (500648, 358912, 56552, 302592, 24139648, 128000),
+        (523240, 364736, 59284, 331008, 24240448, 128000),
+        (318640, 213056, 36224, 210432, 15593728, 73472),
+    ],
+    ("by_session", 4, "dedup"): [
+        (502680, 360192, 56740, 79872, 24371008, 128000),
+        (507920, 360832, 57360, 78336, 25808128, 128000),
+        (503224, 359552, 56820, 80640, 24258112, 128000),
+        (525408, 365184, 59504, 86016, 24358144, 128000),
+        (321608, 213760, 36540, 57600, 15712960, 73472),
+    ],
+}
+
+
+class TestGoldenForward:
+    """Exact scores and counters on generator data, not only dominance."""
+
+    @pytest.fixture(scope="class")
+    def dataset(self):
+        cfg, specs = default_config(seed=0, num_sessions=600)
+        model = default_model_spec(specs, seed=0)
+        return generate_dataset(cfg, specs), model, build_tables(model)
+
+    @pytest.mark.parametrize("clustering", ["none", "by_session"])
+    def test_scores_and_counters_match_pinned(self, dataset, clustering, tmp_path):
+        table, model, tables = dataset
+        f = write_table(table, tmp_path / "t.sesscol", clustering=clustering)
+        spec = DataloaderSpec(
+            keys=model.all_keys,
+            dedup_sparse_features=tuple(g.keys for g in model.groups),
+            batch_size=2000,
+        )
+        for mode in ("baseline", "dedup"):
+            batches = list(read_batches(f, spec if mode == "dedup" else spec.without_dedup()))
+            for ranks in (1, 4):
+                plan = make_round_robin_plan(model, ranks)
+                out = [forward_iteration(b, model, plan, mode, tables) for b in batches]
+                digests = [hashlib.sha256(s.tobytes()).hexdigest() for s, _ in out]
+                assert digests == GOLDEN_SCORE_SHA256[clustering], (mode, ranks)
+                counters = [astuple(st) for _, st in out]
+                assert counters == GOLDEN_COUNTERS[clustering, ranks, mode]
