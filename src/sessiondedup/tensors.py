@@ -34,6 +34,7 @@ __all__ = [
     "gather_windows",
     "window_index",
     "slice_rows",
+    "unique_first_occurrence",
     "dedupe_len",
     "dedupe_factor",
     "measured_dedupe_factor",
@@ -184,7 +185,7 @@ class IKJT:
             hi = int(self.inverse_lookup.max())
             if lo < 0 or hi >= u:
                 raise ValueError("inverse_lookup entry out of range")
-            if np.unique(self.inverse_lookup).size != u:
+            if np.count_nonzero(np.bincount(self.inverse_lookup, minlength=u)) != u:
                 raise ValueError("orphan unique rows: some ordinal never referenced")
 
     @property
@@ -243,9 +244,8 @@ def _unique_rows(jts: Sequence[JaggedTensor]) -> tuple[np.ndarray, np.ndarray]:
     Row i of the input is the tuple of row i of every tensor. Each row is
     laid out as ``(length, values..., zero padding)`` per tensor in one
     int64 matrix, and whole matrix rows are compared, so unequal rows can
-    never compare equal. Returns the index of the first row of each
-    distinct row, in sorted order of the matrix rows, and each row's
-    ordinal into that array.
+    never compare equal. Returns what :func:`unique_first_occurrence`
+    returns for the matrix rows.
     """
     n = jts[0].row_count
     lengths = [jt.row_lengths() for jt in jts]
@@ -259,10 +259,19 @@ def _unique_rows(jts: Sequence[JaggedTensor]) -> tuple[np.ndarray, np.ndarray]:
         table[row_of, col + 1 + pos_in_row] = jt.values
         col += width
     whole_rows = table.view(np.dtype((np.void, table.shape[1] * _I64.itemsize)))
-    _, first, inverse = np.unique(
-        whole_rows.ravel(), return_index=True, return_inverse=True
-    )
-    return first, inverse.ravel()
+    return unique_first_occurrence(whole_rows.ravel())
+
+
+def unique_first_occurrence(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct entries of a 1-D array, numbered in first-occurrence order.
+
+    Returns the position of each distinct entry's first occurrence, in
+    ascending order, and each entry's ordinal into that array.
+    """
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    # np.unique numbers entries in sorted order; renumber by first occurrence.
+    order = np.argsort(first)
+    return first[order], np.argsort(order)[inverse.ravel()]
 
 
 def build_ikjt(rows, group: Sequence[str]) -> IKJT:
@@ -279,15 +288,11 @@ def build_ikjt(rows, group: Sequence[str]) -> IKJT:
     kjt = build_kjt(rows, group)
     jts = [kjt.entries[key] for key in group]
     first, inverse = _unique_rows(jts)
-    # np.unique numbers rows in sorted order; renumber by first occurrence.
-    order = np.argsort(first)
     return IKJT(
         batch_size=kjt.batch_size,
         group_keys=tuple(group),
-        inverse_lookup=np.argsort(order)[inverse],
-        per_feature={
-            key: jagged_index_select(jt, first[order]) for key, jt in zip(group, jts)
-        },
+        inverse_lookup=inverse,
+        per_feature={key: jagged_index_select(jt, first) for key, jt in zip(group, jts)},
     )
 
 

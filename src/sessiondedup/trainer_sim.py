@@ -1,16 +1,18 @@
 """Desk-scale forward sparse path over simulated ranks.
 
 Simulates one training iteration's sparse pipeline. The batch is split
-into per-rank chunks; each rank's feature slices are sent to the ranks
-owning their embedding tables (the sparse-data distribution, SDD), which
-look up embeddings, pool per row (element-wise or attention), send the
-pooled vectors back, and the source rank expands deduplicated rows and
-scores them through a fixed interaction stub.
+into per-rank row ranges; each rank's feature slices are sent to the
+ranks owning their embedding tables (the sparse-data distribution, SDD),
+which look up embeddings, pool per row (element-wise or attention), send
+the pooled vectors back, and the source rank expands deduplicated rows
+and scores them through a fixed interaction stub.
 
-The exchange is accounting only: ``sdd`` counts the serialized bytes of
-every (rank, key) slice, and each rank's pooling units (one per group,
-then one per plain key) are pooled straight from that rank's own
-tensors, since where a slice is pooled changes no score and no counter.
+The rank is part of the dedup key, so each rank's unique rows sit
+contiguously in one tensor per feature, rank after rank. Lookup,
+pooling, expand and the interaction stub run once per pooling unit over
+the whole batch, since where a row is pooled changes no score and no
+counter; ``sdd`` only counts the serialized bytes of every (rank, key)
+slice, and ``_ATTENTION_BLOCK_ELEMENTS`` bounds attention's memory.
 
 The baseline path runs every batch row; the dedup path runs each unique
 row once and expands afterwards. Both paths reduce each logical row's
@@ -34,11 +36,12 @@ import numpy as np
 
 from .reader import ReaderBatch
 from .tensors import (
-    IKJT,
     JaggedTensor,
     jagged_index_select,
     slice_rows,
     slice_stream_bytes,
+    unique_first_occurrence,
+    values_stream_bytes,
     window_index,
 )
 
@@ -52,13 +55,13 @@ __all__ = [
     "AttentionParams",
     "SddResult",
     "RankFeatures",
+    "PoolingUnit",
     "sdd",
     "embedding_lookup",
     "pool",
     "attention_pool",
     "forward_iteration",
     "split_batch",
-    "slice_ikjt_rows",
     "make_round_robin_plan",
     "build_tables",
     "activation_bytes",
@@ -70,9 +73,10 @@ __all__ = [
 ELEMENT_POOLING = ("sum", "avg", "max")
 POOLING_OPS = ELEMENT_POOLING + ("attention",)
 
-# Score elements (rows x n x n) per stacked attention block, so one long
-# sequence never allocates a huge score tensor.
-_ATTENTION_BLOCK_ELEMENTS = 1 << 22
+# Score elements (rows x n x n) per stacked attention block. Attention
+# pools a whole batch at once, so this caps its working set: a block's
+# q, k, v and score tensors, not the batch's sequences, set the peak.
+_ATTENTION_BLOCK_ELEMENTS = 1 << 20
 
 
 def _key_seed(base: int, *names: str) -> np.random.Generator:
@@ -297,7 +301,7 @@ def sdd(local_batches: list[RankFeatures], plan: ShardingPlan) -> SddResult:
         for rf in local_batches:
             jt = rf.slices[key]
             total += slice_stream_bytes(jt)
-            values_bytes[key] += 8 * jt.values.size
+            values_bytes[key] += values_stream_bytes(jt)
     return SddResult(a2a_bytes_fwd=total, values_bytes_by_key=values_bytes)
 
 
@@ -419,90 +423,78 @@ def attention_pool(
     return out, macs
 
 
-def slice_ikjt_rows(ikjt: IKJT, start: int, stop: int) -> IKJT:
-    """Restrict an IKJT to a contiguous batch-row range without
-    re-hashing: renumber the surviving unique rows in first-occurrence
-    order and select their tensors."""
-    if not 0 <= start < stop <= ikjt.batch_size:
-        raise ValueError(f"bad row range [{start}, {stop})")
-    inv = ikjt.inverse_lookup[start:stop]
-    uniq, first_idx = np.unique(inv, return_index=True)
-    order = uniq[np.argsort(first_idx, kind="stable")]
-    lut = np.full(ikjt.unique_count, -1, dtype=np.int64)
-    lut[order] = np.arange(order.size, dtype=np.int64)
-    return IKJT(
-        batch_size=stop - start,
-        group_keys=ikjt.group_keys,
-        inverse_lookup=lut[inv],
-        per_feature={
-            key: jagged_index_select(jt, order)
-            for key, jt in ikjt.per_feature.items()
-        },
-    )
+def _rank_bounds(batch_size: int, num_ranks: int) -> np.ndarray:
+    """Row bounds of the ranks that take rows: rank r owns rows
+    ``bounds[r]:bounds[r+1]``. A batch of B rows goes to min(R, B) ranks
+    and the first B mod R of them take one extra row."""
+    n = min(num_ranks, batch_size)
+    base, extra = divmod(batch_size, n)
+    ranks = np.arange(n + 1, dtype=np.int64)
+    return ranks * base + np.minimum(ranks, extra)
 
 
-def split_batch(batch: ReaderBatch, num_ranks: int) -> list[ReaderBatch]:
-    """Contiguous per-rank chunks of one reader batch (data parallelism).
+@dataclass(frozen=True)
+class PoolingUnit:
+    """Tensors pooled together, with the ranks' slices of them.
 
-    A batch of B rows gives min(R, B) chunks, so ranks beyond the row
-    count get no chunk and contribute no slices. The first B mod R
-    chunks take the extra rows. Plain tensors are sliced as contiguous
-    row ranges; dedup tensors are sub-sliced, never re-deduplicated.
+    Rank r transmits rows ``bounds[r]:bounds[r+1]`` of every tensor.
+    ``inverse`` maps each batch row onto a tensor row; it is None for a
+    plain key, whose tensor is the batch itself.
     """
+
+    tensors: dict[str, JaggedTensor]
+    inverse: np.ndarray | None
+    bounds: np.ndarray
+
+
+def split_batch(
+    batch: ReaderBatch, spec: ModelSpec, mode: str, num_ranks: int
+) -> list[PoolingUnit]:
+    """A reader batch's pooling units in spec order, split across ranks
+    (data parallelism): each group's tensors with an inverse, then each
+    plain key's tensor.
+
+    Ranks own contiguous row ranges (:func:`_rank_bounds`), so ranks
+    beyond the row count get no rows and send nothing. In dedup mode the
+    rank is part of the dedup key: one ``np.unique`` over
+    ``rank * U + inverse_lookup`` of the batch's IKJT lays each rank's
+    unique rows out contiguously, rank after rank, each rank's in
+    first-occurrence order, which is what deduplicating that rank's rows
+    alone gives. In baseline mode a group is its plain tensors with an
+    identity inverse.
+    """
+    if mode not in ("baseline", "dedup"):
+        raise ValueError(f"unknown mode {mode!r}")
     if num_ranks < 1:
         raise ValueError("num_ranks must be >= 1")
     if batch.batch_size < 1:
         raise ValueError("cannot split an empty batch")
-    n_chunks = min(num_ranks, batch.batch_size)
-    base, extra = divmod(batch.batch_size, n_chunks)
-    chunks = []
-    start = 0
-    for r in range(n_chunks):
-        stop = start + base + (1 if r < extra else 0)
-        chunks.append(
-            ReaderBatch(
-                batch_size=stop - start,
-                kjts={
-                    key: slice_rows(jt, start, stop)
-                    for key, jt in batch.kjts.items()
-                },
-                ikjts=[slice_ikjt_rows(ik, start, stop) for ik in batch.ikjts],
-                labels=batch.labels[start:stop],
-            )
-        )
-        start = stop
-    return chunks
-
-
-def _pooling_units(
-    chunk: ReaderBatch, spec: ModelSpec, mode: str
-) -> list[tuple[dict[str, JaggedTensor], np.ndarray | None]]:
-    """One rank's pooling units in spec order: each group's transmitted
-    tensors with its inverse_lookup (the batch's IKJT in dedup mode, the
-    plain tensors and an identity inverse in baseline mode), then each
-    plain key's tensor with no inverse."""
+    rows = _rank_bounds(batch.batch_size, num_ranks)
+    rank_of_row = np.repeat(np.arange(rows.size - 1), np.diff(rows))
     units = []
     for g in spec.groups:
         if mode == "dedup":
-            ik = next((ik for ik in chunk.ikjts if ik.group_keys == g.keys), None)
+            ik = next((ik for ik in batch.ikjts if ik.group_keys == g.keys), None)
             if ik is None:
                 raise ValueError(
                     f"batch has no IKJT for group {list(g.keys)}; "
                     "reader spec and model spec disagree"
                 )
-            units.append(({k: ik.per_feature[k] for k in g.keys}, ik.inverse_lookup))
+            key = rank_of_row * ik.unique_count + ik.inverse_lookup
+            first, inverse = unique_first_occurrence(key)
+            picked = ik.inverse_lookup[first]
+            tensors = {k: jagged_index_select(ik.per_feature[k], picked) for k in g.keys}
+            units.append(PoolingUnit(tensors, inverse, np.searchsorted(first, rows)))
         else:
-            missing = [k for k in g.keys if k not in chunk.kjts]
+            missing = [k for k in g.keys if k not in batch.kjts]
             if missing:
-                raise ValueError(
-                    f"baseline batch lacks plain tensors for {missing}"
-                )
-            identity = np.arange(chunk.batch_size, dtype=np.int64)
-            units.append(({k: chunk.kjts[k] for k in g.keys}, identity))
+                raise ValueError(f"baseline batch lacks plain tensors for {missing}")
+            identity = np.arange(batch.batch_size, dtype=np.int64)
+            units.append(PoolingUnit({k: batch.kjts[k] for k in g.keys}, identity, rows))
     for key in spec.plain:
-        if key not in chunk.kjts:
+        if key not in batch.kjts:
             raise ValueError(f"batch lacks plain feature {key!r}")
-        units.append(({key: chunk.kjts[key]}, None))
+        units.append(PoolingUnit({key: batch.kjts[key]}, None, rows))
     return units
 
 
@@ -519,21 +511,23 @@ def forward_iteration(
     batch's IKJTs, "baseline" consumes plain tensors for every key.
     Scores are float32 and bit-identical across modes and rank counts.
     """
-    if mode not in ("baseline", "dedup"):
-        raise ValueError(f"unknown mode {mode!r}")
+    units = split_batch(batch, spec, mode, plan.num_ranks)
     if tables is None:
         tables = build_tables(spec)
     dim = spec.dim
     stats = IterationStats()
-    chunks = split_batch(batch, plan.num_ranks)
-    rank_units = [_pooling_units(c, spec, mode) for c in chunks]
+    rows = _rank_bounds(batch.batch_size, plan.num_ranks)
     exchange = sdd(
         [
             RankFeatures(
-                batch_size=c.batch_size,
-                slices={k: jt for slices, _ in units for k, jt in slices.items()},
+                batch_size=int(rows[r + 1] - rows[r]),
+                slices={
+                    k: slice_rows(jt, u.bounds[r], u.bounds[r + 1])
+                    for u in units
+                    for k, jt in u.tensors.items()
+                },
             )
-            for c, units in zip(chunks, rank_units)
+            for r in range(rows.size - 1)
         ],
         plan,
     )
@@ -547,40 +541,38 @@ def forward_iteration(
         for g in spec.groups
     ] + list(spec.plain.values())
 
-    scores = []
-    for units in rank_units:
-        # Pooled blocks in unit order: groups, then plain keys.
-        blocks: list[np.ndarray] = []
-        for (slices, inv), op in zip(units, ops):
-            acts = []
-            for key, jt in slices.items():
-                acts.append((embedding_lookup(jt, tables[key], key), jt.offsets))
-                stats.lookup_count += jt.values.size
-                stats.activation_elements = max(
-                    stats.activation_elements, jt.values.size * dim
-                )
-            if isinstance(op, AttentionParams):
-                pooled, macs = attention_pool(acts, op)
-                stats.pooling_mac_count += macs
-                unit_blocks = [pooled]
-            else:
-                unit_blocks = [pool(a, offs, op) for a, offs in acts]
-                stats.pooling_mac_count += sum(a.shape[0] for a, _ in acts) * dim
-            stats.a2a_bytes_back += sum(b.shape[0] * dim * 4 for b in unit_blocks)
-            if inv is not None:
-                unit_blocks = [b[inv] for b in unit_blocks]
-                stats.index_select_elements += len(unit_blocks) * inv.size * dim
-            blocks.extend(unit_blocks)
+    # Pooled blocks in unit order: groups, then plain keys.
+    blocks: list[np.ndarray] = []
+    for unit, op in zip(units, ops):
+        acts = []
+        for key, jt in unit.tensors.items():
+            acts.append((embedding_lookup(jt, tables[key], key), jt.offsets))
+            stats.lookup_count += jt.values.size
+            rank_values = np.diff(np.append(jt.offsets, jt.values.size)[unit.bounds])
+            stats.activation_elements = max(
+                stats.activation_elements, int(rank_values.max()) * dim
+            )
+        if isinstance(op, AttentionParams):
+            pooled, macs = attention_pool(acts, op)
+            stats.pooling_mac_count += macs
+            unit_blocks = [pooled]
+        else:
+            unit_blocks = [pool(a, offs, op) for a, offs in acts]
+            stats.pooling_mac_count += sum(a.shape[0] for a, _ in acts) * dim
+        stats.a2a_bytes_back += sum(b.shape[0] * dim * 4 for b in unit_blocks)
+        if unit.inverse is not None:
+            unit_blocks = [b[unit.inverse] for b in unit_blocks]
+            stats.index_select_elements += len(unit_blocks) * unit.inverse.size * dim
+        blocks.extend(unit_blocks)
 
-        # Interaction stub: pairwise dots over pooled blocks, diagonal
-        # included so a single-block model still produces a signal.
-        z = np.stack(blocks, axis=1)  # (B, F, dim) float32
-        inter = np.einsum("bfd,bgd->bfg", z, z)
-        fi, fj = np.triu_indices(z.shape[1])
-        feats = inter[:, fi, fj].astype(np.float32, copy=False)
-        logit = feats.mean(axis=1, dtype=np.float32)
-        scores.append((1.0 / (1.0 + np.exp(-logit))).astype(np.float32))
-    return np.concatenate(scores), stats
+    # Interaction stub: pairwise dots over pooled blocks, diagonal
+    # included so a single-block model still produces a signal.
+    z = np.stack(blocks, axis=1)  # (B, F, dim) float32
+    inter = np.einsum("bfd,bgd->bfg", z, z)
+    fi, fj = np.triu_indices(z.shape[1])
+    feats = inter[:, fi, fj].astype(np.float32, copy=False)
+    logit = feats.mean(axis=1, dtype=np.float32)
+    return (1.0 / (1.0 + np.exp(-logit))).astype(np.float32), stats
 
 
 def save_model_spec(path: str | Path, spec: ModelSpec) -> None:

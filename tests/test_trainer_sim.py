@@ -19,7 +19,15 @@ from sessiondedup.datagen import (
 )
 from sessiondedup.reader import DataloaderSpec, convert, read_batches
 from sessiondedup.storage import write_table
-from sessiondedup.tensors import JaggedTensor, build_ikjt, build_kjt, ikjt_to_kjt, jt_equal
+from sessiondedup.tensors import (
+    JaggedTensor,
+    build_ikjt,
+    build_kjt,
+    ikjt_to_kjt,
+    jagged_index_select,
+    jt_equal,
+    slice_rows,
+)
 from sessiondedup import trainer_sim
 from sessiondedup.trainer_sim import (
     AttentionParams,
@@ -41,7 +49,6 @@ from sessiondedup.trainer_sim import (
     pool,
     save_model_spec,
     sdd,
-    slice_ikjt_rows,
     split_batch,
 )
 
@@ -371,7 +378,7 @@ class TestBatchedAttentionPool:
         assert np.array_equal(mixed[2], alone[0])
 
     def test_long_sequences_split_into_sub_blocks(self):
-        # 300 rows of n=200 hold 12M score elements, about three blocks
+        # 300 rows of n=200 hold 12M score elements, about twelve blocks
         rng = np.random.default_rng(6)
         lens = [[200] * 300]
         assert 300 * 200 * 200 > 2 * trainer_sim._ATTENTION_BLOCK_ELEMENTS
@@ -433,6 +440,31 @@ class TestSdd:
             sdd([rf], plan)
 
 
+def split_cases():
+    """Batches for the rank split, as (name, rows)."""
+    rng = np.random.default_rng(7)
+    return [
+        ("random", random_batch(rng, 37)),
+        (
+            "all-duplicate",
+            [rec(0, i, {"u": [1, 2], "v": [3], "plain_item": [i]}) for i in range(12)],
+        ),
+        (
+            "no-duplicate",
+            [rec(i, i, {"u": [i], "v": [i, i + 1], "plain_item": [i]}) for i in range(11)],
+        ),
+        ("empty-lists", [rec(i, i, {"u": [], "v": [], "plain_item": []}) for i in range(6)]),
+        ("two-rows", random_batch(rng, 2)),
+    ]
+
+
+SPLIT_CASES = [
+    pytest.param(rows, ranks, id=f"{name}-R{ranks}")
+    for name, rows in split_cases()
+    for ranks in (1, 2, 3, 8)
+]
+
+
 class TestSplitBatch:
     def reader_spec(self):
         return DataloaderSpec(
@@ -441,28 +473,83 @@ class TestSplitBatch:
             batch_size=64,
         )
 
+    def split(self, rows, mode, ranks):
+        spec = self.reader_spec()
+        batch = convert(as_batch(rows), spec if mode == "dedup" else spec.without_dedup())
+        model = TestForwardIteration().model_spec()
+        return batch, split_batch(batch, model, mode, ranks)
+
     def test_chunk_sizes(self):
         rows = random_batch(np.random.default_rng(0), 10)
-        batch = convert(as_batch(rows), self.reader_spec())
-        chunks = split_batch(batch, 4)
-        assert [c.batch_size for c in chunks] == [3, 3, 2, 2]
+        for mode in ("baseline", "dedup"):
+            batch, units = self.split(rows, mode, 4)
+            group, plain = units
+            assert np.diff(plain.bounds).tolist() == [3, 3, 2, 2]
+            assert group.bounds.size == 5
+        with pytest.raises(ValueError, match="num_ranks"):
+            split_batch(batch, TestForwardIteration().model_spec(), "dedup", 0)
+
+    def test_renumbers_in_first_occurrence_order(self):
+        # rank 0 takes rows [1], [2], [1]; rank 1 takes [3], [2], so [2]
+        # is kept once per rank
+        rows = [rec(0, i, {"f": [x]}) for i, x in enumerate([1, 2, 1, 3, 2])]
+        spec = DataloaderSpec(keys=("f",), dedup_sparse_features=(("f",),), batch_size=8)
+        model = ModelSpec(
+            tables={"f": TableConfig(rows=4, dim=1)},
+            groups=(GroupConfig(keys=("f",), pooling="sum"),),
+            plain={},
+        )
+        (unit,) = split_batch(convert(as_batch(rows), spec), model, "dedup", 2)
+        assert unit.tensors["f"].to_pylists() == [[1], [2], [3], [2]]
+        np.testing.assert_array_equal(unit.inverse, [0, 1, 0, 2, 3])
+        np.testing.assert_array_equal(unit.bounds, [0, 2, 4])
+
+    @pytest.mark.parametrize("rows,ranks", SPLIT_CASES)
+    def test_rank_slices_match_build_ikjt(self, rows, ranks):
+        _, units = self.split(rows, "dedup", ranks)
+        group, plain = units
+        row_bounds = plain.bounds
+        assert row_bounds[-1] == len(rows)
+        assert group.bounds.size == row_bounds.size == min(ranks, len(rows)) + 1
+        for r in range(row_bounds.size - 1):
+            a, b = row_bounds[r], row_bounds[r + 1]
+            direct = build_ikjt(as_batch(rows[a:b]), ["u", "v"])
+            lo, hi = group.bounds[r], group.bounds[r + 1]
+            np.testing.assert_array_equal(group.inverse[a:b] - lo, direct.inverse_lookup)
+            for key in ("u", "v"):
+                assert jt_equal(slice_rows(group.tensors[key], lo, hi), direct.per_feature[key])
+
+    @pytest.mark.parametrize("rows,ranks", SPLIT_CASES)
+    def test_plain_slices_are_views_of_row_ranges(self, rows, ranks):
+        batch, units = self.split(rows, "dedup", ranks)
+        plain = units[-1]
+        jt = plain.tensors["plain_item"]
+        assert jt is batch.kjts["plain_item"]
+        assert plain.inverse is None
+        for r in range(plain.bounds.size - 1):
+            a, b = plain.bounds[r], plain.bounds[r + 1]
+            part = slice_rows(jt, a, b)
+            assert np.shares_memory(part.values, jt.values) or part.values.size == 0
+            assert part.to_pylists() == [list(x.features["plain_item"]) for x in rows[a:b]]
 
     def test_chunks_preserve_rows(self):
-        rng = np.random.default_rng(1)
-        rows = random_batch(rng, 13)
-        spec = self.reader_spec()
-        batch = convert(as_batch(rows), spec)
-        chunks = split_batch(batch, 3)
+        # reading each rank's slices back row by row, rank after rank,
+        # gives the batch's rows in order
+        rows = random_batch(np.random.default_rng(1), 13)
+        _, (group, plain) = self.split(rows, "dedup", 3)
         rebuilt = []
-        for c in chunks:
-            expanded = ikjt_to_kjt(c.ikjts[0])
-            for i in range(c.batch_size):
+        for r in range(plain.bounds.size - 1):
+            a, b = plain.bounds[r], plain.bounds[r + 1]
+            lo, hi = group.bounds[r], group.bounds[r + 1]
+            inverse = group.inverse[a:b] - lo
+            u, v = (
+                jagged_index_select(slice_rows(group.tensors[k], lo, hi), inverse)
+                for k in ("u", "v")
+            )
+            item = slice_rows(plain.tensors["plain_item"], a, b)
+            for i in range(b - a):
                 rebuilt.append(
-                    (
-                        expanded.entries["u"].row(i).tolist(),
-                        expanded.entries["v"].row(i).tolist(),
-                        c.kjts["plain_item"].row(i).tolist(),
-                    )
+                    (u.row(i).tolist(), v.row(i).tolist(), item.row(i).tolist())
                 )
         expected = [
             (
@@ -474,25 +561,42 @@ class TestSplitBatch:
         ]
         assert rebuilt == expected
 
-    def test_labels_split(self):
-        rng = np.random.default_rng(2)
-        rows = random_batch(rng, 9)
-        batch = convert(as_batch(rows), self.reader_spec())
-        chunks = split_batch(batch, 2)
-        np.testing.assert_array_equal(
-            np.concatenate([c.labels for c in chunks]), batch.labels
-        )
+    @pytest.mark.parametrize("mode", ["baseline", "dedup"])
+    @pytest.mark.parametrize("rows,ranks", SPLIT_CASES)
+    def test_units_preserve_rows(self, rows, ranks, mode):
+        _, units = self.split(rows, mode, ranks)
+        for unit in units:
+            for key, jt in unit.tensors.items():
+                if unit.inverse is not None:
+                    jt = jagged_index_select(jt, unit.inverse)
+                assert jt.to_pylists() == [list(x.features[key]) for x in rows]
+
+    @pytest.mark.parametrize("mode", ["baseline", "dedup"])
+    @pytest.mark.parametrize("rows,ranks", SPLIT_CASES)
+    def test_activation_elements_is_rank_peak(self, rows, ranks, mode):
+        batch, units = self.split(rows, mode, ranks)
+        model = TestForwardIteration().model_spec()
+        row_bounds = units[-1].bounds
+        peak = 0
+        for r in range(row_bounds.size - 1):
+            part = as_batch(rows[row_bounds[r] : row_bounds[r + 1]])
+            sizes = [build_kjt(part, ["plain_item"]).entries["plain_item"].values.size]
+            if mode == "dedup":
+                ik = build_ikjt(part, ["u", "v"])
+                sizes += [ik.per_feature[k].values.size for k in ("u", "v")]
+            else:
+                sizes += [build_kjt(part, [k]).entries[k].values.size for k in ("u", "v")]
+            peak = max(peak, max(sizes) * model.dim)
+        plan = make_round_robin_plan(model, ranks)
+        _, stats = forward_iteration(batch, model, plan, mode, build_tables(model))
+        assert stats.activation_elements == peak
 
     def test_more_ranks_than_rows(self):
-        # a short tail batch: ranks beyond the row count get no chunk,
-        # and every row is still scored, bit-equal across modes and ranks
+        # a short tail batch: ranks beyond the row count get no rows, and
+        # every row is still scored, bit-equal across modes and ranks
         rows = random_batch(np.random.default_rng(3), 2)
-        batch = convert(as_batch(rows), self.reader_spec())
-        chunks = split_batch(batch, 3)
-        assert [c.batch_size for c in chunks] == [1, 1]
-        assert [c.kjts["plain_item"].row(0).tolist() for c in chunks] == [
-            list(r.features["plain_item"]) for r in rows
-        ]
+        batch, units = self.split(rows, "dedup", 3)
+        assert np.diff(units[-1].bounds).tolist() == [1, 1]
         model = TestForwardIteration().model_spec()
         tables = build_tables(model)
         base_batch = convert(as_batch(rows), self.reader_spec().without_dedup())
@@ -505,38 +609,6 @@ class TestSplitBatch:
         assert dedup.shape == (2,)
         assert np.array_equal(dedup, base)
         assert np.array_equal(dedup, one_rank)
-
-
-class TestSliceIkjtRows:
-    def test_renumbers_in_first_occurrence_order(self):
-        rows = [
-            rec(0, 0, {"f": [1]}),
-            rec(0, 1, {"f": [2]}),
-            rec(0, 2, {"f": [1]}),
-            rec(0, 3, {"f": [3]}),
-            rec(0, 4, {"f": [2]}),
-        ]
-        ikjt = build_ikjt(as_batch(rows), ["f"])
-        sub = slice_ikjt_rows(ikjt, 2, 5)
-        # surviving rows [1], [3], [2] renumber to 0, 1, 2
-        np.testing.assert_array_equal(sub.inverse_lookup, [0, 1, 2])
-        assert sub.per_feature["f"].to_pylists() == [[1], [3], [2]]
-
-    def test_slice_matches_rebuild_logically(self):
-        rng = np.random.default_rng(5)
-        rows = random_batch(rng, 40, keys=("u",))
-        ikjt = build_ikjt(as_batch(rows), ["u"])
-        sub = slice_ikjt_rows(ikjt, 7, 29)
-        direct = build_ikjt(as_batch(rows[7:29]), ["u"])
-        np.testing.assert_array_equal(sub.inverse_lookup, direct.inverse_lookup)
-        assert jt_equal(sub.per_feature["u"], direct.per_feature["u"])
-
-    def test_bad_range_rejected(self):
-        ikjt = build_ikjt(as_batch([rec(0, 0, {"f": [1]})]), ["f"])
-        with pytest.raises(ValueError):
-            slice_ikjt_rows(ikjt, 0, 2)
-        with pytest.raises(ValueError):
-            slice_ikjt_rows(ikjt, 1, 1)
 
 
 class TestModelSpec:
