@@ -11,8 +11,10 @@ The rank is part of the dedup key, so each rank's unique rows sit
 contiguously in one tensor per feature, rank after rank. Lookup,
 pooling, expand and the interaction stub run once per pooling unit over
 the whole batch, since where a row is pooled changes no score and no
-counter; ``sdd`` only counts the serialized bytes of every (rank, key)
-slice, and ``_ATTENTION_BLOCK_ELEMENTS`` bounds attention's memory.
+counter. ``sdd`` counts the serialized bytes of every (rank, key)
+slice from the units' rank bounds alone, since a slice's wire size
+depends only on its row and value counts; ``_ATTENTION_BLOCK_ELEMENTS``
+bounds attention's memory.
 
 The baseline path runs every batch row; the dedup path runs each unique
 row once and expands afterwards. Both paths reduce each logical row's
@@ -38,7 +40,6 @@ from .reader import ReaderBatch
 from .tensors import (
     JaggedTensor,
     jagged_index_select,
-    slice_rows,
     slice_stream_bytes,
     unique_first_occurrence,
     values_stream_bytes,
@@ -54,7 +55,6 @@ __all__ = [
     "ModelSpec",
     "AttentionParams",
     "SddResult",
-    "RankFeatures",
     "PoolingUnit",
     "sdd",
     "embedding_lookup",
@@ -222,6 +222,8 @@ class ShardingPlan:
 def make_round_robin_plan(spec: ModelSpec, num_ranks: int) -> ShardingPlan:
     """Round-robin over groups then plain keys; a group's features stay
     on one rank so attention sees its whole sequence locally."""
+    if num_ranks < 1:
+        raise ValueError("num_ranks must be >= 1")
     assignment: dict[str, int] = {}
     unit = 0
     for g in spec.groups:
@@ -270,38 +272,29 @@ class SddResult:
     values_bytes_by_key: dict[str, int]
 
 
-@dataclass(frozen=True)
-class RankFeatures:
-    """What one rank contributes to the SDD exchange.
-
-    ``slices`` holds the per-key jagged slices actually transmitted
-    (deduplicated for grouped features in dedup mode); inverse_lookup
-    slices stay out of this structure entirely, they never travel.
-    """
-
-    batch_size: int
-    slices: dict[str, JaggedTensor]
-
-
-def sdd(local_batches: list[RankFeatures], plan: ShardingPlan) -> SddResult:
-    """Account for every rank sending its feature slices to their owners.
+def sdd(units: list[PoolingUnit], plan: ShardingPlan) -> SddResult:
+    """Account for every rank sending its slices of the pooling units'
+    tensors to their owners.
 
     a2a_bytes_fwd counts the canonical serialized size of each
     transmitted (offsets, values) slice pair, one per (rank, key), local
     destinations included, so R=1 reports the local serialization size.
+    A unit's R' rank slices (``bounds``) split each tensor's rows and
+    values, so they cost the whole tensor's ``slice_stream_bytes`` plus
+    one more 16-byte pair of count prefixes per extra slice; inverses
+    never travel.
     """
-    keys = set(plan.assignment)
-    for r, rf in enumerate(local_batches):
-        if set(rf.slices) != keys:
-            missing = keys.symmetric_difference(rf.slices)
-            raise ValueError(f"rank {r} slice keys do not match plan: {sorted(missing)}")
+    keys = sorted(k for u in units for k in u.tensors)
+    if keys != sorted(plan.assignment):
+        raise ValueError(
+            f"pooling unit keys {keys} do not match plan keys {sorted(plan.assignment)}"
+        )
     total = 0
-    values_bytes: dict[str, int] = {k: 0 for k in keys}
-    for key in plan.assignment:
-        for rf in local_batches:
-            jt = rf.slices[key]
-            total += slice_stream_bytes(jt)
-            values_bytes[key] += values_stream_bytes(jt)
+    values_bytes: dict[str, int] = {}
+    for u in units:
+        for key, jt in u.tensors.items():
+            total += slice_stream_bytes(jt) + 16 * (u.bounds.size - 2)
+            values_bytes[key] = values_stream_bytes(jt)
     return SddResult(a2a_bytes_fwd=total, values_bytes_by_key=values_bytes)
 
 
@@ -516,22 +509,7 @@ def forward_iteration(
         tables = build_tables(spec)
     dim = spec.dim
     stats = IterationStats()
-    rows = _rank_bounds(batch.batch_size, plan.num_ranks)
-    exchange = sdd(
-        [
-            RankFeatures(
-                batch_size=int(rows[r + 1] - rows[r]),
-                slices={
-                    k: slice_rows(jt, u.bounds[r], u.bounds[r + 1])
-                    for u in units
-                    for k, jt in u.tensors.items()
-                },
-            )
-            for r in range(rows.size - 1)
-        ],
-        plan,
-    )
-    stats.a2a_bytes_fwd = exchange.a2a_bytes_fwd
+    stats.a2a_bytes_fwd = sdd(units, plan).a2a_bytes_fwd
 
     # One op per pooling unit, in the units' order.
     ops = [

@@ -55,8 +55,9 @@ def encode_varints(arr) -> bytes:
 def decode_varints(buf: bytes, count: int | None = None) -> np.ndarray:
     """Unpack a LEB128 byte stream back to int64 values.
 
-    Raises ValueError on a truncated stream, an over-long varint, or
-    (when ``count`` is given) a value-count mismatch.
+    Raises ValueError on a truncated stream, an over-long varint, a
+    value wider than 64 bits, or (when ``count`` is given) a value-count
+    mismatch.
     """
     b = np.frombuffer(buf, dtype=np.uint8)
     if b.size == 0:
@@ -75,8 +76,12 @@ def decode_varints(buf: bytes, count: int | None = None) -> np.ndarray:
     gid = np.zeros(b.size, dtype=np.int64)
     np.cumsum(term[:-1], out=gid[1:])
     within = np.arange(b.size, dtype=np.int64) - starts[gid]
-    if within.max() >= _MAX_VARINT_BYTES:
+    longest = within.max()
+    if longest >= _MAX_VARINT_BYTES:
         raise ValueError("varint longer than 10 bytes")
+    # A 10th byte carries bit 63 alone; higher bits would wrap silently.
+    if longest == _MAX_VARINT_BYTES - 1 and b[within == longest].max() > 1:
+        raise ValueError("varint wider than 64 bits")
     contrib = (b.astype(_U64) & _U64(0x7F)) << (_U64(7) * within.view(_U64))
     # Groups are contiguous, so reduceat sums each varint's digit
     # contributions; disjoint bit ranges make the sum an exact OR.

@@ -50,7 +50,7 @@ from sessiondedup.trainer_sim import (
     EmbeddingTable,
     GroupConfig,
     ModelSpec,
-    RankFeatures,
+    PoolingUnit,
     ShardingPlan,
     TableConfig,
     activation_bytes,
@@ -397,8 +397,8 @@ def test_acceptance_4_byte_dominance(capsys):
                 for ik in dedup_batch.ikjts
             }
             base_slices = {k: base_batch.kjts[k] for k in keys}
-            d_sdd = sdd([RankFeatures(batch_size, dedup_slices)], plan1)
-            b_sdd = sdd([RankFeatures(batch_size, base_slices)], plan1)
+            d_sdd = sdd([PoolingUnit({k: jt}, None, np.array([0, jt.row_count])) for k, jt in dedup_slices.items()], plan1)
+            b_sdd = sdd([PoolingUnit({k: jt}, None, np.array([0, jt.row_count])) for k, jt in base_slices.items()], plan1)
             for ik in dedup_batch.ikjts:
                 key = ik.group_keys[0]
                 factor = measured_dedupe_factor(

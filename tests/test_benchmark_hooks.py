@@ -2,11 +2,16 @@
 
 Installing and removing its wrappers here makes a rename of a wrapped
 function (such as ``trainer_sim.split_batch``) fail the unit suite
-instead of the traced benchmark run.
+instead of the traced benchmark run, and a forward pass that stops
+calling a wrapped layer fail it instead of reporting that layer at 0.
 """
 
+from collections import Counter
 from pathlib import Path
 
+import pytest
+
+from rows import as_batch
 from sessiondedup import reader, storage, trainer_sim
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
@@ -34,3 +39,34 @@ def test_tracer_wraps_and_restores_every_layer_boundary(monkeypatch):
     finally:
         tracer.restore()
     assert all(getattr(mod, name) is f for (mod, name), f in before.items())
+
+
+@pytest.mark.parametrize("mode", ["baseline", "dedup"])
+def test_forward_pass_calls_every_traced_trainer_layer(monkeypatch, mode):
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    import tracing
+    import workloads
+
+    model = trainer_sim.ModelSpec(
+        tables={k: trainer_sim.TableConfig(rows=10, dim=4) for k in "abcp"},
+        groups=(
+            trainer_sim.GroupConfig(keys=("a", "b"), pooling="attention"),
+            trainer_sim.GroupConfig(keys=("c",), pooling="max"),
+        ),
+        plain={"p": "sum"},
+    )
+    spec = reader.DataloaderSpec(
+        keys=model.all_keys, dedup_sparse_features=(("a", "b"), ("c",))
+    )
+    rows = [{"a": [1, 2], "b": [3], "c": [4, 5], "p": [i]} for i in range(5)]
+    batch = reader.convert(as_batch(rows), spec if mode == "dedup" else spec.without_dedup())
+    plan = trainer_sim.make_round_robin_plan(model, 2)
+    tracer = tracing.Tracer()
+    workloads.install(tracer)
+    try:
+        trainer_sim.forward_iteration(batch, model, plan, mode)
+    finally:
+        tracer.restore()
+    calls = Counter(s.name for s in tracer.spans)
+    for name in ("split_batch", "sdd", "embedding_lookup", "pool", "attention_pool"):
+        assert calls[f"trainer_sim.{name}"] >= 1, name

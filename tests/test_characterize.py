@@ -231,6 +231,16 @@ class TestByteWeighted:
         assert exact == pytest.approx(49.5)
         assert partial == pytest.approx(49.5)
 
+    def test_repeated_key_rejected_before_counting(self, monkeypatch):
+        # a repeated key would count twice in the blend
+        import sessiondedup.characterize as charmod
+
+        monkeypatch.setattr(charmod, "_columns", lambda *a: pytest.fail("counted"))
+        records = [rec(0, {"f": [1], "g": [2]})]
+        for fn in (byte_weighted, compute_dup_stats):
+            with pytest.raises(ValueError, match=r"repeated: \['f'\]"):
+                fn(as_batch(records), ["f", "g", "f"])
+
 
 class TestSessionHistogram:
     def test_one_record_per_session(self):

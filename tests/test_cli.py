@@ -149,6 +149,15 @@ class TestCharacterize:
         assert run(["characterize", ds, "--keys", "zzz"]) == 1
         assert "error [characterize]" in capsys.readouterr().err
 
+    def test_repeated_key_fails_before_output(self, small_config_path, tmp_path, capsys):
+        ds = tmp_path / "ds.sesscol"
+        run(["gen", "--config", small_config_path, "--out", ds])
+        capsys.readouterr()
+        assert run(["characterize", ds, "--keys", "seq,seq,item"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "error [characterize]: feature keys repeated: ['seq']" in err
+
     def test_zero_batch_size_fails_before_output(self, small_config_path, tmp_path, capsys):
         ds = tmp_path / "ds.sesscol"
         run(["gen", "--config", small_config_path, "--out", ds])
@@ -256,6 +265,13 @@ class TestBench:
         a = run_once(tmp_path / "a.json")
         b = run_once(tmp_path / "b.json")
         assert a == b
+
+    def test_zero_ranks_rejected(self, clustered_ds, capsys):
+        capsys.readouterr()
+        assert run(["bench", clustered_ds, "--ranks", 0]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "error [bench]: num_ranks must be >= 1" in err
 
     def test_bench_scores_short_tail(self, clustered_ds, tmp_path):
         # one full batch, then a 1-row tail with fewer rows than ranks

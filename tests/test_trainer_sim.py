@@ -27,6 +27,8 @@ from sessiondedup.tensors import (
     jagged_index_select,
     jt_equal,
     slice_rows,
+    slice_stream_bytes,
+    values_stream_bytes,
 )
 from sessiondedup import trainer_sim
 from sessiondedup.trainer_sim import (
@@ -35,7 +37,7 @@ from sessiondedup.trainer_sim import (
     GroupConfig,
     IterationStats,
     ModelSpec,
-    RankFeatures,
+    PoolingUnit,
     ShardingPlan,
     TableConfig,
     activation_bytes,
@@ -395,51 +397,6 @@ class TestActivationAccounting:
         assert activation_bytes(10, 2.5, 4, 4) == 400
 
 
-class TestSdd:
-    def make_plan(self, keys, num_ranks):
-        return ShardingPlan(
-            num_ranks=num_ranks,
-            assignment={k: i % num_ranks for i, k in enumerate(keys)},
-        )
-
-    def test_single_rank_is_local_serialization(self):
-        ikjt = build_ikjt(as_batch(WORKED_ROWS), ["b"])
-        jt = ikjt.per_feature["b"]
-        rf = RankFeatures(batch_size=3, slices={"b": jt})
-        plan = self.make_plan(["b"], 1)
-        result = sdd([rf], plan)
-        from sessiondedup.tensors import slice_stream_bytes
-
-        assert result.a2a_bytes_fwd == slice_stream_bytes(jt)
-        assert result.values_bytes_by_key["b"] == 8 * jt.values.size
-
-    def test_dedup_slices_shrink_values_stream(self):
-        # each of 2 ranks transmits the worked batch's feature b:
-        # 9 IDs as a KJT slice, 6 after dedup, factor 1.5
-        dedup_jt = build_ikjt(as_batch(WORKED_ROWS), ["b"]).per_feature["b"]
-        base_jt = build_kjt(as_batch(WORKED_ROWS), ["b"]).entries["b"]
-        plan = self.make_plan(["b"], 2)
-        dedup = sdd(
-            [RankFeatures(3, {"b": dedup_jt}), RankFeatures(3, {"b": dedup_jt})],
-            plan,
-        )
-        base = sdd(
-            [RankFeatures(3, {"b": base_jt}), RankFeatures(3, {"b": base_jt})],
-            plan,
-        )
-        assert base.values_bytes_by_key["b"] == 2 * 9 * 8
-        assert dedup.values_bytes_by_key["b"] == 2 * 6 * 8
-        ratio = base.values_bytes_by_key["b"] / dedup.values_bytes_by_key["b"]
-        assert ratio == 1.5
-        assert dedup.a2a_bytes_fwd < base.a2a_bytes_fwd
-
-    def test_key_mismatch_rejected(self):
-        plan = self.make_plan(["x"], 1)
-        rf = RankFeatures(1, {"y": JaggedTensor.from_rows([[1]])})
-        with pytest.raises(ValueError, match="rank 0"):
-            sdd([rf], plan)
-
-
 def split_cases():
     """Batches for the rank split, as (name, rows)."""
     rng = np.random.default_rng(7)
@@ -609,6 +566,77 @@ class TestSplitBatch:
         assert dedup.shape == (2,)
         assert np.array_equal(dedup, base)
         assert np.array_equal(dedup, one_rank)
+
+
+class TestSdd:
+    def make_plan(self, keys, num_ranks):
+        return ShardingPlan(
+            num_ranks=num_ranks,
+            assignment={k: i % num_ranks for i, k in enumerate(keys)},
+        )
+
+    def one_rank(self, key, jt):
+        return PoolingUnit({key: jt}, None, np.array([0, jt.row_count]))
+
+    def split_worked_rows(self, mode):
+        # the worked batch once on each of 2 ranks, feature b as a
+        # singleton group
+        spec = DataloaderSpec(keys=("b",), dedup_sparse_features=(("b",),), batch_size=8)
+        model = ModelSpec(
+            tables={"b": TableConfig(rows=10, dim=1)},
+            groups=(GroupConfig(keys=("b",), pooling="sum"),),
+            plain={},
+        )
+        batch = convert(
+            as_batch(WORKED_ROWS * 2), spec if mode == "dedup" else spec.without_dedup()
+        )
+        return split_batch(batch, model, mode, 2)
+
+    def test_single_rank_is_local_serialization(self):
+        ikjt = build_ikjt(as_batch(WORKED_ROWS), ["b"])
+        jt = ikjt.per_feature["b"]
+        plan = self.make_plan(["b"], 1)
+        result = sdd([self.one_rank("b", jt)], plan)
+        assert result.a2a_bytes_fwd == slice_stream_bytes(jt)
+        assert result.values_bytes_by_key["b"] == 8 * jt.values.size
+
+    def test_dedup_slices_shrink_values_stream(self):
+        # each of 2 ranks transmits the worked batch's feature b:
+        # 9 IDs as a KJT slice, 6 after dedup, factor 1.5
+        plan = self.make_plan(["b"], 2)
+        dedup = sdd(self.split_worked_rows("dedup"), plan)
+        base = sdd(self.split_worked_rows("baseline"), plan)
+        assert base.values_bytes_by_key["b"] == 2 * 9 * 8
+        assert dedup.values_bytes_by_key["b"] == 2 * 6 * 8
+        ratio = base.values_bytes_by_key["b"] / dedup.values_bytes_by_key["b"]
+        assert ratio == 1.5
+        assert dedup.a2a_bytes_fwd < base.a2a_bytes_fwd
+
+    def test_key_mismatch_rejected(self):
+        # a key missing, extra or in two units
+        plan = self.make_plan(["x"], 1)
+        for unit_keys in (["y"], [], ["x", "y"], ["x", "x"]):
+            units = [self.one_rank(k, JaggedTensor.from_rows([[1]])) for k in unit_keys]
+            with pytest.raises(ValueError, match="do not match plan"):
+                sdd(units, plan)
+
+    @pytest.mark.parametrize("mode", ["baseline", "dedup"])
+    @pytest.mark.parametrize("rows,ranks", SPLIT_CASES)
+    def test_matches_per_rank_slices(self, rows, ranks, mode):
+        # reference: every rank serializes its slice of every key
+        _, units = TestSplitBatch().split(rows, mode, ranks)
+        plan = make_round_robin_plan(TestForwardIteration().model_spec(), ranks)
+        total = 0
+        values = {k: 0 for k in plan.assignment}
+        for r in range(min(ranks, len(rows))):
+            for unit in units:
+                for key, jt in unit.tensors.items():
+                    part = slice_rows(jt, unit.bounds[r], unit.bounds[r + 1])
+                    total += slice_stream_bytes(part)
+                    values[key] += values_stream_bytes(part)
+        result = sdd(units, plan)
+        assert result.a2a_bytes_fwd == total
+        assert result.values_bytes_by_key == values
 
 
 class TestModelSpec:

@@ -67,6 +67,15 @@ def test_overlong_varint_rejected():
         decode_varints(b"\xff" * 10 + b"\x01")
 
 
+@pytest.mark.parametrize("last", [0x02, 0x7F])
+def test_varint_wider_than_64_bits_rejected(last):
+    # a 10th byte holds bit 63 alone; anything above 1 would wrap onto
+    # the same value as a last byte of 1, int64 min
+    assert decode_varints(b"\xff" * 9 + b"\x01")[0] == INT64_MIN
+    with pytest.raises(ValueError, match="64 bits"):
+        decode_varints(b"\x00" + b"\xff" * 9 + bytes([last]))
+
+
 @given(
     st.lists(
         st.integers(min_value=INT64_MIN, max_value=INT64_MAX),
