@@ -15,11 +15,11 @@ do not exist locally. Every command is deterministic under a fixed seed
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
-import operator
 import os
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +27,7 @@ import numpy as np
 from . import characterize as charmod
 from . import datagen, reader, storage, trainer_sim
 
-__all__ = ["main", "BenchReport", "cmd_gen", "cmd_cluster", "cmd_characterize", "cmd_bench"]
+__all__ = ["main", "cmd_gen", "cmd_cluster", "cmd_characterize", "cmd_bench"]
 
 DATA_DIR_ENV = "SESSIONDEDUP_DATA_DIR"
 
@@ -53,61 +53,37 @@ def _resolve_out(path: str) -> Path:
     return data_dir() / p
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModeTotals:
     batches: int = 0
     rows: int = 0
     bytes_in: int = 0
     bytes_out: int = 0
-    fill_s: float = 0.0
-    convert_s: float = 0.0
-    process_s: float = 0.0
+    timings: reader.StageTimings = field(default_factory=reader.StageTimings)
     stats: trainer_sim.IterationStats = field(default_factory=trainer_sim.IterationStats)
 
-    def add_batch(self, b: reader.ReaderBatch, st: trainer_sim.IterationStats) -> None:
-        self.batches += 1
-        self.rows += b.batch_size
-        self.bytes_in += b.bytes_in
-        self.bytes_out += b.bytes_out
-        self.fill_s += b.stage_timings.fill_s
-        self.convert_s += b.stage_timings.convert_s
-        self.process_s += b.stage_timings.process_s
-        for f in fields(st):
-            # activation_elements is a peak; every other counter adds up
-            combine = max if f.name == "activation_elements" else operator.add
-            total = combine(getattr(self.stats, f.name), getattr(st, f.name))
-            setattr(self.stats, f.name, total)
 
+def _fold(total, part):
+    """Field-wise total of two dataclasses of one type, nested ones
+    included: activation_elements is a peak and takes the max, every
+    other field adds up."""
 
-@dataclass
-class BenchReport:
-    config: dict
-    storage: dict
-    reader: dict
-    trainer: dict
-    speedups: dict
+    def one(name, a, b):
+        if is_dataclass(a):
+            return _fold(a, b)
+        return max(a, b) if name == "activation_elements" else a + b
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2) + "\n"
+    return replace(
+        total,
+        **{
+            f.name: one(f.name, getattr(total, f.name), getattr(part, f.name))
+            for f in fields(total)
+        },
+    )
 
 
 def _ratio(a: float, b: float) -> float:
     return a / b if b else 1.0
-
-
-def _mode_report(t: ModeTotals) -> dict:
-    return {
-        "batches": t.batches,
-        "rows": t.rows,
-        "bytes_in": t.bytes_in,
-        "bytes_out": t.bytes_out,
-        "timings": {
-            "fill_s": t.fill_s,
-            "convert_s": t.convert_s,
-            "process_s": t.process_s,
-        },
-        "iteration_stats": asdict(t.stats),
-    }
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -227,6 +203,8 @@ def _model_spec_for(
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    if args.batches < 0:
+        raise ValueError("--batches must be >= 0")
     src = _resolve_in(args.dataset)
     f = storage.open_table(src)
     model = _model_spec_for(f, args)
@@ -242,41 +220,28 @@ def cmd_bench(args: argparse.Namespace) -> int:
     plan = trainer_sim.make_round_robin_plan(model, args.ranks)
     tables = trainer_sim.build_tables(model)
 
-    run_dedup = args.mode in ("dedup", "both")
-    run_baseline = args.mode in ("baseline", "both")
-    totals = {"baseline": ModeTotals(), "dedup": ModeTotals()}
-    dedup_iter = (
-        reader.read_batches(f, dl_spec) if run_dedup else iter(())
-    )
-    base_iter = (
-        reader.read_batches(f, dl_spec.without_dedup()) if run_baseline else iter(())
-    )
-    n = 0
-    while True:
-        if args.batches and n >= args.batches:
-            break
-        db = next(dedup_iter, None) if run_dedup else None
-        bb = next(base_iter, None) if run_baseline else None
-        if db is None and bb is None:
-            break
-        sd = sb = None
-        if db is not None:
-            sd, std = trainer_sim.forward_iteration(db, model, plan, "dedup", tables)
-            totals["dedup"].add_batch(db, std)
-        if bb is not None:
-            sb, stb = trainer_sim.forward_iteration(bb, model, plan, "baseline", tables)
-            totals["baseline"].add_batch(bb, stb)
-        if sd is not None and sb is not None:
-            if not np.array_equal(sd, sb):
-                raise RuntimeError(
-                    "dedup and baseline scores diverged; this build is broken"
-                )
-        n += 1
+    modes = [m for m in ("baseline", "dedup") if args.mode in (m, "both")]
+    streams = [
+        reader.read_batches(f, dl_spec if m == "dedup" else dl_spec.without_dedup())
+        for m in modes
+    ]
+    totals = {m: ModeTotals() for m in modes}
+    for batches in itertools.islice(zip(*streams), args.batches or None):
+        scores = []
+        for mode, b in zip(modes, batches):
+            s, stats = trainer_sim.forward_iteration(b, model, plan, mode, tables)
+            batch_totals = ModeTotals(
+                1, b.batch_size, b.bytes_in, b.bytes_out, b.stage_timings, stats
+            )
+            totals[mode] = _fold(totals[mode], batch_totals)
+            scores.append(s)
+        if len(scores) == 2 and not np.array_equal(*scores):
+            raise RuntimeError("dedup and baseline scores diverged; this build is broken")
 
     raw, comp = storage.stream_sizes(f)
-    dd, bl = totals["dedup"], totals["baseline"]
     speedups = {}
-    if run_dedup and run_baseline:
+    if len(modes) == 2:
+        bl, dd = totals["baseline"], totals["dedup"]
         speedups = {
             "scores_equal": True,  # a divergence raises above
             "bytes_out_ratio": _ratio(bl.bytes_out, dd.bytes_out),
@@ -285,32 +250,27 @@ def cmd_bench(args: argparse.Namespace) -> int:
             "lookup_ratio": _ratio(bl.stats.lookup_count, dd.stats.lookup_count),
             "mac_ratio": _ratio(bl.stats.pooling_mac_count, dd.stats.pooling_mac_count),
         }
-    report = BenchReport(
-        config={
+    ran = {m: asdict(t) for m, t in totals.items() if t.batches}
+    report = {
+        "config": {
             "dataset": str(src),
-            "batch_size": args.batch_size,
+            "batch_size": dl_spec.batch_size,
             "ranks": args.ranks,
             "mode": args.mode,
-            "seed": args.seed,
-            "batches": n,
+            "seed": model.seed,
+            "batches": totals[modes[0]].batches,
             "model_groups": [list(g.keys) for g in model.groups],
         },
-        storage={
+        "storage": {
             "raw_stream_bytes": raw,
             "compressed_stream_bytes": comp,
             "ratio": _ratio(raw, comp),
         },
-        reader={
-            mode: _mode_report(t)
-            for mode, t in totals.items()
-            if t.batches
-        },
-        trainer={
-            mode: asdict(t.stats) for mode, t in totals.items() if t.batches
-        },
-        speedups=speedups,
-    )
-    payload = report.to_json()
+        "reader": {m: {k: v for k, v in t.items() if k != "stats"} for m, t in ran.items()},
+        "trainer": {m: t["stats"] for m, t in ran.items()},
+        "speedups": speedups,
+    }
+    payload = json.dumps(report, indent=2) + "\n"
     if args.out:
         out = _resolve_out(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
@@ -335,7 +295,7 @@ def cmd_plotdata(args: argparse.Namespace) -> int:
     lines = ["# stage baseline_s dedup_s"]
     rd = report.get("reader", {})
     if "baseline" in rd and "dedup" in rd:
-        for stage in ("fill_s", "convert_s", "process_s"):
+        for stage in rd["baseline"]["timings"]:
             lines.append(
                 f"{stage} {rd['baseline']['timings'][stage]:.6f} "
                 f"{rd['dedup']['timings'][stage]:.6f}"

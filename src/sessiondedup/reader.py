@@ -1,4 +1,7 @@
-"""Reader pipeline: fill raw rows, convert to tensors, process transforms.
+"""Reader pipeline in four stages: fill raw rows, convert them to tensors,
+process transforms, emit the wire payload. ``read_batches`` runs the
+stages and is their only clock: it times each stage call and stores the
+four times on the batch as one ``StageTimings``.
 
 A dataloader spec names the feature keys, the dedup groups (each group
 becomes one IKJT whose features share an inverse_lookup slice), the
@@ -15,7 +18,7 @@ from __future__ import annotations
 
 import struct
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 from pathlib import Path
 from typing import Iterator
 
@@ -114,15 +117,16 @@ class DataloaderSpec:
         return replace(self, dedup_sparse_features=())
 
 
-@dataclass
+@dataclass(frozen=True)
 class StageTimings:
     fill_s: float = 0.0
     convert_s: float = 0.0
     process_s: float = 0.0
+    emit_s: float = 0.0
 
     @property
     def total_s(self) -> float:
-        return self.fill_s + self.convert_s + self.process_s
+        return sum(astuple(self))
 
 
 @dataclass
@@ -142,11 +146,9 @@ class ReaderBatch:
         return tuple(keys)
 
 
-def fill(stream: Iterator[ScanBatch]) -> tuple[ScanBatch | None, float]:
+def fill(stream: Iterator[ScanBatch]) -> ScanBatch | None:
     """Pull the next raw row batch; None signals an exhausted stream."""
-    t0 = time.perf_counter()
-    nxt = next(stream, None)
-    return nxt, time.perf_counter() - t0
+    return next(stream, None)
 
 
 def convert(rows: ScanBatch, spec: DataloaderSpec) -> ReaderBatch:
@@ -154,23 +156,22 @@ def convert(rows: ScanBatch, spec: DataloaderSpec) -> ReaderBatch:
     jagged tensor per remaining key."""
     if not rows:
         raise ValueError("convert needs a non-empty row batch")
-    t0 = time.perf_counter()
-    labels = rows.labels
     ikjts = [build_ikjt(rows, group) for group in spec.dedup_sparse_features]
     plain = spec.plain_keys
     kjts = dict(build_kjt(rows, plain).entries) if plain else {}
-    elapsed = time.perf_counter() - t0
-    batch = ReaderBatch(
-        batch_size=labels.size, kjts=kjts, ikjts=ikjts, labels=labels
+    return ReaderBatch(
+        batch_size=rows.labels.size,
+        kjts=kjts,
+        ikjts=ikjts,
+        labels=rows.labels,
+        bytes_in=rows.bytes_read,
     )
-    batch.stage_timings.convert_s = elapsed
-    return batch
 
 
 def process(batch: ReaderBatch, transforms) -> ReaderBatch:
     """Apply element-wise transforms; IKJT features are transformed on
-    their deduplicated values only and stay IKJTs."""
-    t0 = time.perf_counter()
+    their deduplicated values only and stay IKJTs. The input batch is
+    left as it was."""
     by_key: dict[str, list[Transform]] = {}
     known = set(batch.all_keys())
     for t in transforms:
@@ -200,17 +201,7 @@ def process(batch: ReaderBatch, transforms) -> ReaderBatch:
         )
         for ikjt in batch.ikjts
     ]
-    out = ReaderBatch(
-        batch_size=batch.batch_size,
-        kjts=kjts,
-        ikjts=ikjts,
-        labels=batch.labels,
-        stage_timings=batch.stage_timings,
-        bytes_in=batch.bytes_in,
-        bytes_out=batch.bytes_out,
-    )
-    out.stage_timings.process_s += time.perf_counter() - t0
-    return out
+    return replace(batch, kjts=kjts, ikjts=ikjts)
 
 
 def emit(batch: ReaderBatch) -> bytes:
@@ -231,17 +222,22 @@ def emit(batch: ReaderBatch) -> bytes:
 
 
 def read_batches(file: ColumnarFile, spec: DataloaderSpec) -> Iterator[ReaderBatch]:
-    """Full fill -> convert -> process -> emit pipeline over a columnar file."""
+    """Full fill -> convert -> process -> emit pipeline over a columnar
+    file. Each batch carries the wall time of its four stage calls."""
     stream = scan(file, spec.batch_size)
+    clock = time.perf_counter
     while True:
-        raw, fill_s = fill(stream)
-        if raw is None:
+        t0 = clock()
+        rows = fill(stream)
+        t1 = clock()
+        if rows is None:
             return
-        batch = convert(raw, spec)
-        batch.stage_timings.fill_s = fill_s
-        batch.bytes_in = raw.bytes_read
+        batch = convert(rows, spec)
+        t2 = clock()
         batch = process(batch, spec.transforms)
+        t3 = clock()
         emit(batch)
+        batch.stage_timings = StageTimings(t1 - t0, t2 - t1, t3 - t2, clock() - t3)
         yield batch
 
 

@@ -2,8 +2,9 @@
 
 Installing and removing its wrappers here makes a rename of a wrapped
 function (such as ``trainer_sim.split_batch``) fail the unit suite
-instead of the traced benchmark run, and a forward pass that stops
-calling a wrapped layer fail it instead of reporting that layer at 0.
+instead of the traced benchmark run, and a reader pass or forward pass
+that stops calling a wrapped layer fail it instead of reporting that
+layer at 0.
 """
 
 from collections import Counter
@@ -13,6 +14,7 @@ import pytest
 
 from rows import as_batch
 from sessiondedup import reader, storage, trainer_sim
+from sessiondedup.storage import open_table, write_table
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
@@ -39,6 +41,38 @@ def test_tracer_wraps_and_restores_every_layer_boundary(monkeypatch):
     finally:
         tracer.restore()
     assert all(getattr(mod, name) is f for (mod, name), f in before.items())
+
+
+@pytest.mark.parametrize("mode", ["baseline", "dedup"])
+def test_reader_pass_calls_every_traced_reader_stage(monkeypatch, tmp_path, mode):
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    import tracing
+    import workloads
+
+    rows = [{"a": [1, 2], "b": [i % 2], "p": [i]} for i in range(7)]
+    path = tmp_path / "t.sesscol"
+    write_table(as_batch(rows), path)
+    spec = reader.DataloaderSpec(
+        keys=("a", "b", "p"),
+        dedup_sparse_features=(("a", "b"),),
+        transforms=(reader.Transform(op="clamp", key="p", param=3),),
+        batch_size=3,
+    )
+    tracer = tracing.Tracer()
+    workloads.install(tracer)
+    try:
+        run_spec = spec if mode == "dedup" else spec.without_dedup()
+        batches = list(reader.read_batches(open_table(path), run_spec))
+    finally:
+        tracer.restore()
+    assert sum(b.batch_size for b in batches) == len(rows)
+    calls = Counter(s.name for s in tracer.spans)
+    names = [f"reader.{stage}" for stage in ("fill", "convert", "process", "emit")]
+    names.append("storage.scan")
+    if mode == "dedup":
+        names.append("tensors.build_ikjt")
+    for name in names:
+        assert calls[name] >= 1, name
 
 
 @pytest.mark.parametrize("mode", ["baseline", "dedup"])

@@ -21,7 +21,9 @@ from sessiondedup.datagen import (
     SessionConfig,
     save_config,
 )
+from sessiondedup.reader import DataloaderSpec, save_dataloader_spec
 from sessiondedup.storage import open_table, scan
+from sessiondedup.trainer_sim import GroupConfig, ModelSpec, TableConfig, save_model_spec
 
 
 @pytest.fixture()
@@ -266,6 +268,56 @@ class TestBench:
         b = run_once(tmp_path / "b.json")
         assert a == b
 
+    def test_config_states_spec_batch_size_and_model_seed(self, clustered_ds, tmp_path):
+        # a dataloader spec brings its own batch size and a model spec its
+        # own seed; the report states what ran, not the flag defaults
+        model = ModelSpec(
+            tables={
+                k: TableConfig(rows=20_000, dim=4)
+                for k in ("seq", "cart_a", "cart_b", "item")
+            },
+            groups=(
+                GroupConfig(keys=("seq",), pooling="sum"),
+                GroupConfig(keys=("cart_a", "cart_b"), pooling="attention"),
+            ),
+            plain={"item": "sum"},
+            seed=5,
+        )
+        save_model_spec(tmp_path / "model.json", model)
+        save_dataloader_spec(
+            tmp_path / "spec.json",
+            DataloaderSpec(
+                keys=model.all_keys,
+                dedup_sparse_features=tuple(g.keys for g in model.groups),
+                batch_size=50,
+            ),
+        )
+        report_path = tmp_path / "r.json"
+        code = run(
+            [
+                "bench",
+                clustered_ds,
+                "--spec", tmp_path / "spec.json",
+                "--model-spec", tmp_path / "model.json",
+                "--batches", 3,
+                "--out", report_path,
+            ]
+        )
+        assert code == 0
+        report = json.loads(report_path.read_text())
+        assert report["config"]["batch_size"] == 50
+        assert report["config"]["seed"] == 5
+        assert report["reader"]["dedup"]["rows"] == 150
+        assert report["reader"]["baseline"]["rows"] == 150
+
+    def test_negative_batches_rejected_before_reading(self, tmp_path, capsys):
+        capsys.readouterr()
+        # the dataset does not exist: the check comes before any read
+        assert run(["bench", tmp_path / "ghost.sesscol", "--batches", -1]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "error [bench]: --batches must be >= 0" in err
+
     def test_zero_ranks_rejected(self, clustered_ds, capsys):
         capsys.readouterr()
         assert run(["bench", clustered_ds, "--ranks", 0]) == 1
@@ -312,7 +364,10 @@ class TestBench:
         counters = (plots / "counters.dat").read_text()
         assert counters.startswith("# counter baseline dedup ratio")
         assert "lookup_count" in counters
-        assert (plots / "stages.dat").exists()
+        stages = (plots / "stages.dat").read_text().splitlines()
+        assert stages[0] == "# stage baseline_s dedup_s"
+        for stage in ("fill_s", "convert_s", "process_s", "emit_s"):
+            assert sum(line.split()[0] == stage for line in stages) == 1, stage
 
 
 class TestDataDirEnv:
