@@ -205,6 +205,10 @@ def _model_spec_for(
 def cmd_bench(args: argparse.Namespace) -> int:
     if args.batches < 0:
         raise ValueError("--batches must be >= 0")
+    if args.spec and args.batch_size is not None:
+        raise ValueError(f"--batch-size cannot be used with --spec {args.spec}: the spec sets the batch size")
+    if args.model_spec and args.seed is not None:
+        raise ValueError(f"--seed cannot be used with --model-spec {args.model_spec}: the spec sets the seed")
     src = _resolve_in(args.dataset)
     f = storage.open_table(src)
     model = _model_spec_for(f, args)
@@ -215,7 +219,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             keys=model.all_keys,
             dedup_sparse_features=tuple(g.keys for g in model.groups),
             transforms=(),
-            batch_size=args.batch_size,
+            batch_size=4096 if args.batch_size is None else args.batch_size,
         )
     plan = trainer_sim.make_round_robin_plan(model, args.ranks)
     tables = trainer_sim.build_tables(model)
@@ -339,11 +343,11 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("dataset")
     b.add_argument("--spec", default=None, help="dataloader spec JSON")
     b.add_argument("--model-spec", default=None, help="model spec JSON")
-    b.add_argument("--batch-size", type=int, default=4096)
+    b.add_argument("--batch-size", type=int, default=None, help="default 4096; not with --spec")
     b.add_argument("--ranks", type=int, default=2)
     b.add_argument("--mode", choices=["baseline", "dedup", "both"], default="both")
     b.add_argument("--batches", type=int, default=0, help="limit batches (0 = all)")
-    b.add_argument("--seed", type=int, default=0)
+    b.add_argument("--seed", type=int, default=None, help="default 0; not with --model-spec")
     b.add_argument("--out", default=None, help="write report JSON here")
     b.set_defaults(func=cmd_bench, stage="bench")
 

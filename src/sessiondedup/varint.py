@@ -1,9 +1,22 @@
 """Vectorized LEB128 varint codec for int64 streams.
 
 Signed values are zigzag-mapped to unsigned first, then packed as
-little-endian base-128 with the high bit as a continuation flag. Both
-directions are numpy-vectorized: encoding loops over at most 10 byte
-positions, decoding recovers group boundaries from terminator bytes.
+little-endian base-128 with the high bit as a continuation flag.
+
+Both directions work on a 4-byte window per value, which holds any
+varint of up to four bytes (a zigzag value below 2^28).
+
+- Decoding finds each varint's start and length from its terminator
+  byte (high bit clear) and checks the lengths. It gathers one
+  little-endian u32 window at each start, from a copy of the stream
+  padded by 3 bytes so that no read passes its end. It compacts the
+  four 7-bit groups and masks the result to ``7 * length`` bits. A
+  stream whose longest varint is 5-10 bytes then adds one pass per
+  further byte position, run only over the values that long.
+- Encoding spreads each value's 7-bit groups into a u32, ORs in the
+  continuation bits for its length and keeps the window's first
+  ``length`` bytes. A stream holding a zigzag value of 2^28 or more
+  is packed by one masked pass per byte position instead.
 """
 
 from __future__ import annotations
@@ -13,7 +26,15 @@ import numpy as np
 __all__ = ["encode_varints", "decode_varints"]
 
 _U64 = np.uint64
+_U32 = np.uint32
 _MAX_VARINT_BYTES = 10  # ceil(64 / 7)
+_WINDOW = 4
+# Indexed by varint length: the window bits that length decodes (a longer
+# varint keeps all 28), the continuation flags it sets, and the window
+# bytes it keeps (one 0/1 byte each, read as bools).
+_LENGTH_MASKS = np.array([0, 0x7F, 0x3FFF, 0x1FFFFF] + [0xFFFFFFF] * 7, dtype=_U32)
+_CONTINUATIONS = np.array([0, 0, 0x80, 0x8080, 0x808080], dtype=_U32)
+_KEPT_BYTES = np.array([0, 0x1, 0x101, 0x10101, 0x1010101], dtype="<u4")
 
 
 def _zigzag(arr: np.ndarray) -> np.ndarray:
@@ -29,11 +50,8 @@ def _unzigzag(u: np.ndarray) -> np.ndarray:
     return ((u >> _U64(1)) ^ neg).view(np.int64)
 
 
-def encode_varints(arr) -> bytes:
-    """Pack an int64 sequence into a LEB128 byte stream."""
-    u = _zigzag(np.asarray(arr, dtype=np.int64))
-    if u.size == 0:
-        return b""
+def _encode_wide(u: np.ndarray) -> bytes:
+    """Pack zigzag values of any width, one masked pass per byte position."""
     nbytes = np.ones(u.size, dtype=np.int64)
     for k in range(1, _MAX_VARINT_BYTES):
         nbytes += u >= _U64(1) << _U64(7 * k)
@@ -50,6 +68,23 @@ def encode_varints(arr) -> bytes:
         out[starts[mask] + j] = byte | cont
         rem[mask] >>= _U64(7)
     return out.tobytes()
+
+
+def encode_varints(arr) -> bytes:
+    """Pack an int64 sequence into a LEB128 byte stream."""
+    u = _zigzag(np.asarray(arr, dtype=np.int64))
+    if u.size == 0:
+        return b""
+    if u.max() >= 1 << 7 * _WINDOW:
+        return _encode_wide(u)
+    v = u.astype(_U32)
+    nbytes = np.ones(v.size, dtype=np.uint8)
+    for k in range(1, _WINDOW):
+        nbytes += v >= 1 << 7 * k
+    w = (v & 0x7F) | (v << 1 & 0x7F00) | (v << 2 & 0x7F0000) | (v << 3 & 0x7F000000)
+    w |= np.take(_CONTINUATIONS, nbytes)
+    kept = np.take(_KEPT_BYTES, nbytes).view(np.bool_)
+    return np.compress(kept, w.astype("<u4", copy=False).view(np.uint8)).tobytes()
 
 
 def decode_varints(buf: bytes, count: int | None = None) -> np.ndarray:
@@ -71,19 +106,28 @@ def decode_varints(buf: bytes, count: int | None = None) -> np.ndarray:
     n = ends.size
     if count is not None and n != count:
         raise ValueError(f"expected {count} varints, found {n}")
-    starts = np.zeros(n, dtype=np.int64)
-    starts[1:] = ends[:-1] + 1
-    gid = np.zeros(b.size, dtype=np.int64)
-    np.cumsum(term[:-1], out=gid[1:])
-    within = np.arange(b.size, dtype=np.int64) - starts[gid]
-    longest = within.max()
-    if longest >= _MAX_VARINT_BYTES:
+    starts = np.zeros(n, dtype=np.intp)
+    np.add(ends[:-1], 1, out=starts[1:])
+    lens = ends - starts
+    lens += 1
+    longest = int(lens.max())
+    if longest > _MAX_VARINT_BYTES:
         raise ValueError("varint longer than 10 bytes")
     # A 10th byte carries bit 63 alone; higher bits would wrap silently.
-    if longest == _MAX_VARINT_BYTES - 1 and b[within == longest].max() > 1:
+    if longest == _MAX_VARINT_BYTES and b[ends[lens == longest]].max() > 1:
         raise ValueError("varint wider than 64 bits")
-    contrib = (b.astype(_U64) & _U64(0x7F)) << (_U64(7) * within.view(_U64))
-    # Groups are contiguous, so reduceat sums each varint's digit
-    # contributions; disjoint bit ranges make the sum an exact OR.
-    u = np.add.reduceat(contrib, starts)
+    padded = np.zeros(b.size + _WINDOW - 1, dtype=np.uint8)
+    padded[: b.size] = b
+    windows = np.ndarray((b.size,), dtype="<u4", buffer=padded, strides=(1,))
+    x = np.take(windows, starts)
+    v = (x & 0x7F) | (x >> 1 & 0x3F80) | (x >> 2 & 0x1FC000) | (x >> 3 & 0xFE00000)
+    v &= np.take(_LENGTH_MASKS, lens)
+    if longest <= _WINDOW:
+        # Below 2^28, so the zigzag map inverts in 32 bits.
+        return ((v >> 1) ^ -(v & 1)).view(np.int32).astype(np.int64)
+    u = v.astype(_U64)
+    rows = np.flatnonzero(lens > _WINDOW)
+    for k in range(_WINDOW, longest):
+        rows = rows[lens[rows] > k]
+        u[rows] |= (b[starts[rows] + k] & 0x7F).astype(_U64) << _U64(7 * k)
     return _unzigzag(u)

@@ -268,9 +268,9 @@ class TestBench:
         b = run_once(tmp_path / "b.json")
         assert a == b
 
-    def test_config_states_spec_batch_size_and_model_seed(self, clustered_ds, tmp_path):
-        # a dataloader spec brings its own batch size and a model spec its
-        # own seed; the report states what ran, not the flag defaults
+    @pytest.fixture()
+    def spec_files(self, tmp_path):
+        """A model spec with seed 5 and dataloader specs with batch size 50."""
         model = ModelSpec(
             tables={
                 k: TableConfig(rows=20_000, dim=4)
@@ -292,13 +292,30 @@ class TestBench:
                 batch_size=50,
             ),
         )
+        # the same batch size for the generic model bench builds without
+        # a model spec: one sum-pooled group per key
+        save_dataloader_spec(
+            tmp_path / "generic-spec.json",
+            DataloaderSpec(
+                keys=model.all_keys,
+                dedup_sparse_features=tuple((k,) for k in model.all_keys),
+                batch_size=50,
+            ),
+        )
+        return {
+            name: tmp_path / f"{name.lower()}.json" for name in ("SPEC", "MODEL", "GENERIC-SPEC")
+        }
+
+    def test_config_states_spec_batch_size_and_model_seed(self, clustered_ds, tmp_path, spec_files):
+        # a dataloader spec brings its own batch size and a model spec its
+        # own seed; the report states what ran, not the flag defaults
         report_path = tmp_path / "r.json"
         code = run(
             [
                 "bench",
                 clustered_ds,
-                "--spec", tmp_path / "spec.json",
-                "--model-spec", tmp_path / "model.json",
+                "--spec", spec_files["SPEC"],
+                "--model-spec", spec_files["MODEL"],
                 "--batches", 3,
                 "--out", report_path,
             ]
@@ -309,6 +326,41 @@ class TestBench:
         assert report["config"]["seed"] == 5
         assert report["reader"]["dedup"]["rows"] == 150
         assert report["reader"]["baseline"]["rows"] == 150
+
+    @pytest.mark.parametrize(
+        "flag, value, spec_flag",
+        [("--batch-size", 64, "--spec"), ("--seed", 3, "--model-spec")],
+    )
+    def test_flag_a_spec_overrides_rejected_before_reading(
+        self, tmp_path, capsys, flag, value, spec_flag
+    ):
+        capsys.readouterr()
+        # neither the dataset nor the spec exists: the check comes first
+        spec = tmp_path / "spec.json"
+        argv = ["bench", tmp_path / "ghost.sesscol", spec_flag, spec, flag, value]
+        assert run(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"error [bench]: {flag} cannot be used with {spec_flag} {spec}" in err
+
+    @pytest.mark.parametrize(
+        "extra, batch_size, seed",
+        [
+            ([], 4096, 0),
+            (["--batch-size", 40, "--seed", 9], 40, 9),
+            (["--spec", "GENERIC-SPEC", "--seed", 9], 50, 9),
+            (["--model-spec", "MODEL", "--batch-size", 40], 40, 5),
+        ],
+        ids=["defaults", "both-flags", "spec-and-seed", "model-spec-and-batch-size"],
+    )
+    def test_flags_apply_where_no_spec_overrides_them(
+        self, clustered_ds, tmp_path, spec_files, extra, batch_size, seed
+    ):
+        report_path = tmp_path / "r.json"
+        argv = ["bench", clustered_ds, "--batches", 2, "--out", report_path]
+        assert run(argv + [spec_files.get(a, a) for a in extra]) == 0
+        config = json.loads(report_path.read_text())["config"]
+        assert (config["batch_size"], config["seed"]) == (batch_size, seed)
 
     def test_negative_batches_rejected_before_reading(self, tmp_path, capsys):
         capsys.readouterr()

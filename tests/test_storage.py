@@ -280,6 +280,87 @@ def small_file(tmp_path_factory):
     return path, path.read_bytes(), _row_tuples(scan(open_table(path), 4))
 
 
+def _corrupt_and_scan(path, good, rows, data):
+    """Damage a copy of ``good`` as ``data`` draws. A truncated file must
+    raise StorageError; any other damage raises StorageError or leaves
+    every row intact."""
+    buf = bytearray(good)
+    kind = data.draw(st.sampled_from(["truncate", "flip", "overwrite"]))
+    if kind == "truncate":
+        del buf[data.draw(st.integers(0, len(buf) - 1)) :]
+    elif kind == "flip":
+        bit = data.draw(st.integers(0, 8 * len(buf) - 1))
+        buf[bit // 8] ^= 1 << (bit % 8)
+    else:
+        pos = data.draw(st.integers(0, len(buf) - 8))
+        buf[pos : pos + 8] = data.draw(st.binary(min_size=8, max_size=8))
+    bad = path.with_name("bad.sesscol")
+    bad.write_bytes(bytes(buf))
+    try:
+        got = _row_tuples(scan(open_table(bad), 4))
+    except StorageError:
+        return
+    assert kind != "truncate"
+    assert got == rows
+
+
+def _wide_table() -> ScanBatch:
+    """A generated table whose session ids, timestamps and ``wide``
+    values need 5-10 byte varints (and are often negative), beside a
+    ``ragged`` feature whose fractional avg_len varies its row lengths."""
+    cfg = SessionConfig(
+        num_sessions=30,
+        samples_per_session=SampleCountDist(kind="geometric", mean=4.0),
+        seed=5,
+    )
+    specs = [
+        FeatureSpec(key="wide", kind="user_sequence", avg_len=3, vocab_size=2**62, change_prob=0.5),
+        FeatureSpec(key="ragged", kind="item", avg_len=2.5, vocab_size=1000),
+    ]
+    t = generate_dataset(cfg, specs)
+    wide = t.features.entries["wide"]
+    entries = dict(t.features.entries)
+    entries["wide"] = JaggedTensor(wide.values - 2**61, wide.offsets)
+    return ScanBatch(
+        t.session_ids * (2**40 + 3) - 2**45,
+        t.timestamps * 3**30 + np.iinfo(np.int64).min,
+        t.labels,
+        KJT(len(t), entries),
+    )
+
+
+@pytest.fixture(scope="module")
+def wide_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("wide") / "wide.sesscol"
+    write_table(_wide_table(), path, stripe_rows=37)
+    return path, path.read_bytes(), _row_tuples(scan(open_table(path), 4))
+
+
+class TestWideValues:
+    def test_table_reaches_the_per_byte_path(self):
+        t = _wide_table()
+        for column in (t.session_ids, t.timestamps, t.features.entries["wide"].values):
+            assert column.min() < 0 and np.abs(column).max() >= 2**28
+        ragged = t.features.entries["ragged"]
+        assert np.unique(np.diff(np.append(ragged.offsets, ragged.values.size))).size > 1
+
+    @pytest.mark.parametrize("clustering", ["none", "by_session"])
+    def test_round_trip_is_exact(self, tmp_path, clustering):
+        t = _wide_table()
+        path = tmp_path / "wide.sesscol"
+        write_table(t, path, stripe_rows=37, clustering=clustering)
+        f = open_table(path)
+        got = next(scan(f, f.row_count))
+        if clustering == "by_session":
+            t = t.take_rows(np.lexsort((t.timestamps, t.session_ids)))
+        for name in ("session_ids", "timestamps", "labels"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(t, name))
+        assert list(got.features.entries) == list(t.features.entries)
+        for key, jt in t.features.entries.items():
+            np.testing.assert_array_equal(got.features.entries[key].values, jt.values)
+            np.testing.assert_array_equal(got.features.entries[key].offsets, jt.offsets)
+
+
 class TestCorruption:
     def test_negative_row_length_rejected(self, tmp_path):
         # Lengths [-1, 5] sum to the 4 stored values, so the zlib, varint
@@ -343,25 +424,14 @@ class TestCorruption:
         StorageError, or leaves every row intact (a level byte still in
         0-9, the key-name header bytes and deflate's padding bits are
         unchecked)."""
-        path, good, rows = small_file
-        buf = bytearray(good)
-        kind = data.draw(st.sampled_from(["truncate", "flip", "overwrite"]))
-        if kind == "truncate":
-            del buf[data.draw(st.integers(0, len(buf) - 1)) :]
-        elif kind == "flip":
-            bit = data.draw(st.integers(0, 8 * len(buf) - 1))
-            buf[bit // 8] ^= 1 << (bit % 8)
-        else:
-            pos = data.draw(st.integers(0, len(buf) - 8))
-            buf[pos : pos + 8] = data.draw(st.binary(min_size=8, max_size=8))
-        bad = path.with_name("bad.sesscol")
-        bad.write_bytes(bytes(buf))
-        try:
-            got = _row_tuples(scan(open_table(bad), 4))
-        except StorageError:
-            return
-        assert kind != "truncate"
-        assert got == rows
+        _corrupt_and_scan(*small_file, data)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_wide_value_corruption_raises_only_storage_error(self, wide_file, data):
+        """The same damage to a file whose streams take the codec's
+        per-byte-position path."""
+        _corrupt_and_scan(*wide_file, data)
 
 
 def _golden_configs():
