@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .storage import ScanBatch
-from .tensors import KJT, gather_windows
+from .tensors import KJT, gather_windows, splitmix64
 
 __all__ = [
     "FeatureSpec",
@@ -229,16 +229,6 @@ def generate_dataset(
         labels=column("label")[order],
         features=KJT(batch_size=order.size, entries=features),
     )
-
-
-def splitmix64(x):
-    """Stateless 64-bit mix of an integer or integer array, taken as
-    uint64 bits: the sharding hash and the ``mod_hash`` transform."""
-    with np.errstate(over="ignore"):
-        z = np.asarray(x).astype(np.uint64) + np.uint64(0x9E3779B97F4A7C15)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
 
 
 def shard_logs(table: ScanBatch, num_shards: int, key: str = "session_id") -> list:

@@ -25,7 +25,6 @@ from typing import Iterator
 import json
 import numpy as np
 
-from .datagen import splitmix64
 from .storage import ColumnarFile, ScanBatch, scan
 from .tensors import (
     IKJT,
@@ -35,6 +34,7 @@ from .tensors import (
     build_kjt,
     serialize_ikjt,
     serialize_kjt,
+    splitmix64,
 )
 
 __all__ = [

@@ -6,7 +6,11 @@ jagged tensor (:class:`IKJT`) that keeps one copy of each distinct row
 and an ``inverse_lookup`` slice mapping batch rows onto the unique rows.
 Grouped IKJTs deduplicate several features under one shared
 ``inverse_lookup``; two batch rows merge only when *every* feature in
-the group has identical lists on both rows.
+the group has identical lists on both rows. Rows are deduplicated by one
+64-bit key per row, built from two wrapping sums over the row's values;
+every merge the keys propose is then checked value by value, and a call
+in which a check fails (two distinct rows shared a key) falls back to
+comparing whole zero-padded rows.
 
 All tensor objects are immutable after construction (their numpy buffers
 are marked read-only) and safe to share across threads.
@@ -42,9 +46,11 @@ __all__ = [
     "serialize_ikjt",
     "slice_stream_bytes",
     "values_stream_bytes",
+    "splitmix64",
 ]
 
 _I64 = np.dtype("<i8")
+_U64 = np.uint64
 
 
 def _as_id_array(seq) -> np.ndarray:
@@ -238,14 +244,84 @@ def build_kjt(rows, keys: Sequence[str]) -> KJT:
     return KJT(columns.batch_size, {key: columns.entries[key] for key in keys})
 
 
+def splitmix64(x):
+    """Stateless 64-bit mix of an integer or integer array, taken as
+    uint64 bits: the row key of :func:`_unique_rows`, the sharding hash
+    and the ``mod_hash`` transform."""
+    with np.errstate(over="ignore"):
+        z = np.asarray(x).astype(np.uint64) + np.uint64(0x9E3779B97F4A7C15)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+_ROW_K = _U64(0xD6E8FEB86659FD93)  # odd, so x -> x * K is a bijection of uint64
+
+
+def _row_keys(jts: Sequence[JaggedTensor]) -> np.ndarray:
+    """One uint64 per row, equal for equal rows of every tensor.
+
+    Per tensor, with ``m = values * K`` xor-shifted right by 29 (all
+    wrapping uint64), a row contributes ``s1 = sum(m)`` and
+    ``s2 = sum(m * position in row)``; ``s2`` is the sum of
+    ``m * global index`` less ``start * s1``. Both sums and the row
+    length are mixed with :func:`splitmix64` and folded into the key in
+    group order. The xor-shift makes the sums non-linear in the values:
+    without it, rows of short lists from a vocabulary of a few hundred
+    IDs share keys in many batches. Distinct rows may still share a key;
+    :func:`_unique_rows` checks every merge.
+    """
+    n = jts[0].row_count
+    keys = np.zeros(n, dtype=_U64)
+    for jt in jts:
+        lens = jt.row_lengths()
+        s1 = np.zeros(n, dtype=_U64)
+        s2 = np.zeros(n, dtype=_U64)
+        nonempty = lens > 0
+        starts = jt.offsets[nonempty]
+        if starts.size:
+            with np.errstate(over="ignore"):
+                m = jt.values.view(_U64) * _ROW_K
+                m ^= m >> _U64(29)
+                s1[nonempty] = np.add.reduceat(m, starts)
+                m *= np.arange(m.size, dtype=_U64)
+                s2[nonempty] = np.add.reduceat(m, starts) - starts.view(_U64) * s1[nonempty]
+        keys = splitmix64(keys ^ splitmix64(s1 ^ splitmix64(s2 ^ lens.view(_U64))))
+    return keys
+
+
 def _unique_rows(jts: Sequence[JaggedTensor]) -> tuple[np.ndarray, np.ndarray]:
     """Distinct rows across jagged tensors of equal row count.
 
-    Row i of the input is the tuple of row i of every tensor. Each row is
-    laid out as ``(length, values..., zero padding)`` per tensor in one
-    int64 matrix, and whole matrix rows are compared, so unequal rows can
-    never compare equal. Returns what :func:`unique_first_occurrence`
-    returns for the matrix rows.
+    Row i of the input is the tuple of row i of every tensor. Rows are
+    numbered by one uint64 key each (:func:`_row_keys`), and every row is
+    then compared exactly with the first row of its key: equal lengths,
+    and equal values cell by cell, in every tensor. If any such check
+    fails, two distinct rows shared a key, and the call falls back to
+    :func:`_unique_rows_padded`, so unequal rows can never merge. Returns
+    what :func:`unique_first_occurrence` returns for the rows.
+    """
+    first, inverse = unique_first_occurrence(_row_keys(jts))
+    rep = first[inverse]
+    for jt in jts:
+        lens = jt.row_lengths()
+        # Each cell's counterpart in its row's representative; rep[i] <= i,
+        # so the index stays inside ``values`` even where lengths differ.
+        cells = np.repeat(jt.offsets[rep] - jt.offsets, lens)
+        cells += np.arange(cells.size)
+        if not (np.array_equal(lens[rep], lens) and np.array_equal(jt.values[cells], jt.values)):
+            return _unique_rows_padded(jts)
+    return first, inverse
+
+
+def _unique_rows_padded(jts: Sequence[JaggedTensor]) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_unique_rows` by whole-row comparison: the path taken when
+    two distinct rows share a key, and the reference the tests compare
+    against.
+
+    Each row is laid out as ``(length, values..., zero padding)`` per
+    tensor in one int64 matrix, and whole matrix rows are compared, so
+    unequal rows can never compare equal.
     """
     n = jts[0].row_count
     lengths = [jt.row_lengths() for jt in jts]
@@ -278,10 +354,12 @@ def build_ikjt(rows, group: Sequence[str]) -> IKJT:
     """Deduplicate a feature group across the whole batch into an IKJT.
 
     Batch rows i and j share an ``inverse_lookup`` entry iff all features
-    in the group have identical lists at i and j (compared by
-    :func:`_unique_rows`, so unequal rows can never merge). Unique rows
-    are numbered in first-occurrence order. ``rows`` is anything
-    :func:`build_kjt` accepts.
+    in the group have identical lists at i and j. :func:`_unique_rows`
+    groups rows by a 64-bit key and checks every merge exactly, falling
+    back to a whole-row comparison when two distinct rows share a key,
+    so unequal rows can never merge. Unique rows are numbered in
+    first-occurrence order. ``rows`` is anything :func:`build_kjt`
+    accepts.
     """
     if len(group) == 0:
         raise ValueError("empty dedup group")

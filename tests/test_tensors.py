@@ -6,6 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rows import as_batch
+from sessiondedup import tensors
+from sessiondedup.datagen import (
+    FeatureSpec,
+    SampleCountDist,
+    SessionConfig,
+    default_config,
+    generate_dataset,
+)
 from sessiondedup.tensors import (
     IKJT,
     KJT,
@@ -27,6 +35,7 @@ from sessiondedup.tensors import (
     values_stream_bytes,
     window_index,
 )
+from sessiondedup.trainer_sim import default_model_spec
 
 # Worked micro-batch used throughout: feature b carries an exact duplicate
 # in rows 0 and 2, features c and d update in lockstep so they dedup as a
@@ -180,6 +189,172 @@ class TestBuildIkjt:
                 inverse_lookup=np.array([0, 0], dtype=np.int64),
                 per_feature={"a": JaggedTensor.from_rows([[1], [2]])},
             )
+
+
+I64_MIN, I64_MAX = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+PADDED_ORACLE = tensors._unique_rows_padded
+
+
+def group_of(rows):
+    """Rows given as tuples of lists, one list per tensor, as the
+    tensors :func:`tensors._unique_rows` takes."""
+    return [JaggedTensor.from_rows([row[k] for row in rows]) for k in range(len(rows[0]))]
+
+
+def assert_matches_padded_oracle(jts):
+    first, inverse = tensors._unique_rows(jts)
+    want_first, want_inverse = PADDED_ORACLE(jts)
+    np.testing.assert_array_equal(first, want_first)
+    np.testing.assert_array_equal(inverse, want_inverse)
+    return inverse
+
+
+@pytest.fixture
+def padded_calls(monkeypatch):
+    """Counts calls of the whole-row comparison, which :func:`_unique_rows`
+    takes only when two distinct rows shared a key."""
+    calls = []
+
+    def spy(jts):
+        calls.append(jts)
+        return PADDED_ORACLE(jts)
+
+    monkeypatch.setattr(tensors, "_unique_rows_padded", spy)
+    return calls
+
+
+@st.composite
+def keyed_groups(draw):
+    """1-3 tensors of variable-length rows, drawn from a small pool of
+    distinct rows so that repeats are common; values mix small IDs,
+    negatives and the int64 extremes."""
+    n_keys = draw(st.integers(1, 3))
+    extremes = [I64_MIN, I64_MAX, I64_MIN + 1, I64_MAX - 1]
+    value = st.one_of(st.integers(-3, 3), st.sampled_from(extremes))
+    row = st.tuples(*[st.lists(value, max_size=5) for _ in range(n_keys)])
+    pool = draw(st.lists(row, min_size=1, max_size=8))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=24))
+    return [pool[i] for i in picks]
+
+
+class TestUniqueRowsAgainstPaddedOracle:
+    """The keyed path must give exactly the padded table's
+    ``(first, inverse)``, whatever the keys do."""
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            pytest.param(
+                [([],), ([0],), ([0, 0],), ([0],), ([],), ([0, 0],)], id="empty-zero-zerozero"
+            ),
+            pytest.param([([1, 2],), ([2, 1],), ([1, 2],)], id="reversed"),
+            pytest.param(
+                [([1], [2, 3]), ([1, 2], [3]), ([1], [2, 3])], id="value-moves-between-keys"
+            ),
+            pytest.param([([0], []), ([], [0]), ([], []), ([0], [])], id="empty-in-either-key"),
+            pytest.param(
+                [([-1],), ([I64_MIN],), ([I64_MAX],), ([I64_MIN, I64_MAX],), ([I64_MAX, I64_MIN],),
+                 ([-1, 1],), ([1, -1],), ([I64_MIN],), ([-1],), ([I64_MAX, I64_MIN],)],
+                id="negative-and-extremes",
+            ),
+            # Equal length, equal sum and equal position-weighted sum of
+            # the values (0 + 3 = 1 + 2): the two sums alone cannot part them.
+            pytest.param(
+                [([1, 0, 0, 1],), ([0, 1, 1, 0],), ([1, 0, 0, 1],)], id="equal-weighted-sums"
+            ),
+            pytest.param([([5, 6], [7])] * 9, id="all-duplicate"),
+            pytest.param([([i, -i], [i] * (i % 3)) for i in range(12)], id="no-duplicate"),
+        ],
+    )
+    def test_edge_batches(self, rows):
+        assert_matches_padded_oracle(group_of(rows))
+
+    def test_constant_key_takes_collision_path(self, monkeypatch, padded_calls):
+        rows = [([1, 2],), ([2, 1],), ([],), ([1, 2],), ([0],), ([0, 0],)]
+        jts = group_of(rows)
+        monkeypatch.setattr(tensors, "_row_keys", lambda jts: np.zeros(jts[0].row_count, np.uint64))
+        inverse = assert_matches_padded_oracle(jts)
+        np.testing.assert_array_equal(inverse, [0, 1, 2, 0, 3, 4])
+        assert padded_calls  # the merges the key proposed failed the check
+
+    def test_constant_key_on_equal_rows_needs_no_fallback(self, monkeypatch, padded_calls):
+        jts = group_of([([3, 4], [I64_MIN])] * 5)
+        monkeypatch.setattr(tensors, "_row_keys", lambda jts: np.zeros(jts[0].row_count, np.uint64))
+        first, inverse = tensors._unique_rows(jts)
+        np.testing.assert_array_equal(first, [0])
+        np.testing.assert_array_equal(inverse, np.zeros(5))
+        assert not padded_calls
+
+    @pytest.mark.parametrize(
+        "rows, i, j",
+        [
+            pytest.param([([1, 2],), ([1, 3],), ([9],)], 0, 1, id="same-length"),
+            pytest.param([([1, 2],), ([1, 2, 0],), ([9],)], 0, 1, id="other-length"),
+            # The longer row's values continue into the rows after the
+            # shorter one, so only the lengths tell them apart.
+            pytest.param([([1],), ([2],), ([1, 2],)], 0, 2, id="spans-next-row"),
+            pytest.param([([],), ([0],)], 0, 1, id="empty-and-zero"),
+            pytest.param([([7], [1]), ([8], []), ([7], [2])], 0, 2, id="second-key-differs"),
+            pytest.param([([7], [1]), ([8], []), ([7], [2]), ([7], [1])], 2, 3, id="later-row"),
+        ],
+    )
+    def test_key_shared_by_two_distinct_rows(self, monkeypatch, padded_calls, rows, i, j):
+        jts = group_of(rows)
+        row_keys = tensors._row_keys
+
+        def colliding(jts):
+            keys = row_keys(jts)
+            keys[j] = keys[i]
+            return keys
+
+        monkeypatch.setattr(tensors, "_row_keys", colliding)
+        inverse = assert_matches_padded_oracle(jts)
+        assert inverse[i] != inverse[j]
+        assert len(padded_calls) == 1
+
+    @given(keyed_groups())
+    @settings(max_examples=300, deadline=None)
+    def test_random_groups(self, rows):
+        assert_matches_padded_oracle(group_of(rows))
+
+
+def _variable_length_config():
+    """Fractional list lengths in one sync group and a small vocabulary,
+    over short geometric sessions."""
+    user = dict(kind="user_sequence", vocab_size=500, change_prob=0.3)
+    specs = [
+        FeatureSpec(key="u55", avg_len=5.5, sync_group="g", **user),
+        FeatureSpec(key="u225", avg_len=2.25, sync_group="g", **user),
+        FeatureSpec(key="v55", avg_len=5.5, **user),
+        FeatureSpec(key="i37", kind="item", avg_len=3.7, vocab_size=50),
+    ]
+    sessions = SampleCountDist(kind="geometric", mean=4.0)
+    return SessionConfig(num_sessions=1300, samples_per_session=sessions), specs
+
+
+@pytest.mark.parametrize(
+    "config",
+    [lambda: default_config(num_sessions=300), _variable_length_config],
+    ids=["default", "variable-length"],
+)
+@pytest.mark.parametrize("clustering", ["none", "by_session"])
+def test_generated_batches_never_take_the_collision_path(monkeypatch, config, clustering):
+    """A key that collided on real rows would keep every output exact and
+    lose the whole gain silently, so the fallback is made to fail here."""
+
+    def fail(jts):
+        raise AssertionError("two distinct generated rows shared a row key")
+
+    cfg, specs = config()
+    table = generate_dataset(cfg, specs)
+    if clustering == "by_session":
+        table = table.take_rows(np.lexsort((table.timestamps, table.session_ids)))
+    batch = table.slice_rows(0, 4096)
+    assert len(batch) == 4096
+    groups = [g.keys for g in default_model_spec(specs).groups] + [(s.key,) for s in specs]
+    monkeypatch.setattr(tensors, "_unique_rows_padded", fail)
+    for group in groups:
+        build_ikjt(batch, group)
 
 
 class TestIkjtToKjt:
