@@ -95,7 +95,8 @@ def _dup_ids(sids: np.ndarray, jt: JaggedTensor) -> int:
     """ID occurrences beyond, per (session, value), the most copies any
     one row holds; ``sids`` gives each row's session."""
     row = np.repeat(np.arange(jt.row_count), jt.row_lengths())
-    order = np.lexsort((row, jt.values, sids[row]))
+    # lexsort is stable and ``row`` never decreases, so ties stay in row order.
+    order = np.lexsort((jt.values, sids[row]))
     row, vals = row[order], jt.values[order]
     sess = sids[row]
     new_id = np.concatenate(([True], (sess[1:] != sess[:-1]) | (vals[1:] != vals[:-1])))

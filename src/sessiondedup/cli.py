@@ -126,12 +126,13 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         clustering="by_session",
         level=fin.level,
     )
-    rep = storage.compression_report(fin, fout)
+    raw_a, comp_a = storage.stream_sizes(fin)
+    raw_b, comp_b = storage.stream_sizes(fout)
+    ratio_a, ratio_b = _ratio(raw_a, comp_a), _ratio(raw_b, comp_b)
     print(f"clustered {fout.row_count} rows -> {out}")
     print(
-        f"compressed bytes {rep.compressed_bytes_a} -> {rep.compressed_bytes_b} "
-        f"(ratio {rep.ratio_a:.3f} -> {rep.ratio_b:.3f}, "
-        f"relative {rep.relative_ratio:.3f})"
+        f"compressed bytes {comp_a} -> {comp_b} "
+        f"(ratio {ratio_a:.3f} -> {ratio_b:.3f}, relative {ratio_b / ratio_a:.3f})"
     )
     return 0
 

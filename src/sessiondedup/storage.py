@@ -33,11 +33,9 @@ __all__ = [
     "ColumnarFile",
     "StripeInfo",
     "ScanBatch",
-    "CompressionReport",
     "write_table",
     "open_table",
     "scan",
-    "compression_report",
     "stream_sizes",
     "DEFAULT_STRIPE_ROWS",
 ]
@@ -136,27 +134,6 @@ def _join(parts: list[ScanBatch], bytes_read: int) -> ScanBatch:
         features=KJT(batch_size=sum(len(b) for b in parts), entries=entries),
         bytes_read=bytes_read,
     )
-
-
-@dataclass(frozen=True)
-class CompressionReport:
-    raw_bytes_a: int
-    compressed_bytes_a: int
-    raw_bytes_b: int
-    compressed_bytes_b: int
-
-    @property
-    def ratio_a(self) -> float:
-        return self.raw_bytes_a / self.compressed_bytes_a if self.compressed_bytes_a else 1.0
-
-    @property
-    def ratio_b(self) -> float:
-        return self.raw_bytes_b / self.compressed_bytes_b if self.compressed_bytes_b else 1.0
-
-    @property
-    def relative_ratio(self) -> float:
-        """How much better file B compresses than file A."""
-        return self.ratio_b / self.ratio_a
 
 
 def _pack_stream(arr: np.ndarray, level: int) -> bytes:
@@ -322,16 +299,24 @@ def _check_stripe_end(buf: memoryview, pos: int, ordinal: int) -> None:
         raise StorageError(f"stripe {ordinal}: {len(buf) - pos} bytes past the last stream")
 
 
-def _read_stream(buf: memoryview, pos: int, ordinal: int, count: int | None):
+def _read_stream(buf: memoryview, pos: int, ordinal: int, count: int):
+    """Inflate and decode the stream at ``pos``, which holds ``count``
+    varints. Each varint takes 1-10 bytes, so a ``raw_len`` outside
+    ``[count, 10 * count]`` is rejected before inflating, and inflation
+    stops one byte past ``raw_len``: a small body can never inflate to
+    more than it declares."""
     raw_len, _, end = _stream_frame(buf, pos, ordinal)
+    if not count <= raw_len <= 10 * count:
+        raise StorageError(
+            f"stripe {ordinal}: stream length {raw_len} cannot hold {count} varints"
+        )
+    inflate = zlib.decompressobj()
     try:
-        raw = zlib.decompress(bytes(buf[pos + 8 : end]))
+        raw = inflate.decompress(buf[pos + 8 : end], raw_len + 1)
     except zlib.error as exc:
         raise StorageError(f"stripe {ordinal}: corrupt stream: {exc}") from exc
-    if len(raw) != raw_len:
-        raise StorageError(
-            f"stripe {ordinal}: stream length {len(raw)} != recorded {raw_len}"
-        )
+    if len(raw) != raw_len or not inflate.eof:
+        raise StorageError(f"stripe {ordinal}: stream does not inflate to its {raw_len} bytes")
     try:
         arr = decode_varints(raw, count)
     except ValueError as exc:
@@ -423,16 +408,3 @@ def stream_sizes(file: ColumnarFile) -> tuple[int, int]:
                 comp_total += comp_len
             _check_stripe_end(buf, pos, ordinal)
     return raw_total, comp_total
-
-
-def compression_report(file_a: ColumnarFile, file_b: ColumnarFile) -> CompressionReport:
-    """Raw and compressed stream sizes of two files, plus the ratio of
-    file B's compression ratio to file A's."""
-    raw_a, comp_a = stream_sizes(file_a)
-    raw_b, comp_b = stream_sizes(file_b)
-    return CompressionReport(
-        raw_bytes_a=raw_a,
-        compressed_bytes_a=comp_a,
-        raw_bytes_b=raw_b,
-        compressed_bytes_b=comp_b,
-    )

@@ -7,6 +7,10 @@ which look up embeddings, pool per row (element-wise or attention), send
 the pooled vectors back, and the source rank expands deduplicated rows
 and scores them through a fixed interaction stub.
 
+``ModelSpec.units`` fixes the order of the pooling units: each dedup
+group in turn, then each plain key alone. The round-robin plan,
+``split_batch`` and the forward pass all read that one order.
+
 The rank is part of the dedup key, so each rank's unique rows sit
 contiguously in one tensor per feature, rank after rank. Lookup,
 pooling, expand and the interaction stub run once per pooling unit over
@@ -175,23 +179,17 @@ class ModelSpec:
         if len(dims) > 1:
             raise ValueError("all tables must share one embedding dim")
         seen: set[str] = set()
-        for g in self.groups:
-            for key in g.keys:
-                if key in seen:
-                    raise ValueError(f"feature {key!r} appears in two groups")
-                if key not in self.tables:
-                    raise ValueError(f"grouped feature {key!r} has no table")
-                seen.add(key)
-        for key, op in self.plain.items():
-            if key in seen:
-                raise ValueError(f"plain feature {key!r} also grouped")
-            if key not in self.tables:
-                raise ValueError(f"plain feature {key!r} has no table")
-            if op not in ELEMENT_POOLING:
+        for keys, op, grouped in self.units:
+            if not grouped and op not in ELEMENT_POOLING:
                 raise ValueError(f"plain pooling must be element-wise, got {op!r}")
-            seen.add(key)
-        if seen != set(self.tables):
-            unused = set(self.tables) - seen
+            for key in keys:
+                if key in seen:
+                    raise ValueError(f"feature {key!r} is in two pooling units")
+                if key not in self.tables:
+                    raise ValueError(f"feature {key!r} has no table")
+                seen.add(key)
+        unused = set(self.tables) - seen
+        if unused:
             raise ValueError(f"tables with no feature assignment: {sorted(unused)}")
 
     @property
@@ -199,10 +197,16 @@ class ModelSpec:
         return next(iter(self.tables.values())).dim
 
     @property
+    def units(self) -> tuple[tuple[tuple[str, ...], str, bool], ...]:
+        """The pooling units in order, one ``(keys, pooling op, grouped)``
+        triple each: every group in turn, then every plain key alone."""
+        return tuple((g.keys, g.pooling, True) for g in self.groups) + tuple(
+            ((key,), op, False) for key, op in self.plain.items()
+        )
+
+    @property
     def all_keys(self) -> tuple[str, ...]:
-        keys = [k for g in self.groups for k in g.keys]
-        keys.extend(self.plain)
-        return tuple(keys)
+        return tuple(key for keys, _, _ in self.units for key in keys)
 
 
 @dataclass(frozen=True)
@@ -220,19 +224,14 @@ class ShardingPlan:
 
 
 def make_round_robin_plan(spec: ModelSpec, num_ranks: int) -> ShardingPlan:
-    """Round-robin over groups then plain keys; a group's features stay
-    on one rank so attention sees its whole sequence locally."""
+    """Round-robin over the pooling units in ``spec.units`` order; a
+    group's features stay on one rank so attention sees its whole
+    sequence locally."""
     if num_ranks < 1:
         raise ValueError("num_ranks must be >= 1")
-    assignment: dict[str, int] = {}
-    unit = 0
-    for g in spec.groups:
-        for key in g.keys:
-            assignment[key] = unit % num_ranks
-        unit += 1
-    for key in spec.plain:
-        assignment[key] = unit % num_ranks
-        unit += 1
+    assignment = {
+        key: i % num_ranks for i, (keys, _, _) in enumerate(spec.units) for key in keys
+    }
     return ShardingPlan(num_ranks=num_ranks, assignment=assignment)
 
 
@@ -443,9 +442,9 @@ class PoolingUnit:
 def split_batch(
     batch: ReaderBatch, spec: ModelSpec, mode: str, num_ranks: int
 ) -> list[PoolingUnit]:
-    """A reader batch's pooling units in spec order, split across ranks
-    (data parallelism): each group's tensors with an inverse, then each
-    plain key's tensor.
+    """A reader batch's pooling units in ``spec.units`` order, split
+    across ranks (data parallelism): each group's tensors with an
+    inverse, then each plain key's tensor.
 
     Ranks own contiguous row ranges (:func:`_rank_bounds`), so ranks
     beyond the row count get no rows and send nothing. In dedup mode the
@@ -465,29 +464,25 @@ def split_batch(
     rows = _rank_bounds(batch.batch_size, num_ranks)
     rank_of_row = np.repeat(np.arange(rows.size - 1), np.diff(rows))
     units = []
-    for g in spec.groups:
-        if mode == "dedup":
-            ik = next((ik for ik in batch.ikjts if ik.group_keys == g.keys), None)
+    for keys, _, grouped in spec.units:
+        if grouped and mode == "dedup":
+            ik = next((ik for ik in batch.ikjts if ik.group_keys == keys), None)
             if ik is None:
                 raise ValueError(
-                    f"batch has no IKJT for group {list(g.keys)}; "
+                    f"batch has no IKJT for group {list(keys)}; "
                     "reader spec and model spec disagree"
                 )
             key = rank_of_row * ik.unique_count + ik.inverse_lookup
             first, inverse = unique_first_occurrence(key)
             picked = ik.inverse_lookup[first]
-            tensors = {k: jagged_index_select(ik.per_feature[k], picked) for k in g.keys}
+            tensors = {k: jagged_index_select(ik.per_feature[k], picked) for k in keys}
             units.append(PoolingUnit(tensors, inverse, np.searchsorted(first, rows)))
-        else:
-            missing = [k for k in g.keys if k not in batch.kjts]
-            if missing:
-                raise ValueError(f"baseline batch lacks plain tensors for {missing}")
-            identity = np.arange(batch.batch_size, dtype=np.int64)
-            units.append(PoolingUnit({k: batch.kjts[k] for k in g.keys}, identity, rows))
-    for key in spec.plain:
-        if key not in batch.kjts:
-            raise ValueError(f"batch lacks plain feature {key!r}")
-        units.append(PoolingUnit({key: batch.kjts[key]}, None, rows))
+            continue
+        missing = [k for k in keys if k not in batch.kjts]
+        if missing:
+            raise ValueError(f"batch lacks plain tensors for {missing}")
+        identity = np.arange(batch.batch_size, dtype=np.int64) if grouped else None
+        units.append(PoolingUnit({k: batch.kjts[k] for k in keys}, identity, rows))
     return units
 
 
@@ -511,17 +506,9 @@ def forward_iteration(
     stats = IterationStats()
     stats.a2a_bytes_fwd = sdd(units, plan).a2a_bytes_fwd
 
-    # One op per pooling unit, in the units' order.
-    ops = [
-        AttentionParams.create("/".join(g.keys), dim, spec.seed)
-        if g.pooling == "attention"
-        else g.pooling
-        for g in spec.groups
-    ] + list(spec.plain.values())
-
     # Pooled blocks in unit order: groups, then plain keys.
     blocks: list[np.ndarray] = []
-    for unit, op in zip(units, ops):
+    for unit, (keys, op, _) in zip(units, spec.units):
         acts = []
         for key, jt in unit.tensors.items():
             acts.append((embedding_lookup(jt, tables[key], key), jt.offsets))
@@ -530,8 +517,9 @@ def forward_iteration(
             stats.activation_elements = max(
                 stats.activation_elements, int(rank_values.max()) * dim
             )
-        if isinstance(op, AttentionParams):
-            pooled, macs = attention_pool(acts, op)
+        if op == "attention":
+            params = AttentionParams.create("/".join(keys), dim, spec.seed)
+            pooled, macs = attention_pool(acts, params)
             stats.pooling_mac_count += macs
             unit_blocks = [pooled]
         else:

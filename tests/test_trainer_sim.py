@@ -415,6 +415,42 @@ def split_cases():
     ]
 
 
+def mixed_model_spec():
+    """An attention group, an element-wise group and two plain keys."""
+    return ModelSpec(
+        tables={k: TableConfig(rows=1000, dim=4) for k in ("a1", "a2", "e", "p1", "p2")},
+        groups=(GroupConfig(("a1", "a2"), "attention"), GroupConfig(("e",), "max")),
+        plain={"p1": "sum", "p2": "avg"},
+    )
+
+
+MIXED_UNITS = (
+    (("a1", "a2"), "attention", True),
+    (("e",), "max", True),
+    (("p1",), "sum", False),
+    (("p2",), "avg", False),
+)
+
+DEFAULT_UNITS = (
+    (("cart_item_ids", "cart_seller_ids"), "attention", True),
+    (("viewed_ids",), "sum", True),
+    (("liked_ids",), "max", True),
+    (("clicked_ids",), "avg", True),
+    (("item_id",), "sum", False),
+    (("item_category_ids",), "sum", False),
+)
+
+
+def unit_order_case(which):
+    """(model spec, columnar batch of its keys) for the default model
+    spec on a small default-config dataset, or for the mixed spec."""
+    if which == "default":
+        cfg, specs = default_config(seed=0, num_sessions=6)
+        return default_model_spec(specs), generate_dataset(cfg, specs)
+    rows = random_batch(np.random.default_rng(29), 25, keys=("a1", "a2", "e", "p1", "p2"))
+    return mixed_model_spec(), as_batch(rows)
+
+
 SPLIT_CASES = [
     pytest.param(rows, ranks, id=f"{name}-R{ranks}")
     for name, rows in split_cases()
@@ -460,6 +496,24 @@ class TestSplitBatch:
         assert unit.tensors["f"].to_pylists() == [[1], [2], [3], [2]]
         np.testing.assert_array_equal(unit.inverse, [0, 1, 0, 2, 3])
         np.testing.assert_array_equal(unit.bounds, [0, 2, 4])
+
+    @pytest.mark.parametrize("mode", ["baseline", "dedup"])
+    @pytest.mark.parametrize("which", ["default", "mixed"])
+    def test_units_follow_spec_units(self, which, mode):
+        model, table = unit_order_case(which)
+        reader = DataloaderSpec(
+            keys=model.all_keys,
+            dedup_sparse_features=tuple(g.keys for g in model.groups),
+            batch_size=len(table),
+        )
+        batch = convert(table, reader if mode == "dedup" else reader.without_dedup())
+        units = split_batch(batch, model, mode, 3)
+        assert len(units) == len(model.units)
+        for unit, (keys, _, grouped) in zip(units, model.units):
+            assert tuple(unit.tensors) == keys
+            assert (unit.inverse is not None) == grouped
+            if grouped and mode == "baseline":
+                np.testing.assert_array_equal(unit.inverse, np.arange(batch.batch_size))
 
     @pytest.mark.parametrize("rows,ranks", SPLIT_CASES)
     def test_rank_slices_match_build_ikjt(self, rows, ranks):
@@ -670,6 +724,36 @@ class TestModelSpec:
                 tables={"a": TableConfig(2, 4)},
                 groups=(),
                 plain={"a": "attention"},
+            )
+
+    @pytest.mark.parametrize(
+        "which, expected", [("default", DEFAULT_UNITS), ("mixed", MIXED_UNITS)]
+    )
+    def test_units_are_groups_then_plain_keys(self, which, expected):
+        model, _ = unit_order_case(which)
+        assert model.units == expected
+        assert model.all_keys == tuple(k for keys, _, _ in expected for k in keys)
+
+    @pytest.mark.parametrize("ranks", [1, 2, 3])
+    @pytest.mark.parametrize("which", ["default", "mixed"])
+    def test_round_robin_plan_follows_units(self, which, ranks):
+        model, _ = unit_order_case(which)
+        plan = make_round_robin_plan(model, ranks)
+        assert plan.assignment == {
+            k: i % ranks for i, (keys, _, _) in enumerate(model.units) for k in keys
+        }
+        if which == "mixed" and ranks == 3:
+            assert plan.assignment == {"a1": 0, "a2": 0, "e": 1, "p1": 2, "p2": 0}
+
+    def test_key_in_two_units_rejected(self):
+        tables = {"a": TableConfig(2, 4), "b": TableConfig(2, 4)}
+        with pytest.raises(ValueError, match="'a' is in two pooling units"):
+            ModelSpec(tables=tables, groups=(GroupConfig(("a",), "sum"),), plain={"a": "sum", "b": "sum"})
+        with pytest.raises(ValueError, match="'a' is in two pooling units"):
+            ModelSpec(
+                tables=tables,
+                groups=(GroupConfig(("a", "b"), "attention"), GroupConfig(("a",), "sum")),
+                plain={},
             )
 
     def test_round_robin_plan_co_locates_groups(self):
