@@ -342,12 +342,24 @@ def unique_first_occurrence(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct entries of a 1-D array, numbered in first-occurrence order.
 
     Returns the position of each distinct entry's first occurrence, in
-    ascending order, and each entry's ordinal into that array.
+    ascending order, and each entry's ordinal into that array, both
+    int64. Equal entries form runs in one unstable sort; each run's
+    first occurrence is its least position, and the runs are renumbered
+    by it. Any dtype with a sort order and ``!=`` works, ``np.void``
+    rows included.
     """
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    # np.unique numbers entries in sorted order; renumber by first occurrence.
-    order = np.argsort(first)
-    return first[order], np.argsort(order)[inverse.ravel()]
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+    head = np.empty(sorted_keys.size, dtype=bool)
+    head[:1] = True
+    head[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    first = np.minimum.reduceat(order, np.flatnonzero(head))
+    by_first = np.argsort(first)
+    ordinal = np.empty_like(by_first)
+    ordinal[by_first] = np.arange(by_first.size)
+    inverse = np.empty_like(order)
+    inverse[order] = ordinal[np.cumsum(head) - 1]
+    return first[by_first], inverse
 
 
 def build_ikjt(rows, group: Sequence[str]) -> IKJT:
@@ -433,13 +445,9 @@ def jagged_index_select(jt: JaggedTensor, indices) -> JaggedTensor:
     """
     idx = np.asarray(indices, dtype=np.int64)
     n = jt.row_count
-    if idx.size:
-        bad = np.flatnonzero((idx < 0) | (idx >= n))
-        if bad.size:
-            p = int(bad[0])
-            raise IndexError(
-                f"index {int(idx[p])} at position {p} out of range for {n} rows"
-            )
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        p = int(np.flatnonzero((idx < 0) | (idx >= n))[0])
+        raise IndexError(f"index {int(idx[p])} at position {p} out of range for {n} rows")
     return gather_windows(jt.values, jt.offsets[idx], jt.row_lengths()[idx])
 
 

@@ -300,24 +300,28 @@ def sdd(units: list[PoolingUnit], plan: ShardingPlan) -> SddResult:
 def embedding_lookup(
     jt: JaggedTensor, table: EmbeddingTable, key: str = ""
 ) -> np.ndarray:
-    """One embedding vector per values element, in values order."""
+    """One embedding vector per values element, in values order.
+
+    The range check is explicit because ``np.take`` would wrap a
+    negative ID rather than reject it.
+    """
     vals = jt.values
-    if vals.size:
-        bad = np.flatnonzero((vals < 0) | (vals >= table.rows))
-        if bad.size:
-            p = int(bad[0])
-            raise ValueError(
-                f"feature {key or table.key!r}: ID {int(vals[p])} at position {p} "
-                f"out of range [0, {table.rows})"
-            )
-    return table.weights[vals]
+    if vals.size and (vals.min() < 0 or vals.max() >= table.rows):
+        p = int(np.flatnonzero((vals < 0) | (vals >= table.rows))[0])
+        raise ValueError(
+            f"feature {key or table.key!r}: ID {int(vals[p])} at position {p} "
+            f"out of range [0, {table.rows})"
+        )
+    return np.take(table.weights, vals, axis=0)
 
 
 def pool(activations: np.ndarray, offsets: np.ndarray, op: str) -> np.ndarray:
     """Per-row reduction; empty rows produce zero vectors for every op.
 
-    Reductions run left-to-right within each row (ufunc.reduceat), so
-    identical rows give bit-identical outputs.
+    Each row reduces with ``ufunc.reduceat``, whose summation order is
+    neither a plain left-to-right loop nor a per-column ``np.add.reduce``
+    but depends only on the row's own elements, so identical rows give
+    bit-identical outputs.
     """
     if op not in ELEMENT_POOLING:
         raise ValueError(f"unknown pooling op {op!r}")
@@ -389,7 +393,7 @@ def attention_pool(
     # row's keys in group order.
     gather, _ = window_index(starts[:, rows].T.ravel(), key_lens[:, rows].T.ravel())
     joined = np.concatenate([acts for acts, _ in per_key_activations])
-    seqs = joined[gather]
+    seqs = np.take(joined, gather, axis=0)
 
     scale = np.float32(1.0 / math.sqrt(d))
     run_starts = np.flatnonzero(np.diff(ns, prepend=-1))
@@ -448,8 +452,8 @@ def split_batch(
 
     Ranks own contiguous row ranges (:func:`_rank_bounds`), so ranks
     beyond the row count get no rows and send nothing. In dedup mode the
-    rank is part of the dedup key: one ``np.unique`` over
-    ``rank * U + inverse_lookup`` of the batch's IKJT lays each rank's
+    rank is part of the dedup key: one :func:`unique_first_occurrence`
+    over ``rank * U + inverse_lookup`` of the batch's IKJT lays each rank's
     unique rows out contiguously, rank after rank, each rank's in
     first-occurrence order, which is what deduplicating that rank's rows
     alone gives. In baseline mode a group is its plain tensors with an
@@ -527,7 +531,7 @@ def forward_iteration(
             stats.pooling_mac_count += sum(a.shape[0] for a, _ in acts) * dim
         stats.a2a_bytes_back += sum(b.shape[0] * dim * 4 for b in unit_blocks)
         if unit.inverse is not None:
-            unit_blocks = [b[unit.inverse] for b in unit_blocks]
+            unit_blocks = [np.take(b, unit.inverse, axis=0) for b in unit_blocks]
             stats.index_select_elements += len(unit_blocks) * unit.inverse.size * dim
         blocks.extend(unit_blocks)
 

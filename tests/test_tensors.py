@@ -32,6 +32,7 @@ from sessiondedup.tensors import (
     serialize_ikjt,
     serialize_kjt,
     slice_stream_bytes,
+    unique_first_occurrence,
     values_stream_bytes,
     window_index,
 )
@@ -318,6 +319,130 @@ class TestUniqueRowsAgainstPaddedOracle:
         assert_matches_padded_oracle(group_of(rows))
 
 
+def np_unique_first_occurrence(keys):
+    """First-occurrence numbering from ``np.unique``'s stable first
+    indices, renumbered by two argsorts: the oracle for
+    :func:`unique_first_occurrence`."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return first[order], np.argsort(order)[inverse.ravel()]
+
+
+def assert_matches_unique_oracle(keys):
+    first, inverse = unique_first_occurrence(keys)
+    want_first, want_inverse = np_unique_first_occurrence(keys)
+    assert first.dtype == np.int64 and inverse.dtype == np.int64
+    assert first.shape == want_first.shape and inverse.shape == want_inverse.shape
+    np.testing.assert_array_equal(first, want_first)
+    np.testing.assert_array_equal(inverse, want_inverse)
+    assert np.all(np.diff(first) > 0)
+    return first, inverse
+
+
+def padded_void_rows(table):
+    """Whole int64 matrix rows as one ``np.void`` each, as
+    :func:`tensors._unique_rows_padded` compares them."""
+    table = np.ascontiguousarray(table, dtype=np.int64)
+    return table.view(np.dtype((np.void, table.shape[1] * 8))).ravel()
+
+
+def rank_keyed(inverse_lookup, num_ranks):
+    """``split_batch``'s dedup key: rank * U + inverse_lookup."""
+    n = inverse_lookup.size
+    rank_of_row = np.arange(n) * num_ranks // n
+    return rank_of_row * (int(inverse_lookup.max()) + 1) + inverse_lookup
+
+
+class TestUniqueFirstOccurrence:
+    """One unstable sort must number entries exactly as ``np.unique``'s
+    stable first indices do."""
+
+    def test_worked_example(self):
+        first, inverse = assert_matches_unique_oracle(np.array([5, 3, 5, 9, 3], dtype=np.uint64))
+        np.testing.assert_array_equal(first, [0, 1, 3])
+        np.testing.assert_array_equal(inverse, [0, 1, 0, 2, 1])
+
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            pytest.param(np.empty(0, dtype=np.uint64), id="empty-uint64"),
+            pytest.param(np.empty(0, dtype=np.int64), id="empty-int64"),
+            pytest.param(np.array([42], dtype=np.uint64), id="one-key"),
+            pytest.param(np.full(50, 7, dtype=np.uint64), id="all-equal"),
+            pytest.param(
+                np.random.default_rng(1).permutation(300).astype(np.uint64), id="all-distinct"
+            ),
+            pytest.param(np.arange(300, dtype=np.int64)[::-1].copy(), id="descending"),
+            pytest.param(
+                np.repeat(np.arange(40, dtype=np.int64)[::-1], 3), id="descending-runs"
+            ),
+            pytest.param(
+                np.array([2**63, 2**64 - 1, 0, 2**63 + 1, 2**64 - 1, 1, 2**63, 0], dtype=np.uint64),
+                id="uint64-top-bit",
+            ),
+            pytest.param(
+                np.array([-1, I64_MIN, 5, -1, I64_MAX, I64_MIN, 0, -2, 5], dtype=np.int64),
+                id="negative-int64",
+            ),
+            # Long runs of few values, so the unstable sort reorders
+            # equal keys and the first occurrence must come from the min.
+            pytest.param(
+                np.random.default_rng(2).integers(0, 7, 10_000).astype(np.uint64), id="few-values"
+            ),
+            pytest.param(
+                np.random.default_rng(3).integers(0, 2731, 4096).astype(np.uint64)
+                * np.uint64(0x9E3779B97F4A7C15),
+                id="hashed-keys",
+            ),
+        ],
+    )
+    def test_matches_np_unique(self, keys):
+        assert_matches_unique_oracle(keys)
+
+    @pytest.mark.parametrize("clustering", ["none", "by_session"])
+    @pytest.mark.parametrize("num_ranks", [1, 3, 4])
+    def test_rank_keyed_split_batch_keys(self, clustering, num_ranks):
+        cfg, specs = default_config(num_sessions=300)
+        table = generate_dataset(cfg, specs)
+        if clustering == "by_session":
+            table = table.take_rows(np.lexsort((table.timestamps, table.session_ids)))
+        batch = table.slice_rows(0, 4096)
+        for group in [g.keys for g in default_model_spec(specs).groups]:
+            ik = build_ikjt(batch, group)
+            assert_matches_unique_oracle(rank_keyed(ik.inverse_lookup, num_ranks))
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            pytest.param([[1, 5, 0], [2, 5, 6], [1, 5, 0], [0, 0, 0], [2, 5, 6], [0, 0, 0]], id="lengths-values"),
+            pytest.param([[1, -1], [1, I64_MIN], [1, -1], [1, I64_MAX]], id="extremes"),
+            pytest.param([[3, 1, 2, 3]] * 6, id="all-equal"),
+        ],
+    )
+    def test_padded_void_rows(self, rows):
+        assert_matches_unique_oracle(padded_void_rows(rows))
+
+    def test_padded_void_rows_of_a_group(self):
+        rng = np.random.default_rng(4)
+        pool = [rng.integers(-3, 4, 6) for _ in range(20)]
+        table = np.stack([pool[i] for i in rng.integers(0, 20, 500)])
+        assert_matches_unique_oracle(padded_void_rows(table))
+
+    @given(
+        st.lists(
+            st.one_of(st.integers(-3, 3), st.sampled_from([I64_MIN, I64_MAX, -(2**62), 2**62])),
+            min_size=1,
+            max_size=12,
+            unique=True,
+        ).flatmap(lambda pool: st.lists(st.sampled_from(pool), max_size=200)),
+        st.sampled_from(["int64", "uint64"]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_random_keys(self, values, dtype):
+        keys = np.array(values, dtype=np.int64).view(dtype)
+        assert_matches_unique_oracle(keys)
+
+
 def _variable_length_config():
     """Fractional list lengths in one sync group and a small vocabulary,
     over short geometric sessions."""
@@ -469,6 +594,18 @@ class TestJaggedIndexSelect:
         jt = JaggedTensor.from_rows([[1], [2]])
         with pytest.raises(IndexError, match="position 1"):
             jagged_index_select(jt, np.array([0, 5], dtype=np.int64))
+
+    @pytest.mark.parametrize(
+        "bad, later", [(-1, 1), (3, 1), (-1, 3), (3, -1), (I64_MIN, I64_MAX)]
+    )
+    def test_out_of_range_index_reported_at_first_bad_position(self, bad, later):
+        # A negative index would wrap silently in a gather, so the range
+        # check alone stands between it and a wrong row.
+        jt = JaggedTensor.from_rows([[1], [2], [3, 4]])
+        with pytest.raises(
+            IndexError, match=rf"^index {bad} at position 2 out of range for 3 rows$"
+        ):
+            jagged_index_select(jt, np.array([0, 2, bad, 1, later], dtype=np.int64))
 
 
 class TestWindowIndex:

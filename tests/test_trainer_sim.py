@@ -230,6 +230,19 @@ class TestEmbeddingLookup:
         with pytest.raises(ValueError, match=r"'b'.*ID 9 at position 1"):
             embedding_lookup(jt, table, "b")
 
+    @pytest.mark.parametrize(
+        "bad, later", [(-1, 1), (4, 1), (-1, 4), (4, -1), (-(2**63), 2**63 - 1)]
+    )
+    def test_out_of_range_id_reported_at_first_bad_position(self, bad, later):
+        # np.take would wrap a negative ID to a real row, so only the
+        # range check catches it.
+        table = identity_table("b", 4)
+        jt = JaggedTensor.from_rows([[0, 3], [bad, 2], [later]])
+        with pytest.raises(
+            ValueError, match=rf"^feature 'b': ID {bad} at position 2 out of range \[0, 4\)$"
+        ):
+            embedding_lookup(jt, table, "b")
+
 
 class TestAttentionPool:
     @staticmethod
@@ -1012,3 +1025,129 @@ class TestGoldenForward:
                 assert digests == GOLDEN_SCORE_SHA256[clustering], (mode, ranks)
                 counters = [astuple(st) for _, st in out]
                 assert counters == GOLDEN_COUNTERS[clustering, ranks, mode]
+
+
+# Exact forward-pass output on variable-length data: user sequences of
+# average length 5.5 (5 or 6 IDs per session), a cart attention group
+# whose rows reach 95, 96 or 97 elements, so every batch has several
+# attention length buckets and buckets that split into sub-blocks, and
+# item features with empty rows. 150 sessions (seed 0, 2540 rows) read
+# in batches of 1000 rows. Laid out as GOLDEN_SCORE_SHA256 and
+# GOLDEN_COUNTERS.
+def variable_length_config():
+    user = dict(kind="user_sequence", change_prob=0.15)
+    specs = [
+        FeatureSpec(key="viewed_ids", avg_len=5.5, vocab_size=2_000, **user),
+        FeatureSpec(key="liked_ids", avg_len=5.5, vocab_size=500, **user),
+        FeatureSpec(key="cart_item_ids", avg_len=5.5, vocab_size=500, sync_group="cart", **user),
+        FeatureSpec(key="cart_seller_ids", avg_len=90.5, vocab_size=200, sync_group="cart", **user),
+        FeatureSpec(key="item_id", kind="item", avg_len=0.5, vocab_size=1_000),
+        FeatureSpec(key="item_category_ids", kind="item", avg_len=2.5, vocab_size=50),
+    ]
+    cfg = SessionConfig(
+        num_sessions=150,
+        samples_per_session=SampleCountDist(kind="geometric", mean=16.0),
+        seed=0,
+    )
+    return cfg, specs
+
+
+VARIABLE_SCORE_SHA256 = {
+    "none": [
+        "39ad6a67ea978a114a4f6be28c61126dde4727b02da9372931776d29a05b269e",
+        "870a1efd5ef1efc700655d1ad22273382e73d27bf138be74cdd19d4faddbb3a2",
+        "b8c4f201c064d2a1f72a91f96bee99b211fe68bd096aaded183ce00f928b9450",
+    ],
+    "by_session": [
+        "eefbd8fc2f14f80e88f2469c68fafc1845c578cdd6403869a596d5db9905aa20",
+        "e103078eb6898b6c3abd6c5c23a1a2e6cf73d4bb434481b19248d9a3eb3154e0",
+        "dd4bc83c4375cd8750cb127a66e3678e30c3fda6355046eb1af4d15ea73b46bb",
+    ],
+}
+VARIABLE_COUNTERS = {
+    ("none", 1, "baseline"): [
+        (928408, 320000, 110039, 1447264, 368853088, 48000),
+        (927680, 320000, 109948, 1446960, 368548912, 48000),
+        (501288, 172800, 59409, 781712, 199167056, 25920),
+    ],
+    ("none", 4, "baseline"): [
+        (928696, 320000, 110039, 361936, 368853088, 48000),
+        (927968, 320000, 109948, 361840, 368548912, 48000),
+        (501576, 172800, 59409, 195504, 199167056, 25920),
+    ],
+    ("none", 1, "dedup"): [
+        (279336, 179072, 31837, 390784, 99597536, 48000),
+        (272504, 180032, 30978, 376304, 95889280, 48000),
+        (188192, 104768, 21687, 272192, 69289488, 25920),
+    ],
+    ("none", 4, "dedup"): [
+        (475496, 220864, 55447, 183824, 181103152, 48000),
+        (461496, 221248, 53710, 175104, 174005520, 48000),
+        (326248, 134592, 38287, 131712, 126428976, 25920),
+    ],
+    ("by_session", 1, "baseline"): [
+        (928528, 320000, 110054, 1447216, 368115040, 48000),
+        (927264, 320000, 109896, 1447424, 369402224, 48000),
+        (501584, 172800, 59446, 781296, 199051792, 25920),
+    ],
+    ("by_session", 4, "baseline"): [
+        (928816, 320000, 110054, 362960, 368115040, 48000),
+        (927552, 320000, 109896, 362176, 369402224, 48000),
+        (501872, 172800, 59446, 195600, 199051792, 25920),
+    ],
+    ("by_session", 1, "dedup"): [
+        (224672, 167616, 25245, 300976, 76617984, 48000),
+        (209656, 165952, 23412, 275136, 70182672, 48000),
+        (116400, 89280, 13036, 154832, 39463104, 25920),
+    ],
+    ("by_session", 4, "dedup"): [
+        (227632, 168192, 25567, 92512, 77711488, 48000),
+        (211048, 166400, 23542, 85552, 70552112, 48000),
+        (118512, 89728, 13255, 50672, 40194464, 25920),
+    ],
+}
+
+
+class TestGoldenForwardVariableLength:
+    """TestGoldenForward on rows of varying length, where attention runs
+    several length buckets per batch and splits the large ones."""
+
+    @pytest.fixture(scope="class")
+    def dataset(self):
+        cfg, specs = variable_length_config()
+        model = default_model_spec(specs, seed=0)
+        return generate_dataset(cfg, specs), model, build_tables(model)
+
+    def read(self, dataset, clustering, mode, tmp_path):
+        table, model, _ = dataset
+        f = write_table(table, tmp_path / "t.sesscol", clustering=clustering)
+        spec = DataloaderSpec(
+            keys=model.all_keys,
+            dedup_sparse_features=tuple(g.keys for g in model.groups),
+            batch_size=1000,
+        )
+        return list(read_batches(f, spec if mode == "dedup" else spec.without_dedup()))
+
+    @pytest.mark.parametrize("clustering", ["none", "by_session"])
+    def test_attention_runs_several_buckets_and_sub_blocks(self, dataset, clustering, tmp_path):
+        for batch in self.read(dataset, clustering, "baseline", tmp_path):
+            n = sum(batch.kjts[k].row_lengths() for k in ("cart_item_ids", "cart_seller_ids"))
+            lengths, counts = np.unique(n, return_counts=True)
+            assert lengths.size >= 3
+            steps = trainer_sim._ATTENTION_BLOCK_ELEMENTS // (lengths * lengths)
+            assert np.any(counts > steps)
+            for key in ("viewed_ids", "item_id"):
+                assert np.unique(batch.kjts[key].row_lengths()).size == 2
+
+    @pytest.mark.parametrize("clustering", ["none", "by_session"])
+    def test_scores_and_counters_match_pinned(self, dataset, clustering, tmp_path):
+        _, model, tables = dataset
+        for mode in ("baseline", "dedup"):
+            batches = self.read(dataset, clustering, mode, tmp_path)
+            for ranks in (1, 4):
+                plan = make_round_robin_plan(model, ranks)
+                out = [forward_iteration(b, model, plan, mode, tables) for b in batches]
+                digests = [hashlib.sha256(s.tobytes()).hexdigest() for s, _ in out]
+                assert digests == VARIABLE_SCORE_SHA256[clustering], (mode, ranks)
+                counters = [astuple(st) for _, st in out]
+                assert counters == VARIABLE_COUNTERS[clustering, ranks, mode]
