@@ -113,25 +113,35 @@ class ScanBatch:
 
 
 def _join(parts: list[ScanBatch], bytes_read: int) -> ScanBatch:
-    """One batch of the rows of ``parts``, in order. A lone part (a batch
-    inside one stripe) is returned as it is, as views of that stripe;
-    only a batch that spans stripes is copied."""
+    """One batch of the rows of ``parts``, in order; ``parts`` is left
+    empty. A lone part (a batch inside one stripe) is returned as it is,
+    as views of that stripe. A batch that spans stripes is copied column
+    by column, and each feature's stripe arrays are let go as soon as its
+    joined copy exists, so the stripes are not all held beside the whole
+    copy."""
     if len(parts) == 1:
-        parts[0].bytes_read = bytes_read
-        return parts[0]
+        part = parts.pop()
+        part.bytes_read = bytes_read
+        return part
+    session_ids = np.concatenate([b.session_ids for b in parts])
+    timestamps = np.concatenate([b.timestamps for b in parts])
+    labels = np.concatenate([b.labels for b in parts])
+    columns = [dict(b.features.entries) for b in parts]
+    parts.clear()
     entries = {}
-    for key in parts[0].features.entries:
-        jts = [b.features.entries[key] for b in parts]
+    for key in list(columns[0]):
+        jts = [c.pop(key) for c in columns]
         bases = np.cumsum([0] + [jt.values.size for jt in jts[:-1]])
         entries[key] = JaggedTensor(
             values=np.concatenate([jt.values for jt in jts]),
             offsets=np.concatenate([jt.offsets + base for jt, base in zip(jts, bases)]),
         )
+        del jts
     return ScanBatch(
-        session_ids=np.concatenate([b.session_ids for b in parts]),
-        timestamps=np.concatenate([b.timestamps for b in parts]),
-        labels=np.concatenate([b.labels for b in parts]),
-        features=KJT(batch_size=sum(len(b) for b in parts), entries=entries),
+        session_ids=session_ids,
+        timestamps=timestamps,
+        labels=labels,
+        features=KJT(batch_size=session_ids.size, entries=entries),
         bytes_read=bytes_read,
     )
 
@@ -377,8 +387,9 @@ def scan(file: ColumnarFile, batch_size: int) -> Iterator[ScanBatch]:
         start = 0
         while held + len(stripe) - start >= batch_size:
             stop = start + batch_size - held
-            yield _join(parts + [stripe.slice_rows(start, stop)], pending_bytes)
-            parts, held, pending_bytes, start = [], 0, 0, stop
+            parts.append(stripe.slice_rows(start, stop))
+            yield _join(parts, pending_bytes)
+            held, pending_bytes, start = 0, 0, stop
         if start < len(stripe):
             parts.append(stripe.slice_rows(start, len(stripe)))
             held += len(stripe) - start

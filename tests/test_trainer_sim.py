@@ -198,6 +198,204 @@ class TestPool:
             pool(np.zeros((1, 1), dtype=np.float32), np.array([0]), "median")
 
 
+def _pool_reference(activations, offsets, op):
+    """``ufunc.reduceat`` over every non-empty row: the oracle for ``pool``."""
+    n_rows = offsets.size
+    dim = activations.shape[1]
+    bounds = np.append(offsets, activations.shape[0])
+    lengths = np.diff(bounds)
+    out = np.zeros((n_rows, dim), dtype=np.float32)
+    nonempty = lengths > 0
+    if nonempty.any():
+        starts = bounds[:-1][nonempty]
+        ufunc = np.maximum if op == "max" else np.add
+        out[nonempty] = ufunc.reduceat(activations, starts, axis=0)
+        if op == "avg":
+            out[nonempty] /= lengths[nonempty].astype(np.float32)[:, None]
+    return out
+
+
+def _left_to_right_sum(activations, offsets):
+    """Each row summed element by element, first to last."""
+    bounds = np.append(offsets, activations.shape[0])
+    out = np.zeros((offsets.size, activations.shape[1]), dtype=np.float32)
+    for r, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+        if b > a:
+            out[r] = np.add.accumulate(activations[a:b], axis=0)[-1]
+    return out
+
+
+def _pool_inputs(rng, lengths, dim):
+    """Rows of the given lengths over float32 activations whose
+    magnitudes span 12 decades, so the summation order shows in the bits."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    offsets = np.zeros(lengths.size, dtype=np.int64)
+    if lengths.size > 1:
+        np.cumsum(lengths[:-1], out=offsets[1:])
+    total = int(lengths.sum())
+    scale = 10.0 ** rng.integers(-6, 7, size=(total, dim))
+    acts = (rng.standard_normal((total, dim)) * scale).astype(np.float32)
+    return acts, offsets
+
+
+ELEMENT_OPS = ("sum", "avg", "max")
+
+
+def _assert_pool_matches_reference(acts, offsets):
+    for op in ELEMENT_OPS:
+        got = pool(acts, offsets, op)
+        want = _pool_reference(acts, offsets, op)
+        assert got.dtype == np.float32 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), op
+
+
+# Lengths at the pairwise sum's edges: the 8-lane unroll, the 128-element
+# block and the halving above it (each row sums its first element plus
+# the other n - 1).
+BOUNDARY_LENGTHS = [0, 1, 2, 7, 8, 9, 16, 17, 128, 129, 136, 256, 257, 300]
+
+
+class TestPoolMatchesReduceat:
+    """``pool`` against today's ``reduceat`` oracle, bit for bit."""
+
+    @pytest.mark.parametrize("order", ["shuffled", "sorted"])
+    def test_boundary_lengths(self, order):
+        rng = np.random.default_rng(11)
+        rows = trainer_sim._POOL_BLOCK_ROWS + 3
+        lengths = np.repeat(BOUNDARY_LENGTHS, rows)
+        lengths = rng.permutation(lengths) if order == "shuffled" else lengths
+        acts, offsets = _pool_inputs(rng, lengths, 16)
+        _assert_pool_matches_reference(acts, offsets)
+        # The data tells summation orders apart: a left-to-right sum
+        # misses the oracle on some row, so the test cannot pass for any
+        # order at all.
+        ltr = _left_to_right_sum(acts, offsets)
+        assert ltr.tobytes() != _pool_reference(acts, offsets, "sum").tobytes()
+
+    @pytest.fixture
+    def block_shapes(self, monkeypatch):
+        """The shape of every block ``pool`` hands to ``_reduce_block``."""
+        shapes = []
+        real = trainer_sim._reduce_block
+        monkeypatch.setattr(
+            trainer_sim, "_reduce_block", lambda x, u: shapes.append(x.shape) or real(x, u)
+        )
+        return shapes
+
+    def test_block_path_taken(self, block_shapes):
+        # Buckets of at least _POOL_BLOCK_ROWS rows reduce as blocks.
+        rng = np.random.default_rng(12)
+        lengths = rng.permutation(np.repeat(BOUNDARY_LENGTHS, trainer_sim._POOL_BLOCK_ROWS))
+        acts, offsets = _pool_inputs(rng, lengths, 16)
+        pool(acts, offsets, "sum")
+        assert sorted(n for _, n, _ in block_shapes) == BOUNDARY_LENGTHS[1:]
+
+    @pytest.mark.parametrize("delta", [-1, 0, 1])
+    def test_bucket_sizes_around_block_rows(self, delta, block_shapes):
+        rng = np.random.default_rng(13 + delta)
+        m = trainer_sim._POOL_BLOCK_ROWS + delta
+        # One bucket of m rows of length 40 holds most elements; a few
+        # short rows of other lengths sit between its rows.
+        lengths = rng.permutation(np.concatenate([np.full(m, 40), [3, 5, 0, 9, 1, 2]]))
+        acts, offsets = _pool_inputs(rng, lengths, 16)
+        _assert_pool_matches_reference(acts, offsets)
+        assert [s for s in block_shapes if s[0] == m] == ([(m, 40, 16)] * 3 if delta >= 0 else [])
+
+    @pytest.mark.parametrize("dim", [1, 2, 16])
+    def test_negative_zero_rows(self, dim):
+        # reduceat returns -0.0 for a row of -0.0 only while the pairwise
+        # sum keeps it, and a max over +0.0 and -0.0 returns whichever its
+        # loop reaches last; both must come out as the oracle's bits.
+        rng = np.random.default_rng(14)
+        rows = trainer_sim._POOL_BLOCK_ROWS + 2
+        lengths = rng.permutation(np.repeat([1, 2, 8, 9, 17, 24, 130], rows))
+        acts, offsets = _pool_inputs(rng, lengths, dim)
+        signed = rng.random(lengths.size) < 0.5
+        for r in np.flatnonzero(signed):
+            a = offsets[r]
+            acts[a : a + lengths[r]] = -0.0
+        zeros = rng.choice(
+            np.array([-1.0, -0.0, 0.0], dtype=np.float32), size=acts.shape
+        )
+        mixed = rng.random(lengths.size) < 0.5
+        for r in np.flatnonzero(mixed & ~signed):
+            a = offsets[r]
+            acts[a : a + lengths[r]] = zeros[a : a + lengths[r]]
+        _assert_pool_matches_reference(acts, offsets)
+
+    def test_all_distinct_lengths(self):
+        rng = np.random.default_rng(15)
+        acts, offsets = _pool_inputs(rng, rng.permutation(np.arange(300)), 16)
+        _assert_pool_matches_reference(acts, offsets)
+
+    def test_consecutive_and_scattered_buckets(self):
+        # Length 5 rows run back to back (a view); length 6 rows are
+        # scattered (a gather); empty rows sit in both runs.
+        rng = np.random.default_rng(16)
+        m = trainer_sim._POOL_BLOCK_ROWS
+        lengths = np.concatenate([np.full(m, 5), [0, 0], np.tile([6, 0, 6, 2], m)])
+        acts, offsets = _pool_inputs(rng, lengths, 16)
+        _assert_pool_matches_reference(acts, offsets)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 300), st.integers(1, 70)), min_size=0, max_size=6),
+        st.sampled_from([1, 3, 16]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_reference(self, buckets, dim, seed):
+        rng = np.random.default_rng(seed)
+        lengths = np.array([n for n, m in buckets for _ in range(m)], dtype=np.int64)
+        acts, offsets = _pool_inputs(rng, rng.permutation(lengths), dim)
+        _assert_pool_matches_reference(acts, offsets)
+
+
+class TestOffsetsValidated:
+    """Offsets that do not tile the activations are rejected, naming the
+    first bad row, by ``pool`` and ``attention_pool`` alike."""
+
+    @pytest.mark.parametrize(
+        "offsets, row",
+        [
+            pytest.param([0, 3, 2], 2, id="decreasing"),
+            pytest.param([0, 7], 1, id="past-the-end"),
+            pytest.param([2, 4], 0, id="not-from-0"),
+            pytest.param([0, 6, 2], 1, id="past-the-end-then-back"),
+            pytest.param([0, 2, 2, 1], 3, id="decreasing-after-empty"),
+        ],
+    )
+    def test_bad_offsets_rejected(self, offsets, row):
+        acts = np.ones((5, 4), dtype=np.float32)
+        offsets = np.array(offsets, dtype=np.int64)
+        for op in ELEMENT_OPS:
+            with pytest.raises(ValueError, match=rf"row {row} starts at {offsets[row]}\b"):
+                pool(acts, offsets, op)
+        params = AttentionParams.create("g", 4, seed=0)
+        with pytest.raises(ValueError, match=rf"row {row} starts at {offsets[row]}\b"):
+            attention_pool([(acts, offsets)], params)
+
+    def test_tiling_offsets_accepted(self):
+        acts = np.ones((5, 4), dtype=np.float32)
+        for offsets in ([], [0], [0, 5], [0, 0, 5, 5], [0, 2, 2, 5]):
+            offsets = np.array(offsets, dtype=np.int64)
+            assert pool(acts, offsets, "sum").shape == (offsets.size, 4)
+            out, _ = attention_pool([(acts, offsets)], AttentionParams.create("g", 4, seed=0))
+            assert out.shape == (offsets.size, 4)
+
+
+class TestLengthBuckets:
+    def test_stable_runs_without_empty_rows(self):
+        lengths = np.array([3, 0, 1, 3, 2, 1, 0, 3])
+        rows, bounds = trainer_sim._length_buckets(lengths)
+        assert rows.tolist() == [2, 5, 4, 0, 3, 7]
+        assert bounds.tolist() == [0, 2, 3, 6]
+
+    def test_no_rows(self):
+        for lengths in ([], [0, 0]):
+            rows, bounds = trainer_sim._length_buckets(np.array(lengths, dtype=np.int64))
+            assert rows.size == 0 and bounds.tolist() == [0]
+
+
 class TestEmbeddingLookup:
     def test_lookup_counts(self):
         # baseline looks up 9 IDs for feature b, dedup only 6
