@@ -136,7 +136,6 @@ def _join(parts: list[ScanBatch], bytes_read: int) -> ScanBatch:
             values=np.concatenate([jt.values for jt in jts]),
             offsets=np.concatenate([jt.offsets + base for jt, base in zip(jts, bases)]),
         )
-        del jts
     return ScanBatch(
         session_ids=session_ids,
         timestamps=timestamps,

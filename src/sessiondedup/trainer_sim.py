@@ -399,13 +399,36 @@ def _reduce_block(x: np.ndarray, ufunc: np.ufunc) -> np.ndarray:
     adds their pairwise sum, ``maximum`` folds in their lane tree and
     then the leftover elements one by one. Doing the same over whole
     blocks gives the same bits, signed zeros included. ``maximum`` may
-    take the first element last, because on a tie it returns its second
-    operand, which makes it associative bit for bit.
+    take the first element last because, on the CPUs checked, it returns
+    its second operand on a tie, which makes it associative bit for bit.
+    NumPy documents
+    none of this, so ``pool`` uses these blocks only where
+    ``_blocks_match_reduceat`` found them exact.
     """
     first, rest = x[:, 0], x[:, 1:]
     if not rest.shape[1]:
         return first.copy()
     return ufunc(first, _pairwise_sum(rest) if ufunc is np.add else _unrolled(rest, ufunc))
+
+
+def _blocks_match_reduceat() -> bool:
+    """Whether ``_reduce_block`` gives ``reduceat``'s bits with this NumPy
+    on this CPU, checked once at import on rows of mixed magnitudes and
+    of ±0.0 ties, at every length where NumPy's loop changes course."""
+    rng = np.random.default_rng(0)
+    for n in (1, 2, 7, 8, 9, 16, 17, 128, 129, 136, 256, 257, 300):
+        x = rng.standard_normal((8, n, 3)) * 10.0 ** rng.integers(-6, 7, (8, n, 3))
+        x[4:] = rng.choice([-1.0, -0.0, 0.0], size=(4, n, 3))
+        x = x.astype(np.float32)
+        starts = np.arange(0, x.shape[0] * n, n)
+        for ufunc in (np.add, np.maximum):
+            want = ufunc.reduceat(x.reshape(-1, 3), starts, axis=0)
+            if _reduce_block(x, ufunc).tobytes() != want.tobytes():
+                return False
+    return True
+
+
+_BLOCKS_MATCH_REDUCEAT = _blocks_match_reduceat()
 
 
 def pool(activations: np.ndarray, offsets: np.ndarray, op: str) -> np.ndarray:
@@ -419,10 +442,12 @@ def pool(activations: np.ndarray, offsets: np.ndarray, op: str) -> np.ndarray:
     Rows are bucketed by length. A bucket of at least ``_POOL_BLOCK_ROWS``
     rows reduces as one (m, n, d) block, a view of the activations when
     its rows are consecutive, and the other rows go through ``reduceat``
-    after one gather. When such buckets hold under half the elements,
-    that gather would cost more than the blocks save, so every row goes
-    through ``reduceat`` in place; so does a single-column ``max``, which
-    NumPy reduces with SIMD lanes of a CPU-dependent width.
+    after one gather. Every row goes through ``reduceat`` in place when
+    such buckets hold under half the elements, since that gather would
+    cost more than the blocks save; when the import-time probe found the
+    blocks inexact with this NumPy and CPU (they were checked on x86_64
+    with NumPy 2.4); and for a single-column ``max``, which NumPy reduces
+    with SIMD lanes of a CPU-dependent width.
     """
     if op not in ELEMENT_POOLING:
         raise ValueError(f"unknown pooling op {op!r}")
@@ -433,7 +458,17 @@ def pool(activations: np.ndarray, offsets: np.ndarray, op: str) -> np.ndarray:
     rows, bounds = _length_buckets(lengths)
     sizes, ns = np.diff(bounds), lengths[rows[bounds[:-1]]]
     stacked = sizes >= _POOL_BLOCK_ROWS
-    if 2 * int(sizes[stacked] @ ns[stacked]) < total or (op == "max" and dim == 1):
+    # The half-share rule: the gather of the other rows costs about what
+    # the blocks save per element. On 1,024 shuffled distinct lengths
+    # plus scattered rows of one length (d = 16, 2-core x86_64), blocks
+    # and gather ran 1.1-1.4x slower than reduceat in place while the
+    # blocks held 20-35% of the elements, and 0.74-0.96x at 50%; one
+    # extra bucket of 32 rows of length 5 took 40 ms against 22 ms.
+    if (
+        2 * int(sizes[stacked] @ ns[stacked]) < total
+        or not _BLOCKS_MATCH_REDUCEAT
+        or (op == "max" and dim == 1)
+    ):
         stacked[:] = False
     few = np.sort(rows[np.repeat(~stacked, sizes)])
     if few.size:

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import platform
 from dataclasses import astuple
 
 import numpy as np
@@ -254,9 +255,23 @@ def _assert_pool_matches_reference(acts, offsets):
 # the other n - 1).
 BOUNDARY_LENGTHS = [0, 1, 2, 7, 8, 9, 16, 17, 128, 129, 136, 256, 257, 300]
 
+# The block kernel's order was verified against reduceat on x86_64. There
+# the pool tests run the kernel even if the import-time probe turned it
+# off, so a wrong kernel fails them instead of falling back unseen.
+KERNEL_VERIFIED = platform.machine().lower() in ("x86_64", "amd64")
+needs_blocks = pytest.mark.skipif(
+    not (KERNEL_VERIFIED or trainer_sim._BLOCKS_MATCH_REDUCEAT),
+    reason="pool sends every row through reduceat with this NumPy and CPU",
+)
+
 
 class TestPoolMatchesReduceat:
     """``pool`` against today's ``reduceat`` oracle, bit for bit."""
+
+    @pytest.fixture(autouse=True)
+    def kernel_on(self, monkeypatch):
+        if KERNEL_VERIFIED:
+            monkeypatch.setattr(trainer_sim, "_BLOCKS_MATCH_REDUCEAT", True)
 
     @pytest.mark.parametrize("order", ["shuffled", "sorted"])
     def test_boundary_lengths(self, order):
@@ -282,6 +297,7 @@ class TestPoolMatchesReduceat:
         )
         return shapes
 
+    @needs_blocks
     def test_block_path_taken(self, block_shapes):
         # Buckets of at least _POOL_BLOCK_ROWS rows reduce as blocks.
         rng = np.random.default_rng(12)
@@ -290,16 +306,31 @@ class TestPoolMatchesReduceat:
         pool(acts, offsets, "sum")
         assert sorted(n for _, n, _ in block_shapes) == BOUNDARY_LENGTHS[1:]
 
+    @needs_blocks
     @pytest.mark.parametrize("delta", [-1, 0, 1])
     def test_bucket_sizes_around_block_rows(self, delta, block_shapes):
         rng = np.random.default_rng(13 + delta)
         m = trainer_sim._POOL_BLOCK_ROWS + delta
-        # One bucket of m rows of length 40 holds most elements; a few
-        # short rows of other lengths sit between its rows.
+        # One bucket of m rows of length 40; a few short rows of other
+        # lengths sit between its rows.
         lengths = rng.permutation(np.concatenate([np.full(m, 40), [3, 5, 0, 9, 1, 2]]))
         acts, offsets = _pool_inputs(rng, lengths, 16)
         _assert_pool_matches_reference(acts, offsets)
         assert [s for s in block_shapes if s[0] == m] == ([(m, 40, 16)] * 3 if delta >= 0 else [])
+
+    @needs_blocks
+    @pytest.mark.parametrize("bucket_rows, blocks", [(39, False), (41, True)])
+    def test_half_share_rule(self, bucket_rows, blocks, block_shapes):
+        # Rows of length 10 beside 400 elements in other lengths: 39 of
+        # them hold under half the elements, so every row goes through
+        # reduceat in place; 41 of them are a block.
+        rng = np.random.default_rng(18)
+        others = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 20, 30, 45, 50, 60, 70, 80]
+        assert sum(others) == 400
+        lengths = rng.permutation(np.concatenate([np.full(bucket_rows, 10), others]))
+        acts, offsets = _pool_inputs(rng, lengths, 16)
+        _assert_pool_matches_reference(acts, offsets)
+        assert bool(block_shapes) == blocks
 
     @pytest.mark.parametrize("dim", [1, 2, 16])
     def test_negative_zero_rows(self, dim):
@@ -347,6 +378,46 @@ class TestPoolMatchesReduceat:
         rng = np.random.default_rng(seed)
         lengths = np.array([n for n, m in buckets for _ in range(m)], dtype=np.int64)
         acts, offsets = _pool_inputs(rng, rng.permutation(lengths), dim)
+        _assert_pool_matches_reference(acts, offsets)
+
+
+class TestBlockProbe:
+    """The import-time check that decides whether ``pool`` uses blocks."""
+
+    @pytest.mark.skipif(not KERNEL_VERIFIED, reason="the kernel was verified on x86_64")
+    def test_probe_passes_where_verified(self):
+        assert trainer_sim._blocks_match_reduceat()
+
+    def test_probe_rejects_left_to_right_sum(self, monkeypatch):
+        def left_to_right(x):
+            return np.add.accumulate(x, axis=1)[:, -1]
+
+        monkeypatch.setattr(trainer_sim, "_pairwise_sum", left_to_right)
+        assert not trainer_sim._blocks_match_reduceat()
+
+    def test_probe_rejects_first_element_last(self, monkeypatch):
+        # On a +0.0/-0.0 tie np.maximum returns one operand, so which
+        # side the row's first element takes shows in the sign.
+        def first_last(x, ufunc):
+            rest = x[:, 1:]
+            if not rest.shape[1]:
+                return x[:, 0].copy()
+            if ufunc is np.add:
+                return trainer_sim._pairwise_sum(rest) + x[:, 0]
+            return ufunc(trainer_sim._unrolled(rest, ufunc), x[:, 0])
+
+        monkeypatch.setattr(trainer_sim, "_reduce_block", first_last)
+        assert not trainer_sim._blocks_match_reduceat()
+
+    def test_inexact_blocks_fall_back_to_reduceat(self, monkeypatch):
+        def no_blocks(x, ufunc):
+            raise AssertionError("block kernel called")
+
+        monkeypatch.setattr(trainer_sim, "_BLOCKS_MATCH_REDUCEAT", False)
+        monkeypatch.setattr(trainer_sim, "_reduce_block", no_blocks)
+        rng = np.random.default_rng(17)
+        lengths = rng.permutation(np.repeat(BOUNDARY_LENGTHS, trainer_sim._POOL_BLOCK_ROWS + 1))
+        acts, offsets = _pool_inputs(rng, lengths, 16)
         _assert_pool_matches_reference(acts, offsets)
 
 
