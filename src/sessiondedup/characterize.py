@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .storage import ScanBatch
-from .tensors import JaggedTensor, _unique_rows, build_kjt, jagged_index_select
+from .tensors import JaggedTensor, _unique_rows, build_kjt, concat_rows, jagged_index_select
 
 __all__ = [
     "FeatureDupStats",
@@ -112,9 +112,7 @@ def _gather(jts: list[JaggedTensor], starts: np.ndarray, idx: np.ndarray) -> Jag
     by_row = np.argsort(idx)
     cuts = np.searchsorted(idx[by_row], starts)
     parts = [jagged_index_select(jt, idx[by_row[a:b]] - s) for jt, s, a, b in zip(jts, starts, cuts, cuts[1:])]
-    lengths = np.concatenate([part.row_lengths() for part in parts])
-    joined = JaggedTensor(np.concatenate([part.values for part in parts]), np.cumsum(lengths) - lengths)
-    return jagged_index_select(joined, np.argsort(by_row))
+    return jagged_index_select(concat_rows(parts), np.argsort(by_row))
 
 
 def _feature_stats(sids: np.ndarray, kjts, keys) -> dict[str, FeatureDupStats]:

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .storage import ScanBatch
-from .tensors import KJT, gather_windows, splitmix64
+from .tensors import KJT, _starts, gather_windows, splitmix64
 
 __all__ = [
     "FeatureSpec",
@@ -172,7 +172,7 @@ def _gen_session(
             lengths = np.full(count, length, dtype=np.int64)
         else:
             lengths = _draw_lengths(s.avg_len, count, rng)
-            starts = np.cumsum(lengths) - lengths
+            starts = _starts(lengths)
         pool = rng.integers(0, s.vocab_size, int(starts[-1] + lengths[-1]), dtype=np.int64)
         windows[s.key] = (pool, starts, lengths)
     return windows

@@ -25,7 +25,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .tensors import KJT, JaggedTensor, jagged_index_select, slice_rows
+from .tensors import KJT, JaggedTensor, concat_rows, jagged_index_select, slice_rows
 from .varint import decode_varints, encode_varints
 
 __all__ = [
@@ -128,21 +128,9 @@ def _join(parts: list[ScanBatch], bytes_read: int) -> ScanBatch:
     labels = np.concatenate([b.labels for b in parts])
     columns = [dict(b.features.entries) for b in parts]
     parts.clear()
-    entries = {}
-    for key in list(columns[0]):
-        jts = [c.pop(key) for c in columns]
-        bases = np.cumsum([0] + [jt.values.size for jt in jts[:-1]])
-        entries[key] = JaggedTensor(
-            values=np.concatenate([jt.values for jt in jts]),
-            offsets=np.concatenate([jt.offsets + base for jt, base in zip(jts, bases)]),
-        )
-    return ScanBatch(
-        session_ids=session_ids,
-        timestamps=timestamps,
-        labels=labels,
-        features=KJT(batch_size=session_ids.size, entries=entries),
-        bytes_read=bytes_read,
-    )
+    entries = {key: concat_rows([c.pop(key) for c in columns]) for key in list(columns[0])}
+    features = KJT(batch_size=session_ids.size, entries=entries)
+    return ScanBatch(session_ids, timestamps, labels, features, bytes_read=bytes_read)
 
 
 def _pack_stream(arr: np.ndarray, level: int) -> bytes:
@@ -362,9 +350,10 @@ def read_stripe(file: ColumnarFile, ordinal: int) -> ScanBatch:
         if lengths.min() < 0:
             raise StorageError(f"stripe {ordinal}: feature {key!r}: negative row length")
         values, pos = _read_stream(buf, pos, ordinal, int(lengths.sum()))
-        offsets = np.zeros(rows, dtype=np.int64)
-        np.cumsum(lengths[:-1], out=offsets[1:])
-        entries[key] = JaggedTensor(values=values, offsets=offsets)
+        try:
+            entries[key] = JaggedTensor.from_lengths(values, lengths)
+        except ValueError as exc:
+            raise StorageError(f"stripe {ordinal}: feature {key!r}: {exc}") from exc
     _check_stripe_end(buf, pos, ordinal)
     features = KJT(batch_size=rows, entries=entries)
     return ScanBatch(sids, ts, labels, features, bytes_read=info.byte_size)

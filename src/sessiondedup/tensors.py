@@ -12,8 +12,10 @@ every merge the keys propose is then checked value by value, and a call
 in which a check fails (two distinct rows shared a key) falls back to
 comparing whole zero-padded rows.
 
-All tensor objects are immutable after construction (their numpy buffers
-are marked read-only) and safe to share across threads.
+Only this module knows the jagged layout: :meth:`JaggedTensor.from_lengths`
+builds offsets, :func:`_check_offsets` checks them, :func:`concat_rows`
+joins tensors. Tensors are immutable (their buffers are read-only) and
+safe to share across threads.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ __all__ = [
     "jagged_index_select",
     "gather_windows",
     "window_index",
+    "concat_rows",
     "slice_rows",
     "unique_first_occurrence",
     "dedupe_len",
@@ -66,6 +69,32 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _check_offsets(offsets: np.ndarray, total: int) -> None:
+    """Raise ValueError naming the first row that does not start at 0,
+    starts before the previous row or past ``total``. Comparing, not
+    subtracting, neighbours keeps every offset in ``[0, total]``, so no
+    wrapped int64 difference can pass."""
+    if offsets.size and (offsets[0] or offsets[-1] > total or np.any(offsets[1:] < offsets[:-1])):
+        bad = np.append(offsets[0] != 0, offsets[1:] < offsets[:-1]) | (offsets > total)
+        row = int(np.argmax(bad))
+        raise ValueError(
+            f"offsets must start at 0, never decrease and stay within the "
+            f"{total} elements; row {row} starts at {int(offsets[row])}"
+        )
+
+
+def _row_lengths(offsets: np.ndarray, total: int) -> np.ndarray:
+    """:func:`_check_offsets`, then each row's length, the last row
+    running to ``total``."""
+    _check_offsets(offsets, total)
+    return np.diff(offsets, append=total)
+
+
+def _starts(lengths: np.ndarray) -> np.ndarray:
+    """Each row's offset when rows of ``lengths`` are laid end to end."""
+    return np.cumsum(lengths, dtype=np.int64) - lengths
+
+
 @dataclass(frozen=True, eq=False)
 class JaggedTensor:
     """A batch of variable-length int64 ID lists in values/offsets form.
@@ -81,32 +110,31 @@ class JaggedTensor:
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", _freeze(self.values))
         object.__setattr__(self, "offsets", _freeze(self.offsets))
-        off = self.offsets
-        if off.size:
-            if off[0] != 0:
-                raise ValueError("offsets[0] must be 0")
-            if np.any(np.diff(off) < 0):
-                raise ValueError("offsets must be non-decreasing")
-            if off[-1] > self.values.size:
-                raise ValueError("offset exceeds values length")
+        _check_offsets(self.offsets, self.values.size)
+
+    @classmethod
+    def from_lengths(cls, values, lengths) -> "JaggedTensor":
+        """Rows of ``lengths[i]`` values each, laid end to end in ``values``.
+        Raises ValueError unless the lengths are non-negative and sum to
+        the values count, also where their int64 sum wraps."""
+        lengths = np.asarray(lengths, dtype=np.int64)
+        jt = cls(values=values, offsets=_starts(lengths))
+        if lengths.size and int(jt.offsets[-1]) + int(lengths[-1]) != jt.values.size:
+            raise ValueError(f"row lengths do not sum to the {jt.values.size} values")
+        return jt
 
     @classmethod
     def from_rows(cls, rows: Sequence) -> "JaggedTensor":
         arrs = [_as_id_array(r) for r in rows]
-        lengths = np.array([a.size for a in arrs], dtype=np.int64)
-        offsets = np.zeros(len(arrs), dtype=np.int64)
-        if len(arrs) > 1:
-            np.cumsum(lengths[:-1], out=offsets[1:])
         values = np.concatenate(arrs) if arrs else np.empty(0, dtype=np.int64)
-        return cls(values=values, offsets=offsets)
+        return cls.from_lengths(values, [a.size for a in arrs])
 
     @property
     def row_count(self) -> int:
         return int(self.offsets.size)
 
     def row_lengths(self) -> np.ndarray:
-        bounds = np.append(self.offsets, self.values.size)
-        return np.diff(bounds)
+        return np.diff(self.offsets, append=self.values.size)
 
     def row(self, i: int) -> np.ndarray:
         n = self.row_count
@@ -236,12 +264,11 @@ class PartialIKJT:
 
 def build_kjt(rows, keys: Sequence[str]) -> KJT:
     """Gather ``keys`` of a columnar batch into a KJT, preserving batch
-    order and sharing its buffers. ``rows`` is a KJT or a batch whose
-    ``features`` is one, such as a storage ``ScanBatch``."""
+    order and sharing its buffers. ``rows`` is a batch whose ``features``
+    is a KJT, such as a storage ``ScanBatch``."""
     if not rows:
         raise ValueError("empty batch")
-    columns = rows if isinstance(rows, KJT) else rows.features
-    return KJT(columns.batch_size, {key: columns.entries[key] for key in keys})
+    return KJT(rows.features.batch_size, {key: rows.features.entries[key] for key in keys})
 
 
 def splitmix64(x):
@@ -307,8 +334,7 @@ def _unique_rows(jts: Sequence[JaggedTensor]) -> tuple[np.ndarray, np.ndarray]:
         lens = jt.row_lengths()
         # Each cell's counterpart in its row's representative; rep[i] <= i,
         # so the index stays inside ``values`` even where lengths differ.
-        cells = np.repeat(jt.offsets[rep] - jt.offsets, lens)
-        cells += np.arange(cells.size)
+        cells, _ = window_index(jt.offsets[rep], lens)
         if not (np.array_equal(lens[rep], lens) and np.array_equal(jt.values[cells], jt.values)):
             return _unique_rows_padded(jts)
     return first, inverse
@@ -370,8 +396,8 @@ def build_ikjt(rows, group: Sequence[str]) -> IKJT:
     groups rows by a 64-bit key and checks every merge exactly, falling
     back to a whole-row comparison when two distinct rows share a key,
     so unequal rows can never merge. Unique rows are numbered in
-    first-occurrence order. ``rows`` is anything :func:`build_kjt`
-    accepts.
+    first-occurrence order. ``rows`` is a columnar batch such as a
+    storage ``ScanBatch``.
     """
     if len(group) == 0:
         raise ValueError("empty dedup group")
@@ -393,7 +419,7 @@ def build_partial_ikjt(rows, key: str) -> PartialIKJT:
     window of the buffer equal to the list if one exists; otherwise, if
     the longest proper prefix of the list matches a suffix of the buffer,
     append only the non-overlapping tail; otherwise append the whole
-    list. ``rows`` is anything :func:`build_kjt` accepts.
+    list. ``rows`` is a columnar batch such as a storage ``ScanBatch``.
     """
     jt = build_kjt(rows, [key]).entries[key]
     buf = bytearray()
@@ -455,13 +481,11 @@ def window_index(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, n
     """Source index of every element when windows
     ``[starts[k], starts[k] + lengths[k])`` are laid end to end, and the
     laid-out rows' offsets."""
-    out_offsets = np.zeros(lengths.size, dtype=np.int64)
-    if lengths.size > 1:
-        np.cumsum(lengths[:-1], out=out_offsets[1:])
-    total = int(lengths.sum())
+    out_offsets = _starts(lengths)
     # Gather: for output element t in row k, source index is
     # starts[k] + (t - out_offsets[k]).
-    gather = np.repeat(starts - out_offsets, lengths) + np.arange(total, dtype=np.int64)
+    gather = np.repeat(starts - out_offsets, lengths)
+    gather += np.arange(gather.size, dtype=np.int64)
     return gather, out_offsets
 
 
@@ -470,6 +494,14 @@ def gather_windows(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray) 
     ``values[starts[k] : starts[k] + lengths[k]]``; windows may overlap."""
     gather, out_offsets = window_index(starts, lengths)
     return JaggedTensor(values=values[gather], offsets=out_offsets)
+
+
+def concat_rows(jts: Sequence[JaggedTensor]) -> JaggedTensor:
+    """The rows of ``jts``, in order, in one tensor with new buffers."""
+    return JaggedTensor.from_lengths(
+        np.concatenate([jt.values for jt in jts]),
+        np.concatenate([jt.row_lengths() for jt in jts]),
+    )
 
 
 def slice_rows(jt: JaggedTensor, start: int, stop: int) -> JaggedTensor:

@@ -43,6 +43,7 @@ import numpy as np
 from .reader import ReaderBatch
 from .tensors import (
     JaggedTensor,
+    _row_lengths,
     jagged_index_select,
     slice_stream_bytes,
     unique_first_occurrence,
@@ -320,26 +321,6 @@ def embedding_lookup(
             f"out of range [0, {table.rows})"
         )
     return np.take(table.weights, vals, axis=0)
-
-
-def _row_lengths(offsets: np.ndarray, total: int) -> np.ndarray:
-    """Each row's length when row ``i`` spans activation rows
-    ``offsets[i]:offsets[i+1]`` and the last row runs to ``total``.
-
-    Raises ValueError naming the first row whose offset breaks that
-    tiling: row 0 not at 0, a start before the previous row's, or a
-    start past the last activation row.
-    """
-    lengths = np.diff(offsets, append=total)
-    if offsets.size and (offsets[0] != 0 or lengths.min() < 0):
-        bad = (np.diff(offsets, prepend=0) < 0) | (offsets > total)
-        bad[0] |= offsets[0] != 0
-        row = int(np.flatnonzero(bad)[0])
-        raise ValueError(
-            f"offsets must start at 0, never decrease and stay within the "
-            f"{total} activation rows; row {row} starts at {int(offsets[row])}"
-        )
-    return lengths
 
 
 def _length_buckets(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

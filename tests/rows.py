@@ -4,10 +4,12 @@ library generates, writes, reads and converts."""
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
 import numpy as np
 
+from sessiondedup import storage
 from sessiondedup.storage import ScanBatch
 from sessiondedup.tensors import KJT, JaggedTensor
 from sessiondedup.varint import encode_varints
@@ -74,3 +76,23 @@ def serialize_log_records(records) -> bytes:
         pieces.append(np.array(head, dtype=np.int64))
         pieces.extend(rec.features.values())
     return encode_varints(np.concatenate(pieces))
+
+
+# Row lengths that wrap in int64 to the 5 values stored after them, so
+# every count check passes and only the offsets check can catch them.
+WRAPPED_LENGTHS = [2**62, 2**62, 2**62, 2**62 + 5]
+
+
+def write_raw_stripe(path, lengths, values) -> None:
+    """Write a one-stripe file of feature ``f`` whose row lengths and
+    values streams hold ``lengths`` and ``values`` as given, whether or
+    not they agree; session ids, timestamps and labels are 0."""
+    rows = len(lengths)
+    written = storage.write_table(as_batch([{"f": [0]}]), path)
+    start, level = written.stripes[0].offset, written.level
+    streams = ([0] * rows, [0] * rows, [0] * rows, lengths, values)
+    blob = struct.pack("<I", rows) + b"".join(
+        storage._pack_stream(np.array(a, dtype=np.int64), level) for a in streams
+    )
+    footer = struct.pack("<IQIQ", 1, start, rows, start + len(blob)) + storage.MAGIC
+    path.write_bytes(path.read_bytes()[:start] + blob + footer)

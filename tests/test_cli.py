@@ -4,6 +4,7 @@ import importlib
 import json
 import os
 import re
+import resource
 import shutil
 import subprocess
 import sys
@@ -445,7 +446,7 @@ class TestDataDirEnv:
         assert "ghost.sesscol" in err
 
 
-def _run_command(cmd, cwd):
+def _run_command(cmd, cwd, **kwargs):
     """Run ``cmd`` with the imported package's source tree first on PYTHONPATH."""
     src = str(Path(sessiondedup.__file__).resolve().parents[1])
     env = dict(os.environ)
@@ -454,8 +455,51 @@ def _run_command(cmd, cwd):
     )
     env.pop("SESSIONDEDUP_DATA_DIR", None)
     return subprocess.run(
-        cmd, cwd=cwd, env=env, capture_output=True, text=True, timeout=60
+        cmd, cwd=cwd, env=env, capture_output=True, text=True, timeout=60, **kwargs
     )
+
+
+def _run_capped(argv, cwd, limit=1 << 30):
+    """Run the CLI on ``argv`` in a child process whose address space is
+    capped at ``limit`` bytes, so an input that crashes the CLI or makes
+    it allocate without bound fails one test, not the whole test run or
+    the host."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    cmd = [sys.executable, "-m", "sessiondedup", *map(str, argv)]
+    return _run_command(cmd, cwd, preexec_fn=cap)
+
+
+class TestWrappedRowLengths:
+    """Row lengths that wrap in int64 (see ``rows.WRAPPED_LENGTHS``) once
+    read past ``read_stripe`` and crashed ``characterize`` and an
+    attention ``bench`` with SIGSEGV. Each command now stops with its
+    stage's error."""
+
+    @pytest.fixture()
+    def wrapped(self, tmp_path):
+        path = tmp_path / "wrapped.sesscol"
+        row_adapter.write_raw_stripe(path, row_adapter.WRAPPED_LENGTHS, range(5))
+        return path
+
+    def test_characterize_fails_cleanly(self, wrapped, tmp_path):
+        done = _run_capped(["characterize", wrapped], tmp_path)
+        assert done.returncode == 1, done
+        assert "error [characterize]: stripe 0: feature 'f'" in done.stderr
+
+    def test_attention_bench_fails_cleanly(self, wrapped, tmp_path):
+        model = ModelSpec(
+            tables={"f": TableConfig(rows=8, dim=4)},
+            groups=(GroupConfig(keys=("f",), pooling="attention"),),
+            plain={},
+        )
+        save_model_spec(tmp_path / "model.json", model)
+        argv = ["bench", wrapped, "--mode", "baseline", "--model-spec", tmp_path / "model.json"]
+        done = _run_capped(argv, tmp_path)
+        assert done.returncode == 1, done
+        assert "error [bench]: stripe 0: feature 'f'" in done.stderr
 
 
 class TestEntryPoint:

@@ -11,7 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sessiondedup import storage
-from rows import ImpressionRecord, as_batch, as_records, serialize_log_records
+from rows import (
+    WRAPPED_LENGTHS,
+    ImpressionRecord,
+    as_batch,
+    as_records,
+    serialize_log_records,
+    write_raw_stripe,
+)
 from sessiondedup.tensors import KJT, JaggedTensor
 from sessiondedup.datagen import (
     FeatureSpec,
@@ -423,6 +430,14 @@ class TestCorruption:
         path.write_bytes(path.read_bytes()[:start] + blob + footer)
         with pytest.raises(StorageError, match=r"stripe 0: feature 'f': negative row length"):
             list(scan(open_table(path), 2))
+
+    def test_wrapped_row_lengths_rejected(self, tmp_path):
+        # The lengths sum to 2^64 + 5, which wraps to the 5 stored values;
+        # their offsets wrap to [0, 2^62, -2^63, -2^62].
+        path = tmp_path / "wrapped.sesscol"
+        write_raw_stripe(path, WRAPPED_LENGTHS, range(5))
+        with pytest.raises(StorageError, match=r"stripe 0: feature 'f': .*row 1 starts at 4611686018427387904"):
+            read_stripe(open_table(path), 0)
 
     @pytest.mark.parametrize(
         "fmt, offset, value, message",

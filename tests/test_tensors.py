@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rows import as_batch
+from rows import WRAPPED_LENGTHS, as_batch
 from sessiondedup import tensors
 from sessiondedup.datagen import (
     FeatureSpec,
@@ -22,6 +22,7 @@ from sessiondedup.tensors import (
     build_ikjt,
     build_kjt,
     build_partial_ikjt,
+    concat_rows,
     dedupe_factor,
     dedupe_len,
     ikjt_to_kjt,
@@ -81,10 +82,48 @@ class TestJaggedTensor:
         with pytest.raises(ValueError):
             JaggedTensor(values=vals, offsets=np.array([1, 2], dtype=np.int64))
 
+    def test_wrapped_offsets_rejected(self):
+        # WRAPPED_LENGTHS wrap to these offsets and to 5 values; every
+        # difference of neighbours is a positive length.
+        offsets = np.array([0, 2**62, -(2**63), -(2**62)], dtype=np.int64)
+        with pytest.raises(ValueError, match=r"row 1 starts at 4611686018427387904\b"):
+            JaggedTensor(values=np.arange(5), offsets=offsets)
+        with pytest.raises(ValueError, match=r"row 1 starts at 4611686018427387904\b"):
+            JaggedTensor.from_lengths(np.arange(5), WRAPPED_LENGTHS)
+
+    @pytest.mark.parametrize(
+        "lengths",
+        [[2, 2], [2, 0], [3, -1], [-1, 4], [1, 2**63 - 1]],
+        ids=["too-many", "too-few", "last-negative", "first-negative", "last-wraps"],
+    )
+    def test_from_lengths_must_sum_to_values(self, lengths):
+        with pytest.raises(ValueError):
+            JaggedTensor.from_lengths(np.arange(3), lengths)
+
     def test_immutable(self):
         jt = JaggedTensor.from_rows([[1]])
         with pytest.raises(ValueError):
             jt.values[0] = 9
+
+
+jagged_rows = st.lists(st.lists(st.integers(-(2**63), 2**63 - 1), max_size=4), max_size=6)
+
+
+class TestLayoutHelpers:
+    @given(st.lists(jagged_rows, min_size=1, max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_concat_rows_matches_from_rows(self, tensors_rows):
+        jts = [JaggedTensor.from_rows(rows) for rows in tensors_rows]
+        joined = concat_rows(jts)
+        want = JaggedTensor.from_rows([row for jt in jts for row in jt.to_pylists()])
+        assert jt_equal(joined, want)
+
+    @given(st.lists(st.integers(0, 5), max_size=10))
+    @settings(max_examples=200, deadline=None)
+    def test_from_lengths_keeps_lengths(self, lengths):
+        values = np.arange(sum(lengths))
+        jt = JaggedTensor.from_lengths(values, lengths)
+        assert jt.row_lengths().tolist() == lengths
 
 
 class TestBuildKjt:

@@ -433,6 +433,7 @@ class TestOffsetsValidated:
             pytest.param([2, 4], 0, id="not-from-0"),
             pytest.param([0, 6, 2], 1, id="past-the-end-then-back"),
             pytest.param([0, 2, 2, 1], 3, id="decreasing-after-empty"),
+            pytest.param([0, 2**62, -(2**63), -(2**62)], 1, id="wrapped-lengths"),
         ],
     )
     def test_bad_offsets_rejected(self, offsets, row):
