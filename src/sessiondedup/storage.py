@@ -349,7 +349,10 @@ def read_stripe(file: ColumnarFile, ordinal: int) -> ScanBatch:
         lengths, pos = _read_stream(buf, pos, ordinal, rows)
         if lengths.min() < 0:
             raise StorageError(f"stripe {ordinal}: feature {key!r}: negative row length")
-        values, pos = _read_stream(buf, pos, ordinal, int(lengths.sum()))
+        total = int(lengths.sum())
+        if total < 0:
+            raise StorageError(f"stripe {ordinal}: feature {key!r}: row lengths sum past 2^63")
+        values, pos = _read_stream(buf, pos, ordinal, total)
         try:
             entries[key] = JaggedTensor.from_lengths(values, lengths)
         except ValueError as exc:

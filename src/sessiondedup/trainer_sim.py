@@ -17,8 +17,10 @@ pooling, expand and the interaction stub run once per pooling unit over
 the whole batch, since where a row is pooled changes no score and no
 counter. ``sdd`` counts the serialized bytes of every (rank, key)
 slice from the units' rank bounds alone, since a slice's wire size
-depends only on its row and value counts; ``_ATTENTION_BLOCK_ELEMENTS``
-bounds attention's memory.
+depends only on its row and value counts. Stacked pooling blocks are
+cut straight from each key's activations and the interaction stub dots
+the pooled blocks pair by pair, so no step copies a whole batch only to
+lay it out; ``_ATTENTION_BLOCK_ELEMENTS`` bounds attention's memory.
 
 The baseline path runs every batch row; the dedup path runs each unique
 row once and expands afterwards. Both paths reduce each logical row's
@@ -324,12 +326,29 @@ def embedding_lookup(
 
 
 def _length_buckets(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The non-empty rows stably sorted by length, and the bounds of each
-    run of one length: bucket ``j`` is ``rows[bounds[j]:bounds[j+1]]``."""
-    rows = np.flatnonzero(lengths)
-    rows = rows[np.argsort(lengths[rows], kind="stable")]
-    starts = np.flatnonzero(np.diff(lengths[rows], prepend=-1))
+    """The non-empty rows stably sorted by length, one length per row or a
+    (keys, rows) matrix of them, and the bounds of each run of equal
+    lengths: bucket ``j`` is ``rows[bounds[j]:bounds[j+1]]``."""
+    lens = np.atleast_2d(lengths)
+    rows = np.flatnonzero(lens.any(axis=0))
+    rows = rows[np.lexsort(np.take(lens, rows, axis=1))]
+    change = np.diff(np.take(lens, rows, axis=1)).any(axis=0)
+    starts = np.flatnonzero(np.append(rows.size > 0, change))
     return rows, np.append(starts, rows.size)
+
+
+def _row_block(
+    acts: np.ndarray, offsets: np.ndarray, rows: np.ndarray, n: int
+) -> tuple[np.ndarray, slice | np.ndarray]:
+    """Rows ``rows`` (ascending, each of length n) as an (m, n, d) block,
+    and the rows as an index: a view and a slice when the rows are
+    consecutive, since their elements are then one run; else one gather."""
+    lo, m = int(rows[0]), rows.size
+    if int(rows[-1]) - lo == m - 1:
+        start = int(offsets[lo])
+        block = acts[start : start + m * n].reshape(m, n, acts.shape[1])
+        return block, slice(lo, lo + m)
+    return np.take(acts, offsets[rows][:, None] + np.arange(n), axis=0), rows
 
 
 def _lane_tree(x: np.ndarray, ufunc: np.ufunc) -> np.ndarray:
@@ -460,14 +479,8 @@ def pool(activations: np.ndarray, offsets: np.ndarray, op: str) -> np.ndarray:
         out[few] = ufunc.reduceat(src, starts, axis=0)
     for j in np.flatnonzero(stacked):
         r = rows[bounds[j] : bounds[j + 1]]
-        m, n, lo = r.size, int(ns[j]), int(r[0])
-        if int(r[-1]) - lo == m - 1:  # consecutive rows: one run of elements
-            start = int(offsets[lo])
-            block = activations[start : start + m * n].reshape(m, n, dim)
-            out[lo : lo + m] = _reduce_block(block, ufunc)
-        else:
-            block = np.take(activations, offsets[r][:, None] + np.arange(n), axis=0)
-            out[r] = _reduce_block(block, ufunc)
+        block, at = _row_block(activations, offsets, r, int(ns[j]))
+        out[at] = _reduce_block(block, ufunc)
     if op == "avg":
         out /= np.maximum(lengths, 1).astype(np.float32)[:, None]
     return out
@@ -483,10 +496,13 @@ def attention_pool(
     count. Returns one output vector per row plus the multiply-accumulate
     count (3nd^2 + 2n^2 d + d^2 per non-empty row of sequence length n).
 
-    Rows are bucketed by sequence length n (the sum of their per-key
-    lengths); each bucket runs as stacked (m, n, d) blocks of at most
-    ``_ATTENTION_BLOCK_ELEMENTS`` score elements, so the Python work
-    grows with the number of distinct lengths, not with the row count.
+    Rows are bucketed by their per-key lengths; each bucket runs as
+    stacked (m, n, d) blocks of at most ``_ATTENTION_BLOCK_ELEMENTS``
+    score elements, so the Python work grows with the number of distinct
+    length tuples, not with the row count. A block is its keys' parts
+    joined along the sequence axis, each part cut from that key's
+    activations by ``_row_block`` (a view when the block's rows are
+    consecutive); a lone key's part is the block itself.
     A row's output does not depend on which rows share its block: every
     matmul runs per stacked matrix with the shapes of a lone row (the
     output projection as (1, d) @ (d, d), since a (m, d) product can
@@ -507,35 +523,26 @@ def attention_pool(
                 f"activation dim {acts.shape[1]} != attention dim {d}"
             )
     out = np.zeros((n_rows, d), dtype=np.float32)
-    # (keys, rows) starts and lengths, with starts into the keys' joined
-    # activations.
-    bases = np.cumsum([0] + [acts.shape[0] for acts, _ in per_key_activations])
-    starts = np.stack(
-        [offs + base for (_, offs), base in zip(per_key_activations, bases)]
-    )
     key_lens = np.stack(
         [_row_lengths(offs, acts.shape[0]) for acts, offs in per_key_activations]
     )
-    lengths = key_lens.sum(axis=0)
-    rows, bounds = _length_buckets(lengths)
-    ns = lengths[rows]
+    rows, bounds = _length_buckets(key_lens)
+    ns = key_lens[:, rows].sum(axis=0)
     macs = int(np.sum(3 * ns * d * d + 2 * ns * ns * d + d * d))
 
-    # One gather lays every row's sequence out in sorted row order, each
-    # row's keys in group order.
-    gather, _ = window_index(starts[:, rows].T.ravel(), key_lens[:, rows].T.ravel())
-    joined = np.concatenate([acts for acts, _ in per_key_activations])
-    seqs = np.take(joined, gather, axis=0)
-
     scale = np.float32(1.0 / math.sqrt(d))
-    pos = 0
     for first, stop in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        n = int(ns[first])
+        widths = key_lens[:, rows[first]].tolist()
+        n = sum(widths)
         step = max(1, _ATTENTION_BLOCK_ELEMENTS // (n * n))
         for a in range(first, stop, step):
-            m = min(step, stop - a)
-            x = seqs[pos : pos + m * n].reshape(m, n, d)
-            pos += m * n
+            r = rows[a : min(a + step, stop)]
+            parts = [
+                _row_block(acts, offs, r, w)[0]
+                for (acts, offs), w in zip(per_key_activations, widths)
+                if w
+            ]
+            x = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
             q = x @ params.w_q
             k = x @ params.w_k
             v = x @ params.w_v
@@ -545,7 +552,7 @@ def attention_pool(
             scores /= scores.sum(axis=2, keepdims=True)
             ctx = scores @ v
             pooled = ctx.mean(axis=1, keepdims=True)
-            out[rows[a : a + m]] = (pooled @ params.w_o)[:, 0]
+            out[r] = (pooled @ params.w_o)[:, 0]
     return out, macs
 
 
@@ -665,14 +672,24 @@ def forward_iteration(
             stats.index_select_elements += len(unit_blocks) * unit.inverse.size * dim
         blocks.extend(unit_blocks)
 
-    # Interaction stub: pairwise dots over pooled blocks, diagonal
-    # included so a single-block model still produces a signal.
-    z = np.stack(blocks, axis=1)  # (B, F, dim) float32
-    inter = np.einsum("bfd,bgd->bfg", z, z)
-    fi, fj = np.triu_indices(z.shape[1])
-    feats = inter[:, fi, fj].astype(np.float32, copy=False)
-    logit = feats.mean(axis=1, dtype=np.float32)
+    logit = _interaction_logits(blocks)
     return (1.0 / (1.0 + np.exp(-logit))).astype(np.float32), stats
+
+
+def _interaction_logits(blocks: list[np.ndarray]) -> np.ndarray:
+    """The interaction stub's logit per batch row: the mean of the
+    pairwise dots of the pooled (B, d) blocks, diagonal included so a
+    single-block model still produces a signal. The pairs (0, 0), (0, 1),
+    ..., (F-1, F-1) each fill one row of a pair-major (pairs, B) array,
+    whose mean over axis 0 adds them left to right per batch row when
+    B > 1 but pairwise when B = 1, so the dots are kept, not summed as
+    they come."""
+    f = len(blocks)
+    pairs = ((i, j) for i in range(f) for j in range(i, f))
+    dots = np.empty((f * (f + 1) // 2, blocks[0].shape[0]), dtype=np.float32)
+    for row, (i, j) in zip(dots, pairs):
+        np.einsum("bd,bd->b", blocks[i], blocks[j], out=row)
+    return dots.mean(axis=0, dtype=np.float32)
 
 
 def save_model_spec(path: str | Path, spec: ModelSpec) -> None:

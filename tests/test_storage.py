@@ -431,6 +431,14 @@ class TestCorruption:
         with pytest.raises(StorageError, match=r"stripe 0: feature 'f': negative row length"):
             list(scan(open_table(path), 2))
 
+    def test_row_length_sum_past_int64_rejected(self, tmp_path):
+        # Lengths [5, 2^63 - 1] sum to 2^63 + 4, which wraps negative; the
+        # stripe is rejected by feature before its values stream is read.
+        path = tmp_path / "sum-wraps.sesscol"
+        write_raw_stripe(path, [5, 2**63 - 1], range(5))
+        with pytest.raises(StorageError, match=r"stripe 0: feature 'f': row lengths sum past 2\^63"):
+            read_stripe(open_table(path), 0)
+
     def test_wrapped_row_lengths_rejected(self, tmp_path):
         # The lengths sum to 2^64 + 5, which wraps to the 5 stored values;
         # their offsets wrap to [0, 2^62, -2^63, -2^62].

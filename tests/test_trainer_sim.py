@@ -466,6 +466,16 @@ class TestLengthBuckets:
         for lengths in ([], [0, 0]):
             rows, bounds = trainer_sim._length_buckets(np.array(lengths, dtype=np.int64))
             assert rows.size == 0 and bounds.tolist() == [0]
+        rows, bounds = trainer_sim._length_buckets(np.zeros((2, 3), dtype=np.int64))
+        assert rows.size == 0 and bounds.tolist() == [0]
+
+    def test_matrix_buckets_by_every_keys_length(self):
+        # Rows 0-2 and 4 all hold 4 elements, split (1, 3) or (2, 2);
+        # row 3 is empty in both keys and row 5 only in the first.
+        lengths = np.array([[1, 2, 1, 0, 2, 0], [3, 2, 3, 0, 2, 4]])
+        rows, bounds = trainer_sim._length_buckets(lengths)
+        assert rows.tolist() == [1, 4, 0, 2, 5]
+        assert bounds.tolist() == [0, 2, 4, 5]
 
 
 class TestEmbeddingLookup:
@@ -669,6 +679,78 @@ class TestBatchedAttentionPool:
         assert 300 * 200 * 200 > 2 * trainer_sim._ATTENTION_BLOCK_ELEMENTS
         inputs = _attention_inputs(rng, lens, 16)
         _assert_matches_reference(inputs, AttentionParams.create("g", 16, seed=6))
+
+
+class TestAttentionBlockLayout:
+    """How ``attention_pool`` cuts each block from the keys' activations:
+    a view of a key's part when the block's rows are consecutive, else one
+    ``np.take`` per key; parts are joined only when two keys take part."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Counts of ``trainer_sim``'s own ``np.take`` calls on activations
+        and ``np.concatenate`` calls, through a stand-in for its ``np``."""
+        counts = {"take": 0, "concatenate": 0}
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def take(self, a, *args, **kwargs):
+                counts["take"] += a.dtype == np.float32
+                return np.take(a, *args, **kwargs)
+
+            def concatenate(self, *args, **kwargs):
+                counts["concatenate"] += 1
+                return np.concatenate(*args, **kwargs)
+
+        monkeypatch.setattr(trainer_sim, "np", CountingNumpy())
+        return counts
+
+    @staticmethod
+    def check(lens_per_key, seed=0):
+        rng = np.random.default_rng(seed)
+        inputs = _attention_inputs(rng, lens_per_key, 16)
+        _assert_matches_reference(inputs, AttentionParams.create("g", 16, seed=seed))
+
+    def test_lone_key_block_is_a_view(self, calls):
+        self.check([[5] * 40])
+        assert calls == {"take": 0, "concatenate": 0}
+
+    def test_two_keys_of_uniform_lengths(self, calls):
+        self.check([[3] * 40, [2] * 40])
+        assert calls == {"take": 0, "concatenate": 1}
+
+    def test_one_total_length_split_differently(self, calls):
+        # Every row holds 4 elements, split (1, 3), (2, 2) or (3, 1) in
+        # turn: three buckets of scattered rows, a gather per key each.
+        self.check([[1, 2, 3] * 20, [3, 2, 1] * 20])
+        assert calls == {"take": 6, "concatenate": 3}
+
+    def test_key_empty_across_a_bucket(self, calls):
+        # Rows 20-39 hold the second key only, so their block is its part,
+        # a view; rows 0-19 join two views.
+        self.check([[2] * 20 + [0] * 20, [1] * 20 + [3] * 20])
+        assert calls == {"take": 0, "concatenate": 1}
+
+    def test_rows_with_empty_rows_between(self, calls):
+        self.check([[0, 4, 0, 0, 4, 4, 0, 4, 0]])
+        assert calls == {"take": 1, "concatenate": 0}
+
+    @pytest.mark.parametrize(
+        "lens, takes",
+        [
+            # One empty row after row 300: of the three sub-blocks only the
+            # middle one spans it.
+            pytest.param([64] * 301 + [0] + [64] * 399, 1, id="one-gap"),
+            pytest.param([64, 0] * 700, 3, id="scattered"),
+        ],
+    )
+    def test_long_bucket_cut_into_sub_blocks(self, calls, lens, takes):
+        step = trainer_sim._ATTENTION_BLOCK_ELEMENTS // (64 * 64)
+        assert 2 * step < 700 <= 3 * step
+        self.check([lens])
+        assert calls == {"take": takes, "concatenate": 0}
 
 
 class TestActivationAccounting:
@@ -1085,6 +1167,74 @@ class TestModelSpec:
         assert cart.pooling == "attention"
         assert model.plain == {"item": "sum"}
         assert model.tables["viewed"].rows == 100
+
+
+def _interaction_reference(blocks):
+    """The interaction stub as one (B, F, F) product of the stacked blocks,
+    its upper triangle and the mean: the oracle for ``_interaction_logits``."""
+    z = np.stack(blocks, axis=1)
+    inter = np.einsum("bfd,bgd->bfg", z, z)
+    fi, fj = np.triu_indices(z.shape[1])
+    return inter[:, fi, fj].astype(np.float32, copy=False).mean(axis=1, dtype=np.float32)
+
+
+def _interaction_blocks(rng, f, b, d, zeros=False):
+    """F pooled (B, d) blocks with magnitudes over 12 decades; with
+    ``zeros``, half the cells are -1.0, -0.0 or +0.0."""
+    blocks = []
+    for _ in range(f):
+        x = rng.standard_normal((b, d)) * 10.0 ** rng.integers(-6, 7, (b, d))
+        if zeros:
+            signed = rng.choice([-1.0, -0.0, 0.0], size=(b, d))
+            x = np.where(rng.random((b, d)) < 0.5, signed, x)
+        blocks.append(x.astype(np.float32))
+    return blocks
+
+
+def _assert_interaction_matches(blocks):
+    got = trainer_sim._interaction_logits(blocks)
+    want = _interaction_reference(blocks)
+    assert got.dtype == np.float32 and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestInteractionStub:
+    """The pair-by-pair stub against the batched product, bit for bit."""
+
+    @pytest.mark.parametrize("zeros", [False, True], ids=["magnitudes", "signed-zeros"])
+    @pytest.mark.parametrize("b", [1, 7, 4096])
+    @pytest.mark.parametrize("f", [1, 2, 6, 9])
+    def test_matches_batched_product(self, f, b, zeros):
+        rng = np.random.default_rng(100 * f + b)
+        _assert_interaction_matches(_interaction_blocks(rng, f, b, 16, zeros))
+
+    def test_single_row_adds_pairs_pairwise(self):
+        # With one batch row the mean sums the 21 pairs pairwise, and the
+        # data tells that from a left-to-right running total on some rows.
+        rng = np.random.default_rng(3)
+        differs = 0
+        for _ in range(20):
+            blocks = _interaction_blocks(rng, 6, 1, 16)
+            _assert_interaction_matches(blocks)
+            total = np.zeros(1, dtype=np.float32)
+            for i in range(6):
+                for j in range(i, 6):
+                    total += np.einsum("bd,bd->b", blocks[i], blocks[j])
+            running = np.true_divide(total, np.intp(21), out=total, casting="unsafe")
+            differs += running.tobytes() != _interaction_reference(blocks).tobytes()
+        assert differs
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 9),
+        st.integers(1, 70),
+        st.sampled_from([1, 3, 16]),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_reference(self, f, b, d, zeros, seed):
+        rng = np.random.default_rng(seed)
+        _assert_interaction_matches(_interaction_blocks(rng, f, b, d, zeros))
 
 
 class TestForwardIteration:
