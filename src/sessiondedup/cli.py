@@ -92,11 +92,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     else:
         cfg, specs = datagen.default_config()
     if args.seed is not None:
-        cfg = datagen.SessionConfig(
-            num_sessions=cfg.num_sessions,
-            samples_per_session=cfg.samples_per_session,
-            seed=args.seed,
-        )
+        cfg = replace(cfg, seed=args.seed)
     table = datagen.generate_dataset(cfg, specs)
     out = _resolve_out(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -16,7 +16,8 @@ many other sessions exist.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import operator
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -63,7 +64,7 @@ class FeatureSpec:
             raise ValueError("avg_len must be > 0")
         if self.kind == "user_sequence" and self.avg_len < 1:
             raise ValueError("user_sequence features need avg_len >= 1")
-        if self.vocab_size < 1:
+        if operator.index(self.vocab_size) < 1:
             raise ValueError("vocab_size must be >= 1")
         if not 0.0 <= self.change_prob <= 1.0:
             raise ValueError("change_prob must be in [0, 1]")
@@ -93,6 +94,9 @@ class SampleCountDist:
         if self.kind == "empirical":
             if not self.histogram:
                 raise ValueError("empirical distribution needs a histogram")
+            # JSON object keys are strings.
+            hist = {int(k): w for k, w in self.histogram.items()}
+            object.__setattr__(self, "histogram", hist)
             if any(k < 1 for k in self.histogram):
                 raise ValueError("sample counts must be >= 1")
             if any(w <= 0 for w in self.histogram.values()):
@@ -124,7 +128,7 @@ class SessionConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.num_sessions < 1:
+        if operator.index(self.num_sessions) < 1:
             raise ValueError("num_sessions must be >= 1")
 
 
@@ -248,63 +252,18 @@ def shard_logs(table: ScanBatch, num_shards: int, key: str = "session_id") -> li
     return [table.take_rows(idx) if idx.size else None for idx in rows]
 
 
-def _dist_to_json(dist: SampleCountDist) -> dict:
-    if dist.kind == "empirical":
-        return {
-            "kind": "empirical",
-            "histogram": {str(k): v for k, v in dist.histogram.items()},
-        }
-    return {"kind": dist.kind, "mean": dist.mean}
-
-
-def _dist_from_json(obj: dict) -> SampleCountDist:
-    if obj["kind"] == "empirical":
-        hist = {int(k): float(v) for k, v in obj["histogram"].items()}
-        return SampleCountDist(kind="empirical", histogram=hist)
-    return SampleCountDist(kind=obj["kind"], mean=float(obj["mean"]))
-
-
 def save_config(
     path: str | Path, session_cfg: SessionConfig, feature_specs: list[FeatureSpec]
 ) -> None:
-    payload = {
-        "seed": session_cfg.seed,
-        "num_sessions": session_cfg.num_sessions,
-        "samples_per_session": _dist_to_json(session_cfg.samples_per_session),
-        "features": [
-            {
-                "key": s.key,
-                "kind": s.kind,
-                "avg_len": s.avg_len,
-                "vocab_size": s.vocab_size,
-                "change_prob": s.change_prob,
-                "sync_group": s.sync_group,
-            }
-            for s in feature_specs
-        ],
-    }
+    payload = {**asdict(session_cfg), "features": [asdict(s) for s in feature_specs]}
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
 def load_config(path: str | Path) -> tuple[SessionConfig, list[FeatureSpec]]:
     obj = json.loads(Path(path).read_text())
-    cfg = SessionConfig(
-        num_sessions=int(obj["num_sessions"]),
-        samples_per_session=_dist_from_json(obj["samples_per_session"]),
-        seed=int(obj.get("seed", 0)),
-    )
-    specs = [
-        FeatureSpec(
-            key=f["key"],
-            kind=f["kind"],
-            avg_len=float(f["avg_len"]),
-            vocab_size=int(f["vocab_size"]),
-            change_prob=float(f.get("change_prob", 0.0)),
-            sync_group=f.get("sync_group"),
-        )
-        for f in obj["features"]
-    ]
-    return cfg, specs
+    specs = [FeatureSpec(**f) for f in obj.pop("features")]
+    dist = SampleCountDist(**obj.pop("samples_per_session"))
+    return SessionConfig(samples_per_session=dist, **obj), specs
 
 
 def default_config(

@@ -16,13 +16,14 @@ here (there is simply no such transform kind).
 
 from __future__ import annotations
 
+import json
+import operator
 import struct
 import time
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field, replace
 from pathlib import Path
 from typing import Iterator
 
-import json
 import numpy as np
 
 from .storage import ColumnarFile, ScanBatch, scan
@@ -64,7 +65,9 @@ class Transform:
     def __post_init__(self) -> None:
         if self.op not in ("identity", "mod_hash", "clamp"):
             raise ValueError(f"unknown transform op {self.op!r}")
-        if self.op in ("mod_hash", "clamp") and (self.param is None or self.param < 1):
+        if self.op in ("mod_hash", "clamp") and (
+            self.param is None or operator.index(self.param) < 1
+        ):
             raise ValueError(f"{self.op} needs a positive param")
 
 
@@ -91,7 +94,7 @@ class DataloaderSpec:
             tuple(tuple(g) for g in self.dedup_sparse_features),
         )
         object.__setattr__(self, "transforms", tuple(self.transforms))
-        if self.batch_size < 1:
+        if operator.index(self.batch_size) < 1:
             raise ValueError("batch_size must be >= 1")
         seen: set[str] = set()
         for group in self.dedup_sparse_features:
@@ -241,28 +244,11 @@ def read_batches(file: ColumnarFile, spec: DataloaderSpec) -> Iterator[ReaderBat
         yield batch
 
 
-def _transform_to_json(t: Transform) -> dict:
-    return {"op": t.op, "key": t.key, "param": t.param}
-
-
 def save_dataloader_spec(path: str | Path, spec: DataloaderSpec) -> None:
-    payload = {
-        "keys": list(spec.keys),
-        "dedup_sparse_features": [list(g) for g in spec.dedup_sparse_features],
-        "transforms": [_transform_to_json(t) for t in spec.transforms],
-        "batch_size": spec.batch_size,
-    }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    Path(path).write_text(json.dumps(asdict(spec), indent=2) + "\n")
 
 
 def load_dataloader_spec(path: str | Path) -> DataloaderSpec:
     obj = json.loads(Path(path).read_text())
-    return DataloaderSpec(
-        keys=tuple(obj["keys"]),
-        dedup_sparse_features=tuple(tuple(g) for g in obj["dedup_sparse_features"]),
-        transforms=tuple(
-            Transform(op=t["op"], key=t["key"], param=t.get("param"))
-            for t in obj.get("transforms", [])
-        ),
-        batch_size=int(obj.get("batch_size", 4096)),
-    )
+    transforms = [Transform(**t) for t in obj.pop("transforms", ())]
+    return DataloaderSpec(transforms=transforms, **obj)

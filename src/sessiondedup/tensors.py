@@ -202,6 +202,8 @@ class IKJT:
         object.__setattr__(self, "per_feature", dict(self.per_feature))
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if not self.group_keys:
+            raise ValueError("empty dedup group")
         if self.inverse_lookup.size != self.batch_size:
             raise ValueError("inverse_lookup must have one entry per batch row")
         if set(self.group_keys) != set(self.per_feature):

@@ -35,9 +35,11 @@ desk-scale observable, independent of transport.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
-from dataclasses import dataclass, fields
+import operator
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -149,7 +151,7 @@ class TableConfig:
     dim: int
 
     def __post_init__(self) -> None:
-        if self.rows < 1 or self.dim < 1:
+        if operator.index(self.rows) < 1 or operator.index(self.dim) < 1:
             raise ValueError("table rows and dim must be >= 1")
 
 
@@ -178,7 +180,7 @@ class ModelSpec:
 
     tables: dict[str, TableConfig]
     groups: tuple[GroupConfig, ...]
-    plain: dict[str, str]
+    plain: dict[str, str] = field(default_factory=dict)
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -693,64 +695,33 @@ def _interaction_logits(blocks: list[np.ndarray]) -> np.ndarray:
 
 
 def save_model_spec(path: str | Path, spec: ModelSpec) -> None:
-    payload = {
-        "seed": spec.seed,
-        "tables": {
-            key: {"rows": cfg.rows, "dim": cfg.dim}
-            for key, cfg in spec.tables.items()
-        },
-        "groups": [
-            {"keys": list(g.keys), "pooling": g.pooling} for g in spec.groups
-        ],
-        "plain": dict(spec.plain),
-    }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    Path(path).write_text(json.dumps(asdict(spec), indent=2) + "\n")
 
 
 def load_model_spec(path: str | Path) -> ModelSpec:
     obj = json.loads(Path(path).read_text())
-    return ModelSpec(
-        tables={
-            key: TableConfig(rows=int(t["rows"]), dim=int(t["dim"]))
-            for key, t in obj["tables"].items()
-        },
-        groups=tuple(
-            GroupConfig(keys=tuple(g["keys"]), pooling=g["pooling"])
-            for g in obj["groups"]
-        ),
-        plain=dict(obj.get("plain", {})),
-        seed=int(obj.get("seed", 0)),
-    )
+    tables = {key: TableConfig(**t) for key, t in obj.pop("tables").items()}
+    groups = [GroupConfig(**g) for g in obj.pop("groups")]
+    return ModelSpec(tables=tables, groups=groups, **obj)
 
 
 def default_model_spec(feature_specs, dim: int = 16, seed: int = 0) -> ModelSpec:
-    """Model spec aligned with the default generator config: singleton
-    groups for the big user sequences, attention over the cart pair,
-    plain item features."""
-    tables = {
-        fs.key: TableConfig(rows=fs.vocab_size, dim=dim) for fs in feature_specs
-    }
-    groups = []
-    grouped: set[str] = set()
+    """Model spec aligned with the default generator config: attention
+    over each sync group, then singleton groups for the other user
+    sequences, cycling through sum, max and avg, and sum-pooled plain
+    item features."""
     sync: dict[str, list[str]] = {}
+    solo: list[str] = []
+    plain: dict[str, str] = {}
     for fs in feature_specs:
         if fs.kind != "user_sequence":
-            continue
-        if fs.sync_group is not None:
+            plain[fs.key] = "sum"
+        elif fs.sync_group is None:
+            solo.append(fs.key)
+        else:
             sync.setdefault(fs.sync_group, []).append(fs.key)
-    for name, keys in sync.items():
-        groups.append(GroupConfig(keys=tuple(keys), pooling="attention"))
-        grouped.update(keys)
-    element_ops = ["sum", "max", "avg"]
-    i = 0
-    for fs in feature_specs:
-        if fs.kind == "user_sequence" and fs.key not in grouped:
-            groups.append(
-                GroupConfig(keys=(fs.key,), pooling=element_ops[i % len(element_ops)])
-            )
-            grouped.add(fs.key)
-            i += 1
-    plain = {
-        fs.key: "sum" for fs in feature_specs if fs.key not in grouped
-    }
-    return ModelSpec(tables=tables, groups=tuple(groups), plain=plain, seed=seed)
+    ops = itertools.cycle(("sum", "max", "avg"))
+    groups = [GroupConfig(tuple(keys), "attention") for keys in sync.values()]
+    groups += [GroupConfig((key,), next(ops)) for key in solo]
+    tables = {fs.key: TableConfig(fs.vocab_size, dim) for fs in feature_specs}
+    return ModelSpec(tables=tables, groups=groups, plain=plain, seed=seed)

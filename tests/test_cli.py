@@ -96,6 +96,13 @@ class TestGen:
         assert err.startswith("error [gen]")
 
 
+    def test_misspelt_config_key_exits_nonzero(self, small_config_path, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(small_config_path.read_text().replace('"change_prob"', '"chnage_prob"'))
+        assert run(["gen", "--config", bad, "--out", tmp_path / "x.sesscol"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [gen]") and "chnage_prob" in err
+
 class TestCluster:
     def test_cluster_is_logically_identity_on_rows(self, small_config_path, tmp_path):
         raw = tmp_path / "raw.sesscol"

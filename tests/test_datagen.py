@@ -308,6 +308,58 @@ class TestConfigIO:
         obj = json.loads(path.read_text())
         assert obj["num_sessions"] == cfg.num_sessions
 
+    def test_geometric_json_without_histogram_loads(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(
+            """{"seed": 4, "num_sessions": 3,
+            "samples_per_session": {"kind": "geometric", "mean": 16.0},
+            "features": [{"key": "v", "kind": "user_sequence", "avg_len": 48.0,
+                          "vocab_size": 200000, "change_prob": 0.15, "sync_group": "g"}]}"""
+        )
+        assert load_config(path) == (
+            SessionConfig(3, SampleCountDist("geometric", 16.0), seed=4),
+            [FeatureSpec("v", "user_sequence", 48, 200_000, 0.15, "g")],
+        )
+
+    def test_empirical_json_without_mean_loads(self, tmp_path):
+        # Optional keys left out take the dataclass defaults.
+        path = tmp_path / "config.json"
+        path.write_text(
+            """{"num_sessions": 5,
+            "samples_per_session": {"kind": "empirical", "histogram": {"16": 1.0, "17": 3.0}},
+            "features": [{"key": "f", "kind": "item", "avg_len": 1.5, "vocab_size": 10}]}"""
+        )
+        cfg, specs = load_config(path)
+        assert cfg == SessionConfig(5, SampleCountDist("empirical", histogram={16: 1.0, 17: 3.0}))
+        assert cfg.samples_per_session.mean == 16.75
+        assert specs == [FeatureSpec("f", "item", 1.5, 10)]
+
+    @pytest.mark.parametrize("key", ["num_sessions", "mean", "change_prob"])
+    def test_misspelt_key_rejected(self, tmp_path, key):
+        cfg, specs = small_config()
+        path = tmp_path / "config.json"
+        save_config(path, cfg, specs)
+        path.write_text(path.read_text().replace(f'"{key}"', f'"{key}x"', 1))
+        with pytest.raises(TypeError, match=f"{key}x"):
+            load_config(path)
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ('"num_sessions": 100', '"num_sessions": 100.0'),
+            ('"vocab_size": 10000', '"vocab_size": "10000"'),
+        ],
+    )
+    def test_non_integral_count_rejected(self, tmp_path, old, new):
+        cfg, specs = small_config()
+        path = tmp_path / "config.json"
+        save_config(path, cfg, specs)
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new, 1))
+        with pytest.raises(TypeError):
+            load_config(path)
+
     def test_default_config_shape(self):
         cfg, specs = default_config(seed=0)
         keys = {s.key for s in specs}

@@ -159,6 +159,45 @@ class TestSpecValidation:
         save_dataloader_spec(path, spec)
         assert load_dataloader_spec(path) == spec
 
+    def test_spec_json_without_transforms_or_batch_size_loads(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text('{"keys": ["a", "b"], "dedup_sparse_features": [["a"]]}')
+        assert load_dataloader_spec(path) == DataloaderSpec(
+            keys=("a", "b"), dedup_sparse_features=(("a",),), transforms=(), batch_size=4096
+        )
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"keys": ["a"], "dedup_sparse_features": [], "batchsize": 128}', "batchsize"),
+            (
+                '{"keys": ["a"], "dedup_sparse_features": [],'
+                ' "transforms": [{"op": "clamp", "key": "a", "parm": 5}]}',
+                "parm",
+            ),
+        ],
+        ids=["spec", "transform"],
+    )
+    def test_misspelt_key_rejected(self, tmp_path, text, key):
+        path = tmp_path / "spec.json"
+        path.write_text(text)
+        with pytest.raises(TypeError, match=key):
+            load_dataloader_spec(path)
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            '"batch_size": 128.7',
+            '"batch_size": "128"',
+            '"transforms": [{"op": "clamp", "key": "a", "param": 5.0}]',
+        ],
+    )
+    def test_non_integral_count_rejected(self, tmp_path, extra):
+        path = tmp_path / "spec.json"
+        path.write_text(f'{{"keys": ["a"], "dedup_sparse_features": [], {extra}}}')
+        with pytest.raises(TypeError):
+            load_dataloader_spec(path)
+
 
 class TestTransforms:
     def test_mod_hash_range_and_determinism(self):

@@ -212,6 +212,10 @@ class TestBuildIkjt:
         with pytest.raises(ValueError, match="empty dedup group"):
             build_ikjt(as_batch(ROWS), [])
 
+    def test_ikjt_without_group_keys_rejected(self):
+        with pytest.raises(ValueError, match="empty dedup group"):
+            IKJT(batch_size=1, group_keys=(), inverse_lookup=[0], per_feature={})
+
     def test_invalid_inverse_rejected(self):
         jt = JaggedTensor.from_rows([[1]])
         with pytest.raises(ValueError):

@@ -1169,6 +1169,100 @@ class TestModelSpec:
         assert model.tables["viewed"].rows == 100
 
 
+    def test_spec_json_without_plain_loads(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(
+            """{"seed": 3, "tables": {"u": {"rows": 10, "dim": 4}},
+            "groups": [{"keys": ["u"], "pooling": "max"}]}"""
+        )
+        assert load_model_spec(path) == ModelSpec(
+            tables={"u": TableConfig(10, 4)}, groups=(GroupConfig(("u",), "max"),), plain={}, seed=3
+        )
+
+    @pytest.mark.parametrize("key", ["seed", "rows", "pooling"])
+    def test_misspelt_key_rejected(self, tmp_path, key):
+        path = tmp_path / "model.json"
+        save_model_spec(path, self.make_spec())
+        path.write_text(path.read_text().replace(f'"{key}"', f'"{key}x"', 1))
+        with pytest.raises(TypeError, match=f"{key}x"):
+            load_model_spec(path)
+
+    def test_non_integral_rows_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model_spec(path, self.make_spec())
+        path.write_text(path.read_text().replace('"rows": 1000', '"rows": 1000.0', 1))
+        with pytest.raises(TypeError):
+            load_model_spec(path)
+
+    @pytest.mark.parametrize(
+        "layout, units",
+        [
+            (
+                "default",
+                (
+                    (("cart_item_ids", "cart_seller_ids"), "attention", True),
+                    (("viewed_ids",), "sum", True),
+                    (("liked_ids",), "max", True),
+                    (("clicked_ids",), "avg", True),
+                    (("item_id",), "sum", False),
+                    (("item_category_ids",), "sum", False),
+                ),
+            ),
+            (
+                [("a", "x"), ("i", None), ("b", "y"), ("c", "x"), ("d", "y")],
+                (
+                    (("a", "c"), "attention", True),
+                    (("b", "d"), "attention", True),
+                    (("i",), "sum", False),
+                ),
+            ),
+            ([("i", None), ("j", None)], ((("i",), "sum", False), (("j",), "sum", False))),
+            (
+                [("a", ""), ("b", ""), ("c", ""), ("d", ""), ("e", "")],
+                (
+                    (("a",), "sum", True),
+                    (("b",), "max", True),
+                    (("c",), "avg", True),
+                    (("d",), "sum", True),
+                    (("e",), "max", True),
+                ),
+            ),
+            (
+                [("a", ""), ("i", None), ("b", "x"), ("c", ""), ("d", "x")],
+                (
+                    (("b", "d"), "attention", True),
+                    (("a",), "sum", True),
+                    (("c",), "max", True),
+                    (("i",), "sum", False),
+                ),
+            ),
+        ],
+        ids=["default", "two-sync-groups", "no-user-features", "five-solo", "sync-after-solo"],
+    )
+    def test_default_model_spec_layout(self, layout, units):
+        """``units`` order sets the interaction stub's pair order, so it
+        and the table order are pinned. In a layout, a sync group of
+        None marks an item feature and "" a solo user feature."""
+        if layout == "default":
+            _, specs = default_config()
+        else:
+            specs = [
+                FeatureSpec(key, "item", 1, 7)
+                if group is None
+                else FeatureSpec(key, "user_sequence", 2, 7, 0.1, group or None)
+                for key, group in layout
+            ]
+        model = default_model_spec(specs, dim=8, seed=5)
+        assert model.units == units
+        assert list(model.plain) == [key for keys, _, grouped in units if not grouped for key in keys]
+        assert list(model.tables) == [s.key for s in specs]
+        assert model == ModelSpec(
+            tables={s.key: TableConfig(s.vocab_size, 8) for s in specs},
+            groups=tuple(GroupConfig(keys, op) for keys, op, grouped in units if grouped),
+            plain={keys[0]: op for keys, op, grouped in units if not grouped},
+            seed=5,
+        )
+
 def _interaction_reference(blocks):
     """The interaction stub as one (B, F, F) product of the stacked blocks,
     its upper triangle and the mean: the oracle for ``_interaction_logits``."""
