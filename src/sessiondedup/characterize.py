@@ -16,6 +16,14 @@ Counting rules:
             scores 99/200 = 49.5%. Multiset semantics: an ID occurring
             twice in one list needs two occurrences elsewhere to be
             fully matched.
+
+Counting is columnar, in blocks of whole sessions, and each count takes
+one 1-D sort or none: exact keys each (session, list) row by its
+verified 64-bit hash (``tensors._unique_rows``); partial sorts one
+packed int64 key per ID occurrence, (session, value, row); the session
+histograms count one int64 (chunk, session rank) key per row. A block
+whose rows lie in one ascending run, as in a file clustered by session,
+is cut from the stripe batches without a gather.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .storage import ScanBatch
-from .tensors import JaggedTensor, _unique_rows, build_kjt, concat_rows, jagged_index_select
+from .tensors import JaggedTensor, _unique_rows, build_kjt, concat_rows, jagged_index_select, slice_rows
 
 __all__ = [
     "FeatureDupStats",
@@ -41,6 +49,7 @@ __all__ = [
 ]
 
 _BLOCK_ROWS = 4096  # rows per block of whole sessions; bounds the sorts' memory
+_KEY_LIMIT = 2**62  # packed sort keys stay below this
 
 
 @dataclass(frozen=True)
@@ -85,7 +94,9 @@ def session_histogram(rows, window: str = "partition", batch_size: int = 4096) -
         raise ValueError("batch_size must be >= 1")
     sids = _columns(rows, ())[0]
     chunk = np.arange(sids.size) // batch_size if window == "batch" else np.zeros_like(sids)
-    _, per_session = np.unique(np.stack([chunk, sids], axis=1), axis=0, return_counts=True)
+    # With m sessions ranked 0..m-1, chunk * m + rank numbers each (chunk, session).
+    sessions, rank = np.unique(sids, return_inverse=True)
+    _, per_session = np.unique(chunk * sessions.size + rank, return_counts=True)
     sizes, freq = np.unique(per_session, return_counts=True)
     mean = sids.size / per_session.size if per_session.size else 0.0
     return SessionHistogram(counts=dict(zip(sizes.tolist(), freq.tolist())), mean=mean)
@@ -93,22 +104,50 @@ def session_histogram(rows, window: str = "partition", batch_size: int = 4096) -
 
 def _dup_ids(sids: np.ndarray, jt: JaggedTensor) -> int:
     """ID occurrences beyond, per (session, value), the most copies any
-    one row holds; ``sids`` gives each row's session."""
-    row = np.repeat(np.arange(jt.row_count), jt.row_lengths())
-    # lexsort is stable and ``row`` never decreases, so ties stay in row order.
-    order = np.lexsort((jt.values, sids[row]))
-    row, vals = row[order], jt.values[order]
-    sess = sids[row]
-    new_id = np.concatenate(([True], (sess[1:] != sess[:-1]) | (vals[1:] != vals[:-1])))
-    run_start = np.flatnonzero(new_id | np.concatenate(([False], row[1:] != row[:-1])))
-    copies = np.diff(np.append(run_start, row.size))  # per (session, value, row)
-    most = np.maximum.reduceat(copies, np.flatnonzero(new_id[run_start]))
-    return row.size - int(most.sum())
+    one row holds; ``sids`` gives each row's session, and rows of one
+    session must be consecutive.
+
+    Each ID becomes one int64 key ``(session * span + value - vmin) * R
+    + row``, session being the ordinal of its row's session run and R
+    the row count, so one in-place sort groups the occurrences by
+    (session, value) and, inside a group, by row. Where that key would
+    reach 2^62, the values are first replaced by their dense ranks.
+    """
+    n, rows = jt.values.size, jt.row_count
+    if n == 0:
+        return 0
+    session = np.concatenate(([0], np.cumsum(sids[1:] != sids[:-1], dtype=np.int64)))
+    sessions = int(session[-1]) + 1
+    vals, vmin = jt.values, int(jt.values.min())
+    span = int(jt.values.max()) - vmin + 1
+    if sessions * span * rows >= _KEY_LIMIT:
+        uniq, vals = np.unique(jt.values, return_inverse=True)
+        vmin, span = 0, uniq.size
+        if sessions * span * rows >= _KEY_LIMIT:
+            raise ValueError(f"a block of {rows} rows and {n} IDs is too large to count")
+    key = vals - vmin
+    key *= rows
+    key += np.repeat(session * (span * rows) + np.arange(rows), jt.row_lengths())
+    key.sort()
+    run_start = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    copies = np.diff(np.append(run_start, n))  # per (session, value, row)
+    group = key[run_start] // rows  # (session, value)
+    most = np.maximum.reduceat(copies, np.flatnonzero(np.concatenate(([True], group[1:] != group[:-1]))))
+    return n - int(most.sum())
 
 
 def _gather(jts: list[JaggedTensor], starts: np.ndarray, idx: np.ndarray) -> JaggedTensor:
     """Rows ``idx`` of ``jts`` laid end to end, ``jts[p]`` holding the
-    rows from ``starts[p]``."""
+    rows from ``starts[p]``. Rows in one ascending run are cut from the
+    tensors they lie in, as views when that is one tensor."""
+    lo, hi = int(idx[0]), int(idx[-1]) + 1
+    if hi - lo == idx.size and np.all(idx[1:] > idx[:-1]):
+        parts = [
+            slice_rows(jt, max(lo - s, 0), min(hi - s, e - s))
+            for jt, s, e in zip(jts, starts, starts[1:])
+            if max(lo, s) < min(hi, e)
+        ]
+        return parts[0] if len(parts) == 1 else concat_rows(parts)
     by_row = np.argsort(idx)
     cuts = np.searchsorted(idx[by_row], starts)
     parts = [jagged_index_select(jt, idx[by_row[a:b]] - s) for jt, s, a, b in zip(jts, starts, cuts, cuts[1:])]

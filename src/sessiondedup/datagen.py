@@ -16,14 +16,13 @@ many other sessions exist.
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .storage import ScanBatch
-from .tensors import KJT, _starts, gather_windows, splitmix64
+from .tensors import KJT, _positive_count, _starts, gather_windows, splitmix64
 
 __all__ = [
     "FeatureSpec",
@@ -64,8 +63,7 @@ class FeatureSpec:
             raise ValueError("avg_len must be > 0")
         if self.kind == "user_sequence" and self.avg_len < 1:
             raise ValueError("user_sequence features need avg_len >= 1")
-        if operator.index(self.vocab_size) < 1:
-            raise ValueError("vocab_size must be >= 1")
+        _positive_count("vocab_size", self.vocab_size)
         if not 0.0 <= self.change_prob <= 1.0:
             raise ValueError("change_prob must be in [0, 1]")
 
@@ -94,11 +92,13 @@ class SampleCountDist:
         if self.kind == "empirical":
             if not self.histogram:
                 raise ValueError("empirical distribution needs a histogram")
-            # JSON object keys are strings.
-            hist = {int(k): w for k, w in self.histogram.items()}
+            # JSON object keys are strings: "16" reads as 16, while "2.7"
+            # stays a string and is rejected.
+            hist = {
+                _positive_count("histogram key", int(k) if isinstance(k, str) and k.isdecimal() else k): w
+                for k, w in self.histogram.items()
+            }
             object.__setattr__(self, "histogram", hist)
-            if any(k < 1 for k in self.histogram):
-                raise ValueError("sample counts must be >= 1")
             if any(w <= 0 for w in self.histogram.values()):
                 raise ValueError("histogram weights must be > 0")
             mean = sum(k * w for k, w in self.histogram.items()) / sum(
@@ -106,6 +106,8 @@ class SampleCountDist:
             )
             object.__setattr__(self, "mean", mean)
         else:
+            if self.histogram is not None:
+                raise ValueError(f"{self.kind} distribution takes no histogram")
             if self.mean < 1:
                 raise ValueError("mean samples per session must be >= 1")
             if self.kind == "fixed" and self.mean != int(self.mean):
@@ -128,8 +130,7 @@ class SessionConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if operator.index(self.num_sessions) < 1:
-            raise ValueError("num_sessions must be >= 1")
+        _positive_count("num_sessions", self.num_sessions)
 
 
 def _draw_lengths(avg_len: float, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -17,7 +17,6 @@ here (there is simply no such transform kind).
 from __future__ import annotations
 
 import json
-import operator
 import struct
 import time
 from dataclasses import asdict, astuple, dataclass, field, replace
@@ -31,6 +30,7 @@ from .tensors import (
     IKJT,
     KJT,
     JaggedTensor,
+    _positive_count,
     build_ikjt,
     build_kjt,
     serialize_ikjt,
@@ -65,10 +65,13 @@ class Transform:
     def __post_init__(self) -> None:
         if self.op not in ("identity", "mod_hash", "clamp"):
             raise ValueError(f"unknown transform op {self.op!r}")
-        if self.op in ("mod_hash", "clamp") and (
-            self.param is None or operator.index(self.param) < 1
-        ):
+        if self.op == "identity":
+            if self.param is not None:
+                raise ValueError(f"identity takes no param, got {self.param!r}")
+        elif self.param is None:
             raise ValueError(f"{self.op} needs a positive param")
+        else:
+            _positive_count("param", self.param)
 
 
 def apply_transform(values: np.ndarray, t: Transform) -> np.ndarray:
@@ -94,8 +97,7 @@ class DataloaderSpec:
             tuple(tuple(g) for g in self.dedup_sparse_features),
         )
         object.__setattr__(self, "transforms", tuple(self.transforms))
-        if operator.index(self.batch_size) < 1:
-            raise ValueError("batch_size must be >= 1")
+        _positive_count("batch_size", self.batch_size)
         seen: set[str] = set()
         for group in self.dedup_sparse_features:
             if not group:

@@ -20,6 +20,7 @@ safe to share across threads.
 
 from __future__ import annotations
 
+import operator
 import struct
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -61,6 +62,18 @@ def _as_id_array(seq) -> np.ndarray:
     if arr.ndim != 1:
         raise ValueError(f"ID list must be one-dimensional, got shape {arr.shape}")
     return arr
+
+
+def _positive_count(name: str, value) -> int:
+    """``value`` as an int: TypeError unless it is an integer (a float
+    such as 3.0 is not), ValueError if it is below 1; both name ``name``."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if count < 1:
+        raise ValueError(f"{name} must be >= 1, got {count}")
+    return count
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:

@@ -38,7 +38,6 @@ import hashlib
 import itertools
 import json
 import math
-import operator
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -47,6 +46,7 @@ import numpy as np
 from .reader import ReaderBatch
 from .tensors import (
     JaggedTensor,
+    _positive_count,
     _row_lengths,
     jagged_index_select,
     slice_stream_bytes,
@@ -151,8 +151,8 @@ class TableConfig:
     dim: int
 
     def __post_init__(self) -> None:
-        if operator.index(self.rows) < 1 or operator.index(self.dim) < 1:
-            raise ValueError("table rows and dim must be >= 1")
+        _positive_count("rows", self.rows)
+        _positive_count("dim", self.dim)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import sessiondedup.characterize as charmod
 from sessiondedup.characterize import (
+    SessionHistogram,
     byte_weighted,
     compute_dup_stats,
     dup_stats_to_csv,
@@ -21,6 +23,7 @@ from sessiondedup.datagen import (
     generate_dataset,
 )
 from sessiondedup.storage import read_stripe, scan, write_table
+from sessiondedup.tensors import JaggedTensor, concat_rows, jagged_index_select
 
 
 def rec(sid, key_lists, ts=0):
@@ -69,21 +72,25 @@ def as_columns(records, tmp_path):
     return out
 
 
-def brute_partial_pct(records, key):
+def brute_dup_ids(sids, lists):
     """Quadratic oracle with multiset semantics: within a session, each ID
     value keeps one copy per "richest" sample; every other occurrence is a
-    duplicate."""
+    duplicate. ``sids[i]`` is list i's session."""
     sessions = {}
-    for r in records:
-        sessions.setdefault(r.session_id, []).append(r.features[key])
-    total = dup = 0
-    for lists in sessions.values():
-        counters = [Counter(arr.tolist()) for arr in lists]
-        total += sum(sum(c.values()) for c in counters)
-        values = set().union(*counters) if counters else set()
-        for v in values:
+    for s, lst in zip(sids, lists):
+        sessions.setdefault(s, []).append(Counter(lst))
+    dup = 0
+    for counters in sessions.values():
+        for v in set().union(*counters):
             occ = [c[v] for c in counters]
             dup += sum(occ) - max(occ)
+    return dup
+
+
+def brute_partial_pct(records, key):
+    lists = [r.features[key].tolist() for r in records]
+    total = sum(len(lst) for lst in lists)
+    dup = brute_dup_ids([r.session_id for r in records], lists)
     return 100.0 * dup / total if total else 0.0
 
 
@@ -347,6 +354,17 @@ ADVERSARIAL = {
     "all-dup-and-no-dup": [(0, [1, 2, 3])] * 5 + [(1, [10 * t, 10 * t + 1]) for t in range(5)],
     # zero padding must not merge [], [0] and [0, 0]
     "zero-padding": [(0, []), (0, [0]), (0, [0, 0]), (0, [0])],
+    "negative-ids": [(s, [-5, -1, -5 - t % 2, -(s + 1)]) for s in range(6) for t in range(7)],
+    # a span of 2^64 IDs sends _dup_ids to dense ranks
+    "rank-path-ids": [(s, [-(2**63), 2**63 - 1, t % 3, 2**63 - 1]) for s in range(4) for t in range(9)],
+    "empty-among-full": [(s, [] if t % 3 == 0 else [s, t % 2]) for s in range(5) for t in range(8)],
+    # one session of 250 rows spans three 100-row stripes
+    "one-session": [(0, [t % 5, 3, t % 2]) for t in range(250)],
+    # sessions interleaved, so by-row order is not by-session order
+    "interleaved": [(t % 7, [t % 3, (t // 7) % 2]) for t in range(300)],
+    "extreme-session-ids": [
+        (s, [t % 2]) for t in range(6) for s in (-(2**63), -1, 0, 2**40, 2**63 - 1)
+    ],
 }
 
 
@@ -374,3 +392,127 @@ class TestColumnarInput:
                 assert hist == session_histogram(as_batch(rows), window, 64)
                 assert hist.counts == brute_histogram(rows, size)
             assert compute_dup_stats(batch, keys, 64) == compute_dup_stats(as_batch(rows), keys, 64)
+
+
+def lexsort_dup_ids(sids, jt):
+    """The lexsort count that the packed-key sort replaced, kept as an
+    oracle: one stable lexsort by (session id, value)."""
+    row = np.repeat(np.arange(jt.row_count), jt.row_lengths())
+    order = np.lexsort((jt.values, sids[row]))
+    row, vals = row[order], jt.values[order]
+    sess = sids[row]
+    new_id = np.concatenate(([True], (sess[1:] != sess[:-1]) | (vals[1:] != vals[:-1])))
+    run_start = np.flatnonzero(new_id | np.concatenate(([False], row[1:] != row[:-1])))
+    copies = np.diff(np.append(run_start, row.size))
+    most = np.maximum.reduceat(copies, np.flatnonzero(new_id[run_start]))
+    return row.size - int(most.sum())
+
+
+def _block(rng, sessions, values):
+    """Rows grouped by session (ids from ``sessions`` in that order),
+    each a random list drawn from ``values``, some of them empty."""
+    sids, lists = [], []
+    for s in sessions:
+        for _ in range(int(rng.integers(1, 6))):
+            sids.append(s)
+            lists.append(rng.choice(values, size=int(rng.integers(0, 5))).tolist())
+    return np.array(sids, dtype=np.int64), lists
+
+
+I64 = (-(2**63), 2**63 - 1)
+DUP_ID_CASES = {
+    "small-ids": ([3, 9, 1, 4], [0, 1, 2, 3]),
+    "negative-ids": ([-7, -3, 0, 5], [-9, -2, -1, 4]),
+    "rank-path": ([-(2**62), 1, 2**62], [*I64, 0, -1]),
+    "one-session": ([2**63 - 1], [5, 6, 7]),
+    "all-duplicate": ([1, 2], [42]),
+    "sparse-session-ids": ([*I64, 0], [10**15, 10**15 + 1, 3]),
+}
+
+
+class TestDupIdsKernel:
+    """``_dup_ids`` against the lexsort it replaced and a Counter oracle."""
+
+    @pytest.mark.parametrize("case", DUP_ID_CASES)
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_lexsort_and_brute_force(self, case, seed):
+        sessions, values = DUP_ID_CASES[case]
+        sids, lists = _block(np.random.default_rng(seed), sessions, np.array(values, dtype=np.int64))
+        jt = JaggedTensor.from_rows(lists)
+        want = brute_dup_ids(sids.tolist(), lists)
+        assert charmod._dup_ids(sids, jt) == lexsort_dup_ids(sids, jt) == want
+
+    @pytest.mark.parametrize("span, ranked", [(2**60 - 1, False), (2**60, True)])
+    def test_key_limit_boundary(self, span, ranked, monkeypatch):
+        # one session of 4 rows: the packed key reaches span * 4
+        jt = JaggedTensor.from_rows([[0, span - 1], [span - 1], [0, 0], [span - 1, 0]])
+        sids = np.zeros(4, dtype=np.int64)
+        calls = []
+        unique = np.unique
+        monkeypatch.setattr(charmod.np, "unique", lambda *a, **k: calls.append(1) or unique(*a, **k))
+        # 0 occurs 1, 0, 2, 1 times per row and span - 1 once in three rows
+        assert charmod._dup_ids(sids, jt) == lexsort_dup_ids(sids, jt) == 4
+        assert bool(calls) == ranked
+
+    def test_block_too_large_even_ranked(self, monkeypatch):
+        monkeypatch.setattr(charmod, "_KEY_LIMIT", 4)
+        sids = np.array([0, 0], dtype=np.int64)
+        with pytest.raises(ValueError, match="2 rows and 3 IDs is too large to count"):
+            charmod._dup_ids(sids, JaggedTensor.from_rows([[1, 2], [1]]))
+
+
+class TestGather:
+    """``_gather`` equals one select from the joined tensors, and a run
+    of ascending rows inside one tensor is a view of it."""
+
+    @pytest.fixture()
+    def parts(self):
+        rows = [[[1], [2, 3], [], [-4]], [], [[5, 6], [7], [8]], [[9], [], [10, 11], [12], [13]], [[14]]]
+        jts = [JaggedTensor.from_rows(r) for r in rows]
+        return jts, np.cumsum([0, *(len(r) for r in rows)])
+
+    @pytest.mark.parametrize(
+        "idx",
+        [[1, 2, 3], [3, 4, 5, 6], [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12], [12], [6, 2, 9], [8, 7], [0, 2]],
+        ids=["in-one", "across-empty", "all", "last", "shuffled", "descending", "gap"],
+    )
+    def test_matches_joined_select(self, parts, idx):
+        jts, starts = parts
+        idx = np.array(idx, dtype=np.int64)
+        got = charmod._gather(jts, starts, idx)
+        want = jagged_index_select(concat_rows(jts), idx)
+        assert got.to_pylists() == want.to_pylists()
+        np.testing.assert_array_equal(got.offsets, want.offsets)
+
+    def test_run_inside_one_tensor_is_a_view(self, parts):
+        jts, starts = parts
+        got = charmod._gather(jts, starts, np.arange(8, 11))
+        assert got.to_pylists() == [[], [10, 11], [12]]
+        assert np.shares_memory(got.values, jts[3].values)
+
+
+class TestSessionHistogramIds:
+    """Session ids are only compared, so any int64 ids give the oracle's
+    histogram, in every window size."""
+
+    @pytest.mark.parametrize(
+        "sids",
+        [
+            [-3, -3, -1, -3, -1, -1, -2],
+            [0, 10**12, 0, 5 * 10**17, 10**12, 0],
+            # id 2 in chunk 0 must not meet id 0 in chunk 1 (2 sessions)
+            [2, 0, 0],
+            [*I64, I64[0], 0, I64[1], I64[1], -1],
+        ],
+        ids=["negative", "sparse", "gaps", "int64-extremes"],
+    )
+    @pytest.mark.parametrize("batch_size", [1, 2, 3, 4096])
+    def test_matches_brute_force(self, sids, batch_size):
+        records = [rec(s, {"f": [1]}) for s in sids]
+        for window, size in (("partition", None), ("batch", batch_size)):
+            hist = session_histogram(as_batch(records), window, batch_size)
+            assert hist.counts == brute_histogram(records, size)
+            assert hist.mean == len(records) / sum(hist.counts.values())
+
+    def test_empty_stream(self):
+        assert session_histogram([], "batch", 1) == SessionHistogram(counts={}, mean=0.0)

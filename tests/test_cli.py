@@ -103,6 +103,15 @@ class TestGen:
         err = capsys.readouterr().err
         assert err.startswith("error [gen]") and "chnage_prob" in err
 
+    def test_non_integral_count_names_its_field(self, small_config_path, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        text = small_config_path.read_text()
+        assert '"num_sessions": 150' in text
+        bad.write_text(text.replace('"num_sessions": 150', '"num_sessions": 3.0'))
+        assert run(["gen", "--config", bad, "--out", tmp_path / "x.sesscol"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [gen]: num_sessions must be an integer, got 3.0")
+
 class TestCluster:
     def test_cluster_is_logically_identity_on_rows(self, small_config_path, tmp_path):
         raw = tmp_path / "raw.sesscol"

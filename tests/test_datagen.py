@@ -78,6 +78,24 @@ class TestSampleCountDist:
         with pytest.raises(ValueError):
             SampleCountDist(kind="empirical", histogram={2: -1.0})
 
+    @pytest.mark.parametrize("key", [2.7, 2.0, "2.7", "two", "-2", None])
+    def test_empirical_key_must_be_an_integer(self, key):
+        # int() read the keys 2.7 and 2.0 as the count 2
+        with pytest.raises(TypeError, match="histogram key must be an integer"):
+            SampleCountDist(kind="empirical", histogram={key: 1.0})
+
+    def test_empirical_decimal_string_keys_read_as_counts(self):
+        dist = SampleCountDist(kind="empirical", histogram={"3": 1.0, 5: 1.0})
+        assert dist.histogram == {3: 1.0, 5: 1.0}
+
+    @pytest.mark.parametrize("kind, mean", [("fixed", 4), ("geometric", 4.0)])
+    def test_histogram_only_for_empirical(self, kind, mean):
+        with pytest.raises(ValueError, match=f"{kind} distribution takes no histogram"):
+            SampleCountDist(kind=kind, mean=mean, histogram={2: 1.0})
+        with pytest.raises(ValueError, match="takes no histogram"):
+            SampleCountDist(kind=kind, mean=mean, histogram={})
+        assert SampleCountDist(kind=kind, mean=mean, histogram=None).histogram is None
+
 
 class TestGenerateDataset:
     def test_deterministic(self):
@@ -357,8 +375,25 @@ class TestConfigIO:
         text = path.read_text()
         assert old in text
         path.write_text(text.replace(old, new, 1))
-        with pytest.raises(TypeError):
+        field = old.split('"')[1]
+        with pytest.raises(TypeError, match=f"^{field} must be an integer, got"):
             load_config(path)
+
+    @pytest.mark.parametrize("field", ["num_sessions", "vocab_size"])
+    def test_count_below_one_names_its_field(self, field):
+        cfg, specs = small_config()
+        with pytest.raises(ValueError, match=f"^{field} must be >= 1, got 0"):
+            if field == "num_sessions":
+                SessionConfig(0, cfg.samples_per_session)
+            else:
+                FeatureSpec("f", "item", 1, 0)
+
+    def test_saved_null_histogram_loads(self, tmp_path):
+        cfg, specs = small_config()
+        path = tmp_path / "config.json"
+        save_config(path, cfg, specs)
+        assert json.loads(path.read_text())["samples_per_session"]["histogram"] is None
+        assert load_config(path) == (cfg, specs)
 
     def test_default_config_shape(self):
         cfg, specs = default_config(seed=0)

@@ -195,7 +195,8 @@ class TestSpecValidation:
     def test_non_integral_count_rejected(self, tmp_path, extra):
         path = tmp_path / "spec.json"
         path.write_text(f'{{"keys": ["a"], "dedup_sparse_features": [], {extra}}}')
-        with pytest.raises(TypeError):
+        field = "param" if "transforms" in extra else "batch_size"
+        with pytest.raises(TypeError, match=f"^{field} must be an integer, got"):
             load_dataloader_spec(path)
 
 
@@ -225,6 +226,13 @@ class TestTransforms:
             Transform(op="clamp", key="f", param=0)
         with pytest.raises(ValueError):
             Transform(op="resample", key="f", param=1)
+        with pytest.raises(ValueError, match="^param must be >= 1, got 0"):
+            Transform(op="clamp", key="f", param=0)
+
+    @pytest.mark.parametrize("param", [5.5, 5, 0])
+    def test_identity_takes_no_param(self, param):
+        with pytest.raises(ValueError, match="identity takes no param"):
+            Transform(op="identity", key="f", param=param)
 
     def test_transform_commutes_with_expansion(self):
         # element-wise maps give the same rows whether applied to the

@@ -1191,8 +1191,14 @@ class TestModelSpec:
         path = tmp_path / "model.json"
         save_model_spec(path, self.make_spec())
         path.write_text(path.read_text().replace('"rows": 1000', '"rows": 1000.0', 1))
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="^rows must be an integer, got 1000.0"):
             load_model_spec(path)
+
+    def test_table_counts_name_their_field(self):
+        with pytest.raises(TypeError, match="^dim must be an integer, got 4.0"):
+            TableConfig(rows=10, dim=4.0)
+        with pytest.raises(ValueError, match="^rows must be >= 1, got 0"):
+            TableConfig(rows=0, dim=4)
 
     @pytest.mark.parametrize(
         "layout, units",
