@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import operator
 import os
 import sys
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
@@ -65,18 +66,18 @@ class ModeTotals:
 
 def _fold(total, part):
     """Field-wise total of two dataclasses of one type, nested ones
-    included: activation_elements is a peak and takes the max, every
-    other field adds up."""
+    included: a field folds by its ``fold`` metadata if it declares one,
+    and otherwise adds up."""
 
-    def one(name, a, b):
+    def one(f, a, b):
         if is_dataclass(a):
             return _fold(a, b)
-        return max(a, b) if name == "activation_elements" else a + b
+        return f.metadata.get("fold", operator.add)(a, b)
 
     return replace(
         total,
         **{
-            f.name: one(f.name, getattr(total, f.name), getattr(part, f.name))
+            f.name: one(f, getattr(total, f.name), getattr(part, f.name))
             for f in fields(total)
         },
     )

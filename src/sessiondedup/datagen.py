@@ -3,10 +3,14 @@
 Each session draws a sample count, initializes its user-sequence
 features once, and then mutates each feature between impressions with
 probability ``change_prob`` (a mutation shifts the list by one: drop the
-oldest ID, append a fresh one). Item-kind features are redrawn on every
-impression. The sessions' rows are interleaved by a global timestamp
-into one columnar table, modeling logs where a session's impressions are
-spread across a partition rather than adjacent.
+oldest ID, append a fresh one). ``sync_groups`` is the one definition of
+which features mutate together: a session draws one coin sequence per
+group, so a named ``sync_group``'s members change on the same
+impressions and every other user sequence on its own. Item-kind
+features are redrawn on every impression. The sessions' rows are
+interleaved by a global timestamp into one columnar table, modeling logs
+where a session's impressions are spread across a partition rather than
+adjacent.
 
 Everything is deterministic given the config seed: each session owns an
 independent child RNG, so a session's content does not depend on how
@@ -16,6 +20,7 @@ many other sessions exist.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -28,6 +33,7 @@ __all__ = [
     "FeatureSpec",
     "SampleCountDist",
     "SessionConfig",
+    "sync_groups",
     "generate_dataset",
     "shard_logs",
     "load_config",
@@ -79,11 +85,12 @@ class SampleCountDist:
     kinds:
       fixed      - every session has exactly ``mean`` samples (integer)
       geometric  - P(k) = (1/S)(1-1/S)^(k-1), mean S = ``mean``
-      empirical  - draw from ``histogram`` (count -> weight)
+      empirical  - draw from ``histogram`` (count -> weight); ``mean``
+                   is the histogram's, and a given one must equal it
     """
 
     kind: str
-    mean: float = 1.0
+    mean: float | None = None  # 1.0 for fixed and geometric when omitted
     histogram: dict[int, float] | None = None
 
     def __post_init__(self) -> None:
@@ -104,10 +111,16 @@ class SampleCountDist:
             mean = sum(k * w for k, w in self.histogram.items()) / sum(
                 self.histogram.values()
             )
+            if self.mean is not None and not math.isclose(self.mean, mean, rel_tol=1e-9):
+                raise ValueError(
+                    f"empirical mean {self.mean} differs from its histogram's mean {mean}"
+                )
             object.__setattr__(self, "mean", mean)
         else:
             if self.histogram is not None:
                 raise ValueError(f"{self.kind} distribution takes no histogram")
+            if self.mean is None:
+                object.__setattr__(self, "mean", 1.0)
             if self.mean < 1:
                 raise ValueError("mean samples per session must be >= 1")
             if self.kind == "fixed" and self.mean != int(self.mean):
@@ -147,40 +160,32 @@ def _session_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, index)))
 
 
-def _gen_session(
-    count: int, specs: list[FeatureSpec], rng: np.random.Generator
-) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """One session's features, in session order: per key, a pool of IDs
-    and each impression's ``(start, length)`` window into it."""
-    # One mutation coin sequence per sync group so grouped features
-    # change on exactly the same impressions.
-    group_of = {
-        s.key: (s.sync_group if s.sync_group is not None else f"_solo_{s.key}")
-        for s in specs
-        if s.kind == "user_sequence"
-    }
-    coins: dict[str, np.ndarray] = {}
+def sync_groups(
+    specs: list[FeatureSpec],
+) -> list[tuple[str | None, tuple[FeatureSpec, ...]]]:
+    """Each group of user-sequence features once, as ``(name, members)``
+    in order of the group's first member: a named ``sync_group``'s
+    members together, every other user sequence alone with name None.
+    Members of a group mutate on the same impressions, so they must agree
+    on ``change_prob``; an item feature, never mutated, takes neither a
+    ``sync_group`` nor a ``change_prob``."""
+    named: dict[str, list[FeatureSpec]] = {}
+    groups = []
     for s in specs:
-        if s.kind != "user_sequence":
+        if s.kind == "item":
+            if s.sync_group is not None or s.change_prob:
+                raise ValueError(f"item feature {s.key!r} takes no sync_group or change_prob")
             continue
-        g = group_of[s.key]
-        if g not in coins:
-            coins[g] = rng.random(count - 1) < s.change_prob
-    windows = {}
-    for s in specs:
-        if s.kind == "user_sequence":
-            length = int(_draw_lengths(s.avg_len, 1, rng)[0])
-            # Shift-append update: impression i reads a length-window of
-            # a shared pool, starting at the number of changes so far.
-            starts = np.zeros(count, dtype=np.int64)
-            np.cumsum(coins[group_of[s.key]], out=starts[1:])
-            lengths = np.full(count, length, dtype=np.int64)
-        else:
-            lengths = _draw_lengths(s.avg_len, count, rng)
-            starts = _starts(lengths)
-        pool = rng.integers(0, s.vocab_size, int(starts[-1] + lengths[-1]), dtype=np.int64)
-        windows[s.key] = (pool, starts, lengths)
-    return windows
+        members = [] if s.sync_group is None else named.setdefault(s.sync_group, [])
+        if not members:
+            groups.append((s.sync_group, members))
+        elif s.change_prob != members[0].change_prob:
+            raise ValueError(
+                f"sync group {s.sync_group!r}: {s.key!r} has change_prob {s.change_prob},"
+                f" {members[0].key!r} has {members[0].change_prob}"
+            )
+        members.append(s)
+    return [(name, tuple(members)) for name, members in groups]
 
 
 def generate_dataset(
@@ -191,6 +196,8 @@ def generate_dataset(
     keys = [s.key for s in feature_specs]
     if len(set(keys)) != len(keys):
         raise ValueError("duplicate feature keys")
+    groups = sync_groups(feature_specs)
+    group_of = {s.key: i for i, (_, members) in enumerate(groups) for s in members}
     # Columns grow as raw int64 bytes, so no per-session array outlives
     # its session; per key: "pool" holds every session's ID pool end to
     # end, "start" and "length" each row's window into it.
@@ -209,11 +216,27 @@ def generate_dataset(
         columns["session_id"] += np.full(count, idx, dtype=np.int64).tobytes()
         columns["timestamp"] += ts.tobytes()
         columns["label"] += (rng.random(count) < _LABEL_RATE).astype(np.int64).tobytes()
-        for key, (pool, starts, lengths) in _gen_session(count, feature_specs, rng).items():
-            base = len(columns[key, "pool"]) // 8
-            columns[key, "pool"] += pool.tobytes()
-            columns[key, "start"] += (starts + base).tobytes()
-            columns[key, "length"] += lengths.tobytes()
+        # One mutation coin sequence per sync group, so a group's members
+        # change on the same impressions. Shift-append update: impression
+        # i reads a window of the feature's pool that starts at the
+        # group's number of changes so far.
+        group_starts = []
+        for _, members in groups:
+            starts = np.zeros(count, dtype=np.int64)
+            np.cumsum(rng.random(count - 1) < members[0].change_prob, out=starts[1:])
+            group_starts.append(starts)
+        for s in feature_specs:
+            if s.key in group_of:
+                starts = group_starts[group_of[s.key]]
+                lengths = np.full(count, _draw_lengths(s.avg_len, 1, rng)[0], dtype=np.int64)
+            else:
+                lengths = _draw_lengths(s.avg_len, count, rng)
+                starts = _starts(lengths)
+            pool = rng.integers(0, s.vocab_size, int(starts[-1] + lengths[-1]), dtype=np.int64)
+            base = len(columns[s.key, "pool"]) // 8
+            columns[s.key, "pool"] += pool.tobytes()
+            columns[s.key, "start"] += (starts + base).tobytes()
+            columns[s.key, "length"] += lengths.tobytes()
 
     def column(name):
         return np.frombuffer(columns.pop(name), dtype=np.int64)

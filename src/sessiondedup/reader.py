@@ -98,6 +98,9 @@ class DataloaderSpec:
         )
         object.__setattr__(self, "transforms", tuple(self.transforms))
         _positive_count("batch_size", self.batch_size)
+        repeated = [k for i, k in enumerate(self.keys) if k in self.keys[:i]]
+        if repeated:
+            raise ValueError(f"feature {repeated[0]!r} is listed twice in keys")
         seen: set[str] = set()
         for group in self.dedup_sparse_features:
             if not group:

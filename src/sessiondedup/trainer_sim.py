@@ -43,6 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .datagen import sync_groups
 from .reader import ReaderBatch
 from .tensors import (
     JaggedTensor,
@@ -187,6 +188,8 @@ class ModelSpec:
         object.__setattr__(self, "tables", dict(self.tables))
         object.__setattr__(self, "groups", tuple(self.groups))
         object.__setattr__(self, "plain", dict(self.plain))
+        if not self.tables:
+            raise ValueError("model spec has no tables")
         dims = {cfg.dim for cfg in self.tables.values()}
         if len(dims) > 1:
             raise ValueError("all tables must share one embedding dim")
@@ -256,10 +259,14 @@ def build_tables(spec: ModelSpec) -> dict[str, EmbeddingTable]:
 
 @dataclass
 class IterationStats:
+    """Forward-pass counters. Each adds up over batches unless its field's
+    ``fold`` metadata names another rule."""
+
     a2a_bytes_fwd: int = 0
     a2a_bytes_back: int = 0
     lookup_count: int = 0
-    activation_elements: int = 0  # peak per (rank, feature) slice
+    # A peak per (rank, feature) slice: totals over batches keep the max.
+    activation_elements: int = field(default=0, metadata={"fold": max})
     pooling_mac_count: int = 0
     index_select_elements: int = 0
 
@@ -706,22 +713,14 @@ def load_model_spec(path: str | Path) -> ModelSpec:
 
 
 def default_model_spec(feature_specs, dim: int = 16, seed: int = 0) -> ModelSpec:
-    """Model spec aligned with the default generator config: attention
-    over each sync group, then singleton groups for the other user
-    sequences, cycling through sum, max and avg, and sum-pooled plain
-    item features."""
-    sync: dict[str, list[str]] = {}
-    solo: list[str] = []
-    plain: dict[str, str] = {}
-    for fs in feature_specs:
-        if fs.kind != "user_sequence":
-            plain[fs.key] = "sum"
-        elif fs.sync_group is None:
-            solo.append(fs.key)
-        else:
-            sync.setdefault(fs.sync_group, []).append(fs.key)
+    """Model spec aligned with a generator config, read from
+    ``datagen.sync_groups``: attention over each named sync group (one
+    member or more), then a singleton group for each other user sequence,
+    cycling through sum, max and avg, and sum-pooled item features."""
+    resolved = sync_groups(feature_specs)
     ops = itertools.cycle(("sum", "max", "avg"))
-    groups = [GroupConfig(tuple(keys), "attention") for keys in sync.values()]
-    groups += [GroupConfig((key,), next(ops)) for key in solo]
+    groups = [GroupConfig(tuple(s.key for s in m), "attention") for n, m in resolved if n is not None]
+    groups += [GroupConfig((m[0].key,), next(ops)) for n, m in resolved if n is None]
+    plain = {fs.key: "sum" for fs in feature_specs if fs.kind == "item"}
     tables = {fs.key: TableConfig(fs.vocab_size, dim) for fs in feature_specs}
     return ModelSpec(tables=tables, groups=groups, plain=plain, seed=seed)

@@ -15,7 +15,7 @@ import pytest
 import rows as row_adapter
 import sessiondedup
 from rows import as_records, serialize_log_records
-from sessiondedup.cli import main
+from sessiondedup.cli import ModeTotals, _fold, main
 from sessiondedup.datagen import (
     FeatureSpec,
     SampleCountDist,
@@ -24,7 +24,13 @@ from sessiondedup.datagen import (
 )
 from sessiondedup.reader import DataloaderSpec, save_dataloader_spec
 from sessiondedup.storage import open_table, scan
-from sessiondedup.trainer_sim import GroupConfig, ModelSpec, TableConfig, save_model_spec
+from sessiondedup.trainer_sim import (
+    GroupConfig,
+    IterationStats,
+    ModelSpec,
+    TableConfig,
+    save_model_spec,
+)
 
 
 @pytest.fixture()
@@ -111,6 +117,26 @@ class TestGen:
         assert run(["gen", "--config", bad, "--out", tmp_path / "x.sesscol"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error [gen]: num_sessions must be an integer, got 3.0")
+
+    @pytest.mark.parametrize(
+        "key, field, value, message",
+        [
+            ("cart_a", "change_prob", 0.3, "sync group 'cart': 'cart_b' has change_prob 0.2, 'cart_a' has 0.3"),
+            ("item", "change_prob", 0.5, "item feature 'item' takes no sync_group or change_prob"),
+            ("item", "sync_group", "cart", "item feature 'item' takes no sync_group or change_prob"),
+        ],
+    )
+    def test_group_check_names_group_or_key(
+        self, small_config_path, tmp_path, capsys, key, field, value, message
+    ):
+        obj = json.loads(small_config_path.read_text())
+        next(f for f in obj["features"] if f["key"] == key)[field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        assert run(["gen", "--config", bad, "--out", tmp_path / "x.sesscol"]) == 1
+        assert capsys.readouterr().err == f"error [gen]: {message}\n"
+        assert not (tmp_path / "x.sesscol").exists()
+
 
 class TestCluster:
     def test_cluster_is_logically_identity_on_rows(self, small_config_path, tmp_path):
@@ -386,6 +412,24 @@ class TestBench:
         out, err = capsys.readouterr()
         assert out == ""
         assert "error [bench]: --batches must be >= 0" in err
+
+    def test_model_spec_without_tables_rejected(self, clustered_ds, tmp_path, capsys):
+        # once printed "error [bench]: " with an empty message
+        path = tmp_path / "model.json"
+        path.write_text('{"tables": {}, "groups": []}')
+        capsys.readouterr()
+        assert run(["bench", clustered_ds, "--model-spec", path]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error [bench]: model spec has no tables\n"
+
+    def test_fold_follows_each_fields_rule(self):
+        # activation_elements declares itself a peak; every other count adds
+        one = ModeTotals(1, 10, stats=IterationStats(lookup_count=3, activation_elements=7))
+        two = ModeTotals(1, 5, stats=IterationStats(lookup_count=4, activation_elements=5))
+        total = _fold(one, two)
+        assert (total.batches, total.rows) == (2, 15)
+        assert total.stats == IterationStats(lookup_count=7, activation_elements=7)
 
     def test_zero_ranks_rejected(self, clustered_ds, capsys):
         capsys.readouterr()

@@ -1,5 +1,6 @@
 """Tests for the synthetic impression log generator."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -17,7 +18,9 @@ from sessiondedup.datagen import (
     save_config,
     shard_logs,
     splitmix64,
+    sync_groups,
 )
+from sessiondedup.trainer_sim import GroupConfig, ModelSpec, TableConfig, default_model_spec
 
 
 def small_config(seed=0, num_sessions=100, mean_s=8.0):
@@ -37,6 +40,53 @@ def small_config(seed=0, num_sessions=100, mean_s=8.0):
         FeatureSpec(key="item", kind="item", avg_len=1, vocab_size=10_000),
     ]
     return cfg, specs
+
+
+def mixed_config():
+    """Every grouping the generator resolves, over an empirical S: a
+    two-member named group, a one-member named group, lone sequences and
+    fractional-length items, interleaved in spec order."""
+    user = dict(kind="user_sequence", vocab_size=300)
+    specs = [
+        FeatureSpec("lone_a", avg_len=6.5, change_prob=0.2, **user),
+        FeatureSpec("pair_x", avg_len=4, change_prob=0.4, sync_group="pair", **user),
+        FeatureSpec("item_f", kind="item", avg_len=1.5, vocab_size=50),
+        FeatureSpec("single", avg_len=3.25, change_prob=0.6, sync_group="single", **user),
+        FeatureSpec("pair_y", avg_len=2.5, change_prob=0.4, sync_group="pair", **user),
+        FeatureSpec("lone_b", avg_len=5, change_prob=0.1, **user),
+        FeatureSpec("item_g", kind="item", avg_len=0.6, vocab_size=20),
+    ]
+    dist = SampleCountDist(kind="empirical", histogram={1: 1.0, 4: 2.0, 9: 1.0})
+    return SessionConfig(num_sessions=80, samples_per_session=dist, seed=7), specs
+
+
+# sha256 of the mixed config's generated columns, recorded before the
+# generator read its groups from ``sync_groups``.
+MIXED_COLUMNS_SHA256 = "b6f33103569edd18fdc79d847ff0ba5fc8ac21357c41df0bdf7379704b910631"
+
+
+def column_digest(table):
+    """sha256 of session ids, timestamps, labels and each key's row
+    lengths and values, as little-endian int64."""
+    h = hashlib.sha256()
+    for column in (table.session_ids, table.timestamps, table.labels):
+        h.update(column.astype("<i8").tobytes())
+    for key, jt in table.features.entries.items():
+        h.update(key.encode())
+        h.update(np.diff(jt.offsets, append=jt.values.size).astype("<i8").tobytes())
+        h.update(jt.values.astype("<i8").tobytes())
+    return h.hexdigest()
+
+
+def change_rows(records, key):
+    """(session, impression) pairs where ``key``'s list differs from the
+    session's previous impression."""
+    return {
+        (sid, i)
+        for sid, recs in by_session(records).items()
+        for i in range(1, len(recs))
+        if not np.array_equal(recs[i - 1].features[key], recs[i].features[key])
+    }
 
 
 def by_session(records):
@@ -87,6 +137,22 @@ class TestSampleCountDist:
     def test_empirical_decimal_string_keys_read_as_counts(self):
         dist = SampleCountDist(kind="empirical", histogram={"3": 1.0, 5: 1.0})
         assert dist.histogram == {3: 1.0, 5: 1.0}
+
+    def test_empirical_given_mean_must_match_histogram(self):
+        # A given mean was silently replaced by the histogram's.
+        with pytest.raises(ValueError, match="^empirical mean 99.0 differs from its histogram's mean 2.0"):
+            SampleCountDist(kind="empirical", mean=99.0, histogram={2: 1.0})
+        hist = {1: 0.1, 2: 0.2, 7: 0.3}
+        mean = (1 * 0.1 + 2 * 0.2 + 7 * 0.3) / (0.1 + 0.2 + 0.3)
+        assert SampleCountDist(kind="empirical", mean=mean, histogram=hist).mean == mean
+        # equal within float rounding: the histogram's own mean is kept
+        nudged = SampleCountDist(kind="empirical", mean=mean * (1 + 1e-12), histogram=hist)
+        assert nudged.mean == mean
+        assert SampleCountDist(kind="empirical", histogram=hist).mean == mean
+
+    def test_omitted_mean_is_one_for_fixed_and_geometric(self):
+        assert SampleCountDist(kind="fixed").mean == 1.0
+        assert SampleCountDist(kind="geometric").mean == 1.0
 
     @pytest.mark.parametrize("kind, mean", [("fixed", 4), ("geometric", 4.0)])
     def test_histogram_only_for_empirical(self, kind, mean):
@@ -250,6 +316,100 @@ class TestGenerateDataset:
         assert np.mean(labels) == pytest.approx(0.1, abs=0.02)
 
 
+class TestSyncGroups:
+    def test_order_and_naming(self):
+        _, specs = mixed_config()
+        spec = {s.key: s for s in specs}
+        assert sync_groups(specs) == [
+            (None, (spec["lone_a"],)),
+            ("pair", (spec["pair_x"], spec["pair_y"])),
+            ("single", (spec["single"],)),
+            (None, (spec["lone_b"],)),
+        ]
+
+    def test_no_user_sequences(self):
+        assert sync_groups([FeatureSpec("i", "item", 1, 5)]) == []
+
+    def test_default_config_groups(self):
+        _, specs = default_config()
+        assert [(name, [s.key for s in members]) for name, members in sync_groups(specs)] == [
+            (None, ["viewed_ids"]),
+            (None, ["liked_ids"]),
+            (None, ["clicked_ids"]),
+            ("cart", ["cart_item_ids", "cart_seller_ids"]),
+        ]
+
+    def test_group_named_like_another_feature_keeps_its_own_coins(self):
+        # A group once keyed by name shared the string "_solo_<key>" with
+        # feature <key>'s own coins, so a group named "_solo_x" changed on
+        # exactly x's impressions.
+        user = dict(kind="user_sequence", avg_len=4, vocab_size=1000, change_prob=0.3)
+        specs = [FeatureSpec("x", **user), FeatureSpec("y", sync_group="_solo_x", **user)]
+        assert [name for name, _ in sync_groups(specs)] == [None, "_solo_x"]
+        cfg = SessionConfig(50, SampleCountDist(kind="fixed", mean=20), seed=0)
+        records = as_records(generate_dataset(cfg, specs))
+        x, y = change_rows(records, "x"), change_rows(records, "y")
+        assert x and y
+        assert x != y
+        assert len(x & y) < 0.5 * min(len(x), len(y))
+
+    def test_members_must_agree_on_change_prob(self):
+        user = dict(kind="user_sequence", avg_len=4, vocab_size=10, sync_group="cart")
+        specs = [FeatureSpec("a", change_prob=0.2, **user), FeatureSpec("b", change_prob=0.3, **user)]
+        with pytest.raises(ValueError, match="^sync group 'cart': 'b' has change_prob 0.3, 'a' has 0.2"):
+            sync_groups(specs)
+        cfg, _ = small_config()
+        with pytest.raises(ValueError, match="sync group 'cart'"):
+            generate_dataset(cfg, specs)
+
+    @pytest.mark.parametrize(
+        "extra", [dict(sync_group="cart"), dict(change_prob=0.1), dict(sync_group="cart", change_prob=0.1)]
+    )
+    def test_item_takes_no_sync_group_or_change_prob(self, extra):
+        specs = [FeatureSpec("i", "item", 1, 10, **extra)]
+        with pytest.raises(ValueError, match="^item feature 'i' takes no sync_group or change_prob"):
+            sync_groups(specs)
+        cfg, _ = small_config()
+        with pytest.raises(ValueError, match="item feature 'i'"):
+            generate_dataset(cfg, specs)
+
+    def test_mixed_config_columns_unchanged(self):
+        cfg, specs = mixed_config()
+        table = generate_dataset(cfg, specs)
+        assert len(table) == 347
+        assert column_digest(table) == MIXED_COLUMNS_SHA256
+
+    def test_mixed_config_model_spec(self):
+        # The model reads the same groups: named ones (a one-member group
+        # too) pool by attention, lone sequences cycle sum, max and avg.
+        _, specs = mixed_config()
+        assert default_model_spec(specs) == ModelSpec(
+            tables={
+                "lone_a": TableConfig(300, 16),
+                "pair_x": TableConfig(300, 16),
+                "item_f": TableConfig(50, 16),
+                "single": TableConfig(300, 16),
+                "pair_y": TableConfig(300, 16),
+                "lone_b": TableConfig(300, 16),
+                "item_g": TableConfig(20, 16),
+            },
+            groups=(
+                GroupConfig(("pair_x", "pair_y"), "attention"),
+                GroupConfig(("single",), "attention"),
+                GroupConfig(("lone_a",), "sum"),
+                GroupConfig(("lone_b",), "max"),
+            ),
+            plain={"item_f": "sum", "item_g": "sum"},
+            seed=0,
+        )
+
+    def test_model_spec_runs_the_group_checks(self):
+        user = dict(kind="user_sequence", avg_len=4, vocab_size=10, sync_group="g")
+        specs = [FeatureSpec("a", change_prob=0.2, **user), FeatureSpec("b", change_prob=0.5, **user)]
+        with pytest.raises(ValueError, match="^sync group 'g'"):
+            default_model_spec(specs)
+
+
 class TestShardLogs:
     def test_session_keying_keeps_sessions_whole(self):
         cfg, specs = small_config(num_sessions=64)
@@ -318,6 +478,16 @@ class TestConfigIO:
         cfg2, _ = load_config(path)
         assert cfg2.samples_per_session.histogram == {16: 1.0, 17: 1.0}
         assert cfg2.samples_per_session.mean == 16.5
+
+    def test_roundtrip_empirical_mean_with_rounding(self, tmp_path):
+        # save_config writes the histogram's mean, which need not be exact
+        dist = SampleCountDist(kind="empirical", histogram={1: 0.1, 2: 0.2, 7: 0.3})
+        cfg = SessionConfig(num_sessions=5, samples_per_session=dist)
+        specs = [FeatureSpec(key="f", kind="item", avg_len=1, vocab_size=10)]
+        path = tmp_path / "config.json"
+        save_config(path, cfg, specs)
+        assert json.loads(path.read_text())["samples_per_session"]["mean"] == dist.mean
+        assert load_config(path) == (cfg, specs)
 
     def test_config_is_plain_json(self, tmp_path):
         cfg, specs = small_config()

@@ -137,6 +137,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="not in keys"):
             DataloaderSpec(keys=("a",), dedup_sparse_features=(("z",),))
 
+    def test_repeated_key_rejected(self):
+        # convert once collapsed the repeat silently
+        with pytest.raises(ValueError, match="^feature 'a' is listed twice in keys$"):
+            DataloaderSpec(keys=("b", "a", "a"), dedup_sparse_features=())
+
     def test_unknown_transform_key_rejected(self):
         with pytest.raises(ValueError, match="unknown key"):
             DataloaderSpec(

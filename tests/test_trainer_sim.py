@@ -1090,6 +1090,9 @@ class TestModelSpec:
                 groups=(),
                 plain={"a": "attention"},
             )
+        # .dim once raised StopIteration on a model with no tables
+        with pytest.raises(ValueError, match="^model spec has no tables$"):
+            ModelSpec(tables={}, groups=())
 
     @pytest.mark.parametrize(
         "which, expected", [("default", DEFAULT_UNITS), ("mixed", MIXED_UNITS)]
