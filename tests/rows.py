@@ -4,6 +4,7 @@ library generates, writes, reads and converts."""
 
 from __future__ import annotations
 
+import hashlib
 import struct
 from dataclasses import dataclass
 
@@ -76,6 +77,19 @@ def serialize_log_records(records) -> bytes:
         pieces.append(np.array(head, dtype=np.int64))
         pieces.extend(rec.features.values())
     return encode_varints(np.concatenate(pieces))
+
+
+def column_digest(table):
+    """sha256 of session ids, timestamps, labels and each key's row
+    lengths and values, as little-endian int64."""
+    h = hashlib.sha256()
+    for column in (table.session_ids, table.timestamps, table.labels):
+        h.update(column.astype("<i8").tobytes())
+    for key, jt in table.features.entries.items():
+        h.update(key.encode())
+        h.update(np.diff(jt.offsets, append=jt.values.size).astype("<i8").tobytes())
+        h.update(jt.values.astype("<i8").tobytes())
+    return h.hexdigest()
 
 
 # Row lengths that wrap in int64 to the 5 values stored after them, so

@@ -1,12 +1,11 @@
 """Tests for the synthetic impression log generator."""
 
-import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from rows import as_batch, as_records, serialize_log_records
+from rows import as_batch, as_records, column_digest, serialize_log_records
 
 from sessiondedup.datagen import (
     FeatureSpec,
@@ -63,19 +62,6 @@ def mixed_config():
 # sha256 of the mixed config's generated columns, recorded before the
 # generator read its groups from ``sync_groups``.
 MIXED_COLUMNS_SHA256 = "b6f33103569edd18fdc79d847ff0ba5fc8ac21357c41df0bdf7379704b910631"
-
-
-def column_digest(table):
-    """sha256 of session ids, timestamps, labels and each key's row
-    lengths and values, as little-endian int64."""
-    h = hashlib.sha256()
-    for column in (table.session_ids, table.timestamps, table.labels):
-        h.update(column.astype("<i8").tobytes())
-    for key, jt in table.features.entries.items():
-        h.update(key.encode())
-        h.update(np.diff(jt.offsets, append=jt.values.size).astype("<i8").tobytes())
-        h.update(jt.values.astype("<i8").tobytes())
-    return h.hexdigest()
 
 
 def change_rows(records, key):

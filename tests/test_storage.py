@@ -16,6 +16,7 @@ from rows import (
     ImpressionRecord,
     as_batch,
     as_records,
+    column_digest,
     serialize_log_records,
     write_raw_stripe,
 )
@@ -526,7 +527,8 @@ def _golden_configs():
 def _golden_digests(tmp_path, monkeypatch, capsys):
     """sha256 of every file and stdout the CLI writes for the golden
     configs on seeds 0 and 1: ``gen`` in both clusterings, then
-    ``cluster`` and ``characterize`` of the unclustered file. The varied
+    ``cluster`` and ``characterize`` of the unclustered file, plus the
+    :func:`rows.column_digest` of each ``.sesscol`` file's rows. The varied
     configs use ``--stripe-rows 333``, which divides none of their row
     counts."""
     import hashlib
@@ -545,6 +547,9 @@ def _golden_digests(tmp_path, monkeypatch, capsys):
         assert main([str(a) for a in argv]) == 0
         out[f"{tag}.stdout"] = sha(capsys.readouterr().out.encode())
         out[tag] = sha((tmp_path / written).read_bytes())
+        if written.endswith(".sesscol"):
+            f = open_table(tmp_path / written)
+            out[f"{tag}.columns"] = column_digest(next(scan(f, f.row_count)))
 
     for name, (cfg, specs) in _golden_configs().items():
         save_config(tmp_path / f"{name}.json", cfg, specs)
@@ -565,66 +570,90 @@ def _golden_digests(tmp_path, monkeypatch, capsys):
 GOLDEN_DIGESTS = {
     "default-s0-gen-none.stdout": "50db4569bfc23f7a85b676eff7ede500a341b206d71a940895277ded31f8612a",
     "default-s0-gen-none": "25e0a0245f0ae1c4d8f8b2ab7c621485f1bc047dbca69574e120bdb1d75ea75b",
+    "default-s0-gen-none.columns": "19f88191e7fcc93d9268a5bb291900cb3f3b5f2447bc1762c81bc606d5797bc0",
     "default-s0-gen-by_session.stdout": "b23e7bca5020acf88330fb0635ea252cd722c3e068ca9cd7cd54e6c66678175c",
     "default-s0-gen-by_session": "298aefbe5db3dbffeb6bc1d5cda59c882836b19a3086795128f142bc74f0bc6a",
+    "default-s0-gen-by_session.columns": "7beca8b792b71d1690dc3a546052f68730c57b011391893d11e0255661dca517",
     "default-s0-cluster.stdout": "a6d3db3abc106998c62844639cd861b8a6645c69a0062a85f8fad012a7bb804d",
     "default-s0-cluster": "298aefbe5db3dbffeb6bc1d5cda59c882836b19a3086795128f142bc74f0bc6a",
+    "default-s0-cluster.columns": "7beca8b792b71d1690dc3a546052f68730c57b011391893d11e0255661dca517",
     "default-s0-characterize.stdout": "099c4c411d64cf9e04deea850adc5bd81e22cfed3aa2ce7c38d4d636dcf0dfec",
     "default-s0-characterize": "ce7303521d86f89cbb0eb232dcc68f9cd550dfd1c13f88352204ab0bc7ab6cca",
     "default-s1-gen-none.stdout": "19be0a52ddc1a2c393d1202d481d55299ff7654a126fbb06a8a0a757fe109210",
     "default-s1-gen-none": "5845a31716dc88ae7d10092d3f42e9c2c58de0f938fc954633a19ab359bab009",
+    "default-s1-gen-none.columns": "c9fa3471b85f7445f1bb1ba05030ac95656642692d3743bedafe454c0b9c548e",
     "default-s1-gen-by_session.stdout": "8204b7591c9397641577663d3a8c77f323ad0181a0ad99596a49a81964d2ad7e",
     "default-s1-gen-by_session": "e299aa11908ca3c93922c74eb300aafcb3217ea03b0af84c3f7f59cd2000f618",
+    "default-s1-gen-by_session.columns": "bf1471a23b4fc8f7f20d58d0a9f70051ee859eef20d9647d27f5eeca5cd03b11",
     "default-s1-cluster.stdout": "557358d1c47eb59d49a2743234519f02946f058cdbf9155b8bc1448d93f69514",
     "default-s1-cluster": "e299aa11908ca3c93922c74eb300aafcb3217ea03b0af84c3f7f59cd2000f618",
+    "default-s1-cluster.columns": "bf1471a23b4fc8f7f20d58d0a9f70051ee859eef20d9647d27f5eeca5cd03b11",
     "default-s1-characterize.stdout": "345dd73e1fd958177a9470bb14c8a752ddec20ab2a88a78628cabcb79fe590a8",
     "default-s1-characterize": "15c8c462332c530b5af4437519a309b0096e613fb72520afcd88b6c6e089d580",
     "fixed1-s0-gen-none.stdout": "3169e73f1ab0937d01c40cd04f3a95950f8dcc481c36e71f08712856878fa478",
     "fixed1-s0-gen-none": "6e71d01750124951f9a542f10ef4d8ebdbeaa505076fb17819252a3ca289a3f1",
+    "fixed1-s0-gen-none.columns": "dccceb83dd1af1e0fe5ef96c4b5ca570ca9b4ef773a9ce99319f31993b74c19b",
     "fixed1-s0-gen-by_session.stdout": "4a8f7ada45940ff1d62cc14f26ff9ea20d6010b1ea8865d7ec9abff616e85d20",
     "fixed1-s0-gen-by_session": "426625cf135f388a675a85643cf09ffe702e3387e41e6e4905511c85b376548f",
+    "fixed1-s0-gen-by_session.columns": "c7cded80aea84decc95f21ef57b344c507ab6edaee99f0860057ea174205df05",
     "fixed1-s0-cluster.stdout": "91b7fc6db6f6b74a7092f7f28d43a49ce5178f2ba672681080ea5ef434698938",
     "fixed1-s0-cluster": "426625cf135f388a675a85643cf09ffe702e3387e41e6e4905511c85b376548f",
+    "fixed1-s0-cluster.columns": "c7cded80aea84decc95f21ef57b344c507ab6edaee99f0860057ea174205df05",
     "fixed1-s0-characterize.stdout": "78e5b53f863f70ab9f8c36cb78d24c663ce56a80f8b23992168e409155d1401f",
     "fixed1-s0-characterize": "5471e742b48234bd2a104a49b825cf8c4fedfa92eaec51a33547954b58b6b113",
     "fixed1-s1-gen-none.stdout": "e3ca3aef0b12be7a36ccadb00c8685dd19c3f46ff9b462e28a4d55231e4a4ec8",
     "fixed1-s1-gen-none": "d95cd5715d7814e1c2b685b209ccf8c6858c0908abdb3cecfa6483ce1898992f",
+    "fixed1-s1-gen-none.columns": "f628fa8bc343bba6abc20f10c939d6d40457075d5d09994f398de1e36da52c63",
     "fixed1-s1-gen-by_session.stdout": "719c233383a2e81a7c6f86c27096b1c3fbcbc9cad4289ef7b09212f1cbf54414",
     "fixed1-s1-gen-by_session": "332658cbc0d9e70ee9e58de057e4bc4c2b91b71e5a13969f76c0d48d6939366f",
+    "fixed1-s1-gen-by_session.columns": "1163b1feaea3eb7a9bfeaacc8471e9c5cdb7829f652fa717757dd1705131c098",
     "fixed1-s1-cluster.stdout": "d5f8126c0ff88704d055de0b91a31d63d646b4a0cba7c65ef1d04875d54d7da0",
     "fixed1-s1-cluster": "332658cbc0d9e70ee9e58de057e4bc4c2b91b71e5a13969f76c0d48d6939366f",
+    "fixed1-s1-cluster.columns": "1163b1feaea3eb7a9bfeaacc8471e9c5cdb7829f652fa717757dd1705131c098",
     "fixed1-s1-characterize.stdout": "3a5f61fa63bcc267b27ca27376bc275813ab890f14a6f040bff30d8f4f76c4c9",
     "fixed1-s1-characterize": "ccfb240b2bec71b2c48ef2b5298bea565ca6066fe132ca997feadb5e809befff",
     "empirical-s0-gen-none.stdout": "05908f65161f9d298a760739ba16c5837d449f67e9d790f24fb50d723a38b3d2",
     "empirical-s0-gen-none": "76d19242c3fe37cc2e8cd39e0bfb6d8a632b581a354674a8cd06d3df9991d277",
+    "empirical-s0-gen-none.columns": "27405cadadb72b7ddf550e32890307094a8fc8d5f2091e413e4cd641a843884f",
     "empirical-s0-gen-by_session.stdout": "ddc2cce3b2ff4da6918d738ef642b46d0032cc73775cbe6e7686216432218434",
     "empirical-s0-gen-by_session": "3341a685f766df4473112aa23ad7ea9d08608d896bf9effd4a827fbe87da1c69",
+    "empirical-s0-gen-by_session.columns": "20659db32331874c3a4fe774653fb6efd725c38518e72f83549f8358cf7370d6",
     "empirical-s0-cluster.stdout": "885b506f2ca77c88922c6d37c90ac2273fbe0dfcd6c324cba0b13b813a5780b4",
     "empirical-s0-cluster": "3341a685f766df4473112aa23ad7ea9d08608d896bf9effd4a827fbe87da1c69",
+    "empirical-s0-cluster.columns": "20659db32331874c3a4fe774653fb6efd725c38518e72f83549f8358cf7370d6",
     "empirical-s0-characterize.stdout": "75fa3ca3ff03a24798ef2f48c1cdede5f3e549d87fb4f35abda014818a889a02",
     "empirical-s0-characterize": "b076d176025f59ca89b82e2533053804fc55466f49b7c4c736783685327fd643",
     "empirical-s1-gen-none.stdout": "d05de66cc10c966a01aa5ffff4f89665d5b98d947e44217cdf161ad0092ca4cf",
     "empirical-s1-gen-none": "ef8e94e17a49f8420801c819bbf92c2e0ae67a2e1e5af684d01df70ab07b042e",
+    "empirical-s1-gen-none.columns": "609028efcf82ceffbb6ab3abddb3eb546fa3210e1bbce363df005e5fff908287",
     "empirical-s1-gen-by_session.stdout": "a75a9cdab23e923ee5af84e88ba720c644cad449b20786fcc2a658dea62a67e5",
     "empirical-s1-gen-by_session": "a354625cefd78ea7a9f0dc014ebc88e4e024822c0d08e41a7be04aeccb8450ec",
+    "empirical-s1-gen-by_session.columns": "f3dddf1b9f68280a553c74da3ab3fbaf980ae0149bf41018d8ff2415735f51e2",
     "empirical-s1-cluster.stdout": "3ea9602f46a416f45704d28575c7f3798fc8f7e901f43097ccf1b4f2f7445ced",
     "empirical-s1-cluster": "a354625cefd78ea7a9f0dc014ebc88e4e024822c0d08e41a7be04aeccb8450ec",
+    "empirical-s1-cluster.columns": "f3dddf1b9f68280a553c74da3ab3fbaf980ae0149bf41018d8ff2415735f51e2",
     "empirical-s1-characterize.stdout": "150fb06d930714aaec02f5058b95d1bbbfb110b76afeb71073647017ad058cfe",
     "empirical-s1-characterize": "4e2e02ef0e9e2fa3b7361db03ff15a9559b1271766836a167e37f1bb21cdf970",
     "geometric-s0-gen-none.stdout": "8e5c34b8df43d23a70d0141a02f35ac337701943cc4c0a9d4622fa5342d3a8f2",
     "geometric-s0-gen-none": "c73c380b3485591ea725803cd2f629e5de3533df25a1bd697c7898359a11d1ea",
+    "geometric-s0-gen-none.columns": "3c7997ca13ef0e31a06e43d5dd5ea4272de0029a5f69561a1df6b9984d315489",
     "geometric-s0-gen-by_session.stdout": "a598f86c26fe4a58fb25473a262ea22d8a0f57e99355cb83b269c540e1f3c3cb",
     "geometric-s0-gen-by_session": "400159a9d2bd622cde5c589231afe82cfdb5496514a9357e24ebc6fa4a27dace",
+    "geometric-s0-gen-by_session.columns": "5b26f73e11b7eb2b96c89dcd317e801c188cdb7b9a24bc7149d4cbab191ad116",
     "geometric-s0-cluster.stdout": "917f553031d6e8893d9a3f2834c5f8fcc833b54fa87c51c49be8f6592604f997",
     "geometric-s0-cluster": "400159a9d2bd622cde5c589231afe82cfdb5496514a9357e24ebc6fa4a27dace",
+    "geometric-s0-cluster.columns": "5b26f73e11b7eb2b96c89dcd317e801c188cdb7b9a24bc7149d4cbab191ad116",
     "geometric-s0-characterize.stdout": "eae238df10d844a87ab69c939ff7c56ded8b58482c79671112862b864131e597",
     "geometric-s0-characterize": "0bd88d9ce8c5c280877e622ce83f90cf107def92d796312985f31790c1a7d3ea",
     "geometric-s1-gen-none.stdout": "219881603ba6e6985e5996cf970daa50d309f81ef5a9f1a25ba56f8e797c3ed9",
     "geometric-s1-gen-none": "4c3fe2d8b933990a22a16cba45162518cf853c9ae46c75e9e9acba6bcbf1eaac",
+    "geometric-s1-gen-none.columns": "c43e28a95e8354465de73a7d44b5e00db086b8eaa16d9de2ce408a9245dc98b9",
     "geometric-s1-gen-by_session.stdout": "5d44a94de6941ebe04f6d94cd0bb082a5b7762989145f6710aa31e260070800f",
     "geometric-s1-gen-by_session": "33a863e83a65ecdfda5b5b6f8d4c96932026260d4ef2bb77b3b9a130fbaf0dc1",
+    "geometric-s1-gen-by_session.columns": "76deabb8de865c63b9553b322dbb4e987e43b259b9732526d717928177019443",
     "geometric-s1-cluster.stdout": "6f1778489075b0a34478e4d1d5a6bfd08cfb40323ecb440c9ef25b7d9bcb7ea5",
     "geometric-s1-cluster": "33a863e83a65ecdfda5b5b6f8d4c96932026260d4ef2bb77b3b9a130fbaf0dc1",
+    "geometric-s1-cluster.columns": "76deabb8de865c63b9553b322dbb4e987e43b259b9732526d717928177019443",
     "geometric-s1-characterize.stdout": "daf4e054d28ad6433d1a6ce30ea07131df5127a897f6b0cd4b5b35783062f6be",
     "geometric-s1-characterize": "620f3157b28c86bad3afd2e32d32860a48675dd7f028f806ad14d84da9cf38d7",
 }
