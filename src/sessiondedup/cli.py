@@ -103,6 +103,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         stripe_rows=args.stripe_rows,
         clustering=args.clustering,
         level=args.level,
+        feature_specs=[asdict(s) for s in specs],
     )
     print(
         f"wrote {f.row_count} records, {len(f.stripes)} stripes, "
@@ -122,6 +123,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         stripe_rows=args.stripe_rows,
         clustering="by_session",
         level=fin.level,
+        feature_specs=fin.feature_specs,
     )
     raw_a, comp_a = storage.stream_sizes(fin)
     raw_b, comp_b = storage.stream_sizes(fout)
@@ -169,37 +171,6 @@ def cmd_characterize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _generic_model_spec(
-    f: storage.ColumnarFile, dim: int, seed: int
-) -> trainer_sim.ModelSpec:
-    """Fallback model for arbitrary datasets: every feature its own
-    sum-pooled dedup group, table rows sized from the data."""
-    max_id = {k: 0 for k in f.feature_keys}
-    for ordinal in range(len(f.stripes)):
-        for k, jt in storage.read_stripe(f, ordinal).features.entries.items():
-            if jt.values.size:
-                max_id[k] = max(max_id[k], int(jt.values.max()))
-    tables = {
-        k: trainer_sim.TableConfig(rows=max_id[k] + 1, dim=dim)
-        for k in f.feature_keys
-    }
-    groups = tuple(
-        trainer_sim.GroupConfig(keys=(k,), pooling="sum") for k in f.feature_keys
-    )
-    return trainer_sim.ModelSpec(tables=tables, groups=groups, plain={}, seed=seed)
-
-
-def _model_spec_for(
-    f: storage.ColumnarFile, args: argparse.Namespace
-) -> trainer_sim.ModelSpec:
-    if args.model_spec:
-        return trainer_sim.load_model_spec(args.model_spec)
-    _, default_specs = datagen.default_config()
-    if set(f.feature_keys) == {s.key for s in default_specs}:
-        return trainer_sim.default_model_spec(default_specs, seed=args.seed or 0)
-    return _generic_model_spec(f, 16, args.seed or 0)
-
-
 def cmd_bench(args: argparse.Namespace) -> int:
     if args.batches < 0:
         raise ValueError("--batches must be >= 0")
@@ -209,7 +180,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise ValueError(f"--seed cannot be used with --model-spec {args.model_spec}: the spec sets the seed")
     src = _resolve_in(args.dataset)
     f = storage.open_table(src)
-    model = _model_spec_for(f, args)
+    if args.model_spec:
+        model = trainer_sim.load_model_spec(args.model_spec)
+    elif f.feature_specs is None:
+        raise ValueError(f"{src} records no feature specs: pass --model-spec")
+    else:
+        specs = [datagen.FeatureSpec(**d) for d in f.feature_specs]
+        model = trainer_sim.default_model_spec(specs, seed=args.seed or 0)
     if args.spec:
         dl_spec = reader.load_dataloader_spec(args.spec)
     else:

@@ -72,6 +72,8 @@ class FeatureSpec:
         _positive_count("vocab_size", self.vocab_size)
         if not 0.0 <= self.change_prob <= 1.0:
             raise ValueError("change_prob must be in [0, 1]")
+        if self.sync_group == "":
+            raise ValueError(f"feature {self.key!r}: sync_group must be a name or null, not empty")
 
     @property
     def unchanged_prob(self) -> float:

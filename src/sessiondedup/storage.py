@@ -3,7 +3,9 @@
 Layout (all integers little-endian, see docs/file_format.md):
 
     header:  magic "SESSCOL1" | u32 version | u8 codec | u8 level |
-             u16 reserved | schema: u32 key count, per key u32 len + utf8
+             u16 reserved | u32 schema_len | schema_len bytes of utf-8
+             JSON {"keys": [...], "feature_specs": [...] or null} |
+             u32 CRC32 of every header byte before it
     stripe:  u32 row_count | streams in fixed order
              (session_id, timestamp, label, then per key: offsets
              deltas a.k.a. row lengths, then values), each stream
@@ -17,11 +19,12 @@ write-once; any number of readers may scan one concurrently.
 
 from __future__ import annotations
 
+import json
 import struct
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -41,7 +44,7 @@ __all__ = [
 ]
 
 MAGIC = b"SESSCOL1"
-VERSION = 1
+VERSION = 2
 CODEC_ZLIB = 1
 DEFAULT_STRIPE_ROWS = 4096
 DEFAULT_LEVEL = 6
@@ -63,10 +66,9 @@ class ColumnarFile:
     """Handle over a written file: header fields plus the stripe index."""
 
     path: Path
-    version: int
-    codec: int
     level: int
     feature_keys: tuple[str, ...]
+    feature_specs: tuple[dict, ...] | None  # one per key, or None if not recorded
     stripes: tuple[StripeInfo, ...]
 
     @property
@@ -145,12 +147,15 @@ def write_table(
     stripe_rows: int = DEFAULT_STRIPE_ROWS,
     clustering: str = "none",
     level: int = DEFAULT_LEVEL,
+    feature_specs: Sequence[dict] | None = None,
 ) -> ColumnarFile:
     """Write a columnar table to a file and return its handle.
 
     ``by_session`` clustering stably sorts rows by (session_id,
     timestamp) first, gathering one stripe's rows at a time; ``none``
-    writes each stripe as a slice of the table's rows.
+    writes each stripe as a slice of the table's rows. ``feature_specs``,
+    one JSON-ready dict per key in the table's key order (a feature
+    spec's ``asdict``), is recorded in the header.
     """
     if stripe_rows < 1:
         raise StorageError("stripe_rows must be >= 1")
@@ -161,6 +166,15 @@ def write_table(
     if not table:
         raise StorageError("refusing to write an empty table")
     keys = table.features.keys
+    if feature_specs is not None:
+        feature_specs = tuple(dict(s) for s in feature_specs)
+        spec_keys = tuple(s.get("key") for s in feature_specs)
+        if spec_keys != keys:
+            raise StorageError(f"feature specs for keys {list(spec_keys)}, table has {list(keys)}")
+    schema = json.dumps(
+        {"keys": keys, "feature_specs": feature_specs}, ensure_ascii=False, separators=(",", ":")
+    ).encode("utf-8")
+    header = MAGIC + struct.pack("<IBBHI", VERSION, CODEC_ZLIB, level, 0, len(schema)) + schema
     order = None
     if clustering == "by_session":
         order = np.lexsort((table.timestamps, table.session_ids))  # stable
@@ -168,13 +182,7 @@ def write_table(
     path = Path(path)
     stripes: list[StripeInfo] = []
     with open(path, "wb") as out:
-        out.write(MAGIC)
-        out.write(struct.pack("<IBBH", VERSION, CODEC_ZLIB, level, 0))
-        out.write(struct.pack("<I", len(keys)))
-        for key in keys:
-            kb = key.encode("utf-8")
-            out.write(struct.pack("<I", len(kb)))
-            out.write(kb)
+        out.write(header + struct.pack("<I", zlib.crc32(header)))
         for start in range(0, len(table), stripe_rows):
             stop = min(start + stripe_rows, len(table))
             offset = out.tell()
@@ -198,10 +206,9 @@ def write_table(
         out.write(MAGIC)
     return ColumnarFile(
         path=path,
-        version=VERSION,
-        codec=CODEC_ZLIB,
         level=level,
         feature_keys=keys,
+        feature_specs=feature_specs,
         stripes=tuple(stripes),
     )
 
@@ -217,7 +224,7 @@ def open_table(path: str | Path) -> ColumnarFile:
     path = Path(path)
     try:
         return _open_table(path)
-    except (struct.error, UnicodeDecodeError) as exc:
+    except (struct.error, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise StorageError(f"{path}: corrupt header or footer: {exc}") from exc
 
 
@@ -228,7 +235,8 @@ def _open_table(path: Path) -> ColumnarFile:
     with open(path, "rb") as f:
         if f.read(8) != MAGIC:
             raise StorageError(f"{path}: bad magic")
-        version, codec, level, reserved = struct.unpack("<IBBH", f.read(8))
+        fixed = f.read(12)
+        version, codec, level, reserved, schema_len = struct.unpack("<IBBHI", fixed)
         if version != VERSION:
             raise StorageError(f"{path}: unsupported version {version}")
         if codec != CODEC_ZLIB:
@@ -237,15 +245,13 @@ def _open_table(path: Path) -> ColumnarFile:
             raise StorageError(f"{path}: compression level {level} outside 0-9")
         if reserved:
             raise StorageError(f"{path}: reserved header field is {reserved}, not 0")
-        (n_keys,) = struct.unpack("<I", f.read(4))
-        keys = []
-        for _ in range(n_keys):
-            (klen,) = struct.unpack("<I", f.read(4))
-            if klen > size:
-                raise StorageError(f"{path}: key length {klen} exceeds the file")
-            keys.append(f.read(klen).decode("utf-8"))
-        if len(set(keys)) != len(keys):
-            raise StorageError(f"{path}: duplicate feature key in schema")
+        if schema_len > size:
+            raise StorageError(f"{path}: schema length {schema_len} exceeds the file")
+        schema = f.read(schema_len)
+        (crc,) = struct.unpack("<I", f.read(4))
+        if crc != zlib.crc32(MAGIC + fixed + schema):
+            raise StorageError(f"{path}: header checksum mismatch")
+        keys, specs = _parse_schema(path, schema)
         header_end = f.tell()
         f.seek(size - 16)
         footer_offset, trailer = struct.unpack("<Q8s", f.read(16))
@@ -271,12 +277,24 @@ def _open_table(path: Path) -> ColumnarFile:
         infos.append(StripeInfo(offset=offset, row_count=rows, byte_size=end - offset))
     return ColumnarFile(
         path=path,
-        version=version,
-        codec=codec,
         level=level,
-        feature_keys=tuple(keys),
+        feature_keys=keys,
+        feature_specs=specs,
         stripes=tuple(infos),
     )
+
+
+def _parse_schema(path: Path, schema: bytes):
+    """The (keys, feature specs) of a schema block whose checksum held."""
+    obj = json.loads(schema.decode("utf-8"))
+    try:
+        keys, specs = obj["keys"], obj["feature_specs"]
+        named = keys if specs is None else [s["key"] for s in specs]
+    except (KeyError, TypeError) as exc:
+        raise StorageError(f"{path}: schema block lacks keys or feature specs: {exc!r}") from exc
+    if not isinstance(keys, list) or named != keys or len({k for k in keys if isinstance(k, str)}) != len(keys):
+        raise StorageError(f"{path}: schema keys are not unique names matching its feature specs")
+    return tuple(keys), None if specs is None else tuple(specs)
 
 
 def _stream_frame(buf: memoryview, pos: int, ordinal: int) -> tuple[int, int, int]:

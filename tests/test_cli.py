@@ -8,6 +8,7 @@ import resource
 import shutil
 import subprocess
 import sys
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -20,21 +21,22 @@ from sessiondedup.datagen import (
     FeatureSpec,
     SampleCountDist,
     SessionConfig,
+    default_config,
     save_config,
 )
 from sessiondedup.reader import DataloaderSpec, save_dataloader_spec
-from sessiondedup.storage import open_table, scan
+from sessiondedup.storage import open_table, scan, write_table
 from sessiondedup.trainer_sim import (
     GroupConfig,
     IterationStats,
     ModelSpec,
     TableConfig,
+    default_model_spec,
     save_model_spec,
 )
 
 
-@pytest.fixture()
-def small_config_path(tmp_path):
+def small_config():
     cfg = SessionConfig(
         num_sessions=150,
         samples_per_session=SampleCountDist(kind="geometric", mean=12.0),
@@ -66,8 +68,13 @@ def small_config_path(tmp_path):
         ),
         FeatureSpec(key="item", kind="item", avg_len=1, vocab_size=20_000),
     ]
+    return cfg, specs
+
+
+@pytest.fixture()
+def small_config_path(tmp_path):
     path = tmp_path / "config.json"
-    save_config(path, cfg, specs)
+    save_config(path, *small_config())
     return path
 
 
@@ -124,6 +131,7 @@ class TestGen:
             ("cart_a", "change_prob", 0.3, "sync group 'cart': 'cart_b' has change_prob 0.2, 'cart_a' has 0.3"),
             ("item", "change_prob", 0.5, "item feature 'item' takes no sync_group or change_prob"),
             ("item", "sync_group", "cart", "item feature 'item' takes no sync_group or change_prob"),
+            ("cart_a", "sync_group", "", "feature 'cart_a': sync_group must be a name or null, not empty"),
         ],
     )
     def test_group_check_names_group_or_key(
@@ -138,7 +146,25 @@ class TestGen:
         assert not (tmp_path / "x.sesscol").exists()
 
 
+    def test_gen_records_its_feature_specs(self, small_config_path, tmp_path):
+        out = tmp_path / "a.sesscol"
+        assert run(["gen", "--config", small_config_path, "--out", out]) == 0
+        assert open_table(out).feature_specs == tuple(asdict(s) for s in small_config()[1])
+
+
 class TestCluster:
+    def test_cluster_copies_feature_specs(self, small_config_path, tmp_path):
+        raw = tmp_path / "raw.sesscol"
+        clustered = tmp_path / "c.sesscol"
+        run(["gen", "--config", small_config_path, "--out", raw])
+        assert run(["cluster", raw, "--out", clustered]) == 0
+        assert open_table(clustered).feature_specs == open_table(raw).feature_specs
+        # and a file without specs clusters into one without them
+        plain = tmp_path / "plain.sesscol"
+        write_table(next(scan(open_table(raw), 4096)), plain)
+        assert run(["cluster", plain, "--out", clustered]) == 0
+        assert open_table(clustered).feature_specs is None
+
     def test_cluster_is_logically_identity_on_rows(self, small_config_path, tmp_path):
         raw = tmp_path / "raw.sesscol"
         clustered = tmp_path / "c.sesscol"
@@ -335,18 +361,19 @@ class TestBench:
                 batch_size=50,
             ),
         )
-        # the same batch size for the generic model bench builds without
-        # a model spec: one sum-pooled group per key
+        # the same batch size for the model bench builds without a model
+        # spec: default_model_spec of the specs the file records
+        default = default_model_spec(small_config()[1])
         save_dataloader_spec(
-            tmp_path / "generic-spec.json",
+            tmp_path / "default-spec.json",
             DataloaderSpec(
-                keys=model.all_keys,
-                dedup_sparse_features=tuple((k,) for k in model.all_keys),
+                keys=default.all_keys,
+                dedup_sparse_features=tuple(g.keys for g in default.groups),
                 batch_size=50,
             ),
         )
         return {
-            name: tmp_path / f"{name.lower()}.json" for name in ("SPEC", "MODEL", "GENERIC-SPEC")
+            name: tmp_path / f"{name.lower()}.json" for name in ("SPEC", "MODEL", "DEFAULT-SPEC")
         }
 
     def test_config_states_spec_batch_size_and_model_seed(self, clustered_ds, tmp_path, spec_files):
@@ -391,7 +418,7 @@ class TestBench:
         [
             ([], 4096, 0),
             (["--batch-size", 40, "--seed", 9], 40, 9),
-            (["--spec", "GENERIC-SPEC", "--seed", 9], 50, 9),
+            (["--spec", "DEFAULT-SPEC", "--seed", 9], 50, 9),
             (["--model-spec", "MODEL", "--batch-size", 40], 40, 5),
         ],
         ids=["defaults", "both-flags", "spec-and-seed", "model-spec-and-batch-size"],
@@ -412,6 +439,34 @@ class TestBench:
         out, err = capsys.readouterr()
         assert out == ""
         assert "error [bench]: --batches must be >= 0" in err
+
+    def test_model_follows_the_files_feature_specs(self, tmp_path):
+        # A file with the default keys once got the built-in default model
+        # whatever vocabulary made it: viewed_ids drawn from 10^6 IDs then
+        # failed with "ID ... out of range [0, 200000)".
+        cfg, specs = default_config(num_sessions=20)
+        specs[0] = replace(specs[0], vocab_size=10**6)
+        config = tmp_path / "config.json"
+        save_config(config, cfg, specs)
+        ds = tmp_path / "ds.sesscol"
+        assert run(["gen", "--config", config, "--out", ds]) == 0
+        report_path = tmp_path / "r.json"
+        argv = ["bench", ds, "--ranks", 4, "--batch-size", 64, "--batches", 2, "--out", report_path]
+        assert run(argv) == 0
+        report = json.loads(report_path.read_text())
+        assert report["config"]["model_groups"] == [
+            list(g.keys) for g in default_model_spec(specs).groups
+        ]
+        assert report["speedups"]["scores_equal"] is True
+
+    def test_file_without_specs_needs_model_spec(self, clustered_ds, tmp_path, capsys):
+        plain = tmp_path / "plain.sesscol"
+        write_table(next(scan(open_table(clustered_ds), 4096)), plain)
+        capsys.readouterr()
+        assert run(["bench", plain]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error [bench]: {plain} records no feature specs: pass --model-spec\n"
 
     def test_model_spec_without_tables_rejected(self, clustered_ds, tmp_path, capsys):
         # once printed "error [bench]: " with an empty message
