@@ -117,6 +117,8 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     out = _resolve_out(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     fin = storage.open_table(src)
+    # Measured first: with --out naming the input, the output replaces it.
+    raw_a, comp_a = storage.stream_sizes(fin)
     fout = storage.write_table(
         next(storage.scan(fin, fin.row_count)),
         out,
@@ -125,7 +127,6 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         level=fin.level,
         feature_specs=fin.feature_specs,
     )
-    raw_a, comp_a = storage.stream_sizes(fin)
     raw_b, comp_b = storage.stream_sizes(fout)
     ratio_a, ratio_b = _ratio(raw_a, comp_a), _ratio(raw_b, comp_b)
     print(f"clustered {fout.row_count} rows -> {out}")

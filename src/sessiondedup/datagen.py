@@ -65,8 +65,8 @@ class FeatureSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("user_sequence", "item"):
             raise ValueError(f"unknown feature kind {self.kind!r}")
-        if self.avg_len <= 0:
-            raise ValueError("avg_len must be > 0")
+        if not 0 < self.avg_len < math.inf:
+            raise ValueError(f"avg_len must be finite and > 0, got {self.avg_len}")
         if self.kind == "user_sequence" and self.avg_len < 1:
             raise ValueError("user_sequence features need avg_len >= 1")
         _positive_count("vocab_size", self.vocab_size)
@@ -108,8 +108,8 @@ class SampleCountDist:
                 for k, w in self.histogram.items()
             }
             object.__setattr__(self, "histogram", hist)
-            if any(w <= 0 for w in self.histogram.values()):
-                raise ValueError("histogram weights must be > 0")
+            if not all(0 < w < math.inf for w in self.histogram.values()):
+                raise ValueError("histogram weights must be finite and > 0")
             mean = sum(k * w for k, w in self.histogram.items()) / sum(
                 self.histogram.values()
             )
@@ -123,8 +123,8 @@ class SampleCountDist:
                 raise ValueError(f"{self.kind} distribution takes no histogram")
             if self.mean is None:
                 object.__setattr__(self, "mean", 1.0)
-            if self.mean < 1:
-                raise ValueError("mean samples per session must be >= 1")
+            if not 1 <= self.mean < math.inf:
+                raise ValueError(f"mean samples per session must be finite and >= 1, got {self.mean}")
             if self.kind == "fixed" and self.mean != int(self.mean):
                 raise ValueError("fixed distribution needs an integer mean")
 

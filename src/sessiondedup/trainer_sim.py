@@ -60,7 +60,6 @@ __all__ = [
     "EmbeddingTable",
     "ShardingPlan",
     "IterationStats",
-    "TableConfig",
     "GroupConfig",
     "ModelSpec",
     "AttentionParams",
@@ -95,6 +94,12 @@ _POOL_BLOCK_ROWS = 32
 # q, k, v and score tensors, not the batch's sequences, set the peak.
 _ATTENTION_BLOCK_ELEMENTS = 1 << 20
 
+# Rows of a table drawn at once. ``Generator.uniform`` draws one double
+# per value in order, so chunks give the one-shot draw's weights while
+# the float64 transient stays one chunk (2 MiB at dim 16) however big
+# the table is.
+_TABLE_CHUNK_ROWS = 16_384
+
 
 def _key_seed(base: int, *names: str) -> np.random.Generator:
     tag = hashlib.blake2b("|".join(names).encode("utf-8"), digest_size=8).digest()
@@ -106,13 +111,9 @@ def _key_seed(base: int, *names: str) -> np.random.Generator:
 @dataclass(frozen=True)
 class EmbeddingTable:
     key: str
-    rows: int
-    dim: int
     weights: np.ndarray  # (rows, dim) float32
 
     def __post_init__(self) -> None:
-        if self.weights.shape != (self.rows, self.dim):
-            raise ValueError("weight shape does not match rows x dim")
         if self.weights.dtype != np.float32:
             raise ValueError("weights must be float32")
         self.weights.setflags(write=False)
@@ -120,15 +121,18 @@ class EmbeddingTable:
     @classmethod
     def create(cls, key: str, rows: int, dim: int, seed: int) -> "EmbeddingTable":
         rng = _key_seed(seed, "table", key)
-        weights = rng.uniform(-0.1, 0.1, size=(rows, dim)).astype(np.float32)
-        return cls(key=key, rows=rows, dim=dim, weights=weights)
+        weights = np.empty((rows, dim), dtype=np.float32)
+        for lo in range(0, rows, _TABLE_CHUNK_ROWS):
+            chunk = weights[lo : lo + _TABLE_CHUNK_ROWS]
+            chunk[:] = rng.uniform(-0.1, 0.1, size=chunk.shape)
+        return cls(key=key, weights=weights)
 
 
 @dataclass(frozen=True)
 class AttentionParams:
-    """Single-head scaled dot-product attention projections."""
+    """Single-head scaled dot-product attention projections, each
+    (dim, dim)."""
 
-    dim: int
     w_q: np.ndarray
     w_k: np.ndarray
     w_v: np.ndarray
@@ -143,17 +147,7 @@ class AttentionParams:
         ]
         for m in mats:
             m.setflags(write=False)
-        return cls(dim=dim, w_q=mats[0], w_k=mats[1], w_v=mats[2], w_o=mats[3])
-
-
-@dataclass(frozen=True)
-class TableConfig:
-    rows: int
-    dim: int
-
-    def __post_init__(self) -> None:
-        _positive_count("rows", self.rows)
-        _positive_count("dim", self.dim)
+        return cls(w_q=mats[0], w_k=mats[1], w_v=mats[2], w_o=mats[3])
 
 
 @dataclass(frozen=True)
@@ -173,26 +167,27 @@ class GroupConfig:
 class ModelSpec:
     """Sparse-path model description.
 
+    ``tables`` maps each feature key to its table's row count;
     ``groups`` are the dedup feature groups (each one IKJT in dedup
     mode); ``plain`` maps the remaining keys to an element-wise pooling
-    op. All tables share one embedding dim so pooled vectors can
+    op. Every table has ``dim`` columns: one dim, so pooled vectors can
     interact via pairwise dot products.
     """
 
-    tables: dict[str, TableConfig]
+    tables: dict[str, int]
     groups: tuple[GroupConfig, ...]
     plain: dict[str, str] = field(default_factory=dict)
     seed: int = 0
+    dim: int = 16
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "tables", dict(self.tables))
+        tables = {k: _positive_count(f"table {k!r} rows", n) for k, n in self.tables.items()}
+        object.__setattr__(self, "tables", tables)
         object.__setattr__(self, "groups", tuple(self.groups))
         object.__setattr__(self, "plain", dict(self.plain))
+        object.__setattr__(self, "dim", _positive_count("dim", self.dim))
         if not self.tables:
             raise ValueError("model spec has no tables")
-        dims = {cfg.dim for cfg in self.tables.values()}
-        if len(dims) > 1:
-            raise ValueError("all tables must share one embedding dim")
         seen: set[str] = set()
         for keys, op, grouped in self.units:
             if not grouped and op not in ELEMENT_POOLING:
@@ -206,10 +201,6 @@ class ModelSpec:
         unused = set(self.tables) - seen
         if unused:
             raise ValueError(f"tables with no feature assignment: {sorted(unused)}")
-
-    @property
-    def dim(self) -> int:
-        return next(iter(self.tables.values())).dim
 
     @property
     def units(self) -> tuple[tuple[tuple[str, ...], str, bool], ...]:
@@ -252,8 +243,8 @@ def make_round_robin_plan(spec: ModelSpec, num_ranks: int) -> ShardingPlan:
 
 def build_tables(spec: ModelSpec) -> dict[str, EmbeddingTable]:
     return {
-        key: EmbeddingTable.create(key, cfg.rows, cfg.dim, spec.seed)
-        for key, cfg in spec.tables.items()
+        key: EmbeddingTable.create(key, rows, spec.dim, spec.seed)
+        for key, rows in spec.tables.items()
     }
 
 
@@ -325,11 +316,12 @@ def embedding_lookup(
     negative ID rather than reject it.
     """
     vals = jt.values
-    if vals.size and (vals.min() < 0 or vals.max() >= table.rows):
-        p = int(np.flatnonzero((vals < 0) | (vals >= table.rows))[0])
+    rows = table.weights.shape[0]
+    if vals.size and (vals.min() < 0 or vals.max() >= rows):
+        p = int(np.flatnonzero((vals < 0) | (vals >= rows))[0])
         raise ValueError(
             f"feature {key or table.key!r}: ID {int(vals[p])} at position {p} "
-            f"out of range [0, {table.rows})"
+            f"out of range [0, {rows})"
         )
     return np.take(table.weights, vals, axis=0)
 
@@ -523,7 +515,7 @@ def attention_pool(
     if not per_key_activations:
         raise ValueError("attention needs at least one feature")
     n_rows = per_key_activations[0][1].size
-    d = params.dim
+    d = params.w_q.shape[0]
     for acts, offs in per_key_activations:
         if offs.size != n_rows:
             raise ValueError("group features disagree on row count")
@@ -707,12 +699,11 @@ def save_model_spec(path: str | Path, spec: ModelSpec) -> None:
 
 def load_model_spec(path: str | Path) -> ModelSpec:
     obj = json.loads(Path(path).read_text())
-    tables = {key: TableConfig(**t) for key, t in obj.pop("tables").items()}
     groups = [GroupConfig(**g) for g in obj.pop("groups")]
-    return ModelSpec(tables=tables, groups=groups, **obj)
+    return ModelSpec(groups=groups, **obj)
 
 
-def default_model_spec(feature_specs, dim: int = 16, seed: int = 0) -> ModelSpec:
+def default_model_spec(feature_specs, seed: int = 0) -> ModelSpec:
     """Model spec aligned with a generator config, read from
     ``datagen.sync_groups``: attention over each named sync group (one
     member or more), then a singleton group for each other user sequence,
@@ -722,5 +713,5 @@ def default_model_spec(feature_specs, dim: int = 16, seed: int = 0) -> ModelSpec
     groups = [GroupConfig(tuple(s.key for s in m), "attention") for n, m in resolved if n is not None]
     groups += [GroupConfig((m[0].key,), next(ops)) for n, m in resolved if n is None]
     plain = {fs.key: "sum" for fs in feature_specs if fs.kind == "item"}
-    tables = {fs.key: TableConfig(fs.vocab_size, dim) for fs in feature_specs}
+    tables = {fs.key: fs.vocab_size for fs in feature_specs}
     return ModelSpec(tables=tables, groups=groups, plain=plain, seed=seed)

@@ -52,7 +52,6 @@ from sessiondedup.trainer_sim import (
     ModelSpec,
     PoolingUnit,
     ShardingPlan,
-    TableConfig,
     activation_bytes,
     build_tables,
     embedding_lookup,
@@ -148,8 +147,6 @@ def test_acceptance_1_worked_examples(capsys):
             failures.append(f"group inverse {ikjt.inverse_lookup.tolist()}")
         table = EmbeddingTable(
             key="cd",
-            rows=12,
-            dim=1,
             weights=np.arange(12, dtype=np.float32).reshape(-1, 1),
         )
         seq = JaggedTensor.from_rows(
@@ -200,10 +197,11 @@ def _random_model(rng, all_keys, group_keys, plain_keys, dim, seed):
         for i, g in enumerate(group_keys)
     )
     return ModelSpec(
-        tables={k: TableConfig(rows=1000, dim=dim) for k in all_keys},
+        tables={k: 1000 for k in all_keys},
         groups=groups,
         plain={k: "sum" for k in plain_keys},
         seed=seed,
+        dim=dim,
     )
 
 
@@ -359,16 +357,14 @@ def test_acceptance_4_byte_dominance(capsys):
             dedup_batch = convert(as_batch(rows), reader_spec)
             base_batch = convert(as_batch(rows), reader_spec.without_dedup())
             model = ModelSpec(
-                tables={
-                    "u": TableConfig(rows=1000, dim=8),
-                    "v": TableConfig(rows=1000, dim=8),
-                },
+                tables={"u": 1000, "v": 1000},
                 groups=(
                     GroupConfig(keys=("u",), pooling="attention"),
                     GroupConfig(keys=("v",), pooling="sum"),
                 ),
                 plain={},
                 seed=i,
+                dim=8,
             )
             ranks = int(rng.choice([1, 2, 4, 8]))
             ranks = min(ranks, batch_size)

@@ -82,12 +82,13 @@ def test_forward_pass_calls_every_traced_trainer_layer(monkeypatch, mode):
     import workloads
 
     model = trainer_sim.ModelSpec(
-        tables={k: trainer_sim.TableConfig(rows=10, dim=4) for k in "abcp"},
+        tables={k: 10 for k in "abcp"},
         groups=(
             trainer_sim.GroupConfig(keys=("a", "b"), pooling="attention"),
             trainer_sim.GroupConfig(keys=("c",), pooling="max"),
         ),
         plain={"p": "sum"},
+        dim=4,
     )
     spec = reader.DataloaderSpec(
         keys=model.all_keys, dedup_sparse_features=(("a", "b"), ("c",))

@@ -30,7 +30,6 @@ from sessiondedup.trainer_sim import (
     GroupConfig,
     IterationStats,
     ModelSpec,
-    TableConfig,
     default_model_spec,
     save_model_spec,
 )
@@ -185,6 +184,18 @@ class TestCluster:
         out = capsys.readouterr().out
         assert "relative" in out
         assert clustered.stat().st_size < raw.stat().st_size
+
+    def test_cluster_in_place(self, small_config_path, tmp_path, capsys):
+        # the source was once measured after the output had replaced it,
+        # so a successful rewrite still exited 1
+        raw, clustered = tmp_path / "raw.sesscol", tmp_path / "c.sesscol"
+        run(["gen", "--config", small_config_path, "--out", raw])
+        capsys.readouterr()
+        assert run(["cluster", raw, "--out", clustered]) == 0
+        want = capsys.readouterr().out.replace(str(clustered), str(raw))
+        assert run(["cluster", raw, "--out", raw]) == 0
+        assert capsys.readouterr() == (want, "")
+        assert raw.read_bytes() == clustered.read_bytes()
 
     def test_missing_input_fails_with_stage(self, tmp_path, capsys):
         assert run(["cluster", tmp_path / "nope.sesscol", "--out", tmp_path / "o"]) == 1
@@ -341,16 +352,14 @@ class TestBench:
     def spec_files(self, tmp_path):
         """A model spec with seed 5 and dataloader specs with batch size 50."""
         model = ModelSpec(
-            tables={
-                k: TableConfig(rows=20_000, dim=4)
-                for k in ("seq", "cart_a", "cart_b", "item")
-            },
+            tables={k: 20_000 for k in ("seq", "cart_a", "cart_b", "item")},
             groups=(
                 GroupConfig(keys=("seq",), pooling="sum"),
                 GroupConfig(keys=("cart_a", "cart_b"), pooling="attention"),
             ),
             plain={"item": "sum"},
             seed=5,
+            dim=4,
         )
         save_model_spec(tmp_path / "model.json", model)
         save_dataloader_spec(
@@ -606,9 +615,10 @@ class TestWrappedRowLengths:
 
     def test_attention_bench_fails_cleanly(self, wrapped, tmp_path):
         model = ModelSpec(
-            tables={"f": TableConfig(rows=8, dim=4)},
+            tables={"f": 8},
             groups=(GroupConfig(keys=("f",), pooling="attention"),),
             plain={},
+            dim=4,
         )
         save_model_spec(tmp_path / "model.json", model)
         argv = ["bench", wrapped, "--mode", "baseline", "--model-spec", tmp_path / "model.json"]

@@ -1,6 +1,7 @@
 """Tests for the synthetic impression log generator."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from sessiondedup.datagen import (
     splitmix64,
     sync_groups,
 )
-from sessiondedup.trainer_sim import GroupConfig, ModelSpec, TableConfig, default_model_spec
+from sessiondedup.trainer_sim import GroupConfig, ModelSpec, default_model_spec
 
 
 def small_config(seed=0, num_sessions=100, mean_s=8.0):
@@ -113,6 +114,23 @@ class TestSampleCountDist:
             SampleCountDist(kind="empirical", histogram={0: 1.0})
         with pytest.raises(ValueError):
             SampleCountDist(kind="empirical", histogram={2: -1.0})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (lambda x: FeatureSpec("a", "item", x, 10), "avg_len"),
+            (lambda x: SampleCountDist(kind="geometric", mean=x), "mean samples per session"),
+            (lambda x: SampleCountDist(kind="fixed", mean=x), "mean samples per session"),
+            (lambda x: SampleCountDist(kind="empirical", histogram={2: 1.0, 3: x}), "histogram weights"),
+        ],
+        ids=["avg_len", "geometric-mean", "fixed-mean", "histogram-weight"],
+    )
+    def test_non_finite_number_rejected(self, build, field, bad):
+        # nan passed the > 0 and >= 1 checks and inf passed all of them,
+        # so sample() or gen failed later naming no field
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            build(bad)
 
     @pytest.mark.parametrize("key", [2.7, 2.0, "2.7", "two", "-2", None])
     def test_empirical_key_must_be_an_integer(self, key):
@@ -371,13 +389,13 @@ class TestSyncGroups:
         _, specs = mixed_config()
         assert default_model_spec(specs) == ModelSpec(
             tables={
-                "lone_a": TableConfig(300, 16),
-                "pair_x": TableConfig(300, 16),
-                "item_f": TableConfig(50, 16),
-                "single": TableConfig(300, 16),
-                "pair_y": TableConfig(300, 16),
-                "lone_b": TableConfig(300, 16),
-                "item_g": TableConfig(20, 16),
+                "lone_a": 300,
+                "pair_x": 300,
+                "item_f": 50,
+                "single": 300,
+                "pair_y": 300,
+                "lone_b": 300,
+                "item_g": 20,
             },
             groups=(
                 GroupConfig(("pair_x", "pair_y"), "attention"),

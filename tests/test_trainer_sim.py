@@ -3,7 +3,7 @@
 import hashlib
 import math
 import platform
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -40,7 +40,6 @@ from sessiondedup.trainer_sim import (
     ModelSpec,
     PoolingUnit,
     ShardingPlan,
-    TableConfig,
     activation_bytes,
     attention_pool,
     build_tables,
@@ -69,8 +68,6 @@ def identity_table(key, rows):
     """dim=1 table mapping ID i to the vector [i]."""
     return EmbeddingTable(
         key=key,
-        rows=rows,
-        dim=1,
         weights=np.arange(rows, dtype=np.float32).reshape(-1, 1),
     )
 
@@ -106,7 +103,7 @@ def random_batch(rng, batch_size, keys=("u", "v"), dup_rate=0.6, max_len=6):
 def _attention_pool_reference(per_key_activations, params):
     """Row-by-row attention pooling: the oracle for ``attention_pool``."""
     n_rows = per_key_activations[0][1].size
-    d = params.dim
+    d = params.w_q.shape[0]
     scale = np.float32(1.0 / math.sqrt(d))
     out = np.zeros((n_rows, d), dtype=np.float32)
     macs = 0
@@ -523,6 +520,14 @@ class TestEmbeddingLookup:
         ):
             embedding_lookup(jt, table, "b")
 
+    def test_table_drawn_in_chunks_matches_one_shot_draw(self):
+        rows = 2 * trainer_sim._TABLE_CHUNK_ROWS + 5
+        table = EmbeddingTable.create("t", rows, 3, seed=7)
+        rng = trainer_sim._key_seed(7, "table", "t")
+        want = rng.uniform(-0.1, 0.1, size=(rows, 3)).astype(np.float32)
+        assert table.weights.tobytes() == want.tobytes()
+        assert not table.weights.flags.writeable
+
 
 class TestAttentionPool:
     @staticmethod
@@ -783,9 +788,10 @@ def split_cases():
 def mixed_model_spec():
     """An attention group, an element-wise group and two plain keys."""
     return ModelSpec(
-        tables={k: TableConfig(rows=1000, dim=4) for k in ("a1", "a2", "e", "p1", "p2")},
+        tables={k: 1000 for k in ("a1", "a2", "e", "p1", "p2")},
         groups=(GroupConfig(("a1", "a2"), "attention"), GroupConfig(("e",), "max")),
         plain={"p1": "sum", "p2": "avg"},
+        dim=4,
     )
 
 
@@ -853,9 +859,10 @@ class TestSplitBatch:
         rows = [rec(0, i, {"f": [x]}) for i, x in enumerate([1, 2, 1, 3, 2])]
         spec = DataloaderSpec(keys=("f",), dedup_sparse_features=(("f",),), batch_size=8)
         model = ModelSpec(
-            tables={"f": TableConfig(rows=4, dim=1)},
+            tables={"f": 4},
             groups=(GroupConfig(keys=("f",), pooling="sum"),),
             plain={},
+            dim=1,
         )
         (unit,) = split_batch(convert(as_batch(rows), spec), model, "dedup", 2)
         assert unit.tensors["f"].to_pylists() == [[1], [2], [3], [2]]
@@ -1002,9 +1009,10 @@ class TestSdd:
         # singleton group
         spec = DataloaderSpec(keys=("b",), dedup_sparse_features=(("b",),), batch_size=8)
         model = ModelSpec(
-            tables={"b": TableConfig(rows=10, dim=1)},
+            tables={"b": 10},
             groups=(GroupConfig(keys=("b",), pooling="sum"),),
             plain={},
+            dim=1,
         )
         batch = convert(
             as_batch(WORKED_ROWS * 2), spec if mode == "dedup" else spec.without_dedup()
@@ -1059,38 +1067,28 @@ class TestSdd:
 
 
 class TestModelSpec:
-    def make_spec(self, dim=4):
+    def make_spec(self):
         return ModelSpec(
-            tables={
-                "u": TableConfig(rows=1000, dim=dim),
-                "v": TableConfig(rows=1000, dim=dim),
-                "plain_item": TableConfig(rows=1000, dim=dim),
-            },
+            tables={"u": 1000, "v": 1000, "plain_item": 1000},
             groups=(GroupConfig(keys=("u", "v"), pooling="attention"),),
             plain={"plain_item": "sum"},
             seed=0,
+            dim=4,
         )
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="share one embedding dim"):
-            ModelSpec(
-                tables={"a": TableConfig(2, 4), "b": TableConfig(2, 8)},
-                groups=(GroupConfig(keys=("a", "b"), pooling="sum"),),
-                plain={},
-            )
         with pytest.raises(ValueError, match="no feature assignment"):
             ModelSpec(
-                tables={"a": TableConfig(2, 4), "b": TableConfig(2, 4)},
+                tables={"a": 2, "b": 2},
                 groups=(GroupConfig(keys=("a",), pooling="sum"),),
                 plain={},
             )
         with pytest.raises(ValueError, match="element-wise"):
             ModelSpec(
-                tables={"a": TableConfig(2, 4)},
+                tables={"a": 2},
                 groups=(),
                 plain={"a": "attention"},
             )
-        # .dim once raised StopIteration on a model with no tables
         with pytest.raises(ValueError, match="^model spec has no tables$"):
             ModelSpec(tables={}, groups=())
 
@@ -1114,7 +1112,7 @@ class TestModelSpec:
             assert plan.assignment == {"a1": 0, "a2": 0, "e": 1, "p1": 2, "p2": 0}
 
     def test_key_in_two_units_rejected(self):
-        tables = {"a": TableConfig(2, 4), "b": TableConfig(2, 4)}
+        tables = {"a": 2, "b": 2}
         with pytest.raises(ValueError, match="'a' is in two pooling units"):
             ModelSpec(tables=tables, groups=(GroupConfig(("a",), "sum"),), plain={"a": "sum", "b": "sum"})
         with pytest.raises(ValueError, match="'a' is in two pooling units"):
@@ -1164,25 +1162,34 @@ class TestModelSpec:
             ),
             FeatureSpec(key="item", kind="item", avg_len=1, vocab_size=100),
         ]
-        model = default_model_spec(specs, dim=8, seed=0)
+        model = replace(default_model_spec(specs, seed=0), dim=8)
         assert set(model.all_keys) == {"viewed", "cart_a", "cart_b", "item"}
         cart = next(g for g in model.groups if set(g.keys) == {"cart_a", "cart_b"})
         assert cart.pooling == "attention"
         assert model.plain == {"item": "sum"}
-        assert model.tables["viewed"].rows == 100
+        assert model.tables["viewed"] == 100
 
 
     def test_spec_json_without_plain_loads(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text(
-            """{"seed": 3, "tables": {"u": {"rows": 10, "dim": 4}},
+            """{"seed": 3, "tables": {"u": 10}, "dim": 4,
             "groups": [{"keys": ["u"], "pooling": "max"}]}"""
         )
         assert load_model_spec(path) == ModelSpec(
-            tables={"u": TableConfig(10, 4)}, groups=(GroupConfig(("u",), "max"),), plain={}, seed=3
+            tables={"u": 10}, groups=(GroupConfig(("u",), "max"),), plain={}, seed=3, dim=4
         )
 
-    @pytest.mark.parametrize("key", ["seed", "rows", "pooling"])
+    def test_old_table_shape_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(
+            """{"tables": {"u": {"rows": 10, "dim": 4}},
+            "groups": [{"keys": ["u"], "pooling": "max"}]}"""
+        )
+        with pytest.raises(TypeError, match="^table 'u' rows must be an integer, got \\{'rows'"):
+            load_model_spec(path)
+
+    @pytest.mark.parametrize("key", ["seed", "dim", "pooling"])
     def test_misspelt_key_rejected(self, tmp_path, key):
         path = tmp_path / "model.json"
         save_model_spec(path, self.make_spec())
@@ -1193,15 +1200,18 @@ class TestModelSpec:
     def test_non_integral_rows_rejected(self, tmp_path):
         path = tmp_path / "model.json"
         save_model_spec(path, self.make_spec())
-        path.write_text(path.read_text().replace('"rows": 1000', '"rows": 1000.0', 1))
-        with pytest.raises(TypeError, match="^rows must be an integer, got 1000.0"):
+        path.write_text(path.read_text().replace('"u": 1000', '"u": 1000.0', 1))
+        with pytest.raises(TypeError, match="^table 'u' rows must be an integer, got 1000.0"):
             load_model_spec(path)
 
     def test_table_counts_name_their_field(self):
+        tables, groups = {"a": 10}, (GroupConfig(("a",), "sum"),)
         with pytest.raises(TypeError, match="^dim must be an integer, got 4.0"):
-            TableConfig(rows=10, dim=4.0)
-        with pytest.raises(ValueError, match="^rows must be >= 1, got 0"):
-            TableConfig(rows=0, dim=4)
+            ModelSpec(tables, groups, dim=4.0)
+        with pytest.raises(ValueError, match="^dim must be >= 1, got 0"):
+            ModelSpec(tables, groups, dim=0)
+        with pytest.raises(ValueError, match="^table 'a' rows must be >= 1, got 0"):
+            ModelSpec({"a": 0}, groups)
 
     @pytest.mark.parametrize(
         "layout, units",
@@ -1261,15 +1271,16 @@ class TestModelSpec:
                 else FeatureSpec(key, "user_sequence", 2, 7, 0.1, group or None)
                 for key, group in layout
             ]
-        model = default_model_spec(specs, dim=8, seed=5)
+        model = replace(default_model_spec(specs, seed=5), dim=8)
         assert model.units == units
         assert list(model.plain) == [key for keys, _, grouped in units if not grouped for key in keys]
         assert list(model.tables) == [s.key for s in specs]
         assert model == ModelSpec(
-            tables={s.key: TableConfig(s.vocab_size, 8) for s in specs},
+            tables={s.key: s.vocab_size for s in specs},
             groups=tuple(GroupConfig(keys, op) for keys, op, grouped in units if grouped),
             plain={keys[0]: op for keys, op, grouped in units if not grouped},
             seed=5,
+            dim=8,
         )
 
 def _interaction_reference(blocks):
@@ -1350,14 +1361,11 @@ class TestForwardIteration:
 
     def model_spec(self, pooling="attention", dim=8, seed=0):
         return ModelSpec(
-            tables={
-                "u": TableConfig(rows=1000, dim=dim),
-                "v": TableConfig(rows=1000, dim=dim),
-                "plain_item": TableConfig(rows=1000, dim=dim),
-            },
+            tables={"u": 1000, "v": 1000, "plain_item": 1000},
             groups=(GroupConfig(keys=("u", "v"), pooling=pooling),),
             plain={"plain_item": "sum"},
             seed=seed,
+            dim=dim,
         )
 
     def run_both(self, rows, model, ranks):
