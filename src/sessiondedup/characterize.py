@@ -34,7 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .storage import ScanBatch
-from .tensors import JaggedTensor, _unique_rows, build_kjt, concat_rows, jagged_index_select, slice_rows
+from .tensors import (
+    JaggedTensor, _positive_count, _unique_rows, build_kjt, concat_rows, jagged_index_select, slice_rows
+)
 
 __all__ = [
     "FeatureDupStats",
@@ -90,8 +92,8 @@ def session_histogram(rows, window: str = "partition", batch_size: int = 4096) -
     """
     if window not in ("partition", "batch"):
         raise ValueError(f"unknown window {window!r}")
-    if window == "batch" and batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
+    if window == "batch":
+        batch_size = _positive_count("batch_size", batch_size)
     sids = _columns(rows, ())[0]
     chunk = np.arange(sids.size) // batch_size if window == "batch" else np.zeros_like(sids)
     # With m sessions ranked 0..m-1, chunk * m + rank numbers each (chunk, session).

@@ -75,10 +75,6 @@ class FeatureSpec:
         if self.sync_group == "":
             raise ValueError(f"feature {self.key!r}: sync_group must be a name or null, not empty")
 
-    @property
-    def unchanged_prob(self) -> float:
-        return 1.0 - self.change_prob
-
 
 @dataclass(frozen=True)
 class SampleCountDist:
@@ -113,6 +109,8 @@ class SampleCountDist:
             mean = sum(k * w for k, w in self.histogram.items()) / sum(
                 self.histogram.values()
             )
+            if not math.isfinite(mean):  # finite weights whose sums overflow
+                raise ValueError(f"histogram mean must be finite, got {mean}")
             if self.mean is not None and not math.isclose(self.mean, mean, rel_tol=1e-9):
                 raise ValueError(
                     f"empirical mean {self.mean} differs from its histogram's mean {mean}"
@@ -268,8 +266,7 @@ def shard_logs(table: ScanBatch, num_shards: int, key: str = "session_id") -> li
     ``session_id`` keying keeps every session whole on one shard;
     ``random_hash`` routes each row independently.
     """
-    if num_shards < 1:
-        raise ValueError("num_shards must be >= 1")
+    num_shards = _positive_count("num_shards", num_shards)
     if key not in ("session_id", "random_hash"):
         raise ValueError(f"unknown shard key {key!r}")
     ids = table.session_ids if key == "session_id" else np.arange(len(table))

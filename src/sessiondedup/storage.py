@@ -28,7 +28,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .tensors import KJT, JaggedTensor, concat_rows, jagged_index_select, slice_rows
+from .tensors import KJT, JaggedTensor, _positive_count, concat_rows, jagged_index_select, slice_rows
 from .varint import decode_varints, encode_varints
 
 __all__ = [
@@ -52,6 +52,14 @@ DEFAULT_LEVEL = 6
 
 class StorageError(Exception):
     pass
+
+
+def _count(name: str, value) -> int:
+    """:func:`_positive_count`, raising its message as a StorageError."""
+    try:
+        return _positive_count(name, value)
+    except (TypeError, ValueError) as exc:
+        raise StorageError(str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -157,8 +165,7 @@ def write_table(
     one JSON-ready dict per key in the table's key order (a feature
     spec's ``asdict``), is recorded in the header.
     """
-    if stripe_rows < 1:
-        raise StorageError("stripe_rows must be >= 1")
+    stripe_rows = _count("stripe_rows", stripe_rows)
     if clustering not in ("none", "by_session"):
         raise StorageError(f"unknown clustering mode {clustering!r}")
     if not 0 <= level <= 9:
@@ -386,8 +393,7 @@ def scan(file: ColumnarFile, batch_size: int) -> Iterator[ScanBatch]:
     The final batch may be short. ``bytes_read`` charges each stripe's
     compressed size to the batch that forced its decode.
     """
-    if batch_size < 1:
-        raise StorageError("batch_size must be >= 1")
+    batch_size = _count("batch_size", batch_size)
     parts: list[ScanBatch] = []  # rows read, not yet yielded
     held = pending_bytes = 0
     for ordinal, info in enumerate(file.stripes):

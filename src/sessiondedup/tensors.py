@@ -20,6 +20,7 @@ safe to share across threads.
 
 from __future__ import annotations
 
+import math
 import operator
 import struct
 from dataclasses import dataclass, field
@@ -173,8 +174,7 @@ class KJT:
     entries: Mapping[str, JaggedTensor]
 
     def __post_init__(self) -> None:
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        object.__setattr__(self, "batch_size", _positive_count("batch_size", self.batch_size))
         object.__setattr__(self, "entries", dict(self.entries))
         for key, jt in self.entries.items():
             if jt.row_count != self.batch_size:
@@ -213,8 +213,7 @@ class IKJT:
         object.__setattr__(self, "group_keys", tuple(self.group_keys))
         object.__setattr__(self, "inverse_lookup", _freeze(self.inverse_lookup))
         object.__setattr__(self, "per_feature", dict(self.per_feature))
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        object.__setattr__(self, "batch_size", _positive_count("batch_size", self.batch_size))
         if not self.group_keys:
             raise ValueError("empty dedup group")
         if self.inverse_lookup.size != self.batch_size:
@@ -553,12 +552,11 @@ class DedupeModel:
     unchanged_prob: float
 
     def __post_init__(self) -> None:
-        if self.samples_per_session < 1:
-            raise ValueError("samples_per_session must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.avg_len <= 0:
-            raise ValueError("avg_len must be > 0")
+        if not 1 <= self.samples_per_session < math.inf:
+            raise ValueError(f"samples_per_session must be finite and >= 1, got {self.samples_per_session}")
+        object.__setattr__(self, "batch_size", _positive_count("batch_size", self.batch_size))
+        if not 0 < self.avg_len < math.inf:
+            raise ValueError(f"avg_len must be finite and > 0, got {self.avg_len}")
         if not 0.0 <= self.unchanged_prob <= 1.0:
             raise ValueError("unchanged_prob must be in [0, 1]")
 

@@ -222,8 +222,7 @@ class ShardingPlan:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "assignment", dict(self.assignment))
-        if self.num_ranks < 1:
-            raise ValueError("num_ranks must be >= 1")
+        object.__setattr__(self, "num_ranks", _positive_count("num_ranks", self.num_ranks))
         for key, rank in self.assignment.items():
             if not 0 <= rank < self.num_ranks:
                 raise ValueError(f"feature {key!r} assigned to invalid rank {rank}")
@@ -233,8 +232,7 @@ def make_round_robin_plan(spec: ModelSpec, num_ranks: int) -> ShardingPlan:
     """Round-robin over the pooling units in ``spec.units`` order; a
     group's features stay on one rank so attention sees its whole
     sequence locally."""
-    if num_ranks < 1:
-        raise ValueError("num_ranks must be >= 1")
+    num_ranks = _positive_count("num_ranks", num_ranks)
     assignment = {
         key: i % num_ranks for i, (keys, _, _) in enumerate(spec.units) for key in keys
     }
@@ -599,8 +597,7 @@ def split_batch(
     """
     if mode not in ("baseline", "dedup"):
         raise ValueError(f"unknown mode {mode!r}")
-    if num_ranks < 1:
-        raise ValueError("num_ranks must be >= 1")
+    num_ranks = _positive_count("num_ranks", num_ranks)
     if batch.batch_size < 1:
         raise ValueError("cannot split an empty batch")
     rows = _rank_bounds(batch.batch_size, num_ranks)
@@ -633,7 +630,7 @@ def forward_iteration(
     spec: ModelSpec,
     plan: ShardingPlan,
     mode: str,
-    tables: dict[str, EmbeddingTable] | None = None,
+    tables: dict[str, EmbeddingTable],
 ) -> tuple[np.ndarray, IterationStats]:
     """One forward sparse pass; returns per-row scores and counters.
 
@@ -642,8 +639,6 @@ def forward_iteration(
     Scores are float32 and bit-identical across modes and rank counts.
     """
     units = split_batch(batch, spec, mode, plan.num_ranks)
-    if tables is None:
-        tables = build_tables(spec)
     dim = spec.dim
     stats = IterationStats()
     stats.a2a_bytes_fwd = sdd(units, plan).a2a_bytes_fwd

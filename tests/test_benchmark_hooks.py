@@ -96,10 +96,11 @@ def test_forward_pass_calls_every_traced_trainer_layer(monkeypatch, mode):
     rows = [{"a": [1, 2], "b": [3], "c": [4, 5], "p": [i]} for i in range(5)]
     batch = reader.convert(as_batch(rows), spec if mode == "dedup" else spec.without_dedup())
     plan = trainer_sim.make_round_robin_plan(model, 2)
+    tables = trainer_sim.build_tables(model)
     tracer = tracing.Tracer()
     workloads.install(tracer)
     try:
-        trainer_sim.forward_iteration(batch, model, plan, mode)
+        trainer_sim.forward_iteration(batch, model, plan, mode, tables)
     finally:
         tracer.restore()
     calls = Counter(s.name for s in tracer.spans)

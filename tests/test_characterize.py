@@ -286,6 +286,20 @@ class TestSessionHistogram:
         with pytest.raises(ValueError):
             session_histogram([], window="hour")
 
+    @pytest.mark.parametrize(
+        "value, error, message",
+        [
+            (2.5, TypeError, "must be an integer, got 2.5"),
+            (0, ValueError, "must be >= 1, got 0"),
+        ],
+        ids=["fraction", "zero"],
+    )
+    def test_batch_size_is_a_count(self, value, error, message):
+        # 2.5 would pool 2.5-row chunks
+        records = [rec(s, {"f": [1]}) for s in range(5)]
+        with pytest.raises(error, match=f"^batch_size {message}$"):
+            session_histogram(as_batch(records), window="batch", batch_size=value)
+
 
 @pytest.fixture(scope="module")
 def stream():

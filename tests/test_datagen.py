@@ -132,6 +132,15 @@ class TestSampleCountDist:
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             build(bad)
 
+    @pytest.mark.parametrize(
+        "histogram", [{2: 1e308, 3: 1e308}, {2: 1e308}], ids=["weight-sum", "weighted-sum"]
+    )
+    def test_overflowing_histogram_rejected(self, histogram):
+        # finite weights whose sums overflow give a nan or inf mean, which
+        # sample() cannot draw from
+        with pytest.raises(ValueError, match="^histogram mean must be finite, got (nan|inf)$"):
+            SampleCountDist(kind="empirical", histogram=histogram)
+
     @pytest.mark.parametrize("key", [2.7, 2.0, "2.7", "two", "-2", None])
     def test_empirical_key_must_be_an_integer(self, key):
         # int() read the keys 2.7 and 2.0 as the count 2
@@ -415,6 +424,20 @@ class TestSyncGroups:
 
 
 class TestShardLogs:
+    @pytest.mark.parametrize(
+        "value, error, message",
+        [
+            (2.5, TypeError, "must be an integer, got 2.5"),
+            (0, ValueError, "must be >= 1, got 0"),
+        ],
+        ids=["fraction", "zero"],
+    )
+    def test_num_shards_is_a_count(self, value, error, message):
+        # 2.5 would fail inside range(), naming no argument
+        cfg, specs = small_config(num_sessions=4)
+        with pytest.raises(error, match=f"^num_shards {message}$"):
+            shard_logs(generate_dataset(cfg, specs), value)
+
     def test_session_keying_keeps_sessions_whole(self):
         cfg, specs = small_config(num_sessions=64)
         records = as_records(generate_dataset(cfg, specs))

@@ -179,11 +179,38 @@ class TestScan:
         with pytest.raises(StorageError):
             next(scan(open_table(path), 0))
 
+    @pytest.mark.parametrize(
+        "value, message",
+        [(2.5, "must be an integer, got 2.5"), (0, "must be >= 1, got 0")],
+        ids=["fraction", "zero"],
+    )
+    def test_batch_size_is_a_count(self, records, tmp_path, value, message):
+        # 2.5 would fail slicing the first stripe, naming no argument
+        path = tmp_path / "t.sesscol"
+        write_table(as_batch(records), path)
+        with pytest.raises(StorageError, match=f"^batch_size {message}$"):
+            next(scan(open_table(path), value))
+
 
 class TestValidation:
     def test_empty_table_rejected(self, tmp_path):
         with pytest.raises(StorageError):
             write_table([], tmp_path / "x.sesscol")
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [(2.5, "must be an integer, got 2.5"), (0, "must be >= 1, got 0")],
+        ids=["fraction", "zero"],
+    )
+    def test_stripe_rows_is_a_count_checked_before_writing(self, records, tmp_path, value, message):
+        # the count is checked before ``path`` is opened: a write that
+        # failed later would leave only the header of the file there
+        path = tmp_path / "t.sesscol"
+        write_table(as_batch(records[:3]), path)
+        good = path.read_bytes()
+        with pytest.raises(StorageError, match=f"^stripe_rows {message}$"):
+            write_table(as_batch(records), path, stripe_rows=value)
+        assert path.read_bytes() == good
 
     def test_bad_magic(self, records, tmp_path):
         path = tmp_path / "t.sesscol"
@@ -445,6 +472,71 @@ def _with_first_stream(tmp_path, stream):
     footer = struct.pack("<IQIQ", 1, info.offset, 8, info.offset + len(blob)) + MAGIC
     path.write_bytes(data[: info.offset] + blob + footer)
     return open_table(path)
+
+
+def _one_row_file(path, **options):
+    return write_table(as_batch([{"f": [0]}]), path, **options)
+
+
+def _with_stripe(path, blob, rows):
+    """A one-stripe file of feature ``f`` whose stripe bytes are ``blob``
+    and whose index gives it ``rows`` rows."""
+    start = _one_row_file(path).stripes[0].offset
+    footer = struct.pack("<IQIQ", 1, start, rows, start + len(blob)) + MAGIC
+    path.write_bytes(path.read_bytes()[:start] + blob + footer)
+    return open_table(path)
+
+
+def _footer_offset_past_the_end(path):
+    _one_row_file(path)
+    data = bytearray(path.read_bytes())
+    struct.pack_into("<Q", data, len(data) - 16, len(data))
+    path.write_bytes(bytes(data))
+    open_table(path)
+
+
+def _short_read(path):
+    f = _one_row_file(path)
+    path.write_bytes(path.read_bytes()[: f.stripes[0].offset + 2])
+    read_stripe(f, 0)
+
+
+def _corrupt_varints(path):
+    # eight continuation bytes: a varint that never ends, in a stream
+    # that inflates to exactly its declared 8 bytes
+    body = zlib.compress(b"\x80" * 8)
+    read_stripe(_with_first_stream(path.parent, struct.pack("<II", 8, len(body)) + body), 0)
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (lambda p: _one_row_file(p, clustering="zorder"), "^unknown clustering mode 'zorder'$"),
+        (_footer_offset_past_the_end, r"footer offset \d+ outside the file$"),
+        (
+            lambda p: read_stripe(_with_stripe(p, struct.pack("<I", 1) + bytes(3), 1), 0),
+            "^stripe 0: truncated stream header$",
+        ),
+        (_corrupt_varints, "^stripe 0: corrupt varints: "),
+        (lambda p: read_stripe(_one_row_file(p), 1), "^stripe 1 out of range$"),
+        (_short_read, "^stripe 0: short read$"),
+        (lambda p: read_stripe(_with_stripe(p, b"\x01\x00", 1), 0), "^stripe 0: truncated header$"),
+        (lambda p: read_stripe(_with_stripe(p, struct.pack("<I", 0), 0), 0), "^stripe 0: no rows$"),
+    ],
+    ids=[
+        "clustering",
+        "footer-offset",
+        "stream-header",
+        "varints",
+        "ordinal",
+        "short-read",
+        "stripe-header",
+        "zero-rows",
+    ],
+)
+def test_rejection_names_its_cause(tmp_path, damage, message):
+    with pytest.raises(StorageError, match=message):
+        damage(tmp_path / "t.sesscol")
 
 
 class TestCorruption:

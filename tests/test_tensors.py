@@ -1,5 +1,7 @@
 """Tests for jagged tensors, deduplicated encodings, and the analytical model."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from sessiondedup.tensors import (
     KJT,
     DedupeModel,
     JaggedTensor,
+    PartialIKJT,
     build_ikjt,
     build_kjt,
     build_partial_ikjt,
@@ -592,13 +595,70 @@ class TestPartialIkjt:
 
     def test_window_bounds_validated(self):
         with pytest.raises(ValueError):
-            from sessiondedup.tensors import PartialIKJT
-
             PartialIKJT(
                 feature_key="b",
                 values=np.array([1, 2], dtype=np.int64),
                 windows=np.array([[1, 2]], dtype=np.int64),
             )
+
+
+def _jt(rows):
+    """A JaggedTensor of ``rows`` one-value rows."""
+    return JaggedTensor.from_rows([[i] for i in range(rows)])
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: KJT(2, {"a": _jt(1)}), "^feature 'a' has 1 rows, expected 2$"),
+        (lambda: IKJT(2, ("a",), [0], {"a": _jt(1)}), "^inverse_lookup must have one entry per batch row$"),
+        (lambda: IKJT(1, ("a",), [0], {"b": _jt(1)}), "^group_keys and per_feature keys differ$"),
+        (lambda: IKJT(1, ("a",), [0], {"a": _jt(2)}), "^more unique rows than batch rows$"),
+        (
+            lambda: IKJT(2, ("a", "b"), [0, 1], {"a": _jt(2), "b": _jt(1)}),
+            "^feature 'b' has 1 dedup rows, expected 2$",
+        ),
+        (lambda: PartialIKJT("a", [1, 2], [0, 2]), r"^windows must be a \(B, 2\) array$"),
+        (lambda: PartialIKJT("a", [1, 2], [[-1, 1]]), "^negative window bound$"),
+    ],
+    ids=[
+        "kjt-feature-rows",
+        "ikjt-inverse-length",
+        "ikjt-keys",
+        "ikjt-unique-rows",
+        "ikjt-feature-rows",
+        "partial-window-shape",
+        "partial-negative-window",
+    ],
+)
+def test_malformed_encoding_rejected(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda n: KJT(n, {"a": _jt(7)}),
+        lambda n: IKJT(n, ("a",), np.zeros(7, dtype=np.int64), {"a": _jt(1)}),
+        lambda n: DedupeModel(samples_per_session=4, batch_size=n, avg_len=2, unchanged_prob=0.5),
+    ],
+    ids=["KJT", "IKJT", "DedupeModel"],
+)
+@pytest.mark.parametrize(
+    "value, error, message",
+    [
+        (7.0, TypeError, "must be an integer, got 7.0"),
+        (2.5, TypeError, "must be an integer, got 2.5"),
+        (0, ValueError, "must be >= 1, got 0"),
+    ],
+    ids=["whole-float", "fraction", "zero"],
+)
+def test_batch_size_is_a_count(build, value, error, message):
+    # a float batch size would be stored as the tensors' row count
+    with pytest.raises(error, match=f"^batch_size {message}$"):
+        build(value)
+    assert type(build(np.int64(7)).batch_size) is int
 
 
 class TestJaggedIndexSelect:
@@ -703,6 +763,17 @@ class TestDedupeModel:
             DedupeModel(samples_per_session=1, batch_size=1, avg_len=0, unchanged_prob=0)
         with pytest.raises(ValueError):
             DedupeModel(samples_per_session=1, batch_size=1, avg_len=1, unchanged_prob=1.5)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize(
+        "field, rule", [("samples_per_session", "finite and >= 1"), ("avg_len", "finite and > 0")]
+    )
+    def test_non_finite_number_rejected(self, field, rule, value):
+        # nan passes `< 1` and `<= 0` checks and inf passes both, and
+        # either makes dedupe_len nan
+        args = dict(samples_per_session=4, batch_size=8, avg_len=2, unchanged_prob=0.5)
+        with pytest.raises(ValueError, match=f"^{field} must be {rule}, got {value}$"):
+            DedupeModel(**{**args, field: value})
 
     def test_measured_factor_on_worked_batch(self):
         # three identical-session rows with one change: 9 values -> 6

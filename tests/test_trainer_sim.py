@@ -994,6 +994,54 @@ class TestSplitBatch:
         assert np.array_equal(dedup, one_rank)
 
 
+def _split_dedup_batch_as_baseline():
+    rows = random_batch(np.random.default_rng(0), 4)
+    batch = convert(as_batch(rows), TestForwardIteration().reader_spec())
+    split_batch(batch, TestForwardIteration().model_spec(), "baseline", 1)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: EmbeddingTable("a", np.zeros((2, 4))), "^weights must be float32$"),
+        (lambda: GroupConfig((), "sum"), "^empty feature group$"),
+        (lambda: GroupConfig(("a",), "median"), "^unknown pooling op 'median'$"),
+        (lambda: ModelSpec({"a": 2}, (GroupConfig(("a", "b"), "sum"),)), "^feature 'b' has no table$"),
+        (lambda: ShardingPlan(2, {"a": 2}), "^feature 'a' assigned to invalid rank 2$"),
+        (_split_dedup_batch_as_baseline, r"^batch lacks plain tensors for \['u', 'v'\]$"),
+    ],
+    ids=["float64-weights", "empty-group", "pooling-op", "no-table", "rank", "no-plain-tensors"],
+)
+def test_malformed_model_input_rejected(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda n: ShardingPlan(n, {"u": 0}),
+        lambda n: make_round_robin_plan(TestForwardIteration().model_spec(), n),
+        lambda n: TestSplitBatch().split(random_batch(np.random.default_rng(0), 4), "dedup", n),
+    ],
+    ids=["ShardingPlan", "make_round_robin_plan", "split_batch"],
+)
+@pytest.mark.parametrize(
+    "value, error, message",
+    [
+        (2.0, TypeError, "must be an integer, got 2.0"),
+        (2.5, TypeError, "must be an integer, got 2.5"),
+        (0, ValueError, "must be >= 1, got 0"),
+    ],
+    ids=["whole-float", "fraction", "zero"],
+)
+def test_num_ranks_is_a_count(build, value, error, message):
+    # a float rank count would give the plan float ranks, which
+    # forward_iteration cannot index with
+    with pytest.raises(error, match=f"^num_ranks {message}$"):
+        build(value)
+
+
 class TestSdd:
     def make_plan(self, keys, num_ranks):
         return ShardingPlan(
@@ -1448,7 +1496,7 @@ class TestForwardIteration:
         model = self.model_spec()
         plan = make_round_robin_plan(model, 1)
         with pytest.raises(ValueError, match="mode"):
-            forward_iteration(batch, model, plan, "training")
+            forward_iteration(batch, model, plan, "training", build_tables(model))
 
     def test_missing_group_encoding_rejected(self):
         rng = np.random.default_rng(37)
@@ -1457,7 +1505,7 @@ class TestForwardIteration:
         model = self.model_spec()
         plan = make_round_robin_plan(model, 1)
         with pytest.raises(ValueError, match="no IKJT"):
-            forward_iteration(batch, model, plan, "dedup")
+            forward_iteration(batch, model, plan, "dedup", build_tables(model))
 
     def test_stats_start_from_zero(self):
         stats = IterationStats()
