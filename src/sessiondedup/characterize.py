@@ -35,7 +35,8 @@ import numpy as np
 
 from .storage import ScanBatch
 from .tensors import (
-    JaggedTensor, _positive_count, _unique_rows, build_kjt, concat_rows, jagged_index_select, slice_rows
+    JaggedTensor, _key_names, _positive_count, _unique_rows, build_kjt, concat_rows, jagged_index_select,
+    slice_rows
 )
 
 __all__ = [
@@ -181,15 +182,6 @@ def _feature_stats(sids: np.ndarray, kjts, keys) -> dict[str, FeatureDupStats]:
     }
 
 
-def _distinct(keys) -> list[str]:
-    """``keys`` as a list; a repeated key would count twice in the blend."""
-    keys = list(keys)
-    repeated = sorted({k for k in keys if keys.count(k) > 1})
-    if repeated:
-        raise ValueError(f"feature keys repeated: {repeated}")
-    return keys
-
-
 def _blend(per_feature: dict[str, FeatureDupStats], keys) -> tuple[float, float]:
     stats = [per_feature[key] for key in keys]
     wsum = sum(fs.avg_len for fs in stats)
@@ -214,8 +206,9 @@ def partial_dup_pct(rows, key: str) -> float:
 
 def byte_weighted(rows, keys) -> tuple[float, float]:
     """Average-length-weighted exact and partial percentages across
-    features: features carrying more IDs count proportionally more."""
-    keys = _distinct(keys)
+    features: features carrying more IDs count proportionally more. A
+    repeated key would count twice in the blend, so it is rejected."""
+    keys = _key_names("keys", keys)
     return _blend(_feature_stats(*_columns(rows, keys), keys), keys)
 
 
@@ -224,7 +217,7 @@ def compute_dup_stats(rows, keys, batch_size: int = 4096) -> DupStats:
     histograms over the whole stream and per ``batch_size`` chunk.
     ``rows`` is a storage ``ScanBatch`` or a sequence of them (one
     stream, in order)."""
-    keys = _distinct(keys)
+    keys = _key_names("keys", keys)
     per_batch = session_histogram(rows, "batch", batch_size)  # checks batch_size first
     per_feature = _feature_stats(*_columns(rows, keys), keys)
     partition = session_histogram(rows, "partition")

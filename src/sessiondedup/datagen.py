@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .storage import ScanBatch
-from .tensors import KJT, _positive_count, _starts, gather_windows, splitmix64
+from .tensors import KJT, _key_names, _positive_count, _starts, gather_windows, splitmix64
 
 __all__ = [
     "FeatureSpec",
@@ -69,7 +69,7 @@ class FeatureSpec:
             raise ValueError(f"avg_len must be finite and > 0, got {self.avg_len}")
         if self.kind == "user_sequence" and self.avg_len < 1:
             raise ValueError("user_sequence features need avg_len >= 1")
-        _positive_count("vocab_size", self.vocab_size)
+        object.__setattr__(self, "vocab_size", _positive_count("vocab_size", self.vocab_size))
         if not 0.0 <= self.change_prob <= 1.0:
             raise ValueError("change_prob must be in [0, 1]")
         if self.sync_group == "":
@@ -143,7 +143,7 @@ class SessionConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _positive_count("num_sessions", self.num_sessions)
+        object.__setattr__(self, "num_sessions", _positive_count("num_sessions", self.num_sessions))
 
 
 def _draw_lengths(avg_len: float, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -193,9 +193,7 @@ def generate_dataset(
 ) -> ScanBatch:
     """Generate the full interleaved impression log for a config, as one
     columnar table in (timestamp, session_id) order."""
-    keys = [s.key for s in feature_specs]
-    if len(set(keys)) != len(keys):
-        raise ValueError("duplicate feature keys")
+    keys = _key_names("feature_specs", [s.key for s in feature_specs])
     groups = sync_groups(feature_specs)
     group_of = {s.key: i for i, (_, members) in enumerate(groups) for s in members}
     # Columns grow as raw int64 bytes, so no per-session array outlives

@@ -30,6 +30,7 @@ from .tensors import (
     IKJT,
     KJT,
     JaggedTensor,
+    _key_names,
     _positive_count,
     build_ikjt,
     build_kjt,
@@ -71,7 +72,7 @@ class Transform:
         elif self.param is None:
             raise ValueError(f"{self.op} needs a positive param")
         else:
-            _positive_count("param", self.param)
+            object.__setattr__(self, "param", _positive_count("param", self.param))
 
 
 def apply_transform(values: np.ndarray, t: Transform) -> np.ndarray:
@@ -90,27 +91,16 @@ class DataloaderSpec:
     batch_size: int = 4096
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "keys", tuple(self.keys))
-        object.__setattr__(
-            self,
-            "dedup_sparse_features",
-            tuple(tuple(g) for g in self.dedup_sparse_features),
-        )
+        object.__setattr__(self, "keys", _key_names("keys", self.keys))
+        groups = tuple(_key_names("dedup_sparse_features group", g) for g in self.dedup_sparse_features)
+        object.__setattr__(self, "dedup_sparse_features", groups)
         object.__setattr__(self, "transforms", tuple(self.transforms))
-        _positive_count("batch_size", self.batch_size)
-        repeated = [k for i, k in enumerate(self.keys) if k in self.keys[:i]]
-        if repeated:
-            raise ValueError(f"feature {repeated[0]!r} is listed twice in keys")
-        seen: set[str] = set()
-        for group in self.dedup_sparse_features:
-            if not group:
-                raise ValueError("empty dedup group")
-            for key in group:
-                if key in seen:
-                    raise ValueError(f"feature {key!r} in more than one dedup group")
-                if key not in self.keys:
-                    raise ValueError(f"grouped feature {key!r} not in keys")
-                seen.add(key)
+        object.__setattr__(self, "batch_size", _positive_count("batch_size", self.batch_size))
+        if not all(groups):
+            raise ValueError("empty dedup group")
+        for key in _key_names("dedup_sparse_features", [key for group in groups for key in group]):
+            if key not in self.keys:
+                raise ValueError(f"grouped feature {key!r} not in keys")
         for t in self.transforms:
             if t.key not in self.keys:
                 raise ValueError(f"transform targets unknown key {t.key!r}")
@@ -139,7 +129,9 @@ class StageTimings:
 
 @dataclass
 class ReaderBatch:
-    batch_size: int
+    """One batch as the trainer takes it: its size is the label count, and
+    every plain tensor and IKJT has one row per label."""
+
     kjts: dict[str, JaggedTensor]
     ikjts: list[IKJT]
     labels: np.ndarray
@@ -147,11 +139,19 @@ class ReaderBatch:
     bytes_in: int = 0
     bytes_out: int = 0
 
-    def all_keys(self) -> tuple[str, ...]:
-        keys = list(self.kjts)
-        for ikjt in self.ikjts:
-            keys.extend(ikjt.group_keys)
-        return tuple(keys)
+    def __post_init__(self) -> None:
+        n = self.batch_size
+        if n < 1:
+            raise ValueError("a reader batch needs at least one row")
+        rows = [(f"feature {key!r}", jt.row_count) for key, jt in self.kjts.items()]
+        rows += [(f"group {list(ik.group_keys)}", ik.batch_size) for ik in self.ikjts]
+        for what, count in rows:
+            if count != n:
+                raise ValueError(f"{what} has {count} rows, but the batch has {n} labels")
+
+    @property
+    def batch_size(self) -> int:
+        return int(self.labels.size)
 
 
 def fill(stream: Iterator[ScanBatch]) -> ScanBatch | None:
@@ -162,18 +162,9 @@ def fill(stream: Iterator[ScanBatch]) -> ScanBatch | None:
 def convert(rows: ScanBatch, spec: DataloaderSpec) -> ReaderBatch:
     """Turn a raw batch into tensors: one IKJT per dedup group, one plain
     jagged tensor per remaining key."""
-    if not rows:
-        raise ValueError("convert needs a non-empty row batch")
     ikjts = [build_ikjt(rows, group) for group in spec.dedup_sparse_features]
-    plain = spec.plain_keys
-    kjts = dict(build_kjt(rows, plain).entries) if plain else {}
-    return ReaderBatch(
-        batch_size=rows.labels.size,
-        kjts=kjts,
-        ikjts=ikjts,
-        labels=rows.labels,
-        bytes_in=rows.bytes_read,
-    )
+    kjts = build_kjt(rows, spec.plain_keys).entries
+    return ReaderBatch(kjts=kjts, ikjts=ikjts, labels=rows.labels, bytes_in=rows.bytes_read)
 
 
 def process(batch: ReaderBatch, transforms) -> ReaderBatch:
@@ -181,7 +172,7 @@ def process(batch: ReaderBatch, transforms) -> ReaderBatch:
     their deduplicated values only and stay IKJTs. The input batch is
     left as it was."""
     by_key: dict[str, list[Transform]] = {}
-    known = set(batch.all_keys())
+    known = {*batch.kjts, *(key for ikjt in batch.ikjts for key in ikjt.group_keys)}
     for t in transforms:
         if t.key not in known:
             raise ValueError(f"transform targets missing key {t.key!r}")

@@ -67,14 +67,32 @@ def _as_id_array(seq) -> np.ndarray:
 
 def _positive_count(name: str, value) -> int:
     """``value`` as an int: TypeError unless it is an integer (a float
-    such as 3.0 is not), ValueError if it is below 1; both name ``name``."""
+    such as 3.0 is not, nor is a bool), ValueError if it is below 1; both
+    name ``name``."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         count = operator.index(value)
     except TypeError:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
     if count < 1:
         raise ValueError(f"{name} must be >= 1, got {count}")
     return count
+
+
+def _key_names(what: str, value) -> tuple[str, ...]:
+    """``value`` as a tuple of feature names: TypeError unless it is a
+    list or tuple of str (a string is not, since its characters would
+    become keys, nor is a set, whose order is arbitrary), ValueError if a
+    name repeats; both name ``what``."""
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"{what} must be a list of feature names, got {value!r}")
+    for i, name in enumerate(value):
+        if not isinstance(name, str):
+            raise TypeError(f"{what} must hold feature names, got {name!r}")
+        if name in value[:i]:
+            raise ValueError(f"feature {name!r} is listed twice in {what}")
+    return tuple(value)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -210,7 +228,7 @@ class IKJT:
     per_feature: Mapping[str, JaggedTensor]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "group_keys", tuple(self.group_keys))
+        object.__setattr__(self, "group_keys", _key_names("group_keys", self.group_keys))
         object.__setattr__(self, "inverse_lookup", _freeze(self.inverse_lookup))
         object.__setattr__(self, "per_feature", dict(self.per_feature))
         object.__setattr__(self, "batch_size", _positive_count("batch_size", self.batch_size))
@@ -280,9 +298,14 @@ def build_kjt(rows, keys: Sequence[str]) -> KJT:
     """Gather ``keys`` of a columnar batch into a KJT, preserving batch
     order and sharing its buffers. ``rows`` is a batch whose ``features``
     is a KJT, such as a storage ``ScanBatch``."""
+    keys = _key_names("keys", keys)
     if not rows:
         raise ValueError("empty batch")
-    return KJT(rows.features.batch_size, {key: rows.features.entries[key] for key in keys})
+    have = rows.features.entries
+    for key in keys:
+        if key not in have:
+            raise ValueError(f"feature {key!r} is not in the batch, which has {list(have)}")
+    return KJT(rows.features.batch_size, {key: have[key] for key in keys})
 
 
 def splitmix64(x):
@@ -413,16 +436,15 @@ def build_ikjt(rows, group: Sequence[str]) -> IKJT:
     first-occurrence order. ``rows`` is a columnar batch such as a
     storage ``ScanBatch``.
     """
-    if len(group) == 0:
-        raise ValueError("empty dedup group")
     kjt = build_kjt(rows, group)
-    jts = [kjt.entries[key] for key in group]
-    first, inverse = _unique_rows(jts)
+    if not kjt.keys:
+        raise ValueError("empty dedup group")
+    first, inverse = _unique_rows(list(kjt.entries.values()))
     return IKJT(
         batch_size=kjt.batch_size,
-        group_keys=tuple(group),
+        group_keys=kjt.keys,
         inverse_lookup=inverse,
-        per_feature={key: jagged_index_select(jt, first) for key, jt in zip(group, jts)},
+        per_feature={key: jagged_index_select(jt, first) for key, jt in kjt.entries.items()},
     )
 
 

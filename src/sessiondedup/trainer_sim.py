@@ -47,6 +47,7 @@ from .datagen import sync_groups
 from .reader import ReaderBatch
 from .tensors import (
     JaggedTensor,
+    _key_names,
     _positive_count,
     _row_lengths,
     jagged_index_select,
@@ -156,7 +157,7 @@ class GroupConfig:
     pooling: str
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "keys", tuple(self.keys))
+        object.__setattr__(self, "keys", _key_names("group keys", self.keys))
         if not self.keys:
             raise ValueError("empty feature group")
         if self.pooling not in POOLING_OPS:
@@ -188,17 +189,14 @@ class ModelSpec:
         object.__setattr__(self, "dim", _positive_count("dim", self.dim))
         if not self.tables:
             raise ValueError("model spec has no tables")
-        seen: set[str] = set()
-        for keys, op, grouped in self.units:
+        for _, op, grouped in self.units:
             if not grouped and op not in ELEMENT_POOLING:
                 raise ValueError(f"plain pooling must be element-wise, got {op!r}")
-            for key in keys:
-                if key in seen:
-                    raise ValueError(f"feature {key!r} is in two pooling units")
-                if key not in self.tables:
-                    raise ValueError(f"feature {key!r} has no table")
-                seen.add(key)
-        unused = set(self.tables) - seen
+        keys = self.all_keys
+        for key in keys:
+            if key not in self.tables:
+                raise ValueError(f"feature {key!r} has no table")
+        unused = set(self.tables) - set(keys)
         if unused:
             raise ValueError(f"tables with no feature assignment: {sorted(unused)}")
 
@@ -212,7 +210,8 @@ class ModelSpec:
 
     @property
     def all_keys(self) -> tuple[str, ...]:
-        return tuple(key for keys, _, _ in self.units for key in keys)
+        """Every unit's keys in unit order; a key in two units is rejected."""
+        return _key_names("pooling units", [key for keys, _, _ in self.units for key in keys])
 
 
 @dataclass(frozen=True)
@@ -598,8 +597,6 @@ def split_batch(
     if mode not in ("baseline", "dedup"):
         raise ValueError(f"unknown mode {mode!r}")
     num_ranks = _positive_count("num_ranks", num_ranks)
-    if batch.batch_size < 1:
-        raise ValueError("cannot split an empty batch")
     rows = _rank_bounds(batch.batch_size, num_ranks)
     rank_of_row = np.repeat(np.arange(rows.size - 1), np.diff(rows))
     units = []

@@ -7,6 +7,9 @@ that stops calling a wrapped layer fail it instead of reporting that
 layer at 0.
 """
 
+import importlib.util
+import json
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -17,6 +20,7 @@ from sessiondedup import reader, storage, trainer_sim
 from sessiondedup.storage import open_table, write_table
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+DECLARED = json.loads((BENCHMARKS.parent / "BENCHMARK.json").read_text())
 
 
 def test_tracer_wraps_and_restores_every_layer_boundary(monkeypatch):
@@ -106,3 +110,22 @@ def test_forward_pass_calls_every_traced_trainer_layer(monkeypatch, mode):
     calls = Counter(s.name for s in tracer.spans)
     for name in ("split_batch", "sdd", "embedding_lookup", "pool", "attention_pool"):
         assert calls[f"trainer_sim.{name}"] >= 1, name
+
+
+@pytest.mark.parametrize("workload", [w["name"] for w in DECLARED["workloads"]])
+def test_declared_workload_runs_at_smoke_scale(monkeypatch, tmp_path, capsys, workload):
+    """The harness end to end at 40 sessions, so a program change that
+    breaks a call it makes fails here, not only in a benchmark run."""
+    # run.py pins the BLAS thread counts on import and main() prepends
+    # src and benchmarks to sys.path; both are restored after the test.
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location("bench_run", BENCHMARKS / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    monkeypatch.setattr(bench, "WORK", tmp_path)
+    argv = ["--workload", workload, "--seed", "0", "--seconds", "1", "--trace", "0", "--sessions", "40"]
+    assert bench.main(argv) == 0
+    res = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert res["correct"] and res["failed"] == 0 and res["attempted"] >= 1

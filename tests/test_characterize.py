@@ -245,8 +245,18 @@ class TestByteWeighted:
         monkeypatch.setattr(charmod, "_columns", lambda *a: pytest.fail("counted"))
         records = [rec(0, {"f": [1], "g": [2]})]
         for fn in (byte_weighted, compute_dup_stats):
-            with pytest.raises(ValueError, match=r"repeated: \['f'\]"):
+            with pytest.raises(ValueError, match="^feature 'f' is listed twice in keys$"):
                 fn(as_batch(records), ["f", "g", "f"])
+
+    def test_key_string_rejected_before_counting(self, monkeypatch):
+        # "fg" was read as the keys 'f' and 'g'
+        import sessiondedup.characterize as charmod
+
+        monkeypatch.setattr(charmod, "_columns", lambda *a: pytest.fail("counted"))
+        records = [rec(0, {"f": [1], "g": [2]})]
+        for fn in (byte_weighted, compute_dup_stats):
+            with pytest.raises(TypeError, match="^keys must be a list of feature names, got 'fg'$"):
+                fn(as_batch(records), "fg")
 
 
 class TestSessionHistogram:

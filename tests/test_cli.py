@@ -11,10 +11,12 @@ import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rows as row_adapter
 import sessiondedup
+from sessiondedup import datagen, trainer_sim
 from rows import as_records, serialize_log_records
 from sessiondedup.cli import ModeTotals, _fold, main
 from sessiondedup.datagen import (
@@ -99,6 +101,15 @@ class TestGen:
         run(["gen", "--config", small_config_path, "--out", a])
         run(["gen", "--config", small_config_path, "--seed", 99, "--out", b])
         assert a.read_bytes() != b.read_bytes()
+
+    def test_gen_without_config_uses_the_default(self, small_config_path, tmp_path, monkeypatch):
+        # the built-in config, swapped for a small one to keep this fast
+        monkeypatch.setattr(datagen, "default_config", small_config)
+        a = tmp_path / "a.sesscol"
+        b = tmp_path / "b.sesscol"
+        assert run(["gen", "--out", a]) == 0
+        assert run(["gen", "--config", small_config_path, "--out", b]) == 0
+        assert a.read_bytes() == b.read_bytes()
 
     def test_bad_config_exits_nonzero(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -238,7 +249,7 @@ class TestCharacterize:
         assert run(["characterize", ds, "--keys", "seq,seq,item"]) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert "error [characterize]: feature keys repeated: ['seq']" in err
+        assert "error [characterize]: feature 'seq' is listed twice in keys" in err
 
     def test_zero_batch_size_fails_before_output(self, small_config_path, tmp_path, capsys):
         ds = tmp_path / "ds.sesscol"
@@ -494,6 +505,44 @@ class TestBench:
         total = _fold(one, two)
         assert (total.batches, total.rows) == (2, 15)
         assert total.stats == IterationStats(lookup_count=7, activation_elements=7)
+
+    def test_spec_key_missing_from_the_file_named(self, clustered_ds, tmp_path, capsys):
+        # printed only "error [bench]: 'zz'"
+        spec = tmp_path / "spec.json"
+        save_dataloader_spec(spec, DataloaderSpec(keys=("seq", "zz"), dedup_sparse_features=()))
+        capsys.readouterr()
+        assert run(["bench", clustered_ds, "--spec", spec]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error [bench]: feature 'zz' is not in the batch, which has "
+            "['seq', 'cart_a', 'cart_b', 'item']\n"
+        )
+
+    def test_diverged_scores_fail(self, clustered_ds, monkeypatch, capsys):
+        forward = trainer_sim.forward_iteration
+
+        def perturbed(batch, spec, plan, mode, tables):
+            scores, stats = forward(batch, spec, plan, mode, tables)
+            if mode == "dedup":
+                scores = scores.copy()
+                scores[0] = np.nextafter(scores[0], np.float32(2))
+            return scores, stats
+
+        monkeypatch.setattr(trainer_sim, "forward_iteration", perturbed)
+        capsys.readouterr()
+        assert run(["bench", clustered_ds, "--batches", 1]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error [bench]: dedup and baseline scores diverged; this build is broken\n"
+
+    def test_report_printed_without_out(self, clustered_ds, capsys):
+        capsys.readouterr()
+        assert run(["bench", clustered_ds, "--batches", 2, "--batch-size", 64]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["config"]["batches"] == 2
+        assert report["reader"]["dedup"]["rows"] == 128
+        assert report["speedups"]["scores_equal"] is True
 
     def test_zero_ranks_rejected(self, clustered_ds, capsys):
         capsys.readouterr()

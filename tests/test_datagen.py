@@ -83,6 +83,22 @@ def by_session(records):
     return out
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: FeatureSpec("f", "image", 1, 10), "^unknown feature kind 'image'$"),
+        (lambda: FeatureSpec("f", "user_sequence", 0.5, 10), "^user_sequence features need avg_len >= 1$"),
+        (lambda: FeatureSpec("f", "user_sequence", 2, 10, change_prob=1.5), r"^change_prob must be in \[0, 1\]$"),
+        (lambda: FeatureSpec("f", "user_sequence", 2, 10, change_prob=-0.1), r"^change_prob must be in \[0, 1\]$"),
+        (lambda: SampleCountDist(kind="poisson", mean=4.0), "^unknown distribution kind 'poisson'$"),
+    ],
+    ids=["feature-kind", "user-avg-len", "change-prob-above", "change-prob-below", "dist-kind"],
+)
+def test_rejection_names_its_cause(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 class TestSampleCountDist:
     def test_fixed(self):
         dist = SampleCountDist(kind="fixed", mean=5)
@@ -319,7 +335,7 @@ class TestGenerateDataset:
     def test_duplicate_keys_rejected(self):
         cfg, _ = small_config()
         spec = FeatureSpec(key="f", kind="item", avg_len=1, vocab_size=10)
-        with pytest.raises(ValueError, match="duplicate"):
+        with pytest.raises(ValueError, match="^feature 'f' is listed twice in feature_specs$"):
             generate_dataset(cfg, [spec, spec])
 
     def test_label_rate(self):
@@ -563,6 +579,8 @@ class TestConfigIO:
         [
             ('"num_sessions": 100', '"num_sessions": 100.0'),
             ('"vocab_size": 10000', '"vocab_size": "10000"'),
+            ('"num_sessions": 100', '"num_sessions": true'),
+            ('"vocab_size": 10000', '"vocab_size": false'),
         ],
     )
     def test_non_integral_count_rejected(self, tmp_path, old, new):
@@ -575,6 +593,22 @@ class TestConfigIO:
         field = old.split('"')[1]
         with pytest.raises(TypeError, match=f"^{field} must be an integer, got"):
             load_config(path)
+
+    @pytest.mark.parametrize("field", ["num_sessions", "vocab_size"])
+    def test_count_is_stored_as_an_int(self, tmp_path, field):
+        # a NumPy integer was kept as given, and save_config failed with
+        # "Object of type int64 is not JSON serializable"
+        cfg, specs = small_config()
+        if field == "num_sessions":
+            cfg = SessionConfig(np.int64(5), cfg.samples_per_session)
+            stored = cfg.num_sessions
+        else:
+            specs = [FeatureSpec("f", "item", 1, np.int64(5))]
+            stored = specs[0].vocab_size
+        assert type(stored) is int and stored == 5
+        path = tmp_path / "config.json"
+        save_config(path, cfg, specs)
+        assert load_config(path) == (cfg, specs)
 
     @pytest.mark.parametrize("field", ["num_sessions", "vocab_size"])
     def test_count_below_one_names_its_field(self, field):

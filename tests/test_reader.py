@@ -1,6 +1,7 @@
 """Tests for the dataloader stages: fill, convert, process, emit."""
 
 import copy
+import dataclasses
 from dataclasses import fields, is_dataclass
 
 import numpy as np
@@ -130,7 +131,7 @@ class TestConvert:
 
 class TestSpecValidation:
     def test_overlapping_groups_rejected(self):
-        with pytest.raises(ValueError, match="more than one"):
+        with pytest.raises(ValueError, match="^feature 'a' is listed twice in dedup_sparse_features$"):
             DataloaderSpec(keys=("a", "b"), dedup_sparse_features=(("a",), ("a", "b")))
 
     def test_unknown_grouped_key_rejected(self):
@@ -141,6 +142,32 @@ class TestSpecValidation:
         # convert once collapsed the repeat silently
         with pytest.raises(ValueError, match="^feature 'a' is listed twice in keys$"):
             DataloaderSpec(keys=("b", "a", "a"), dedup_sparse_features=())
+
+    @pytest.mark.parametrize(
+        "keys, groups, error, message",
+        [
+            ("ab", (), TypeError, "^keys must be a list of feature names, got 'ab'$"),
+            (["a", 1], (), TypeError, "^keys must hold feature names, got 1$"),
+            (
+                ["cart_item_ids"],
+                ["cart_item_ids"],
+                TypeError,
+                "^dedup_sparse_features group must be a list of feature names, got 'cart_item_ids'$",
+            ),
+            (["a", "b"], [["a", "b", "a"]], ValueError, "^feature 'a' is listed twice in dedup_sparse_features group$"),
+        ],
+        ids=["keys-str", "keys-non-str", "group-str", "group-repeat"],
+    )
+    def test_key_list_rule(self, keys, groups, error, message):
+        # a string was split into one key per character
+        with pytest.raises(error, match=message):
+            DataloaderSpec(keys=keys, dedup_sparse_features=groups)
+
+    def test_key_string_in_spec_file_rejected(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text('{"keys": "ab", "dedup_sparse_features": []}')
+        with pytest.raises(TypeError, match="^keys must be a list of feature names, got 'ab'$"):
+            load_dataloader_spec(path)
 
     def test_unknown_transform_key_rejected(self):
         with pytest.raises(ValueError, match="unknown key"):
@@ -195,6 +222,8 @@ class TestSpecValidation:
             '"batch_size": 128.7',
             '"batch_size": "128"',
             '"transforms": [{"op": "clamp", "key": "a", "param": 5.0}]',
+            '"batch_size": true',
+            '"transforms": [{"op": "clamp", "key": "a", "param": true}]',
         ],
     )
     def test_non_integral_count_rejected(self, tmp_path, extra):
@@ -203,6 +232,47 @@ class TestSpecValidation:
         field = "param" if "transforms" in extra else "batch_size"
         with pytest.raises(TypeError, match=f"^{field} must be an integer, got"):
             load_dataloader_spec(path)
+
+
+    @pytest.mark.parametrize("field", ["batch_size", "param"])
+    def test_count_is_stored_as_an_int(self, tmp_path, field):
+        # a NumPy integer was kept as given, and saving the spec failed
+        # with "Object of type int64 is not JSON serializable"
+        count = np.int64(64)
+        spec = DataloaderSpec(
+            keys=("a",),
+            dedup_sparse_features=(),
+            transforms=(Transform(op="clamp", key="a", param=count if field == "param" else 5),),
+            batch_size=count if field == "batch_size" else 8,
+        )
+        stored = spec.batch_size if field == "batch_size" else spec.transforms[0].param
+        assert type(stored) is int and stored == 64
+        path = tmp_path / "spec.json"
+        save_dataloader_spec(path, spec)
+        assert load_dataloader_spec(path) == spec
+
+
+class TestReaderBatch:
+    @pytest.mark.parametrize(
+        "spec, labels, message",
+        [
+            (SPEC, slice(3), "^feature 'item' has 4 rows, but the batch has 3 labels$"),
+            (
+                DataloaderSpec(keys=("c", "d"), dedup_sparse_features=(("c", "d"),)),
+                slice(1, 4),
+                r"^group \['c', 'd'\] has 4 rows, but the batch has 3 labels$",
+            ),
+            (SPEC, slice(0), "^a reader batch needs at least one row$"),
+        ],
+        ids=["plain", "group", "empty"],
+    )
+    def test_size_follows_the_labels(self, spec, labels, message):
+        # a batch whose size disagreed with its tensors failed only in
+        # split_batch, inside NumPy, naming nothing
+        batch = convert(as_batch(WORKED_ROWS + WORKED_ROWS[:1]), spec)
+        assert batch.batch_size == 4
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(batch, labels=batch.labels[labels])
 
 
 class TestTransforms:

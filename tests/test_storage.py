@@ -495,6 +495,17 @@ def _footer_offset_past_the_end(path):
     open_table(path)
 
 
+def _patched_footer(path, fmt, at, value):
+    """Open a one-row file whose footer holds ``value`` at byte ``at``:
+    the stripe count at 0, stripe 0's offset at 4."""
+    _one_row_file(path)
+    data = bytearray(path.read_bytes())
+    (footer,) = struct.unpack_from("<Q", data, len(data) - 16)
+    struct.pack_into(fmt, data, footer + at, value)
+    path.write_bytes(bytes(data))
+    open_table(path)
+
+
 def _short_read(path):
     f = _one_row_file(path)
     path.write_bytes(path.read_bytes()[: f.stripes[0].offset + 2])
@@ -513,6 +524,8 @@ def _corrupt_varints(path):
     [
         (lambda p: _one_row_file(p, clustering="zorder"), "^unknown clustering mode 'zorder'$"),
         (_footer_offset_past_the_end, r"footer offset \d+ outside the file$"),
+        (lambda p: _patched_footer(p, "<I", 0, 2), "footer size does not match 2 stripes$"),
+        (lambda p: _patched_footer(p, "<Q", 4, 0), "stripe 0 offset not increasing$"),
         (
             lambda p: read_stripe(_with_stripe(p, struct.pack("<I", 1) + bytes(3), 1), 0),
             "^stripe 0: truncated stream header$",
@@ -526,6 +539,8 @@ def _corrupt_varints(path):
     ids=[
         "clustering",
         "footer-offset",
+        "footer-size",
+        "stripe-offset",
         "stream-header",
         "varints",
         "ordinal",

@@ -651,14 +651,48 @@ def test_malformed_encoding_rejected(build, message):
         (7.0, TypeError, "must be an integer, got 7.0"),
         (2.5, TypeError, "must be an integer, got 2.5"),
         (0, ValueError, "must be >= 1, got 0"),
+        (True, TypeError, "must be an integer, got True"),
     ],
-    ids=["whole-float", "fraction", "zero"],
+    ids=["whole-float", "fraction", "zero", "bool"],
 )
 def test_batch_size_is_a_count(build, value, error, message):
     # a float batch size would be stored as the tensors' row count
     with pytest.raises(error, match=f"^batch_size {message}$"):
         build(value)
     assert type(build(np.int64(7)).batch_size) is int
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: build_ikjt(as_batch(ROWS), "ab"), TypeError, "^keys must be a list of feature names, got 'ab'$"),
+        (lambda: build_kjt(as_batch(ROWS), b"ab"), TypeError, "^keys must be a list of feature names, got b'ab'$"),
+        (lambda: build_kjt(as_batch(ROWS), {"a"}), TypeError, r"^keys must be a list of feature names, got \{'a'\}$"),
+        (lambda: build_kjt(as_batch(ROWS), ["a", 1]), TypeError, "^keys must hold feature names, got 1$"),
+        (lambda: build_ikjt(as_batch(ROWS), ["a", "a"]), ValueError, "^feature 'a' is listed twice in keys$"),
+        (
+            lambda: IKJT(1, "ab", [0], {"a": _jt(1), "b": _jt(1)}),
+            TypeError,
+            "^group_keys must be a list of feature names, got 'ab'$",
+        ),
+        (
+            lambda: IKJT(1, ("a", "b", "a"), [0], {"a": _jt(1), "b": _jt(1)}),
+            ValueError,
+            "^feature 'a' is listed twice in group_keys$",
+        ),
+        (
+            lambda: build_ikjt(as_batch(ROWS), ["a", "zz"]),
+            ValueError,
+            r"^feature 'zz' is not in the batch, which has \['a', 'b', 'c', 'd'\]$",
+        ),
+    ],
+    ids=["ikjt-str", "kjt-bytes", "kjt-set", "kjt-non-str", "ikjt-repeat", "IKJT-str", "IKJT-repeat", "missing"],
+)
+def test_key_list_rule(build, error, message):
+    # a string's characters became the keys, a repeated key grouped one
+    # tensor twice, and a missing key raised a bare KeyError
+    with pytest.raises(error, match=message):
+        build()
 
 
 class TestJaggedIndexSelect:

@@ -1009,11 +1009,57 @@ def _split_dedup_batch_as_baseline():
         (lambda: ModelSpec({"a": 2}, (GroupConfig(("a", "b"), "sum"),)), "^feature 'b' has no table$"),
         (lambda: ShardingPlan(2, {"a": 2}), "^feature 'a' assigned to invalid rank 2$"),
         (_split_dedup_batch_as_baseline, r"^batch lacks plain tensors for \['u', 'v'\]$"),
+        (lambda: attention_pool([], AttentionParams.create("g", 4, 0)), "^attention needs at least one feature$"),
+        (
+            lambda: attention_pool(
+                [(np.zeros((2, 4), np.float32), np.array([0, 1])), (np.zeros((1, 4), np.float32), np.array([0]))],
+                AttentionParams.create("g", 4, 0),
+            ),
+            "^group features disagree on row count$",
+        ),
     ],
-    ids=["float64-weights", "empty-group", "pooling-op", "no-table", "rank", "no-plain-tensors"],
+    ids=[
+        "float64-weights",
+        "empty-group",
+        "pooling-op",
+        "no-table",
+        "rank",
+        "no-plain-tensors",
+        "attention-no-features",
+        "attention-row-counts",
+    ],
 )
 def test_malformed_model_input_rejected(build, message):
     with pytest.raises(ValueError, match=message):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: GroupConfig("uv", "attention"), TypeError, "^group keys must be a list of feature names, got 'uv'$"),
+        (lambda: GroupConfig(("u", 1), "attention"), TypeError, "^group keys must hold feature names, got 1$"),
+        (lambda: GroupConfig(("u", "u"), "attention"), ValueError, "^feature 'u' is listed twice in group keys$"),
+    ],
+    ids=["str", "non-str", "repeat"],
+)
+def test_group_key_list_rule(build, error, message):
+    # "uv" made a two-key group and ("u", "u") one attention sequence of u twice
+    with pytest.raises(error, match=message):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: ModelSpec({"a": True}, (GroupConfig(("a",), "sum"),)), "table 'a' rows"),
+        (lambda: ModelSpec({"a": 10}, (GroupConfig(("a",), "sum"),), dim=True), "dim"),
+    ],
+    ids=["table-rows", "dim"],
+)
+def test_bool_is_not_a_count(build, field):
+    # a JSON true loaded as the count 1
+    with pytest.raises(TypeError, match=f"^{field} must be an integer, got True$"):
         build()
 
 
@@ -1032,8 +1078,9 @@ def test_malformed_model_input_rejected(build, message):
         (2.0, TypeError, "must be an integer, got 2.0"),
         (2.5, TypeError, "must be an integer, got 2.5"),
         (0, ValueError, "must be >= 1, got 0"),
+        (True, TypeError, "must be an integer, got True"),
     ],
-    ids=["whole-float", "fraction", "zero"],
+    ids=["whole-float", "fraction", "zero", "bool"],
 )
 def test_num_ranks_is_a_count(build, value, error, message):
     # a float rank count would give the plan float ranks, which
@@ -1161,9 +1208,9 @@ class TestModelSpec:
 
     def test_key_in_two_units_rejected(self):
         tables = {"a": 2, "b": 2}
-        with pytest.raises(ValueError, match="'a' is in two pooling units"):
+        with pytest.raises(ValueError, match="^feature 'a' is listed twice in pooling units$"):
             ModelSpec(tables=tables, groups=(GroupConfig(("a",), "sum"),), plain={"a": "sum", "b": "sum"})
-        with pytest.raises(ValueError, match="'a' is in two pooling units"):
+        with pytest.raises(ValueError, match="^feature 'a' is listed twice in pooling units$"):
             ModelSpec(
                 tables=tables,
                 groups=(GroupConfig(("a", "b"), "attention"), GroupConfig(("a",), "sum")),

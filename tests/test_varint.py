@@ -115,6 +115,12 @@ def test_truncated_stream_rejected():
         decode_varints(buf[:-1])
 
 
+def test_count_checked_on_an_empty_stream():
+    assert decode_varints(b"", 0).size == 0
+    with pytest.raises(ValueError, match="^expected 3 varints, stream is empty$"):
+        decode_varints(b"", 3)
+
+
 def test_overlong_varint_rejected():
     # eleven continuation-flagged bytes can never terminate a valid int64
     with pytest.raises(ValueError):
