@@ -142,7 +142,8 @@ def cmd_characterize(args: argparse.Namespace) -> int:
     f = storage.open_table(src)
     keys = args.keys.split(",") if args.keys else list(f.feature_keys)
     keys = [k for k in keys if k]
-    stripes = [storage.read_stripe(f, i) for i in range(len(f.stripes))]
+    # Laid out as each is read, so no stripe's run heads are held beside its rows.
+    stripes = [storage.read_stripe(f, i).laid_out(keys) for i in range(len(f.stripes))]
     stats = charmod.compute_dup_stats(stripes, keys, batch_size=args.batch_size)
     print(f"records: {f.row_count}")
     print(

@@ -92,7 +92,10 @@ class DataloaderSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "keys", _key_names("keys", self.keys))
-        groups = tuple(_key_names("dedup_sparse_features group", g) for g in self.dedup_sparse_features)
+        groups = self.dedup_sparse_features
+        if not isinstance(groups, (list, tuple)):
+            raise TypeError(f"dedup_sparse_features must be a list of groups, got {groups!r}")
+        groups = tuple(_key_names("dedup_sparse_features group", g) for g in groups)
         object.__setattr__(self, "dedup_sparse_features", groups)
         object.__setattr__(self, "transforms", tuple(self.transforms))
         object.__setattr__(self, "batch_size", _positive_count("batch_size", self.batch_size))

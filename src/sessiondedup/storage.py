@@ -7,14 +7,17 @@ Layout (all integers little-endian, see docs/file_format.md):
              JSON {"keys": [...], "feature_specs": [...] or null} |
              u32 CRC32 of every header byte before it
     stripe:  u32 row_count | streams in fixed order
-             (session_id, timestamp, label, then per key: offsets
-             deltas a.k.a. row lengths, then values), each stream
-             u32 raw_len | u32 comp_len | comp bytes
+             (session_id, timestamp, label, then per key: row lengths,
+             then values), each stream u32 raw_len | u32 comp_len |
+             comp bytes. A row equal to the row before it in its stripe
+             is stored as length -1 and no values.
     footer:  u32 stripe count | per stripe u64 file offset + u32 rows |
              u64 footer offset | magic
 
-Streams are varint-packed int64 before compression. Files are
-write-once; any number of readers may scan one concurrently.
+Streams are varint-packed int64 before compression. A decoded stripe
+keeps each marked feature as run heads plus a row -> head index
+(``tensors.RunJaggedTensor``). Files are write-once; any number of
+readers may scan one concurrently.
 """
 
 from __future__ import annotations
@@ -28,7 +31,10 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .tensors import KJT, JaggedTensor, _positive_count, concat_rows, jagged_index_select, slice_rows
+from .tensors import (
+    KJT, JaggedTensor, RunJaggedTensor, _key_names, _positive_count, build_kjt, concat_rows, expand_runs,
+    jagged_index_select, slice_rows, window_index
+)
 from .varint import decode_varints, encode_varints
 
 __all__ = [
@@ -44,7 +50,7 @@ __all__ = [
 ]
 
 MAGIC = b"SESSCOL1"
-VERSION = 2
+VERSION = 3
 CODEC_ZLIB = 1
 DEFAULT_STRIPE_ROWS = 4096
 DEFAULT_LEVEL = 6
@@ -88,7 +94,9 @@ class ColumnarFile:
 class ScanBatch:
     """Consecutive rows in columns, as stored: one entry per row in
     ``session_ids``, ``timestamps`` and ``labels``, and one jagged tensor
-    per feature key in ``features``."""
+    per feature key in ``features``. A batch read from a file holds a
+    feature whose stripes marked repeated rows as a ``RunJaggedTensor``;
+    ``tensors.build_kjt`` lays its rows out."""
 
     session_ids: np.ndarray
     timestamps: np.ndarray
@@ -108,6 +116,12 @@ class ScanBatch:
     def slice_rows(self, start: int, stop: int) -> "ScanBatch":
         """Rows ``[start, stop)`` as views of this batch's buffers."""
         return self._select(slice(start, stop), lambda jt: slice_rows(jt, start, stop))
+
+    def laid_out(self, keys) -> "ScanBatch":
+        """This batch's rows with features ``keys`` only, laid out row by
+        row (``tensors.build_kjt``), so no run heads stay referenced."""
+        features = build_kjt(self, keys)
+        return ScanBatch(self.session_ids, self.timestamps, self.labels, features, self.bytes_read)
 
     def take_rows(self, indices: np.ndarray) -> "ScanBatch":
         """Rows ``indices``, in that order, gathered into new buffers."""
@@ -221,10 +235,34 @@ def write_table(
 
 
 def _encode_stripe(chunk: ScanBatch, level: int) -> bytes:
-    streams = [chunk.session_ids, chunk.timestamps, chunk.labels]
+    # Each feature's streams are packed as they are made, so only one
+    # feature's copy of its head values is held at a time.
+    streams = [_pack_stream(a, level) for a in (chunk.session_ids, chunk.timestamps, chunk.labels)]
     for jt in chunk.features.entries.values():
-        streams += [jt.row_lengths(), jt.values]
-    return struct.pack("<I", len(chunk)) + b"".join(_pack_stream(a, level) for a in streams)
+        streams += [_pack_stream(a, level) for a in _mark_repeats(expand_runs(jt))]
+    return struct.pack("<I", len(chunk)) + b"".join(streams)
+
+
+def _mark_repeats(jt: JaggedTensor) -> list[np.ndarray]:
+    """One feature's lengths and values streams for a stripe: a row equal
+    to the row before it is stored as length -1 and no values. Row 0 is
+    never marked. A row is compared value by value only when its length
+    and first value match its predecessor's."""
+    lens, starts, values = jt.row_lengths(), jt.offsets, jt.values
+    rows = np.flatnonzero(lens[1:] == lens[:-1]) + 1
+    full = rows[lens[rows] > 0]
+    full = full[values[starts[full]] == values[starts[full - 1]]]
+    if full.size:
+        cells, first_cell = window_index(starts[full], lens[full])
+        # With equal lengths, the row before's cells sit one row length earlier.
+        differ = values[cells] != values[cells - np.repeat(lens[full], lens[full])]
+        full = full[~np.logical_or.reduceat(differ, first_cell)]
+    marked = np.zeros(lens.size, dtype=bool)
+    marked[rows[lens[rows] == 0]] = True
+    marked[full] = True
+    if not marked.any():
+        return [lens, values]
+    return [np.where(marked, -1, lens), values[np.repeat(~marked, lens)]]
 
 
 def open_table(path: str | Path) -> ColumnarFile:
@@ -299,20 +337,26 @@ def _parse_schema(path: Path, schema: bytes):
         named = keys if specs is None else [s["key"] for s in specs]
     except (KeyError, TypeError) as exc:
         raise StorageError(f"{path}: schema block lacks keys or feature specs: {exc!r}") from exc
-    if not isinstance(keys, list) or named != keys or len({k for k in keys if isinstance(k, str)}) != len(keys):
-        raise StorageError(f"{path}: schema keys are not unique names matching its feature specs")
-    return tuple(keys), None if specs is None else tuple(specs)
+    try:
+        keys = _key_names("schema keys", keys)
+    except (TypeError, ValueError) as exc:
+        raise StorageError(f"{path}: {exc}") from exc
+    if list(keys) != named:
+        raise StorageError(f"{path}: schema feature specs name keys {named!r}, not its keys {list(keys)}")
+    return keys, None if specs is None else tuple(specs)
 
 
-def _stream_frame(buf: memoryview, pos: int, ordinal: int) -> tuple[int, int, int]:
+def _stream_frame(buf: memoryview, pos: int, where: str) -> tuple[int, int, int]:
     """The declared (raw_len, comp_len) of the stream at ``pos`` and the
-    end of its body, which must lie inside the stripe."""
+    end of its body, which must lie inside the stripe. Errors start with
+    ``where``, which names the stripe and, for a feature's stream, the
+    feature."""
     if pos + 8 > len(buf):
-        raise StorageError(f"stripe {ordinal}: truncated stream header")
+        raise StorageError(f"{where}: truncated stream header")
     raw_len, comp_len = struct.unpack_from("<II", buf, pos)
     end = pos + 8 + comp_len
     if end > len(buf):
-        raise StorageError(f"stripe {ordinal}: truncated stream body")
+        raise StorageError(f"{where}: truncated stream body")
     return raw_len, comp_len, end
 
 
@@ -321,28 +365,26 @@ def _check_stripe_end(buf: memoryview, pos: int, ordinal: int) -> None:
         raise StorageError(f"stripe {ordinal}: {len(buf) - pos} bytes past the last stream")
 
 
-def _read_stream(buf: memoryview, pos: int, ordinal: int, count: int):
+def _read_stream(buf: memoryview, pos: int, where: str, count: int):
     """Inflate and decode the stream at ``pos``, which holds ``count``
     varints. Each varint takes 1-10 bytes, so a ``raw_len`` outside
     ``[count, 10 * count]`` is rejected before inflating, and inflation
     stops one byte past ``raw_len``: a small body can never inflate to
     more than it declares."""
-    raw_len, _, end = _stream_frame(buf, pos, ordinal)
+    raw_len, _, end = _stream_frame(buf, pos, where)
     if not count <= raw_len <= 10 * count:
-        raise StorageError(
-            f"stripe {ordinal}: stream length {raw_len} cannot hold {count} varints"
-        )
+        raise StorageError(f"{where}: stream length {raw_len} cannot hold {count} varints")
     inflate = zlib.decompressobj()
     try:
         raw = inflate.decompress(buf[pos + 8 : end], raw_len + 1)
     except zlib.error as exc:
-        raise StorageError(f"stripe {ordinal}: corrupt stream: {exc}") from exc
+        raise StorageError(f"{where}: corrupt stream: {exc}") from exc
     if len(raw) != raw_len or not inflate.eof:
-        raise StorageError(f"stripe {ordinal}: stream does not inflate to its {raw_len} bytes")
+        raise StorageError(f"{where}: stream does not inflate to its {raw_len} bytes")
     try:
         arr = decode_varints(raw, count)
     except ValueError as exc:
-        raise StorageError(f"stripe {ordinal}: corrupt varints: {exc}") from exc
+        raise StorageError(f"{where}: corrupt varints: {exc}") from exc
     return arr, end
 
 
@@ -365,23 +407,33 @@ def read_stripe(file: ColumnarFile, ordinal: int) -> ScanBatch:
         )
     if rows == 0:
         raise StorageError(f"stripe {ordinal}: no rows")
-    pos = 4
-    sids, pos = _read_stream(buf, pos, ordinal, rows)
-    ts, pos = _read_stream(buf, pos, ordinal, rows)
-    labels, pos = _read_stream(buf, pos, ordinal, rows)
+    pos, where = 4, f"stripe {ordinal}"
+    sids, pos = _read_stream(buf, pos, where, rows)
+    ts, pos = _read_stream(buf, pos, where, rows)
+    labels, pos = _read_stream(buf, pos, where, rows)
     entries = {}
     for key in file.feature_keys:
-        lengths, pos = _read_stream(buf, pos, ordinal, rows)
-        if lengths.min() < 0:
-            raise StorageError(f"stripe {ordinal}: feature {key!r}: negative row length")
-        total = int(lengths.sum())
+        where = f"stripe {ordinal}: feature {key!r}"
+        lengths, pos = _read_stream(buf, pos, where, rows)
+        if lengths.min() < -1:
+            row = int(np.argmax(lengths < -1))
+            raise StorageError(
+                f"{where}: negative row length {lengths[row]} at row {row}, below the repeat mark -1"
+            )
+        if lengths[0] < 0:
+            raise StorageError(f"{where}: negative row length")
+        repeats = lengths == -1
+        marked = bool(repeats.any())
+        heads = lengths[~repeats] if marked else lengths
+        total = int(heads.sum())
         if total < 0:
-            raise StorageError(f"stripe {ordinal}: feature {key!r}: row lengths sum past 2^63")
-        values, pos = _read_stream(buf, pos, ordinal, total)
+            raise StorageError(f"{where}: row lengths sum past 2^63")
+        values, pos = _read_stream(buf, pos, where, total)
         try:
-            entries[key] = JaggedTensor.from_lengths(values, lengths)
+            jt = JaggedTensor.from_lengths(values, heads)
         except ValueError as exc:
-            raise StorageError(f"stripe {ordinal}: feature {key!r}: {exc}") from exc
+            raise StorageError(f"{where}: {exc}") from exc
+        entries[key] = RunJaggedTensor(jt, np.cumsum(~repeats) - 1) if marked else jt
     _check_stripe_end(buf, pos, ordinal)
     features = KJT(batch_size=rows, entries=entries)
     return ScanBatch(sids, ts, labels, features, bytes_read=info.byte_size)
@@ -429,7 +481,7 @@ def stream_sizes(file: ColumnarFile) -> tuple[int, int]:
             buf = memoryview(f.read(info.byte_size))
             pos = 4
             for _ in range(n_streams):
-                raw_len, comp_len, pos = _stream_frame(buf, pos, ordinal)
+                raw_len, comp_len, pos = _stream_frame(buf, pos, f"stripe {ordinal}")
                 raw_total += raw_len
                 comp_total += comp_len
             _check_stripe_end(buf, pos, ordinal)

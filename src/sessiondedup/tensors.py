@@ -14,7 +14,12 @@ comparing whole zero-padded rows.
 
 Only this module knows the jagged layout: :meth:`JaggedTensor.from_lengths`
 builds offsets, :func:`_check_offsets` checks them, :func:`concat_rows`
-joins tensors. Tensors are immutable (their buffers are read-only) and
+joins tensors. A :class:`RunJaggedTensor` holds rows as the heads of runs
+of equal consecutive rows plus a row -> head index, as a stored stripe
+marks them; :func:`slice_rows`, :func:`concat_rows` and
+:func:`jagged_index_select` take either kind, :func:`build_ikjt` keys
+heads only, and :func:`expand_runs` (which :func:`build_kjt` calls) lays
+the rows out. Tensors are immutable (their buffers are read-only) and
 safe to share across threads.
 """
 
@@ -30,6 +35,7 @@ import numpy as np
 
 __all__ = [
     "JaggedTensor",
+    "RunJaggedTensor",
     "KJT",
     "IKJT",
     "PartialIKJT",
@@ -43,6 +49,7 @@ __all__ = [
     "window_index",
     "concat_rows",
     "slice_rows",
+    "expand_runs",
     "unique_first_occurrence",
     "dedupe_len",
     "dedupe_factor",
@@ -185,11 +192,70 @@ def jt_equal(a: JaggedTensor, b: JaggedTensor) -> bool:
 
 
 @dataclass(frozen=True, eq=False)
+class RunJaggedTensor:
+    """Rows stored once per run of equal consecutive rows: row ``i`` is
+    row ``head_index[i]`` of ``heads``.
+
+    ``head_index`` starts at 0 and steps by 0 or 1, so the heads keep row
+    order and each is the first row of its run. Two heads may still be
+    equal (a run cut by a stripe boundary, or an A B A pattern).
+    """
+
+    heads: JaggedTensor
+    head_index: np.ndarray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "head_index", _freeze(self.head_index))
+        idx, n = self.head_index, self.heads.row_count
+        steps = np.diff(idx).view(_U64)  # a negative step, as uint64, is above 1 too
+        if (idx[0] != 0 or idx[-1] != n - 1 or np.any(steps > 1)) if idx.size else n:
+            raise ValueError(
+                f"head_index must start at 0, step by 0 or 1 and end at the last of the {n} heads"
+            )
+
+    @property
+    def row_count(self) -> int:
+        return int(self.head_index.size)
+
+    def is_head(self) -> np.ndarray:
+        """Whether each row starts a run."""
+        return np.diff(self.head_index, prepend=-1) != 0
+
+
+# Copying one slice costs about as much as gathering 64 values (x86_64,
+# NumPy 2.4: 4096 rows of 12 or 48 values, 1 to 2048 repeats).
+_SLICE_VALUES = 64
+
+
+def expand_runs(jt: JaggedTensor | RunJaggedTensor) -> JaggedTensor:
+    """The rows of ``jt`` laid out one by one, ``jt`` itself unless it is
+    a :class:`RunJaggedTensor`.
+
+    Between two repeats, rows take consecutive heads, so each stretch of
+    rows is one slice of the heads' values. With few repeats the
+    stretches are copied as slices; otherwise the rows are gathered.
+    """
+    if not isinstance(jt, RunJaggedTensor):
+        return jt
+    heads, idx = jt.heads, jt.head_index
+    head_lengths = heads.row_lengths()
+    repeats = np.flatnonzero(~jt.is_head())
+    if repeats.size * _SLICE_VALUES >= head_lengths[idx].sum():
+        return jagged_index_select(heads, idx)
+    lo = heads.offsets[idx[np.append(0, repeats)]]
+    hi = (heads.offsets + head_lengths)[idx[np.append(repeats, idx.size) - 1]]
+    values = np.concatenate([heads.values[a:b] for a, b in zip(lo.tolist(), hi.tolist())])
+    return JaggedTensor.from_lengths(values, head_lengths[idx])
+
+
+@dataclass(frozen=True, eq=False)
 class KJT:
-    """Keyed jagged tensor: one JaggedTensor of ``batch_size`` rows per feature key."""
+    """Keyed jagged tensor: one tensor of ``batch_size`` rows per feature
+    key, a JaggedTensor or, for a batch read from storage, a
+    RunJaggedTensor."""
 
     batch_size: int
-    entries: Mapping[str, JaggedTensor]
+    entries: Mapping[str, JaggedTensor | RunJaggedTensor]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "batch_size", _positive_count("batch_size", self.batch_size))
@@ -294,10 +360,8 @@ class PartialIKJT:
         return self.values[off : off + length]
 
 
-def build_kjt(rows, keys: Sequence[str]) -> KJT:
-    """Gather ``keys`` of a columnar batch into a KJT, preserving batch
-    order and sharing its buffers. ``rows`` is a batch whose ``features``
-    is a KJT, such as a storage ``ScanBatch``."""
+def _entries(rows, keys: Sequence[str]) -> dict:
+    """The tensors of ``keys`` in a columnar batch, as stored."""
     keys = _key_names("keys", keys)
     if not rows:
         raise ValueError("empty batch")
@@ -305,7 +369,17 @@ def build_kjt(rows, keys: Sequence[str]) -> KJT:
     for key in keys:
         if key not in have:
             raise ValueError(f"feature {key!r} is not in the batch, which has {list(have)}")
-    return KJT(rows.features.batch_size, {key: have[key] for key in keys})
+    return {key: have[key] for key in keys}
+
+
+def build_kjt(rows, keys: Sequence[str]) -> KJT:
+    """Gather ``keys`` of a columnar batch into a KJT, preserving batch
+    order. A tensor stored as run heads is laid out row by row
+    (:func:`expand_runs`); any other shares the batch's buffers.
+    ``rows`` is a batch whose ``features`` is a KJT, such as a storage
+    ``ScanBatch``."""
+    entries = _entries(rows, keys)
+    return KJT(rows.features.batch_size, {key: expand_runs(jt) for key, jt in entries.items()})
 
 
 def splitmix64(x):
@@ -435,16 +509,35 @@ def build_ikjt(rows, group: Sequence[str]) -> IKJT:
     so unequal rows can never merge. Unique rows are numbered in
     first-occurrence order. ``rows`` is a columnar batch such as a
     storage ``ScanBatch``.
+
+    When every member is stored as run heads, only the group's heads are
+    keyed: a row is a group head when any member's row starts a run.
+    Every other row equals the group head before it in every member, so
+    each distinct row first occurs at a group head, and the other rows
+    take their head's ordinal.
     """
-    kjt = build_kjt(rows, group)
-    if not kjt.keys:
+    entries = _entries(rows, group)
+    if not entries:
         raise ValueError("empty dedup group")
-    first, inverse = _unique_rows(list(kjt.entries.values()))
+    jts = list(entries.values())
+    head_of = None  # row -> group head ordinal, when only heads are keyed
+    if all(isinstance(jt, RunJaggedTensor) for jt in jts):
+        is_head = np.logical_or.reduce([jt.is_head() for jt in jts])
+        at = np.flatnonzero(is_head)
+        # A member whose heads are the group's needs no gather.
+        jts = [
+            jt.heads if jt.heads.row_count == at.size else jagged_index_select(jt.heads, jt.head_index[at])
+            for jt in jts
+        ]
+        head_of = np.cumsum(is_head) - 1
+    else:
+        jts = [expand_runs(jt) for jt in jts]
+    first, inverse = _unique_rows(jts)
     return IKJT(
-        batch_size=kjt.batch_size,
-        group_keys=kjt.keys,
-        inverse_lookup=inverse,
-        per_feature={key: jagged_index_select(jt, first) for key, jt in kjt.entries.items()},
+        batch_size=rows.features.batch_size,
+        group_keys=tuple(entries),
+        inverse_lookup=inverse if head_of is None else inverse[head_of],
+        per_feature={key: jagged_index_select(jt, first) for key, jt in zip(entries, jts)},
     )
 
 
@@ -499,17 +592,21 @@ def _suffix_overlap(buf: bytearray, needle: bytes, item: int, max_len: int) -> i
     return 0
 
 
-def jagged_index_select(jt: JaggedTensor, indices) -> JaggedTensor:
+def jagged_index_select(jt: JaggedTensor | RunJaggedTensor, indices) -> JaggedTensor:
     """Select rows of a jagged tensor without densifying.
 
     Output row k equals input row ``indices[k]``; the output value buffer
-    holds exactly the selected rows' elements.
+    holds exactly the selected rows' elements. Rows of a
+    :class:`RunJaggedTensor` are gathered from its heads through its
+    index, so the selection is still one gather.
     """
     idx = np.asarray(indices, dtype=np.int64)
     n = jt.row_count
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         p = int(np.flatnonzero((idx < 0) | (idx >= n))[0])
         raise IndexError(f"index {int(idx[p])} at position {p} out of range for {n} rows")
+    if isinstance(jt, RunJaggedTensor):
+        jt, idx = jt.heads, jt.head_index[idx]
     return gather_windows(jt.values, jt.offsets[idx], jt.row_lengths()[idx])
 
 
@@ -532,17 +629,33 @@ def gather_windows(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray) 
     return JaggedTensor(values=values[gather], offsets=out_offsets)
 
 
-def concat_rows(jts: Sequence[JaggedTensor]) -> JaggedTensor:
-    """The rows of ``jts``, in order, in one tensor with new buffers."""
-    return JaggedTensor.from_lengths(
-        np.concatenate([jt.values for jt in jts]),
-        np.concatenate([jt.row_lengths() for jt in jts]),
+def concat_rows(jts: Sequence[JaggedTensor | RunJaggedTensor]) -> JaggedTensor | RunJaggedTensor:
+    """The rows of ``jts``, in order, in one tensor with new buffers: run
+    heads and their index if any part holds runs, where a plain part's
+    every row is a head."""
+    runs = [isinstance(jt, RunJaggedTensor) for jt in jts]
+    heads = [jt.heads if run else jt for jt, run in zip(jts, runs)]
+    joined = JaggedTensor.from_lengths(
+        np.concatenate([jt.values for jt in heads]),
+        np.concatenate([jt.row_lengths() for jt in heads]),
     )
+    if not any(runs):
+        return joined
+    base = _starts(np.array([jt.row_count for jt in heads], dtype=np.int64))
+    index = [
+        (jt.head_index if run else np.arange(jt.row_count)) + b
+        for jt, run, b in zip(jts, runs, base)
+    ]
+    return RunJaggedTensor(joined, np.concatenate(index))
 
 
-def slice_rows(jt: JaggedTensor, start: int, stop: int) -> JaggedTensor:
+def slice_rows(jt: JaggedTensor | RunJaggedTensor, start: int, stop: int) -> JaggedTensor | RunJaggedTensor:
     """Rows ``[start, stop)`` as views of the tensor's buffers, offsets
-    rebased to 0."""
+    rebased to 0. A slice of run heads keeps the heads its rows use, so a
+    slice that starts inside a run holds that run's head."""
+    if isinstance(jt, RunJaggedTensor):
+        first, last = int(jt.head_index[start]), int(jt.head_index[stop - 1])
+        return RunJaggedTensor(slice_rows(jt.heads, first, last + 1), jt.head_index[start:stop] - first)
     lo = jt.offsets[start]
     hi = jt.offsets[stop] if stop < jt.row_count else jt.values.size
     return JaggedTensor(values=jt.values[lo:hi], offsets=jt.offsets[start:stop] - lo)

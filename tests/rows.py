@@ -12,7 +12,7 @@ import numpy as np
 
 from sessiondedup import storage
 from sessiondedup.storage import ScanBatch
-from sessiondedup.tensors import KJT, JaggedTensor
+from sessiondedup.tensors import KJT, JaggedTensor, expand_runs
 from sessiondedup.varint import encode_varints
 
 
@@ -56,7 +56,7 @@ def as_records(batch: ScanBatch) -> list[ImpressionRecord]:
     views of the table's value buffers."""
     cols = [
         (key, jt.values, np.append(jt.offsets, jt.values.size).tolist())
-        for key, jt in batch.features.entries.items()
+        for key, jt in ((key, expand_runs(jt)) for key, jt in batch.features.entries.items())
     ]
     rows = zip(batch.session_ids.tolist(), batch.timestamps.tolist(), batch.labels.tolist())
     return [
@@ -86,6 +86,7 @@ def column_digest(table):
     for column in (table.session_ids, table.timestamps, table.labels):
         h.update(column.astype("<i8").tobytes())
     for key, jt in table.features.entries.items():
+        jt = expand_runs(jt)
         h.update(key.encode())
         h.update(np.diff(jt.offsets, append=jt.values.size).astype("<i8").tobytes())
         h.update(jt.values.astype("<i8").tobytes())

@@ -169,6 +169,18 @@ class TestSpecValidation:
         with pytest.raises(TypeError, match="^keys must be a list of feature names, got 'ab'$"):
             load_dataloader_spec(path)
 
+    def test_group_list_string_in_spec_file_rejected(self, tmp_path):
+        # the error named the letter 'a', not the string the file holds
+        path = tmp_path / "spec.json"
+        path.write_text('{"keys": ["a", "b"], "dedup_sparse_features": "ab"}')
+        with pytest.raises(TypeError, match="^dedup_sparse_features must be a list of groups, got 'ab'$"):
+            load_dataloader_spec(path)
+
+    def test_group_set_rejected(self):
+        # a set of groups has no order, so the IKJTs' order would be arbitrary
+        with pytest.raises(TypeError, match=r"^dedup_sparse_features must be a list of groups, got \{\('a',\)\}$"):
+            DataloaderSpec(keys=("a",), dedup_sparse_features={("a",)})
+
     def test_unknown_transform_key_rejected(self):
         with pytest.raises(ValueError, match="unknown key"):
             DataloaderSpec(

@@ -21,7 +21,10 @@ from rows import (
     serialize_log_records,
     write_raw_stripe,
 )
-from sessiondedup.tensors import KJT, JaggedTensor
+from sessiondedup import tensors
+from sessiondedup.tensors import (
+    KJT, JaggedTensor, RunJaggedTensor, build_ikjt, expand_runs, jagged_index_select, jt_equal
+)
 from sessiondedup.datagen import (
     FeatureSpec,
     SampleCountDist,
@@ -244,11 +247,12 @@ class TestValidation:
         read_stripe(reopened, 0)
 
     def test_unknown_version(self, records, tmp_path):
-        # version 1 (a key-name list with no checksum) is no longer read
+        # version 1 (a key-name list with no checksum) and version 2 (no
+        # repeat marks) are no longer read
         path = tmp_path / "t.sesscol"
         write_table(as_batch(records), path)
         good = path.read_bytes()
-        for version in (99, 1):
+        for version in (99, 1, 2):
             data = bytearray(good)
             struct.pack_into("<I", data, len(MAGIC), version)
             path.write_bytes(bytes(data))
@@ -314,7 +318,10 @@ class TestCompression:
         fb = write_table(as_batch(records), pb, clustering="by_session")
         raw_a, comp_a = stream_sizes(fa)
         raw_b, comp_b = stream_sizes(fb)
-        assert raw_b / comp_b > raw_a / comp_a
+        # Clustered rows repeat, and a repeat is stored as one length mark,
+        # so the clustered streams are smaller before and after zlib.
+        assert raw_b < raw_a
+        assert comp_b < comp_a
         assert pb.stat().st_size < pa.stat().st_size
 
     def test_report_identities(self, records, tmp_path):
@@ -342,11 +349,13 @@ def _row_tuples(batches):
 
 @pytest.fixture(scope="module")
 def small_file(tmp_path_factory):
+    # Each session repeats ``g`` on every row and each ``f`` list (empty
+    # ones too) on two rows, so most stripes hold repeat marks.
     recs = [
         ImpressionRecord(
             s,
             t,
-            {"f": np.arange(t % 4, dtype=np.int64) + s, "g": np.array([s], dtype=np.int64)},
+            {"f": np.arange(t // 2 % 3, dtype=np.int64) + s, "g": np.array([s], dtype=np.int64)},
             t % 2,
         )
         for s in range(3)
@@ -416,7 +425,8 @@ def _wide_table() -> ScanBatch:
 @pytest.fixture(scope="module")
 def wide_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("wide") / "wide.sesscol"
-    write_table(_wide_table(), path, stripe_rows=37)
+    # clustered, so the ``wide`` feature's stripes hold repeat marks
+    write_table(_wide_table(), path, stripe_rows=37, clustering="by_session")
     return path, path.read_bytes(), _row_tuples(scan(open_table(path), 4))
 
 
@@ -441,8 +451,9 @@ class TestWideValues:
             np.testing.assert_array_equal(getattr(got, name), getattr(t, name))
         assert list(got.features.entries) == list(t.features.entries)
         for key, jt in t.features.entries.items():
-            np.testing.assert_array_equal(got.features.entries[key].values, jt.values)
-            np.testing.assert_array_equal(got.features.entries[key].offsets, jt.offsets)
+            stored = expand_runs(got.features.entries[key])
+            np.testing.assert_array_equal(stored.values, jt.values)
+            np.testing.assert_array_equal(stored.offsets, jt.offsets)
 
 
 def _with_schema(path, good, schema, out):
@@ -667,6 +678,29 @@ class TestCorruption:
         with pytest.raises(StorageError):
             open_table(bad)
 
+    @pytest.mark.parametrize(
+        "schema, message",
+        [
+            (b'{"keys": ["f", "f"], "feature_specs": null}', "feature 'f' is listed twice in schema keys$"),
+            (
+                b'{"keys": "fg", "feature_specs": null}',
+                "schema keys must be a list of feature names, got 'fg'$",
+            ),
+            (b'{"keys": ["f", 1], "feature_specs": null}', "schema keys must hold feature names, got 1$"),
+            (
+                b'{"keys": ["f", "g"], "feature_specs": [{"key": "g"}, {"key": "f"}]}',
+                r"schema feature specs name keys \['g', 'f'\], not its keys \['f', 'g'\]$",
+            ),
+        ],
+        ids=["repeat", "string", "non-string", "spec-order"],
+    )
+    def test_schema_key_faults_named(self, small_file, tmp_path, schema, message):
+        path, good, _ = small_file
+        bad = tmp_path / "bad-schema.sesscol"
+        _with_schema(path, good, schema, bad)
+        with pytest.raises(StorageError, match=message):
+            open_table(bad)
+
     @pytest.mark.parametrize("delta, message", [(50, "truncated stream body"), (-1, "past the last stream")])
     def test_stream_sizes_checks_stream_framing(self, small_file, tmp_path, delta, message):
         # Change the last stream's comp_len in stripe 0: its body then runs
@@ -700,8 +734,166 @@ class TestCorruption:
     def test_wide_value_corruption_raises_only_storage_error(self, wide_file, data):
         """The same damage, and the same rule for the header, on a file
         written without feature specs whose streams take the codec's
-        per-byte-position path."""
+        per-byte-position path, clustered so that its ``wide`` rows
+        repeat."""
         _corrupt_and_scan(*wide_file, data)
+
+
+def _marked_stripes(path):
+    """How many (stripe, feature) pairs of a file hold repeat marks."""
+    f = open_table(path)
+    stripes = (read_stripe(f, i) for i in range(len(f.stripes)))
+    return sum(isinstance(jt, RunJaggedTensor) for b in stripes for jt in b.features.entries.values())
+
+
+def _feature_streams(path):
+    """The decoded (lengths, values) streams of feature ``f`` in each
+    stripe, as stored."""
+    f = open_table(path)
+    out = []
+    for info in f.stripes:
+        buf = memoryview(path.read_bytes()[info.offset : info.offset + info.byte_size])
+        rows, pos = info.row_count, 4
+        for _ in range(3):
+            _, pos = storage._read_stream(buf, pos, "stripe", rows)
+        lengths, pos = storage._read_stream(buf, pos, "stripe", rows)
+        values, _ = storage._read_stream(buf, pos, "stripe", int(lengths[lengths >= 0].sum()))
+        out.append((lengths.tolist(), values.tolist()))
+    return out
+
+
+A, B, C = [1, 2, 3], [4], [1, 2, 4]
+
+
+def _rows(*lists, key="f"):
+    return [{key: row} for row in lists]
+
+
+def _check_scanned_groups(path, rows, group, stripe_rows, batch_size):
+    """Write ``rows`` (feature dicts), scan them back in ``batch_size``
+    batches, and check each batch's IKJT of ``group`` against the same
+    rows laid out: ``build_ikjt`` over them and the padded oracle. Also
+    check the laid-out rows against ``rows``. Returns how many
+    (batch, feature) pairs were read as run heads."""
+    write_table(as_batch(rows), path, stripe_rows=stripe_rows)
+    f = open_table(path)
+    runs = start = 0
+    for batch in scan(f, batch_size):
+        runs += sum(isinstance(jt, RunJaggedTensor) for jt in batch.features.entries.values())
+        plain = batch.laid_out(batch.features.keys)
+        laid_out = plain.features
+        assert all(type(jt) is JaggedTensor for jt in laid_out.entries.values())
+        for key, jt in laid_out.entries.items():
+            assert jt.to_pylists() == [list(r[key]) for r in rows[start : start + len(batch)]]
+        got, want = build_ikjt(batch, group), build_ikjt(plain, group)
+        first, inverse = tensors._unique_rows_padded([laid_out.entries[k] for k in group])
+        np.testing.assert_array_equal(got.inverse_lookup, want.inverse_lookup)
+        np.testing.assert_array_equal(got.inverse_lookup, inverse)
+        for key in group:
+            assert jt_equal(got.per_feature[key], want.per_feature[key])
+            assert jt_equal(got.per_feature[key], jagged_index_select(laid_out.entries[key], first))
+        start += len(batch)
+    assert start == len(rows)
+    return runs
+
+
+class TestRunMarks:
+    """A row equal to the row before it in its stripe is stored as length
+    -1 and no values; the reader keeps such a feature as run heads and
+    ``build_ikjt`` keys the heads only."""
+
+    def test_repeats_stored_as_one_length_mark(self, tmp_path):
+        path = tmp_path / "marks.sesscol"
+        write_table(as_batch(_rows(A, A, [], [], B, A, A, A)), path, stripe_rows=4)
+        assert _feature_streams(path) == [([3, -1, 0, -1], A), ([1, 3, -1, -1], B + A)]
+
+    def test_stripe_without_repeats_reads_as_plain_rows(self, tmp_path):
+        path = tmp_path / "plain.sesscol"
+        write_table(as_batch(_rows(A, B, A, C)), path)
+        assert _feature_streams(path) == [([3, 1, 3, 3], A + B + A + C)]
+        assert type(read_stripe(open_table(path), 0).features.entries["f"]) is JaggedTensor
+
+    @pytest.mark.parametrize(
+        "rows, group, stripe_rows, batch_size, marked",
+        [
+            (_rows(A, B) * 6, ("f",), 5, 4, False),
+            (_rows(A, A, B, B) * 6, ("f",), 7, 5, True),
+            (_rows(*[A] * 20), ("f",), 20, 8, True),
+            (_rows([], [], [], B, B, [], [], [], A, []), ("f",), 4, 3, True),
+            (_rows(A, B, C, A) * 4, ("f",), 1, 3, False),
+            (
+                [{"f": f, "g": g} for f, g in zip([A, A, A, B, B, B, B, A], [B, C, C, C, C, [], [], []])],
+                ("f", "g"),
+                8,
+                8,
+                True,
+            ),
+            (
+                [{"f": A, "g": [i]} for i in range(6)] + [{"f": B, "g": [5]}] * 3,
+                ("f", "g"),
+                9,
+                4,
+                True,
+            ),
+        ],
+        ids=[
+            "abab-no-adjacent-repeat",
+            "aabb-heads-repeat",
+            "all-repeats",
+            "empty-rows-repeat",
+            "one-row-stripes",
+            "two-keys-heads-differ",
+            "one-member-without-marks",
+        ],
+    )
+    def test_adversarial_runs(self, tmp_path, rows, group, stripe_rows, batch_size, marked):
+        runs = _check_scanned_groups(tmp_path / "runs.sesscol", rows, group, stripe_rows, batch_size)
+        assert (runs > 0) == marked
+
+    def test_runs_cross_stripe_and_batch_boundaries(self, tmp_path):
+        rng = np.random.default_rng(3)
+        pool = [A, B, C, [], [7, 7]]
+        rows = [
+            {"f": pool[p], "g": [p % 2]} for p in rng.integers(0, 5, 60) for _ in range(rng.integers(1, 12))
+        ]
+        assert len(rows) > 200
+        runs = _check_scanned_groups(tmp_path / "cross.sesscol", rows, ("f", "g"), 100, 64)
+        assert runs > 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_random_runs_match_laid_out_rows(self, tmp_path_factory, data):
+        value = st.lists(st.integers(-2, 2), max_size=3)
+        pool = data.draw(st.lists(st.tuples(value, value), min_size=1, max_size=4))
+        run = st.tuples(st.integers(0, len(pool) - 1), st.integers(1, 6))
+        picks = data.draw(st.lists(run, min_size=1, max_size=12))
+        rows = [{"f": pool[p][0], "g": pool[p][1]} for p, n in picks for _ in range(n)]
+        group = data.draw(st.sampled_from([("f",), ("g", "f")]))
+        stripe_rows = data.draw(st.integers(1, 20))
+        batch_size = data.draw(st.integers(1, 20))
+        path = tmp_path_factory.mktemp("runs") / "runs.sesscol"
+        _check_scanned_groups(path, rows, group, stripe_rows, batch_size)
+
+    def test_fuzzed_files_hold_repeat_marks(self, small_file, wide_file):
+        # so that the corruption tests' bit flips reach the length marks
+        assert _marked_stripes(small_file[0]) >= 3
+        assert _marked_stripes(wide_file[0]) >= 3
+
+    @pytest.mark.parametrize(
+        "lengths, values, message",
+        [
+            ([1, -2], [5], "negative row length -2 at row 1, below the repeat mark -1$"),
+            ([2, -1, 1, -9], [5, 6, 7], "negative row length -9 at row 3, below the repeat mark -1$"),
+            ([2, -1, 1], [5, 6], "stream length 2 cannot hold 3 varints$"),
+            ([2, -1, 1], [5, 6, 5, 6, 7], "corrupt varints: expected 3 varints, found 5$"),
+        ],
+        ids=["minus-two", "minus-nine-last", "values-short", "repeat-values-stored"],
+    )
+    def test_corrupt_marks_name_stripe_and_feature(self, tmp_path, lengths, values, message):
+        path = tmp_path / "bad-marks.sesscol"
+        write_raw_stripe(path, lengths, values)
+        with pytest.raises(StorageError, match="^stripe 0: feature 'f': " + message):
+            read_stripe(open_table(path), 0)
 
 
 def _golden_configs():
@@ -771,91 +963,91 @@ def _golden_digests(tmp_path, monkeypatch, capsys):
 
 
 GOLDEN_DIGESTS = {
-    "default-s0-gen-none.stdout": "6e240349f6b75e3dc0612751ac037a41d5f80c37268e367b7c6d62bca224f464",
-    "default-s0-gen-none": "3f6530bb68a5936cd630293e66add4830670b6bdc7875935fe4bb74303311e49",
+    "default-s0-gen-none.stdout": "75d2a634ebae38e2d73978bcdfd49a018647091a45b42c468a598d4ee3d7d69b",
+    "default-s0-gen-none": "0db0dc13188c0f9cefdef130c87b756a8faeec9091c4e04b065f5e72b75b8d15",
     "default-s0-gen-none.columns": "19f88191e7fcc93d9268a5bb291900cb3f3b5f2447bc1762c81bc606d5797bc0",
-    "default-s0-gen-by_session.stdout": "5ad9d66df5496fa1ddcfe59f69258cb91761099381084b30c7d65c8ab1375d6e",
-    "default-s0-gen-by_session": "4637ba7a249ed4968b465f1cf5d16abe720155d06020ef890eaa5d14b5837e1d",
+    "default-s0-gen-by_session.stdout": "d37a8bd7e8bbe2fb4b85eb7bade5ce7e53b0b8ede81e08b726e19b18bce90889",
+    "default-s0-gen-by_session": "3cacc525737e500e7ad89e2e4fb5c8d0fc7fcf3a7b0ab10fa81e4bc68844e14d",
     "default-s0-gen-by_session.columns": "7beca8b792b71d1690dc3a546052f68730c57b011391893d11e0255661dca517",
-    "default-s0-cluster.stdout": "a6d3db3abc106998c62844639cd861b8a6645c69a0062a85f8fad012a7bb804d",
-    "default-s0-cluster": "4637ba7a249ed4968b465f1cf5d16abe720155d06020ef890eaa5d14b5837e1d",
+    "default-s0-cluster.stdout": "c88521c8040224e6e0a28590b268030beb4daa26ef60a3e7ed084f623860d9c0",
+    "default-s0-cluster": "3cacc525737e500e7ad89e2e4fb5c8d0fc7fcf3a7b0ab10fa81e4bc68844e14d",
     "default-s0-cluster.columns": "7beca8b792b71d1690dc3a546052f68730c57b011391893d11e0255661dca517",
     "default-s0-characterize.stdout": "099c4c411d64cf9e04deea850adc5bd81e22cfed3aa2ce7c38d4d636dcf0dfec",
     "default-s0-characterize": "ce7303521d86f89cbb0eb232dcc68f9cd550dfd1c13f88352204ab0bc7ab6cca",
-    "default-s1-gen-none.stdout": "45bb4e9d8beba661b78e80fb414d2a7d953053539875fdc1d4ee2c53816eb60e",
-    "default-s1-gen-none": "a21f3a9fd553509bc24b0ab24ef562f2d2ec8673aa95fb411d03852bc19f4b21",
+    "default-s1-gen-none.stdout": "d1ffd3ee514981a62190c0d96799fec76bb1cbc23b6999bdc5ed74895c961dc1",
+    "default-s1-gen-none": "55be8165270dc4ec028dc097e5105bd44edef5a13132e7c55884c95865e86c9d",
     "default-s1-gen-none.columns": "c9fa3471b85f7445f1bb1ba05030ac95656642692d3743bedafe454c0b9c548e",
-    "default-s1-gen-by_session.stdout": "5944884224fec9b45a508a116161dc225b748d2c5e68c8fba2379b05b5bdfa50",
-    "default-s1-gen-by_session": "114c7cfd8c1afeb63aee06127ee44400e805d4884e0397ea33c439a531eb9363",
+    "default-s1-gen-by_session.stdout": "a64881547d96ce1045e60401e0d392ac839192f8978dba17458b708d5623a07d",
+    "default-s1-gen-by_session": "393b7e7deaa5fee8de1a26447ed26aca07a7bb07e350323b3818c5a6cf88a24b",
     "default-s1-gen-by_session.columns": "bf1471a23b4fc8f7f20d58d0a9f70051ee859eef20d9647d27f5eeca5cd03b11",
-    "default-s1-cluster.stdout": "557358d1c47eb59d49a2743234519f02946f058cdbf9155b8bc1448d93f69514",
-    "default-s1-cluster": "114c7cfd8c1afeb63aee06127ee44400e805d4884e0397ea33c439a531eb9363",
+    "default-s1-cluster.stdout": "eaf0e013cd68dc56053aa212c07db4477c0808bfb8fe9f4512f2323d435c2f51",
+    "default-s1-cluster": "393b7e7deaa5fee8de1a26447ed26aca07a7bb07e350323b3818c5a6cf88a24b",
     "default-s1-cluster.columns": "bf1471a23b4fc8f7f20d58d0a9f70051ee859eef20d9647d27f5eeca5cd03b11",
     "default-s1-characterize.stdout": "345dd73e1fd958177a9470bb14c8a752ddec20ab2a88a78628cabcb79fe590a8",
     "default-s1-characterize": "15c8c462332c530b5af4437519a309b0096e613fb72520afcd88b6c6e089d580",
-    "fixed1-s0-gen-none.stdout": "c8892b5bb15823373cbf93c409a4f5f5ef0697aad0bc6a30c3d63fe69f185861",
-    "fixed1-s0-gen-none": "357b9c6ef816b65241823b2114afabd0ca3bc7e60c7f565109555f4a8d7abc1e",
+    "fixed1-s0-gen-none.stdout": "a626987bb0b2d0351beb89df366d6ad80fa89993ec42fe8a3209838565c6fe96",
+    "fixed1-s0-gen-none": "2a7635109d6475760b19d38c5a511e199c31d9d2812a810d44897ba0993cb9f2",
     "fixed1-s0-gen-none.columns": "dccceb83dd1af1e0fe5ef96c4b5ca570ca9b4ef773a9ce99319f31993b74c19b",
-    "fixed1-s0-gen-by_session.stdout": "7d017d5c02b820eabfcfcccb66956f3d384d3f98c9cbbe095a18bd1b96a2a272",
-    "fixed1-s0-gen-by_session": "671da344fcbb787c246033e3a86690b9e65ecd85a52c5b14bb0d5e542472366c",
+    "fixed1-s0-gen-by_session.stdout": "6c59bf7e3f2f92de335b6a04032d163b39f39bb619f102b61d90b8f818ce1dbd",
+    "fixed1-s0-gen-by_session": "39b4d56c9c8b70a6f0df924858de3cbb523f1185924b4031d8797d3628e9746f",
     "fixed1-s0-gen-by_session.columns": "c7cded80aea84decc95f21ef57b344c507ab6edaee99f0860057ea174205df05",
-    "fixed1-s0-cluster.stdout": "91b7fc6db6f6b74a7092f7f28d43a49ce5178f2ba672681080ea5ef434698938",
-    "fixed1-s0-cluster": "671da344fcbb787c246033e3a86690b9e65ecd85a52c5b14bb0d5e542472366c",
+    "fixed1-s0-cluster.stdout": "45119d407afa2e8567b3d9199cb1d5af3c24e5f6a913e252dad8d601b12c65f0",
+    "fixed1-s0-cluster": "39b4d56c9c8b70a6f0df924858de3cbb523f1185924b4031d8797d3628e9746f",
     "fixed1-s0-cluster.columns": "c7cded80aea84decc95f21ef57b344c507ab6edaee99f0860057ea174205df05",
     "fixed1-s0-characterize.stdout": "78e5b53f863f70ab9f8c36cb78d24c663ce56a80f8b23992168e409155d1401f",
     "fixed1-s0-characterize": "5471e742b48234bd2a104a49b825cf8c4fedfa92eaec51a33547954b58b6b113",
-    "fixed1-s1-gen-none.stdout": "07c026fd0a6520ef31899b2af61d785f8f71741052391c09182e43c83527a355",
-    "fixed1-s1-gen-none": "5dfd116b02b9a9a43f0c8c9c577f2e2c07ea82d89eccf9c48137ed48ae2efc59",
+    "fixed1-s1-gen-none.stdout": "1287098c2612f3ad6839babccb1141386a7a71c11cb42154b8311ef894509d3c",
+    "fixed1-s1-gen-none": "4beaa4ec4ad89c2805fccbd989dd79a1f2fc6d845e9ceba777516227c9c554b2",
     "fixed1-s1-gen-none.columns": "f628fa8bc343bba6abc20f10c939d6d40457075d5d09994f398de1e36da52c63",
-    "fixed1-s1-gen-by_session.stdout": "5c0d08f79d41fbdc32f5d7e54ac14165f721844f63cc1dd30073a2226f9296ae",
-    "fixed1-s1-gen-by_session": "1ee5ecc5df9f793f1f53fc295cff00c76d0cad6910a33179b8724708413c2437",
+    "fixed1-s1-gen-by_session.stdout": "f2b361f571108b9d36685c27c7d95cb8bb5ccc631bb66253a0383de1ff3f3717",
+    "fixed1-s1-gen-by_session": "b91f305f74a447257088d33952943eb0c2051d2a91f4bdd2ad9ddc4941831af3",
     "fixed1-s1-gen-by_session.columns": "1163b1feaea3eb7a9bfeaacc8471e9c5cdb7829f652fa717757dd1705131c098",
-    "fixed1-s1-cluster.stdout": "d5f8126c0ff88704d055de0b91a31d63d646b4a0cba7c65ef1d04875d54d7da0",
-    "fixed1-s1-cluster": "1ee5ecc5df9f793f1f53fc295cff00c76d0cad6910a33179b8724708413c2437",
+    "fixed1-s1-cluster.stdout": "625f08db2babe1f059ee2ef1b8b4e5afbe62ea8fc82a7102d73836e34b852153",
+    "fixed1-s1-cluster": "b91f305f74a447257088d33952943eb0c2051d2a91f4bdd2ad9ddc4941831af3",
     "fixed1-s1-cluster.columns": "1163b1feaea3eb7a9bfeaacc8471e9c5cdb7829f652fa717757dd1705131c098",
     "fixed1-s1-characterize.stdout": "3a5f61fa63bcc267b27ca27376bc275813ab890f14a6f040bff30d8f4f76c4c9",
     "fixed1-s1-characterize": "ccfb240b2bec71b2c48ef2b5298bea565ca6066fe132ca997feadb5e809befff",
-    "empirical-s0-gen-none.stdout": "52dd02d008e02af022bac6a92596a49e07de2de0c515279bd68860dd82674969",
-    "empirical-s0-gen-none": "f024be204d86df0f9b4856d59f920194e71361e36060569f711c4c810b5839d5",
+    "empirical-s0-gen-none.stdout": "cde01b0d08f89dbfbb8e45699de3c870dffb01f2b687a9cf35fc0af2e1451812",
+    "empirical-s0-gen-none": "eb2a74734b9f2f309571f908179409e3179e86ae48680a724f0ad1bb80dcaa60",
     "empirical-s0-gen-none.columns": "27405cadadb72b7ddf550e32890307094a8fc8d5f2091e413e4cd641a843884f",
-    "empirical-s0-gen-by_session.stdout": "73b86631117f6eb5081c567dae36886d4b876799bad2b006064b5e17b4146f1b",
-    "empirical-s0-gen-by_session": "e1926de17ab402a64e33e900690c19e9b23f4783c4d771a8c01c4224820c306c",
+    "empirical-s0-gen-by_session.stdout": "cdcf7f8672b8f1976baadf5005b4cf5691b98d34d0a44cf2571107d85b96aac4",
+    "empirical-s0-gen-by_session": "93b3c9faefa31351254272d43d79e29b897b5aaa1c518af127fbe500b08f1099",
     "empirical-s0-gen-by_session.columns": "20659db32331874c3a4fe774653fb6efd725c38518e72f83549f8358cf7370d6",
-    "empirical-s0-cluster.stdout": "885b506f2ca77c88922c6d37c90ac2273fbe0dfcd6c324cba0b13b813a5780b4",
-    "empirical-s0-cluster": "e1926de17ab402a64e33e900690c19e9b23f4783c4d771a8c01c4224820c306c",
+    "empirical-s0-cluster.stdout": "5d28a9532c5c756a3552fe026fdda15234d90358d112b1e058628eebf339e052",
+    "empirical-s0-cluster": "93b3c9faefa31351254272d43d79e29b897b5aaa1c518af127fbe500b08f1099",
     "empirical-s0-cluster.columns": "20659db32331874c3a4fe774653fb6efd725c38518e72f83549f8358cf7370d6",
     "empirical-s0-characterize.stdout": "75fa3ca3ff03a24798ef2f48c1cdede5f3e549d87fb4f35abda014818a889a02",
     "empirical-s0-characterize": "b076d176025f59ca89b82e2533053804fc55466f49b7c4c736783685327fd643",
-    "empirical-s1-gen-none.stdout": "cfdf74ddcf2cd37f33d9fe6dfdfdc530b41adf95bb87c3e89fce6978f6f15e65",
-    "empirical-s1-gen-none": "10565a1032c28441d2e504a8158428513347d51c1d31cff19a29a5ffb3a81237",
+    "empirical-s1-gen-none.stdout": "1a58db73531e3f0afee509a3ab11ff03b95a809cef207627264b02e1e6702bbc",
+    "empirical-s1-gen-none": "dc9eab0486c4bca1b87044dec083daecdaeaefa94e17345339c7a27e7bcadc23",
     "empirical-s1-gen-none.columns": "609028efcf82ceffbb6ab3abddb3eb546fa3210e1bbce363df005e5fff908287",
-    "empirical-s1-gen-by_session.stdout": "bc68a70544476e0ff4c38fa54de24e4acc41e12632a5f36244447b796b8c3d69",
-    "empirical-s1-gen-by_session": "cd8cbc7b83dea5597548c9bc22a5ce0f30960e7193b915c34b3f24fc35eef923",
+    "empirical-s1-gen-by_session.stdout": "8951c7db472b9f45dd39419783391487301aefa36122019b25db7000773f03f3",
+    "empirical-s1-gen-by_session": "4c9aaf38933421e7e8c0fce49a27b40454dea2ac813c8258ea2a64babdf3ad06",
     "empirical-s1-gen-by_session.columns": "f3dddf1b9f68280a553c74da3ab3fbaf980ae0149bf41018d8ff2415735f51e2",
-    "empirical-s1-cluster.stdout": "3ea9602f46a416f45704d28575c7f3798fc8f7e901f43097ccf1b4f2f7445ced",
-    "empirical-s1-cluster": "cd8cbc7b83dea5597548c9bc22a5ce0f30960e7193b915c34b3f24fc35eef923",
+    "empirical-s1-cluster.stdout": "87b50a99b7e1fb5f65ddfbc0e988fe03b960570a776192f1757183607af24849",
+    "empirical-s1-cluster": "4c9aaf38933421e7e8c0fce49a27b40454dea2ac813c8258ea2a64babdf3ad06",
     "empirical-s1-cluster.columns": "f3dddf1b9f68280a553c74da3ab3fbaf980ae0149bf41018d8ff2415735f51e2",
     "empirical-s1-characterize.stdout": "150fb06d930714aaec02f5058b95d1bbbfb110b76afeb71073647017ad058cfe",
     "empirical-s1-characterize": "4e2e02ef0e9e2fa3b7361db03ff15a9559b1271766836a167e37f1bb21cdf970",
-    "geometric-s0-gen-none.stdout": "9dd08c9f0a26c215849ee83fc88e460dbd8a12bb0e48b73951d3238f0da14d28",
-    "geometric-s0-gen-none": "c15b8160aa0b393ab77d474594e74ec74b4e04b74cb3e8cba30febb0cca06e1d",
+    "geometric-s0-gen-none.stdout": "a4bdb6336219e6dc332a844fd8a1f6fd5261a1dfc92672f63c66f8747f82ac40",
+    "geometric-s0-gen-none": "a43884362a2285592c24f358544c785388823fa58bce3f9195221ba4ee594487",
     "geometric-s0-gen-none.columns": "3c7997ca13ef0e31a06e43d5dd5ea4272de0029a5f69561a1df6b9984d315489",
-    "geometric-s0-gen-by_session.stdout": "67684120099ccfb31b0e8df7357e589b492de89b05ccd3d15d73035825092a1a",
-    "geometric-s0-gen-by_session": "c1429ea11a0f5f378609cba7c91c3d9053e46b371c19e656e9b2fe7c6bbc0d7a",
+    "geometric-s0-gen-by_session.stdout": "53316b000fab01ce01e754e11ed48b73cbbe104e88f6dfd0120d63d03c6946c9",
+    "geometric-s0-gen-by_session": "590266ad0674f6749fbc445665a4478a6fa26bf0995b4876a99499847fbbbbed",
     "geometric-s0-gen-by_session.columns": "5b26f73e11b7eb2b96c89dcd317e801c188cdb7b9a24bc7149d4cbab191ad116",
-    "geometric-s0-cluster.stdout": "917f553031d6e8893d9a3f2834c5f8fcc833b54fa87c51c49be8f6592604f997",
-    "geometric-s0-cluster": "c1429ea11a0f5f378609cba7c91c3d9053e46b371c19e656e9b2fe7c6bbc0d7a",
+    "geometric-s0-cluster.stdout": "f05f6fa897e3165bcb83d80be98564aa5f157f4fba87237d485fa14968cac18a",
+    "geometric-s0-cluster": "590266ad0674f6749fbc445665a4478a6fa26bf0995b4876a99499847fbbbbed",
     "geometric-s0-cluster.columns": "5b26f73e11b7eb2b96c89dcd317e801c188cdb7b9a24bc7149d4cbab191ad116",
     "geometric-s0-characterize.stdout": "eae238df10d844a87ab69c939ff7c56ded8b58482c79671112862b864131e597",
     "geometric-s0-characterize": "0bd88d9ce8c5c280877e622ce83f90cf107def92d796312985f31790c1a7d3ea",
-    "geometric-s1-gen-none.stdout": "06e00d0ee38b4c05d7866cd2b1df8debb28b61feaca1866a31ff3a204b621ef9",
-    "geometric-s1-gen-none": "40e3b13bfe6c90e3a8ffea5bacccd87bda5ec40cff5b87fcff68c8d713a2c24d",
+    "geometric-s1-gen-none.stdout": "c8d72c29afb9eb68f33d2d993f1da633a764e677d2c043bf64bce1373b681485",
+    "geometric-s1-gen-none": "3c06bae1df103a380b23563363bbc822191f5d97576117a820d3d9485b286e7f",
     "geometric-s1-gen-none.columns": "c43e28a95e8354465de73a7d44b5e00db086b8eaa16d9de2ce408a9245dc98b9",
-    "geometric-s1-gen-by_session.stdout": "b254a279b8f0122272ea3332aa32c11363e88a7f10ada729307ed11984a4a1e9",
-    "geometric-s1-gen-by_session": "8397dbd51b6ae715048101ffe7894435f840d7c858ee99a16839e81736b78d41",
+    "geometric-s1-gen-by_session.stdout": "23056f6acf48332ff8f451c3663c30633043d6b8378eb38d34277f5524882ed3",
+    "geometric-s1-gen-by_session": "5c22aabf29398060df287986546043c2d453cc17fb30896e7e34dc5bb8dfe3af",
     "geometric-s1-gen-by_session.columns": "76deabb8de865c63b9553b322dbb4e987e43b259b9732526d717928177019443",
-    "geometric-s1-cluster.stdout": "6f1778489075b0a34478e4d1d5a6bfd08cfb40323ecb440c9ef25b7d9bcb7ea5",
-    "geometric-s1-cluster": "8397dbd51b6ae715048101ffe7894435f840d7c858ee99a16839e81736b78d41",
+    "geometric-s1-cluster.stdout": "804ab7bdaabb74b0ecf2c276f1d4a4d7bb98167c40150e05b48ff27ebc310bf8",
+    "geometric-s1-cluster": "5c22aabf29398060df287986546043c2d453cc17fb30896e7e34dc5bb8dfe3af",
     "geometric-s1-cluster.columns": "76deabb8de865c63b9553b322dbb4e987e43b259b9732526d717928177019443",
     "geometric-s1-characterize.stdout": "daf4e054d28ad6433d1a6ce30ea07131df5127a897f6b0cd4b5b35783062f6be",
     "geometric-s1-characterize": "620f3157b28c86bad3afd2e32d32860a48675dd7f028f806ad14d84da9cf38d7",
@@ -868,7 +1060,12 @@ class TestGoldenBytes:
     ``gen`` stdout digests were re-taken when the header became version 2
     (a checksummed schema block that records the feature specs); the
     ``.columns`` digests of the files' rows were taken before that change
-    and held through it."""
+    and held through it. At version 3 (a row equal to the row before it
+    is stored as one -1 length mark) the file digests, the ``gen`` stdout
+    digests (which print the file size) and the ``cluster`` stdout
+    digests (which print compressed bytes) were re-taken; the 24
+    ``.columns`` digests, the ``characterize`` stdout digests and the CSV
+    digests held through it."""
 
     def test_cli_outputs_match_pinned_digests(self, tmp_path, monkeypatch, capsys):
         digests = _golden_digests(tmp_path, monkeypatch, capsys)

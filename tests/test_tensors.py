@@ -22,12 +22,14 @@ from sessiondedup.tensors import (
     DedupeModel,
     JaggedTensor,
     PartialIKJT,
+    RunJaggedTensor,
     build_ikjt,
     build_kjt,
     build_partial_ikjt,
     concat_rows,
     dedupe_factor,
     dedupe_len,
+    expand_runs,
     ikjt_to_kjt,
     jagged_index_select,
     jt_equal,
@@ -35,11 +37,13 @@ from sessiondedup.tensors import (
     measured_dedupe_factor,
     serialize_ikjt,
     serialize_kjt,
+    slice_rows,
     slice_stream_bytes,
     unique_first_occurrence,
     values_stream_bytes,
     window_index,
 )
+from sessiondedup.storage import ScanBatch
 from sessiondedup.trainer_sim import default_model_spec
 
 # Worked micro-batch used throughout: feature b carries an exact duplicate
@@ -743,6 +747,100 @@ class TestJaggedIndexSelect:
             IndexError, match=rf"^index {bad} at position 2 out of range for 3 rows$"
         ):
             jagged_index_select(jt, np.array([0, 2, bad, 1, later], dtype=np.int64))
+
+
+@st.composite
+def run_tensors(draw):
+    """A RunJaggedTensor of 1-16 rows: heads drawn from a small pool, so
+    that heads may repeat, each repeated 1-4 times."""
+    pool = draw(st.lists(st.lists(st.integers(0, 3), max_size=3), min_size=1, max_size=3))
+    heads = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+    counts = draw(st.lists(st.integers(1, 4), min_size=len(heads), max_size=len(heads)))
+    return RunJaggedTensor(JaggedTensor.from_rows(heads), np.repeat(np.arange(len(heads)), counts))
+
+
+def _batch(**entries):
+    """A columnar batch of the given feature tensors, other columns 0."""
+    n = next(iter(entries.values())).row_count
+    zeros = np.zeros(n, dtype=np.int64)
+    return ScanBatch(zeros, zeros, zeros, KJT(n, entries))
+
+
+class TestRunJaggedTensor:
+    """Rows as run heads plus a row -> head index must behave exactly as
+    the rows laid out."""
+
+    @pytest.mark.parametrize(
+        "heads, index",
+        [([[1]], [1]), ([[1], [2]], [0, 2]), ([[1], [2]], [0, 1, 0]), ([[1], [2]], [0, 0]), ([[1]], [])],
+        ids=["starts-past-0", "skips-a-head", "decreases", "head-unused", "no-rows"],
+    )
+    def test_malformed_index_rejected(self, heads, index):
+        with pytest.raises(ValueError, match="^head_index must start at 0, step by 0 or 1"):
+            RunJaggedTensor(JaggedTensor.from_rows(heads), np.array(index, dtype=np.int64))
+
+    @pytest.mark.parametrize("slice_values", [0, 10**9], ids=["slices", "gather"])
+    def test_expand_paths_match_laid_out_rows(self, monkeypatch, slice_values):
+        monkeypatch.setattr(tensors, "_SLICE_VALUES", slice_values)
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            heads = [rng.integers(0, 9, rng.integers(0, 4)).tolist() for _ in range(rng.integers(1, 8))]
+            runs = RunJaggedTensor(
+                JaggedTensor.from_rows(heads), np.repeat(np.arange(len(heads)), rng.integers(1, 4, len(heads)))
+            )
+            assert expand_runs(runs).to_pylists() == [heads[h] for h in runs.head_index]
+
+    def test_slice_inside_a_run_holds_its_head(self):
+        runs = RunJaggedTensor(JaggedTensor.from_rows([[1, 2], [3], []]), [0, 0, 0, 1, 2, 2])
+        part = slice_rows(runs, 1, 4)
+        assert part.heads.to_pylists() == [[1, 2], [3]]
+        assert part.head_index.tolist() == [0, 0, 1]
+        assert expand_runs(part).to_pylists() == [[1, 2], [1, 2], [3]]
+
+    @settings(max_examples=200, deadline=None)
+    @given(runs=run_tensors(), other=run_tensors(), data=st.data())
+    def test_layout_helpers_match_laid_out_rows(self, runs, other, data):
+        rows = expand_runs(runs).to_pylists()
+        assert rows == [runs.heads.to_pylists()[h] for h in runs.head_index]
+        start = data.draw(st.integers(0, len(rows) - 1))
+        stop = data.draw(st.integers(start + 1, len(rows)))
+        assert expand_runs(slice_rows(runs, start, stop)).to_pylists() == rows[start:stop]
+        idx = np.array(data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=10)), dtype=np.int64)
+        assert jagged_index_select(runs, idx).to_pylists() == [rows[i] for i in idx]
+        plain = expand_runs(other)
+        joined = concat_rows([runs, plain, other])
+        assert isinstance(joined, RunJaggedTensor)
+        assert expand_runs(joined).to_pylists() == rows + 2 * plain.to_pylists()
+        assert type(concat_rows([plain, plain])) is JaggedTensor
+
+    @settings(max_examples=200, deadline=None)
+    @given(f=run_tensors(), g=run_tensors(), plain_g=st.booleans())
+    def test_build_ikjt_on_heads_matches_laid_out_rows(self, f, g, plain_g):
+        n = min(f.row_count, g.row_count)
+        f, g = slice_rows(f, 0, n), slice_rows(g, 0, n)
+        if plain_g:
+            g = expand_runs(g)
+        batch = _batch(f=f, g=g)
+        laid_out = build_kjt(batch, ["f", "g"])
+        assert all(type(jt) is JaggedTensor for jt in laid_out.entries.values())
+        for group in (["f"], ["g", "f"]):
+            got = build_ikjt(batch, group)
+            first, inverse = PADDED_ORACLE([laid_out.entries[k] for k in group])
+            np.testing.assert_array_equal(got.inverse_lookup, inverse)
+            for key in group:
+                assert jt_equal(got.per_feature[key], jagged_index_select(laid_out.entries[key], first))
+
+    def test_build_ikjt_keys_group_heads_only(self, monkeypatch):
+        # f's heads are rows 0, 3, 5; g's are rows 0, 2, 5: group heads 0, 2, 3, 5
+        f = RunJaggedTensor(JaggedTensor.from_rows([[1], [2], [1]]), [0, 0, 0, 1, 1, 2, 2])
+        g = RunJaggedTensor(JaggedTensor.from_rows([[], [5], []]), [0, 0, 1, 1, 1, 2, 2])
+        batch = _batch(f=f, g=g)
+        keyed = []
+        unique_rows = tensors._unique_rows
+        monkeypatch.setattr(tensors, "_unique_rows", lambda jts: keyed.append(jts) or unique_rows(jts))
+        ikjt = build_ikjt(batch, ["f", "g"])
+        assert [jt.to_pylists() for jt in keyed[0]] == [[[1], [1], [2], [1]], [[], [5], [5], []]]
+        assert ikjt.inverse_lookup.tolist() == [0, 0, 1, 2, 2, 0, 0]
 
 
 class TestWindowIndex:
