@@ -118,7 +118,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     fin = storage.open_table(src)
     # Measured first: with --out naming the input, the output replaces it.
-    raw_a, comp_a = storage.stream_sizes(fin)
+    bytes_a = src.stat().st_size
     fout = storage.write_table(
         next(storage.scan(fin, fin.row_count)),
         out,
@@ -127,13 +127,9 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         level=fin.level,
         feature_specs=fin.feature_specs,
     )
-    raw_b, comp_b = storage.stream_sizes(fout)
-    ratio_a, ratio_b = _ratio(raw_a, comp_a), _ratio(raw_b, comp_b)
+    bytes_b = out.stat().st_size
     print(f"clustered {fout.row_count} rows -> {out}")
-    print(
-        f"compressed bytes {comp_a} -> {comp_b} "
-        f"(ratio {ratio_a:.3f} -> {ratio_b:.3f}, relative {ratio_b / ratio_a:.3f})"
-    )
+    print(f"file bytes {bytes_a} -> {bytes_b} (ratio {_ratio(bytes_a, bytes_b):.3f})")
     return 0
 
 
@@ -142,7 +138,7 @@ def cmd_characterize(args: argparse.Namespace) -> int:
     f = storage.open_table(src)
     keys = args.keys.split(",") if args.keys else list(f.feature_keys)
     keys = [k for k in keys if k]
-    # Laid out as each is read, so no stripe's run heads are held beside its rows.
+    # Laid out as each is read, so no stripe's heads are held beside its rows.
     stripes = [storage.read_stripe(f, i).laid_out(keys) for i in range(len(f.stripes))]
     stats = charmod.compute_dup_stats(stripes, keys, batch_size=args.batch_size)
     print(f"records: {f.row_count}")

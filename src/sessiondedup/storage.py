@@ -10,14 +10,16 @@ Layout (all integers little-endian, see docs/file_format.md):
              (session_id, timestamp, label, then per key: row lengths,
              then values), each stream u32 raw_len | u32 comp_len |
              comp bytes. A row equal to the row before it in its stripe
-             is stored as length -1 and no values.
+             is stored as length -1 and no values; a non-empty row equal
+             to stored row i - d (d >= 2) of the stripe, as length -d.
     footer:  u32 stripe count | per stripe u64 file offset + u32 rows |
              u64 footer offset | magic
 
-Streams are varint-packed int64 before compression. A decoded stripe
-keeps each marked feature as run heads plus a row -> head index
-(``tensors.RunJaggedTensor``). Files are write-once; any number of
-readers may scan one concurrently.
+Streams are varint-packed int64 before compression. The writer marks
+-d where a row equals the previous row of its own session in the
+stripe. A decoded stripe keeps each marked feature as its stored rows
+plus a row -> stored row index (``tensors.RunJaggedTensor``). Files are
+write-once; any number of readers may scan one concurrently.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ __all__ = [
 ]
 
 MAGIC = b"SESSCOL1"
-VERSION = 3
+VERSION = 4
 CODEC_ZLIB = 1
 DEFAULT_STRIPE_ROWS = 4096
 DEFAULT_LEVEL = 6
@@ -119,7 +121,7 @@ class ScanBatch:
 
     def laid_out(self, keys) -> "ScanBatch":
         """This batch's rows with features ``keys`` only, laid out row by
-        row (``tensors.build_kjt``), so no run heads stay referenced."""
+        row (``tensors.build_kjt``), so no stored heads stay referenced."""
         features = build_kjt(self, keys)
         return ScanBatch(self.session_ids, self.timestamps, self.labels, features, self.bytes_read)
 
@@ -236,33 +238,72 @@ def write_table(
 
 def _encode_stripe(chunk: ScanBatch, level: int) -> bytes:
     # Each feature's streams are packed as they are made, so only one
-    # feature's copy of its head values is held at a time.
+    # feature's copy of its stored values is held at a time.
     streams = [_pack_stream(a, level) for a in (chunk.session_ids, chunk.timestamps, chunk.labels)]
+    before = _session_predecessors(chunk.session_ids)
     for jt in chunk.features.entries.values():
-        streams += [_pack_stream(a, level) for a in _mark_repeats(expand_runs(jt))]
+        streams += [_pack_stream(a, level) for a in _mark_repeats(expand_runs(jt), before)]
     return struct.pack("<I", len(chunk)) + b"".join(streams)
 
 
-def _mark_repeats(jt: JaggedTensor) -> list[np.ndarray]:
-    """One feature's lengths and values streams for a stripe: a row equal
-    to the row before it is stored as length -1 and no values. Row 0 is
-    never marked. A row is compared value by value only when its length
-    and first value match its predecessor's."""
+def _session_predecessors(session_ids: np.ndarray) -> np.ndarray:
+    """Each row's previous row of the same session, or -1 for a session's
+    first row: one map per stripe, which every feature shares."""
+    order = np.argsort(session_ids, kind="stable")
+    same = session_ids[order[1:]] == session_ids[order[:-1]]
+    before = np.full(order.size, -1, dtype=np.int64)
+    before[order[1:][same]] = order[:-1][same]
+    return before
+
+
+def _equal_rows(jt: JaggedTensor, rows: np.ndarray, refs: np.ndarray) -> np.ndarray:
+    """Whether row ``rows[k]`` of ``jt`` equals row ``refs[k]``, for each
+    k. Two rows are compared value by value only when their lengths and
+    first values match."""
     lens, starts, values = jt.row_lengths(), jt.offsets, jt.values
-    rows = np.flatnonzero(lens[1:] == lens[:-1]) + 1
-    full = rows[lens[rows] > 0]
-    full = full[values[starts[full]] == values[starts[full - 1]]]
+    same_length = lens[rows] == lens[refs]
+    equal = same_length & (lens[rows] == 0)
+    full = np.flatnonzero(same_length & (lens[rows] > 0))
+    full = full[values[starts[rows[full]]] == values[starts[refs[full]]]]
     if full.size:
-        cells, first_cell = window_index(starts[full], lens[full])
-        # With equal lengths, the row before's cells sit one row length earlier.
-        differ = values[cells] != values[cells - np.repeat(lens[full], lens[full])]
+        r, f = rows[full], refs[full]
+        cells, first_cell = window_index(starts[r], lens[r])
+        differ = values[cells] != values[cells + np.repeat(starts[f] - starts[r], lens[r])]
         full = full[~np.logical_or.reduceat(differ, first_cell)]
-    marked = np.zeros(lens.size, dtype=bool)
-    marked[rows[lens[rows] == 0]] = True
-    marked[full] = True
-    if not marked.any():
+    equal[full] = True
+    return equal
+
+
+def _mark_repeats(jt: JaggedTensor, before: np.ndarray) -> list[np.ndarray]:
+    """One feature's lengths and values streams for a stripe, where
+    ``before`` is :func:`_session_predecessors` of the stripe's rows.
+
+    A row equal to the row before it is stored as length -1 and no
+    values; row 0 is never marked. A non-empty row that is not so marked
+    and equals ``before`` of it is stored as -d and no values, where row
+    i - d is the stored row that ``before`` resolves to through earlier
+    marks; since that row is not the row before, d >= 2. An empty row is
+    never -d: its length 0 costs no more than a mark and needs no lookup.
+    """
+    lens, values = jt.row_lengths(), jt.values
+    rows = np.arange(lens.size)
+    repeat = np.zeros(lens.size, dtype=bool)
+    repeat[1:] = _equal_rows(jt, rows[1:], rows[:-1])
+    back = np.flatnonzero(~repeat & (before >= 0) & (before != rows - 1) & (lens > 0))
+    back = back[_equal_rows(jt, back, before[back])]
+    if not (back.size or repeat.any()):
         return [lens, values]
-    return [np.where(marked, -1, lens), values[np.repeat(~marked, lens)]]
+    marks = np.where(repeat, -1, lens)
+    if back.size:
+        # Each marked row takes the values of an earlier row, which may be
+        # marked too; jump along those links until each ends at a stored row.
+        source = rows.copy()
+        source[repeat] -= 1
+        source[back] = before[back]
+        while not np.array_equal(source[source], source):
+            source = source[source]
+        marks[back] = source[back] - back
+    return [marks, values[np.repeat(marks >= 0, lens)]]
 
 
 def open_table(path: str | Path) -> ColumnarFile:
@@ -388,6 +429,31 @@ def _read_stream(buf: memoryview, pos: int, where: str, count: int):
     return arr, end
 
 
+def _resolve_marks(lengths: np.ndarray, where: str) -> np.ndarray:
+    """Each row's stored row ordinal, for a lengths stream that holds
+    marks. Stored rows are numbered in order; a -d row takes the number of
+    row i - d, which must be a stored row with values; a -1 row takes the
+    number of the last row before it that is not -1."""
+    if lengths[0] == -1:
+        raise StorageError(f"{where}: negative row length -1 at row 0, which has no row before it")
+    back = np.flatnonzero(lengths < -1)
+    target = back + lengths[back]
+    if back.size and target.min() < 0:
+        row = int(back[np.argmax(target < 0)])
+        raise StorageError(f"{where}: row {row} refers {-int(lengths[row])} rows back, before row 0")
+    if back.size and lengths[target].min() < 1:
+        k = int(np.argmax(lengths[target] < 1))
+        row, to = int(back[k]), int(target[k])
+        what = "another mark" if lengths[to] < 0 else "a row with no values"
+        raise StorageError(f"{where}: row {row} refers back to row {to}, {what}")
+    number = np.cumsum(lengths >= 0) - 1  # right for every row but those that follow -d
+    if not back.size:
+        return number
+    number[back] = number[target]
+    last = np.where(lengths == -1, 0, np.arange(lengths.size))
+    return number[np.maximum.accumulate(last)]
+
+
 def read_stripe(file: ColumnarFile, ordinal: int) -> ScanBatch:
     if not 0 <= ordinal < len(file.stripes):
         raise StorageError(f"stripe {ordinal} out of range")
@@ -415,16 +481,9 @@ def read_stripe(file: ColumnarFile, ordinal: int) -> ScanBatch:
     for key in file.feature_keys:
         where = f"stripe {ordinal}: feature {key!r}"
         lengths, pos = _read_stream(buf, pos, where, rows)
-        if lengths.min() < -1:
-            row = int(np.argmax(lengths < -1))
-            raise StorageError(
-                f"{where}: negative row length {lengths[row]} at row {row}, below the repeat mark -1"
-            )
-        if lengths[0] < 0:
-            raise StorageError(f"{where}: negative row length")
-        repeats = lengths == -1
-        marked = bool(repeats.any())
-        heads = lengths[~repeats] if marked else lengths
+        marked = bool(lengths.min() < 0)
+        head_index = _resolve_marks(lengths, where) if marked else None
+        heads = lengths[lengths >= 0] if marked else lengths
         total = int(heads.sum())
         if total < 0:
             raise StorageError(f"{where}: row lengths sum past 2^63")
@@ -433,7 +492,7 @@ def read_stripe(file: ColumnarFile, ordinal: int) -> ScanBatch:
             jt = JaggedTensor.from_lengths(values, heads)
         except ValueError as exc:
             raise StorageError(f"{where}: {exc}") from exc
-        entries[key] = RunJaggedTensor(jt, np.cumsum(~repeats) - 1) if marked else jt
+        entries[key] = RunJaggedTensor(jt, head_index) if marked else jt
     _check_stripe_end(buf, pos, ordinal)
     features = KJT(batch_size=rows, entries=entries)
     return ScanBatch(sids, ts, labels, features, bytes_read=info.byte_size)

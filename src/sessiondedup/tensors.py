@@ -14,12 +14,12 @@ comparing whole zero-padded rows.
 
 Only this module knows the jagged layout: :meth:`JaggedTensor.from_lengths`
 builds offsets, :func:`_check_offsets` checks them, :func:`concat_rows`
-joins tensors. A :class:`RunJaggedTensor` holds rows as the heads of runs
-of equal consecutive rows plus a row -> head index, as a stored stripe
-marks them; :func:`slice_rows`, :func:`concat_rows` and
-:func:`jagged_index_select` take either kind, :func:`build_ikjt` keys
-heads only, and :func:`expand_runs` (which :func:`build_kjt` calls) lays
-the rows out. Tensors are immutable (their buffers are read-only) and
+joins tensors. A :class:`RunJaggedTensor` holds each stored row once as a
+head plus a row -> head index, as a stored stripe's repeat and
+back-reference marks give them; :func:`slice_rows`, :func:`concat_rows`
+and :func:`jagged_index_select` take either kind, :func:`build_ikjt` keys
+group heads only, and :func:`expand_runs` (which :func:`build_kjt` calls)
+lays the rows out. Tensors are immutable (their buffers are read-only) and
 safe to share across threads.
 """
 
@@ -29,7 +29,7 @@ import math
 import operator
 import struct
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -43,7 +43,6 @@ __all__ = [
     "build_kjt",
     "build_ikjt",
     "build_partial_ikjt",
-    "ikjt_to_kjt",
     "jagged_index_select",
     "gather_windows",
     "window_index",
@@ -63,13 +62,6 @@ __all__ = [
 
 _I64 = np.dtype("<i8")
 _U64 = np.uint64
-
-
-def _as_id_array(seq) -> np.ndarray:
-    arr = np.asarray(seq, dtype=np.int64)
-    if arr.ndim != 1:
-        raise ValueError(f"ID list must be one-dimensional, got shape {arr.shape}")
-    return arr
 
 
 def _positive_count(name: str, value) -> int:
@@ -162,12 +154,6 @@ class JaggedTensor:
             raise ValueError(f"row lengths do not sum to the {jt.values.size} values")
         return jt
 
-    @classmethod
-    def from_rows(cls, rows: Sequence) -> "JaggedTensor":
-        arrs = [_as_id_array(r) for r in rows]
-        values = np.concatenate(arrs) if arrs else np.empty(0, dtype=np.int64)
-        return cls.from_lengths(values, [a.size for a in arrs])
-
     @property
     def row_count(self) -> int:
         return int(self.offsets.size)
@@ -183,22 +169,28 @@ class JaggedTensor:
         end = self.offsets[i + 1] if i + 1 < n else self.values.size
         return self.values[start:end]
 
-    def to_pylists(self) -> list[list[int]]:
-        return [self.row(i).tolist() for i in range(self.row_count)]
 
-
-def jt_equal(a: JaggedTensor, b: JaggedTensor) -> bool:
-    return np.array_equal(a.values, b.values) and np.array_equal(a.offsets, b.offsets)
+def _in_first_use_order(index: np.ndarray, heads: int) -> bool:
+    """Whether ``index`` starts at 0 and each entry is either an earlier
+    entry or one past the largest so far, ending at ``heads - 1``: every
+    head is used, and heads are first used in order."""
+    if not index.size:
+        return heads == 0
+    top = np.maximum.accumulate(index)
+    return bool(index[0] == 0 and top[-1] == heads - 1 and index.min() >= 0 and not np.any(np.diff(top) > 1))
 
 
 @dataclass(frozen=True, eq=False)
 class RunJaggedTensor:
-    """Rows stored once per run of equal consecutive rows: row ``i`` is
-    row ``head_index[i]`` of ``heads``.
+    """Rows stored once each: row ``i`` is row ``head_index[i]`` of
+    ``heads``.
 
-    ``head_index`` starts at 0 and steps by 0 or 1, so the heads keep row
-    order and each is the first row of its run. Two heads may still be
-    equal (a run cut by a stripe boundary, or an A B A pattern).
+    Heads are numbered in order of first use: ``head_index`` starts at 0,
+    and each row takes either a head some earlier row took (the row
+    before, as in a run, or any earlier one) or the next head. So every
+    head is used, and :meth:`is_head` marks each head's first use. Two
+    heads may still be equal (a run cut by a stripe boundary, or a repeat
+    the writer did not mark).
     """
 
     heads: JaggedTensor
@@ -206,11 +198,11 @@ class RunJaggedTensor:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "head_index", _freeze(self.head_index))
-        idx, n = self.head_index, self.heads.row_count
-        steps = np.diff(idx).view(_U64)  # a negative step, as uint64, is above 1 too
-        if (idx[0] != 0 or idx[-1] != n - 1 or np.any(steps > 1)) if idx.size else n:
+        n = self.heads.row_count
+        if not _in_first_use_order(self.head_index, n):
             raise ValueError(
-                f"head_index must start at 0, step by 0 or 1 and end at the last of the {n} heads"
+                f"head_index must start at 0 and use each of the {n} heads, "
+                f"each first used after the head before it"
             )
 
     @property
@@ -218,8 +210,8 @@ class RunJaggedTensor:
         return int(self.head_index.size)
 
     def is_head(self) -> np.ndarray:
-        """Whether each row starts a run."""
-        return np.diff(self.head_index, prepend=-1) != 0
+        """Whether each row is the first to use its head."""
+        return np.diff(np.maximum.accumulate(self.head_index), prepend=-1) > 0
 
 
 # Copying one slice costs about as much as gathering 64 values (x86_64,
@@ -231,19 +223,19 @@ def expand_runs(jt: JaggedTensor | RunJaggedTensor) -> JaggedTensor:
     """The rows of ``jt`` laid out one by one, ``jt`` itself unless it is
     a :class:`RunJaggedTensor`.
 
-    Between two repeats, rows take consecutive heads, so each stretch of
-    rows is one slice of the heads' values. With few repeats the
-    stretches are copied as slices; otherwise the rows are gathered.
+    A stretch of rows that take consecutive heads is one slice of the
+    heads' values. With few stretches they are copied as slices;
+    otherwise the rows are gathered.
     """
     if not isinstance(jt, RunJaggedTensor):
         return jt
     heads, idx = jt.heads, jt.head_index
     head_lengths = heads.row_lengths()
-    repeats = np.flatnonzero(~jt.is_head())
-    if repeats.size * _SLICE_VALUES >= head_lengths[idx].sum():
+    breaks = np.flatnonzero(np.diff(idx) != 1) + 1  # rows that start a stretch, row 0 aside
+    if breaks.size * _SLICE_VALUES >= head_lengths[idx].sum():
         return jagged_index_select(heads, idx)
-    lo = heads.offsets[idx[np.append(0, repeats)]]
-    hi = (heads.offsets + head_lengths)[idx[np.append(repeats, idx.size) - 1]]
+    lo = heads.offsets[idx[np.append(0, breaks)]]
+    hi = (heads.offsets + head_lengths)[idx[np.append(breaks, idx.size) - 1]]
     values = np.concatenate([heads.values[a:b] for a, b in zip(lo.tolist(), hi.tolist())])
     return JaggedTensor.from_lengths(values, head_lengths[idx])
 
@@ -269,12 +261,6 @@ class KJT:
     @property
     def keys(self) -> tuple[str, ...]:
         return tuple(self.entries)
-
-
-def kjt_equal(a: KJT, b: KJT) -> bool:
-    if a.batch_size != b.batch_size or a.keys != b.keys:
-        return False
-    return all(jt_equal(a.entries[k], b.entries[k]) for k in a.entries)
 
 
 @dataclass(frozen=True, eq=False)
@@ -374,7 +360,7 @@ def _entries(rows, keys: Sequence[str]) -> dict:
 
 def build_kjt(rows, keys: Sequence[str]) -> KJT:
     """Gather ``keys`` of a columnar batch into a KJT, preserving batch
-    order. A tensor stored as run heads is laid out row by row
+    order. A tensor stored as heads is laid out row by row
     (:func:`expand_runs`); any other shares the batch's buffers.
     ``rows`` is a batch whose ``features`` is a KJT, such as a storage
     ``ScanBatch``."""
@@ -440,6 +426,8 @@ def _unique_rows(jts: Sequence[JaggedTensor]) -> tuple[np.ndarray, np.ndarray]:
     what :func:`unique_first_occurrence` returns for the rows.
     """
     first, inverse = unique_first_occurrence(_row_keys(jts))
+    if first.size == inverse.size:  # distinct keys: distinct rows, nothing merged
+        return first, inverse
     rep = first[inverse]
     for jt in jts:
         lens = jt.row_lengths()
@@ -510,11 +498,12 @@ def build_ikjt(rows, group: Sequence[str]) -> IKJT:
     first-occurrence order. ``rows`` is a columnar batch such as a
     storage ``ScanBatch``.
 
-    When every member is stored as run heads, only the group's heads are
-    keyed: a row is a group head when any member's row starts a run.
-    Every other row equals the group head before it in every member, so
-    each distinct row first occurs at a group head, and the other rows
-    take their head's ordinal.
+    When every member is stored as heads, only the group's heads are
+    keyed: a row is a group head when it is the first to use its tuple of
+    member head indexes. Every other row equals the group head with its
+    tuple in every member, so each distinct row first occurs at a group
+    head, and the other rows take their head's ordinal. When every keyed
+    row is distinct, the keyed tensors are the IKJT's rows as they are.
     """
     entries = _entries(rows, group)
     if not entries:
@@ -522,22 +511,27 @@ def build_ikjt(rows, group: Sequence[str]) -> IKJT:
     jts = list(entries.values())
     head_of = None  # row -> group head ordinal, when only heads are keyed
     if all(isinstance(jt, RunJaggedTensor) for jt in jts):
-        is_head = np.logical_or.reduce([jt.is_head() for jt in jts])
-        at = np.flatnonzero(is_head)
+        head_of, at = jts[0].head_index, None
+        for jt in jts[1:]:
+            # ordinals stay below the row count, so the pair key cannot wrap
+            at, head_of = unique_first_occurrence(head_of * jt.heads.row_count + jt.head_index)
         # A member whose heads are the group's needs no gather.
         jts = [
-            jt.heads if jt.heads.row_count == at.size else jagged_index_select(jt.heads, jt.head_index[at])
+            jt.heads
+            if at is None or jt.heads.row_count == at.size
+            else jagged_index_select(jt.heads, jt.head_index[at])
             for jt in jts
         ]
-        head_of = np.cumsum(is_head) - 1
     else:
         jts = [expand_runs(jt) for jt in jts]
     first, inverse = _unique_rows(jts)
+    if first.size < inverse.size:
+        jts = [jagged_index_select(jt, first) for jt in jts]
     return IKJT(
         batch_size=rows.features.batch_size,
         group_keys=tuple(entries),
         inverse_lookup=inverse if head_of is None else inverse[head_of],
-        per_feature={key: jagged_index_select(jt, first) for key, jt in zip(entries, jts)},
+        per_feature=dict(zip(entries, jts)),
     )
 
 
@@ -630,9 +624,10 @@ def gather_windows(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray) 
 
 
 def concat_rows(jts: Sequence[JaggedTensor | RunJaggedTensor]) -> JaggedTensor | RunJaggedTensor:
-    """The rows of ``jts``, in order, in one tensor with new buffers: run
-    heads and their index if any part holds runs, where a plain part's
-    every row is a head."""
+    """The rows of ``jts``, in order, in one tensor with new buffers: heads
+    and their index if any part holds heads, where a plain part's every
+    row is a head. Each part's index is shifted past the heads before it,
+    so the joined heads stay in order of first use."""
     runs = [isinstance(jt, RunJaggedTensor) for jt in jts]
     heads = [jt.heads if run else jt for jt, run in zip(jts, runs)]
     joined = JaggedTensor.from_lengths(
@@ -651,23 +646,20 @@ def concat_rows(jts: Sequence[JaggedTensor | RunJaggedTensor]) -> JaggedTensor |
 
 def slice_rows(jt: JaggedTensor | RunJaggedTensor, start: int, stop: int) -> JaggedTensor | RunJaggedTensor:
     """Rows ``[start, stop)`` as views of the tensor's buffers, offsets
-    rebased to 0. A slice of run heads keeps the heads its rows use, so a
-    slice that starts inside a run holds that run's head."""
+    rebased to 0. A slice of heads keeps the heads its rows use: a view of
+    them when they are the slice's own, in order of first use, and a
+    gathered copy renumbered in that order when the slice starts after a
+    head it uses, behind some later one."""
     if isinstance(jt, RunJaggedTensor):
-        first, last = int(jt.head_index[start]), int(jt.head_index[stop - 1])
-        return RunJaggedTensor(slice_rows(jt.heads, first, last + 1), jt.head_index[start:stop] - first)
+        idx = jt.head_index[start:stop]
+        first, last = int(idx[0]), int(idx.max())
+        if _in_first_use_order(idx - first, last + 1 - first):
+            return RunJaggedTensor(slice_rows(jt.heads, first, last + 1), idx - first)
+        at, index = unique_first_occurrence(idx)
+        return RunJaggedTensor(jagged_index_select(jt.heads, idx[at]), index)
     lo = jt.offsets[start]
     hi = jt.offsets[stop] if stop < jt.row_count else jt.values.size
     return JaggedTensor(values=jt.values[lo:hi], offsets=jt.offsets[start:stop] - lo)
-
-
-def ikjt_to_kjt(ikjt: IKJT) -> KJT:
-    """Expand an IKJT back to the logically equal KJT."""
-    entries = {
-        key: jagged_index_select(jt, ikjt.inverse_lookup)
-        for key, jt in ikjt.per_feature.items()
-    }
-    return KJT(batch_size=ikjt.batch_size, entries=entries)
 
 
 @dataclass(frozen=True)

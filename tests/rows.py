@@ -12,7 +12,7 @@ import numpy as np
 
 from sessiondedup import storage
 from sessiondedup.storage import ScanBatch
-from sessiondedup.tensors import KJT, JaggedTensor, expand_runs
+from sessiondedup.tensors import IKJT, KJT, JaggedTensor, expand_runs, jagged_index_select
 from sessiondedup.varint import encode_varints
 
 
@@ -28,6 +28,40 @@ def _features(row) -> dict:
     return getattr(row, "features", row)
 
 
+def from_rows(rows) -> JaggedTensor:
+    """A jagged tensor of the given ID lists, in order."""
+    arrs = [np.asarray(r, dtype=np.int64) for r in rows]
+    for arr in arrs:
+        if arr.ndim != 1:
+            raise ValueError(f"ID list must be one-dimensional, got shape {arr.shape}")
+    values = np.concatenate(arrs) if arrs else np.empty(0, dtype=np.int64)
+    return JaggedTensor.from_lengths(values, [a.size for a in arrs])
+
+
+def to_pylists(jt: JaggedTensor) -> list[list[int]]:
+    """The rows of a jagged tensor as lists of ints."""
+    return [jt.row(i).tolist() for i in range(jt.row_count)]
+
+
+def jt_equal(a: JaggedTensor, b: JaggedTensor) -> bool:
+    return np.array_equal(a.values, b.values) and np.array_equal(a.offsets, b.offsets)
+
+
+def kjt_equal(a: KJT, b: KJT) -> bool:
+    if a.batch_size != b.batch_size or a.keys != b.keys:
+        return False
+    return all(jt_equal(a.entries[k], b.entries[k]) for k in a.entries)
+
+
+def ikjt_to_kjt(ikjt: IKJT) -> KJT:
+    """Expand an IKJT back to the logically equal KJT."""
+    entries = {
+        key: jagged_index_select(jt, ikjt.inverse_lookup)
+        for key, jt in ikjt.per_feature.items()
+    }
+    return KJT(batch_size=ikjt.batch_size, entries=entries)
+
+
 def as_batch(rows, keys=None) -> ScanBatch:
     """Records or feature dicts as one columnar table, in order.
 
@@ -39,7 +73,7 @@ def as_batch(rows, keys=None) -> ScanBatch:
     if keys is None:
         keys = list(dict.fromkeys(key for row in rows for key in _features(row)))
     entries = {
-        key: JaggedTensor.from_rows([_features(row).get(key, ()) for row in rows])
+        key: from_rows([_features(row).get(key, ()) for row in rows])
         for key in keys
     }
 

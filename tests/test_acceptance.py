@@ -22,7 +22,15 @@ from sessiondedup.characterize import (
     exact_dup_pct,
     partial_dup_pct,
 )
-from rows import ImpressionRecord, as_batch, as_records
+from rows import (
+    ImpressionRecord,
+    as_batch,
+    as_records,
+    from_rows,
+    ikjt_to_kjt,
+    jt_equal,
+    to_pylists,
+)
 from sessiondedup.datagen import (
     FeatureSpec,
     SampleCountDist,
@@ -35,15 +43,12 @@ from sessiondedup.reader import DataloaderSpec, Transform, convert, process
 from sessiondedup.storage import stream_sizes, write_table
 from sessiondedup.tensors import (
     DedupeModel,
-    JaggedTensor,
     build_ikjt,
     build_kjt,
     build_partial_ikjt,
     dedupe_factor,
     dedupe_len,
-    ikjt_to_kjt,
     jagged_index_select,
-    jt_equal,
     measured_dedupe_factor,
 )
 from sessiondedup.trainer_sim import (
@@ -149,7 +154,7 @@ def test_acceptance_1_worked_examples(capsys):
             key="cd",
             weights=np.arange(12, dtype=np.float32).reshape(-1, 1),
         )
-        seq = JaggedTensor.from_rows(
+        seq = from_rows(
             [
                 np.concatenate(
                     [ikjt.per_feature["c"].row(i), ikjt.per_feature["d"].row(i)]
@@ -554,9 +559,9 @@ def test_acceptance_7_jagged_index_select_oracle(capsys):
                 rng.integers(0, 100, size=rng.integers(0, 7)).tolist()
                 for _ in range(n_rows)
             ]
-            jt = JaggedTensor.from_rows(rows)
+            jt = from_rows(rows)
             idx = rng.integers(0, n_rows, size=int(rng.integers(0, 17)))
-            got = jagged_index_select(jt, idx).to_pylists()
+            got = to_pylists(jagged_index_select(jt, idx))
             width = max(len(r) for r in rows)
             dense = np.full((n_rows, width + 1), pad, dtype=np.int64)
             for r, row in enumerate(rows):

@@ -15,7 +15,7 @@ from sessiondedup.characterize import (
     partial_dup_pct,
     session_histogram,
 )
-from rows import ImpressionRecord, as_batch, as_records
+from rows import ImpressionRecord, as_batch, as_records, from_rows, to_pylists
 from sessiondedup.datagen import (
     FeatureSpec,
     SampleCountDist,
@@ -23,7 +23,7 @@ from sessiondedup.datagen import (
     generate_dataset,
 )
 from sessiondedup.storage import read_stripe, scan, write_table
-from sessiondedup.tensors import JaggedTensor, concat_rows, jagged_index_select
+from sessiondedup.tensors import concat_rows, jagged_index_select
 
 
 def rec(sid, key_lists, ts=0):
@@ -462,14 +462,14 @@ class TestDupIdsKernel:
     def test_matches_lexsort_and_brute_force(self, case, seed):
         sessions, values = DUP_ID_CASES[case]
         sids, lists = _block(np.random.default_rng(seed), sessions, np.array(values, dtype=np.int64))
-        jt = JaggedTensor.from_rows(lists)
+        jt = from_rows(lists)
         want = brute_dup_ids(sids.tolist(), lists)
         assert charmod._dup_ids(sids, jt) == lexsort_dup_ids(sids, jt) == want
 
     @pytest.mark.parametrize("span, ranked", [(2**60 - 1, False), (2**60, True)])
     def test_key_limit_boundary(self, span, ranked, monkeypatch):
         # one session of 4 rows: the packed key reaches span * 4
-        jt = JaggedTensor.from_rows([[0, span - 1], [span - 1], [0, 0], [span - 1, 0]])
+        jt = from_rows([[0, span - 1], [span - 1], [0, 0], [span - 1, 0]])
         sids = np.zeros(4, dtype=np.int64)
         calls = []
         unique = np.unique
@@ -482,7 +482,7 @@ class TestDupIdsKernel:
         monkeypatch.setattr(charmod, "_KEY_LIMIT", 4)
         sids = np.array([0, 0], dtype=np.int64)
         with pytest.raises(ValueError, match="2 rows and 3 IDs is too large to count"):
-            charmod._dup_ids(sids, JaggedTensor.from_rows([[1, 2], [1]]))
+            charmod._dup_ids(sids, from_rows([[1, 2], [1]]))
 
 
 class TestGather:
@@ -492,7 +492,7 @@ class TestGather:
     @pytest.fixture()
     def parts(self):
         rows = [[[1], [2, 3], [], [-4]], [], [[5, 6], [7], [8]], [[9], [], [10, 11], [12], [13]], [[14]]]
-        jts = [JaggedTensor.from_rows(r) for r in rows]
+        jts = [from_rows(r) for r in rows]
         return jts, np.cumsum([0, *(len(r) for r in rows)])
 
     @pytest.mark.parametrize(
@@ -505,13 +505,13 @@ class TestGather:
         idx = np.array(idx, dtype=np.int64)
         got = charmod._gather(jts, starts, idx)
         want = jagged_index_select(concat_rows(jts), idx)
-        assert got.to_pylists() == want.to_pylists()
+        assert to_pylists(got) == to_pylists(want)
         np.testing.assert_array_equal(got.offsets, want.offsets)
 
     def test_run_inside_one_tensor_is_a_view(self, parts):
         jts, starts = parts
         got = charmod._gather(jts, starts, np.arange(8, 11))
-        assert got.to_pylists() == [[], [10, 11], [12]]
+        assert to_pylists(got) == [[], [10, 11], [12]]
         assert np.shares_memory(got.values, jts[3].values)
 
 

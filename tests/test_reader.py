@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import rows as row_adapter
-from rows import ImpressionRecord, as_batch, as_records
+from rows import ImpressionRecord, as_batch, as_records, ikjt_to_kjt, jt_equal, to_pylists
 from sessiondedup.datagen import (
     FeatureSpec,
     SampleCountDist,
@@ -28,7 +28,6 @@ from sessiondedup.reader import (
     save_dataloader_spec,
 )
 from sessiondedup.storage import open_table, scan, write_table
-from sessiondedup.tensors import ikjt_to_kjt, jt_equal, kjt_equal
 
 
 def rec(sid, ts, feats, label=0):
@@ -101,9 +100,9 @@ class TestConvert:
         np.testing.assert_array_equal(b.per_feature["b"].values, [3, 4, 5, 4, 5, 6])
         cd = by_group[("c", "d")]
         np.testing.assert_array_equal(cd.inverse_lookup, [0, 0, 1])
-        assert cd.per_feature["c"].to_pylists() == [[7, 8], [10]]
-        assert cd.per_feature["d"].to_pylists() == [[9], [11]]
-        assert batch.kjts["item"].to_pylists() == [[42], [43], [44]]
+        assert to_pylists(cd.per_feature["c"]) == [[7, 8], [10]]
+        assert to_pylists(cd.per_feature["d"]) == [[9], [11]]
+        assert to_pylists(batch.kjts["item"]) == [[42], [43], [44]]
         np.testing.assert_array_equal(batch.labels, [1, 0, 0])
 
     def test_grouped_features_share_inverse(self):
@@ -344,9 +343,9 @@ class TestTransforms:
         batch = process(convert(as_batch(WORKED_ROWS), spec), spec.transforms)
         cd = batch.ikjts[0]
         np.testing.assert_array_equal(cd.inverse_lookup, [0, 0, 1])
-        assert cd.per_feature["c"].to_pylists() == [[7, 8], [9]]
+        assert to_pylists(cd.per_feature["c"]) == [[7, 8], [9]]
         # untouched feature keeps its values
-        assert cd.per_feature["d"].to_pylists() == [[9], [11]]
+        assert to_pylists(cd.per_feature["d"]) == [[9], [11]]
 
     def test_process_keeps_untouched_ikjts(self):
         batch = convert(as_batch(WORKED_ROWS), SPEC)
@@ -355,7 +354,7 @@ class TestTransforms:
         one = process(batch, (Transform(op="clamp", key="c", param=9),))
         assert one.ikjts[0] is batch.ikjts[0]
         assert one.ikjts[1] is not batch.ikjts[1]
-        assert one.ikjts[1].per_feature["c"].to_pylists() == [[7, 8], [9]]
+        assert to_pylists(one.ikjts[1].per_feature["c"]) == [[7, 8], [9]]
 
     @pytest.mark.parametrize(
         "transforms",

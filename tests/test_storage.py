@@ -1,5 +1,7 @@
 """Tests for the session-clustered columnar file format."""
 
+import contextlib
+import io
 import struct
 import tracemalloc
 import types
@@ -13,17 +15,20 @@ from hypothesis import strategies as st
 
 from sessiondedup import storage
 from rows import (
-    WRAPPED_LENGTHS,
     ImpressionRecord,
+    WRAPPED_LENGTHS,
     as_batch,
     as_records,
     column_digest,
+    from_rows,
+    jt_equal,
     serialize_log_records,
+    to_pylists,
     write_raw_stripe,
 )
 from sessiondedup import tensors
 from sessiondedup.tensors import (
-    KJT, JaggedTensor, RunJaggedTensor, build_ikjt, expand_runs, jagged_index_select, jt_equal
+    KJT, JaggedTensor, RunJaggedTensor, build_ikjt, expand_runs, jagged_index_select
 )
 from sessiondedup.datagen import (
     FeatureSpec,
@@ -247,12 +252,12 @@ class TestValidation:
         read_stripe(reopened, 0)
 
     def test_unknown_version(self, records, tmp_path):
-        # version 1 (a key-name list with no checksum) and version 2 (no
-        # repeat marks) are no longer read
+        # version 1 (a key-name list with no checksum), version 2 (no
+        # repeat marks) and version 3 (no -d marks) are no longer read
         path = tmp_path / "t.sesscol"
         write_table(as_batch(records), path)
         good = path.read_bytes()
-        for version in (99, 1, 2):
+        for version in (99, 1, 2, 3):
             data = bytearray(good)
             struct.pack_into("<I", data, len(MAGIC), version)
             path.write_bytes(bytes(data))
@@ -302,7 +307,7 @@ class TestScanBatch:
     @pytest.mark.parametrize("column", ["session_ids", "timestamps", "labels"])
     @pytest.mark.parametrize("shape", [(2,), (4,), (3, 1), ()])
     def test_columns_must_have_one_entry_per_row(self, column, shape):
-        features = KJT(3, {"f": JaggedTensor.from_rows([[1], [], [2, 3]])})
+        features = KJT(3, {"f": from_rows([[1], [], [2, 3]])})
         columns = {name: np.zeros(3, dtype=np.int64) for name in ("session_ids", "timestamps", "labels")}
         ScanBatch(**columns, features=features, bytes_read=0)
         columns[column] = np.zeros(shape, dtype=np.int64)
@@ -350,7 +355,8 @@ def _row_tuples(batches):
 @pytest.fixture(scope="module")
 def small_file(tmp_path_factory):
     # Each session repeats ``g`` on every row and each ``f`` list (empty
-    # ones too) on two rows, so most stripes hold repeat marks.
+    # ones too) on two rows. The sessions' rows interleave, so most
+    # stripes hold -1 marks (the empty rows) or -d marks (the rest).
     recs = [
         ImpressionRecord(
             s,
@@ -358,8 +364,8 @@ def small_file(tmp_path_factory):
             {"f": np.arange(t // 2 % 3, dtype=np.int64) + s, "g": np.array([s], dtype=np.int64)},
             t % 2,
         )
-        for s in range(3)
         for t in range(6)
+        for s in range(3)
     ]
     path = tmp_path_factory.mktemp("fuzz") / "small.sesscol"
     specs = [
@@ -425,8 +431,8 @@ def _wide_table() -> ScanBatch:
 @pytest.fixture(scope="module")
 def wide_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("wide") / "wide.sesscol"
-    # clustered, so the ``wide`` feature's stripes hold repeat marks
-    write_table(_wide_table(), path, stripe_rows=37, clustering="by_session")
+    # unclustered, so the ``wide`` feature's stripes hold -d marks
+    write_table(_wide_table(), path, stripe_rows=37)
     return path, path.read_bytes(), _row_tuples(scan(open_table(path), 4))
 
 
@@ -734,8 +740,8 @@ class TestCorruption:
     def test_wide_value_corruption_raises_only_storage_error(self, wide_file, data):
         """The same damage, and the same rule for the header, on a file
         written without feature specs whose streams take the codec's
-        per-byte-position path, clustered so that its ``wide`` rows
-        repeat."""
+        per-byte-position path, whose ``wide`` rows refer back to their
+        sessions' earlier rows."""
         _corrupt_and_scan(*wide_file, data)
 
 
@@ -746,20 +752,34 @@ def _marked_stripes(path):
     return sum(isinstance(jt, RunJaggedTensor) for b in stripes for jt in b.features.entries.values())
 
 
-def _feature_streams(path):
-    """The decoded (lengths, values) streams of feature ``f`` in each
-    stripe, as stored."""
+def _stored_streams(path):
+    """The decoded (lengths, values) streams of each feature in each
+    stripe, as stored: one dict by key per stripe."""
     f = open_table(path)
+    data = path.read_bytes()
     out = []
     for info in f.stripes:
-        buf = memoryview(path.read_bytes()[info.offset : info.offset + info.byte_size])
+        buf = memoryview(data[info.offset : info.offset + info.byte_size])
         rows, pos = info.row_count, 4
         for _ in range(3):
             _, pos = storage._read_stream(buf, pos, "stripe", rows)
-        lengths, pos = storage._read_stream(buf, pos, "stripe", rows)
-        values, _ = storage._read_stream(buf, pos, "stripe", int(lengths[lengths >= 0].sum()))
-        out.append((lengths.tolist(), values.tolist()))
+        streams = {}
+        for key in f.feature_keys:
+            lengths, pos = storage._read_stream(buf, pos, "stripe", rows)
+            values, pos = storage._read_stream(buf, pos, "stripe", int(lengths[lengths >= 0].sum()))
+            streams[key] = (lengths.tolist(), values.tolist())
+        out.append(streams)
     return out
+
+
+def _feature_streams(path):
+    """The stored (lengths, values) streams of feature ``f`` in each stripe."""
+    return [streams["f"] for streams in _stored_streams(path)]
+
+
+def _back_marked_stripes(path):
+    """How many (stripe, feature) pairs of a file hold a -d mark."""
+    return sum(min(lengths) < -1 for streams in _stored_streams(path) for lengths, _ in streams.values())
 
 
 A, B, C = [1, 2, 3], [4], [1, 2, 4]
@@ -769,13 +789,23 @@ def _rows(*lists, key="f"):
     return [{key: row} for row in lists]
 
 
-def _check_scanned_groups(path, rows, group, stripe_rows, batch_size):
-    """Write ``rows`` (feature dicts), scan them back in ``batch_size``
-    batches, and check each batch's IKJT of ``group`` against the same
-    rows laid out: ``build_ikjt`` over them and the padded oracle. Also
-    check the laid-out rows against ``rows``. Returns how many
-    (batch, feature) pairs were read as run heads."""
-    write_table(as_batch(rows), path, stripe_rows=stripe_rows)
+def _with_sessions(rows, sessions=None) -> ScanBatch:
+    """Feature dicts as a table whose rows have the session ids
+    ``sessions`` (all 0 if None)."""
+    table = as_batch(rows)
+    if sessions is None:
+        return table
+    return ScanBatch(np.array(sessions, dtype=np.int64), table.timestamps, table.labels, table.features)
+
+
+def _check_scanned_groups(path, rows, group, stripe_rows, batch_size, sessions=None):
+    """Write ``rows`` (feature dicts) unclustered, scan them back in
+    ``batch_size`` batches, and check each batch's IKJT of ``group``
+    against the same rows laid out: ``build_ikjt`` over them and the
+    padded oracle. Also check the laid-out rows against ``rows``.
+    ``sessions`` gives each row's session id (all 0 by default). Returns
+    how many (batch, feature) pairs were read as heads."""
+    write_table(_with_sessions(rows, sessions), path, stripe_rows=stripe_rows)
     f = open_table(path)
     runs = start = 0
     for batch in scan(f, batch_size):
@@ -784,7 +814,7 @@ def _check_scanned_groups(path, rows, group, stripe_rows, batch_size):
         laid_out = plain.features
         assert all(type(jt) is JaggedTensor for jt in laid_out.entries.values())
         for key, jt in laid_out.entries.items():
-            assert jt.to_pylists() == [list(r[key]) for r in rows[start : start + len(batch)]]
+            assert to_pylists(jt) == [list(r[key]) for r in rows[start : start + len(batch)]]
         got, want = build_ikjt(batch, group), build_ikjt(plain, group)
         first, inverse = tensors._unique_rows_padded([laid_out.entries[k] for k in group])
         np.testing.assert_array_equal(got.inverse_lookup, want.inverse_lookup)
@@ -878,12 +908,13 @@ class TestRunMarks:
         # so that the corruption tests' bit flips reach the length marks
         assert _marked_stripes(small_file[0]) >= 3
         assert _marked_stripes(wide_file[0]) >= 3
+        assert any(-1 in lengths for streams in _stored_streams(small_file[0]) for lengths, _ in streams.values())
 
     @pytest.mark.parametrize(
         "lengths, values, message",
         [
-            ([1, -2], [5], "negative row length -2 at row 1, below the repeat mark -1$"),
-            ([2, -1, 1, -9], [5, 6, 7], "negative row length -9 at row 3, below the repeat mark -1$"),
+            ([1, -2], [5], "row 1 refers 2 rows back, before row 0$"),
+            ([2, -1, 1, -9], [5, 6, 7], "row 3 refers 9 rows back, before row 0$"),
             ([2, -1, 1], [5, 6], "stream length 2 cannot hold 3 varints$"),
             ([2, -1, 1], [5, 6, 5, 6, 7], "corrupt varints: expected 3 varints, found 5$"),
         ],
@@ -891,6 +922,92 @@ class TestRunMarks:
     )
     def test_corrupt_marks_name_stripe_and_feature(self, tmp_path, lengths, values, message):
         path = tmp_path / "bad-marks.sesscol"
+        write_raw_stripe(path, lengths, values)
+        with pytest.raises(StorageError, match="^stripe 0: feature 'f': " + message):
+            read_stripe(open_table(path), 0)
+
+
+def _session_rows(pairs):
+    """(session id, ``f`` list) pairs as feature dicts and session ids."""
+    return [{"f": f} for _, f in pairs], [sid for sid, _ in pairs]
+
+
+class TestBackReferences:
+    """A non-empty row equal to the previous row of its own session in
+    the stripe, and not to the row before it, is stored as -d: a
+    reference to the stored row d rows back."""
+
+    def test_session_repeats_stored_as_back_references(self, tmp_path):
+        path = tmp_path / "back.sesscol"
+        rows = _session_rows([(1, A), (2, B), (1, A), (3, A), (2, C), (1, A), (2, [])])
+        write_table(_with_sessions(*rows), path)
+        # row 2 refers to row 0; row 3 repeats row 2; row 5's session
+        # predecessor is row 3, whose values are row 0's
+        assert _feature_streams(path) == [([3, 1, -2, -1, 3, -5, 0], A + B + C)]
+        stripe = read_stripe(open_table(path), 0).features.entries["f"]
+        assert stripe.head_index.tolist() == [0, 1, 0, 0, 2, 0, 3]
+
+    def test_empty_rows_are_never_back_references(self, tmp_path):
+        path = tmp_path / "empty.sesscol"
+        write_table(_with_sessions(*_session_rows([(1, []), (2, B), (1, []), (2, B)])), path)
+        assert _feature_streams(path) == [([0, 1, 0, -2], B)]
+
+    def test_slice_after_a_head_it_uses(self, tmp_path):
+        # rows 3 and 4 refer to rows 1 and 0, so the second batch of 3
+        # starts after both heads it uses
+        rows, sessions = _session_rows([(1, A), (2, B), (3, C), (2, B), (1, A)])
+        path = tmp_path / "slice.sesscol"
+        assert _check_scanned_groups(path, rows, ("f",), 5, 3, sessions) == 2
+        assert _feature_streams(path) == [([3, 1, 3, -2, -4], A + B + C)]
+        second = list(scan(open_table(path), 3))[1].features.entries["f"]
+        assert to_pylists(second.heads) == [B, A]
+        assert second.head_index.tolist() == [0, 1]
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_random_interleavings_match_laid_out_rows(self, tmp_path_factory, data):
+        # small pools, so that A B A rows, empty rows and repeats that
+        # cross stripe and batch boundaries all occur
+        value = st.lists(st.integers(-2, 2), max_size=3)
+        pool = data.draw(st.lists(st.tuples(value, value), min_size=1, max_size=4))
+        row = st.tuples(st.integers(0, 3), st.integers(0, len(pool) - 1))
+        picks = data.draw(st.lists(row, min_size=1, max_size=40))
+        rows = [{"f": pool[p][0], "g": pool[p][1]} for _, p in picks]
+        sessions = [sid for sid, _ in picks]
+        group = data.draw(st.sampled_from([("f",), ("g", "f")]))
+        stripe_rows = data.draw(st.integers(1, 20))
+        batch_size = data.draw(st.integers(1, 20))
+        path = tmp_path_factory.mktemp("back") / "back.sesscol"
+        _check_scanned_groups(path, rows, group, stripe_rows, batch_size, sessions)
+
+    def test_fuzzed_files_hold_back_references(self, small_file, wide_file):
+        # so that the corruption tests' bit flips reach the -d marks
+        assert _back_marked_stripes(small_file[0]) >= 3
+        assert _back_marked_stripes(wide_file[0]) >= 3
+
+    @pytest.mark.parametrize(
+        "lengths, values, message",
+        [
+            ([1, 2, -3], [5, 6, 7], "row 2 refers 3 rows back, before row 0$"),
+            ([-2, 1], [5], "row 0 refers 2 rows back, before row 0$"),
+            ([2, -1, 1, -2], [5, 6, 7], "row 3 refers back to row 1, another mark$"),
+            ([2, 1, -2, 1, -2], [5, 6, 7, 8], "row 4 refers back to row 2, another mark$"),
+            ([0, 1, -2], [5], "row 2 refers back to row 0, a row with no values$"),
+            ([1, -(2**63)], [5], f"row 1 refers {2**63} rows back, before row 0$"),
+            ([-1, 1], [5], "negative row length -1 at row 0, which has no row before it$"),
+        ],
+        ids=[
+            "before-row-0",
+            "at-row-0",
+            "at-a-repeat",
+            "at-a-back-reference",
+            "at-an-empty-row",
+            "int64-min",
+            "repeat-at-row-0",
+        ],
+    )
+    def test_corrupt_back_references_name_stripe_feature_and_row(self, tmp_path, lengths, values, message):
+        path = tmp_path / "bad-back.sesscol"
         write_raw_stripe(path, lengths, values)
         with pytest.raises(StorageError, match="^stripe 0: feature 'f': " + message):
             read_stripe(open_table(path), 0)
@@ -919,136 +1036,165 @@ def _golden_configs():
     return configs
 
 
-def _golden_digests(tmp_path, monkeypatch, capsys):
+def _golden_digests(tmp_path):
     """sha256 of every file and stdout the CLI writes for the golden
     configs on seeds 0 and 1: ``gen`` in both clusterings, then
     ``cluster`` and ``characterize`` of the unclustered file, plus the
-    :func:`rows.column_digest` of each ``.sesscol`` file's rows. The varied
-    configs use ``--stripe-rows 333``, which divides none of their row
-    counts."""
+    :func:`rows.column_digest` of each ``.sesscol`` file's rows and, for
+    each file clustered by session, the sha256 of its bytes after the
+    header. The varied configs use ``--stripe-rows 333``, which divides
+    none of their row counts. Also returns how many (stripe, feature)
+    pairs of each clustered file hold a -d mark."""
     import hashlib
 
     from sessiondedup.cli import DATA_DIR_ENV, main
 
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv(DATA_DIR_ENV, raising=False)
-    capsys.readouterr()
-    out = {}
+    out, back_marks = {}, {}
 
     def sha(data):
         return hashlib.sha256(data).hexdigest()
 
     def run(tag, argv, written):
-        assert main([str(a) for a in argv]) == 0
-        out[f"{tag}.stdout"] = sha(capsys.readouterr().out.encode())
-        out[tag] = sha((tmp_path / written).read_bytes())
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert main([str(a) for a in argv]) == 0
+        out[f"{tag}.stdout"] = sha(stdout.getvalue().encode())
+        data = (tmp_path / written).read_bytes()
+        out[tag] = sha(data)
         if written.endswith(".sesscol"):
             f = open_table(tmp_path / written)
             out[f"{tag}.columns"] = column_digest(next(scan(f, f.row_count)))
+            if not tag.endswith("-none"):
+                out[f"{tag}.body"] = sha(data[f.stripes[0].offset :])
+                back_marks[tag] = _back_marked_stripes(tmp_path / written)
 
-    for name, (cfg, specs) in _golden_configs().items():
-        save_config(tmp_path / f"{name}.json", cfg, specs)
-        stripes = [] if name == "default" else ["--stripe-rows", 333]
-        for seed in (0, 1):
-            tag = f"{name}-s{seed}"
-            for mode in ("none", "by_session"):
-                path = f"{tag}-{mode}.sesscol"
-                gen = ["gen", "--config", f"{name}.json", "--seed", seed, "--clustering", mode]
-                run(f"{tag}-gen-{mode}", [*gen, "--out", path, *stripes], path)
-            raw = f"{tag}-none.sesscol"
-            run(f"{tag}-cluster", ["cluster", raw, "--out", f"{tag}-c.sesscol", *stripes], f"{tag}-c.sesscol")
-            csv = f"{tag}.csv"
-            run(f"{tag}-characterize", ["characterize", raw, "--batch-size", 256, "--out", csv], csv)
-    return out
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(tmp_path)
+        mp.delenv(DATA_DIR_ENV, raising=False)
+        for name, (cfg, specs) in _golden_configs().items():
+            save_config(tmp_path / f"{name}.json", cfg, specs)
+            stripes = [] if name == "default" else ["--stripe-rows", 333]
+            for seed in (0, 1):
+                tag = f"{name}-s{seed}"
+                for mode in ("none", "by_session"):
+                    path = f"{tag}-{mode}.sesscol"
+                    gen = ["gen", "--config", f"{name}.json", "--seed", seed, "--clustering", mode]
+                    run(f"{tag}-gen-{mode}", [*gen, "--out", path, *stripes], path)
+                raw = f"{tag}-none.sesscol"
+                run(f"{tag}-cluster", ["cluster", raw, "--out", f"{tag}-c.sesscol", *stripes], f"{tag}-c.sesscol")
+                csv = f"{tag}.csv"
+                run(f"{tag}-characterize", ["characterize", raw, "--batch-size", 256, "--out", csv], csv)
+    return out, back_marks
+
+
+@pytest.fixture(scope="module")
+def golden(tmp_path_factory):
+    return _golden_digests(tmp_path_factory.mktemp("golden"))
 
 
 GOLDEN_DIGESTS = {
-    "default-s0-gen-none.stdout": "75d2a634ebae38e2d73978bcdfd49a018647091a45b42c468a598d4ee3d7d69b",
-    "default-s0-gen-none": "0db0dc13188c0f9cefdef130c87b756a8faeec9091c4e04b065f5e72b75b8d15",
+    "default-s0-gen-none.stdout": "6aa86fa947c7248cd4b799e3e4bdd8944c9afeba3ae332fae0078b40f751adc1",
+    "default-s0-gen-none": "8e8607bde0536383130531316e530152716e7334e41a0c4c44bfcc0c07390a63",
     "default-s0-gen-none.columns": "19f88191e7fcc93d9268a5bb291900cb3f3b5f2447bc1762c81bc606d5797bc0",
     "default-s0-gen-by_session.stdout": "d37a8bd7e8bbe2fb4b85eb7bade5ce7e53b0b8ede81e08b726e19b18bce90889",
-    "default-s0-gen-by_session": "3cacc525737e500e7ad89e2e4fb5c8d0fc7fcf3a7b0ab10fa81e4bc68844e14d",
+    "default-s0-gen-by_session": "cc574233b83c7381ca028e9a4237cbec2c60bbaed4bbe4fb53cf1b381689f1d5",
     "default-s0-gen-by_session.columns": "7beca8b792b71d1690dc3a546052f68730c57b011391893d11e0255661dca517",
-    "default-s0-cluster.stdout": "c88521c8040224e6e0a28590b268030beb4daa26ef60a3e7ed084f623860d9c0",
-    "default-s0-cluster": "3cacc525737e500e7ad89e2e4fb5c8d0fc7fcf3a7b0ab10fa81e4bc68844e14d",
+    "default-s0-gen-by_session.body": "73f94add424ea0ada785e6639726deb3c5b1d395b609ff0f327a61ffdd5bafcb",
+    "default-s0-cluster.stdout": "f3f9871301cf617cf0ad31545173fe705b2da914c8ec2304e7d4f54665ba07ba",
+    "default-s0-cluster": "cc574233b83c7381ca028e9a4237cbec2c60bbaed4bbe4fb53cf1b381689f1d5",
     "default-s0-cluster.columns": "7beca8b792b71d1690dc3a546052f68730c57b011391893d11e0255661dca517",
+    "default-s0-cluster.body": "73f94add424ea0ada785e6639726deb3c5b1d395b609ff0f327a61ffdd5bafcb",
     "default-s0-characterize.stdout": "099c4c411d64cf9e04deea850adc5bd81e22cfed3aa2ce7c38d4d636dcf0dfec",
     "default-s0-characterize": "ce7303521d86f89cbb0eb232dcc68f9cd550dfd1c13f88352204ab0bc7ab6cca",
-    "default-s1-gen-none.stdout": "d1ffd3ee514981a62190c0d96799fec76bb1cbc23b6999bdc5ed74895c961dc1",
-    "default-s1-gen-none": "55be8165270dc4ec028dc097e5105bd44edef5a13132e7c55884c95865e86c9d",
+    "default-s1-gen-none.stdout": "da57e5727bb7aba9746c360a6ccabb06db107d81bebb5df7cbbff8f0b9accf2b",
+    "default-s1-gen-none": "eb071ea34ee06ed4ea41a46f66ec8963b763261b45219e80a0195e2fb60cfb4a",
     "default-s1-gen-none.columns": "c9fa3471b85f7445f1bb1ba05030ac95656642692d3743bedafe454c0b9c548e",
     "default-s1-gen-by_session.stdout": "a64881547d96ce1045e60401e0d392ac839192f8978dba17458b708d5623a07d",
-    "default-s1-gen-by_session": "393b7e7deaa5fee8de1a26447ed26aca07a7bb07e350323b3818c5a6cf88a24b",
+    "default-s1-gen-by_session": "5e5b939459be926ee4cb8a9c1bd2c596da5322c2f6bdb58356861373d272c69a",
     "default-s1-gen-by_session.columns": "bf1471a23b4fc8f7f20d58d0a9f70051ee859eef20d9647d27f5eeca5cd03b11",
-    "default-s1-cluster.stdout": "eaf0e013cd68dc56053aa212c07db4477c0808bfb8fe9f4512f2323d435c2f51",
-    "default-s1-cluster": "393b7e7deaa5fee8de1a26447ed26aca07a7bb07e350323b3818c5a6cf88a24b",
+    "default-s1-gen-by_session.body": "a06aad3c58cabdd4f1bef5b37198af1f02f5134371ea45c9cc8d8e2681262e40",
+    "default-s1-cluster.stdout": "2ba6725164afa91b59aaf16636a6408aea4ccc12f2d5f4acdf2a811aeb93c58a",
+    "default-s1-cluster": "5e5b939459be926ee4cb8a9c1bd2c596da5322c2f6bdb58356861373d272c69a",
     "default-s1-cluster.columns": "bf1471a23b4fc8f7f20d58d0a9f70051ee859eef20d9647d27f5eeca5cd03b11",
+    "default-s1-cluster.body": "a06aad3c58cabdd4f1bef5b37198af1f02f5134371ea45c9cc8d8e2681262e40",
     "default-s1-characterize.stdout": "345dd73e1fd958177a9470bb14c8a752ddec20ab2a88a78628cabcb79fe590a8",
     "default-s1-characterize": "15c8c462332c530b5af4437519a309b0096e613fb72520afcd88b6c6e089d580",
     "fixed1-s0-gen-none.stdout": "a626987bb0b2d0351beb89df366d6ad80fa89993ec42fe8a3209838565c6fe96",
-    "fixed1-s0-gen-none": "2a7635109d6475760b19d38c5a511e199c31d9d2812a810d44897ba0993cb9f2",
+    "fixed1-s0-gen-none": "b573d2362a196aec362064f46f1869d5ea6552213b1f7291ed85a8888ee28573",
     "fixed1-s0-gen-none.columns": "dccceb83dd1af1e0fe5ef96c4b5ca570ca9b4ef773a9ce99319f31993b74c19b",
     "fixed1-s0-gen-by_session.stdout": "6c59bf7e3f2f92de335b6a04032d163b39f39bb619f102b61d90b8f818ce1dbd",
-    "fixed1-s0-gen-by_session": "39b4d56c9c8b70a6f0df924858de3cbb523f1185924b4031d8797d3628e9746f",
+    "fixed1-s0-gen-by_session": "b7601912d7af5759369db97aa43dc95cd52daf20c2ac326649112fbcbecf5c80",
     "fixed1-s0-gen-by_session.columns": "c7cded80aea84decc95f21ef57b344c507ab6edaee99f0860057ea174205df05",
-    "fixed1-s0-cluster.stdout": "45119d407afa2e8567b3d9199cb1d5af3c24e5f6a913e252dad8d601b12c65f0",
-    "fixed1-s0-cluster": "39b4d56c9c8b70a6f0df924858de3cbb523f1185924b4031d8797d3628e9746f",
+    "fixed1-s0-gen-by_session.body": "82af02afb2a307635ab498195d6e8f55de40bb11abec355233c8af5b40ec3d3f",
+    "fixed1-s0-cluster.stdout": "c8c720e9c154b325af99e5082df024f2acfaa765bbe3fa0e4e35c0221a7a2dda",
+    "fixed1-s0-cluster": "b7601912d7af5759369db97aa43dc95cd52daf20c2ac326649112fbcbecf5c80",
     "fixed1-s0-cluster.columns": "c7cded80aea84decc95f21ef57b344c507ab6edaee99f0860057ea174205df05",
+    "fixed1-s0-cluster.body": "82af02afb2a307635ab498195d6e8f55de40bb11abec355233c8af5b40ec3d3f",
     "fixed1-s0-characterize.stdout": "78e5b53f863f70ab9f8c36cb78d24c663ce56a80f8b23992168e409155d1401f",
     "fixed1-s0-characterize": "5471e742b48234bd2a104a49b825cf8c4fedfa92eaec51a33547954b58b6b113",
     "fixed1-s1-gen-none.stdout": "1287098c2612f3ad6839babccb1141386a7a71c11cb42154b8311ef894509d3c",
-    "fixed1-s1-gen-none": "4beaa4ec4ad89c2805fccbd989dd79a1f2fc6d845e9ceba777516227c9c554b2",
+    "fixed1-s1-gen-none": "396e892d13e12d47827284b663c1fc195bb4a900aa714f9a2cd32c22231a2310",
     "fixed1-s1-gen-none.columns": "f628fa8bc343bba6abc20f10c939d6d40457075d5d09994f398de1e36da52c63",
     "fixed1-s1-gen-by_session.stdout": "f2b361f571108b9d36685c27c7d95cb8bb5ccc631bb66253a0383de1ff3f3717",
-    "fixed1-s1-gen-by_session": "b91f305f74a447257088d33952943eb0c2051d2a91f4bdd2ad9ddc4941831af3",
+    "fixed1-s1-gen-by_session": "72fdffe841fff8e894132c0e76304a901ba236d15fd10e942397b99bfa2c5372",
     "fixed1-s1-gen-by_session.columns": "1163b1feaea3eb7a9bfeaacc8471e9c5cdb7829f652fa717757dd1705131c098",
-    "fixed1-s1-cluster.stdout": "625f08db2babe1f059ee2ef1b8b4e5afbe62ea8fc82a7102d73836e34b852153",
-    "fixed1-s1-cluster": "b91f305f74a447257088d33952943eb0c2051d2a91f4bdd2ad9ddc4941831af3",
+    "fixed1-s1-gen-by_session.body": "eb6340243f430ff44f73aca44963003e230104253067dd1ee7018e7620296adf",
+    "fixed1-s1-cluster.stdout": "938b765be26299f2ab2a2bde7188fddd130142e5efd57cd976316afbf2b30f74",
+    "fixed1-s1-cluster": "72fdffe841fff8e894132c0e76304a901ba236d15fd10e942397b99bfa2c5372",
     "fixed1-s1-cluster.columns": "1163b1feaea3eb7a9bfeaacc8471e9c5cdb7829f652fa717757dd1705131c098",
+    "fixed1-s1-cluster.body": "eb6340243f430ff44f73aca44963003e230104253067dd1ee7018e7620296adf",
     "fixed1-s1-characterize.stdout": "3a5f61fa63bcc267b27ca27376bc275813ab890f14a6f040bff30d8f4f76c4c9",
     "fixed1-s1-characterize": "ccfb240b2bec71b2c48ef2b5298bea565ca6066fe132ca997feadb5e809befff",
-    "empirical-s0-gen-none.stdout": "cde01b0d08f89dbfbb8e45699de3c870dffb01f2b687a9cf35fc0af2e1451812",
-    "empirical-s0-gen-none": "eb2a74734b9f2f309571f908179409e3179e86ae48680a724f0ad1bb80dcaa60",
+    "empirical-s0-gen-none.stdout": "0de0ca509dc8f7824e5fba46faa224a4b1be0eea210cf52922da68ae4cebae31",
+    "empirical-s0-gen-none": "8de57ec5c0605bba24b48ba19cb2690bd553c1e2d3b317d824617a10cf7a127a",
     "empirical-s0-gen-none.columns": "27405cadadb72b7ddf550e32890307094a8fc8d5f2091e413e4cd641a843884f",
     "empirical-s0-gen-by_session.stdout": "cdcf7f8672b8f1976baadf5005b4cf5691b98d34d0a44cf2571107d85b96aac4",
-    "empirical-s0-gen-by_session": "93b3c9faefa31351254272d43d79e29b897b5aaa1c518af127fbe500b08f1099",
+    "empirical-s0-gen-by_session": "4682a35500df215955abd256d3aeb657bcdb29b0800bc9715203554e08c2254b",
     "empirical-s0-gen-by_session.columns": "20659db32331874c3a4fe774653fb6efd725c38518e72f83549f8358cf7370d6",
-    "empirical-s0-cluster.stdout": "5d28a9532c5c756a3552fe026fdda15234d90358d112b1e058628eebf339e052",
-    "empirical-s0-cluster": "93b3c9faefa31351254272d43d79e29b897b5aaa1c518af127fbe500b08f1099",
+    "empirical-s0-gen-by_session.body": "c5714531f42455cfeef26a60a7d9ed6af4ab72f841d3ff2f2c2ea625a126373e",
+    "empirical-s0-cluster.stdout": "3e8ab72a31b3b68071b050441e85edba58704268a8e8cf2006eeb12102d44f5b",
+    "empirical-s0-cluster": "4682a35500df215955abd256d3aeb657bcdb29b0800bc9715203554e08c2254b",
     "empirical-s0-cluster.columns": "20659db32331874c3a4fe774653fb6efd725c38518e72f83549f8358cf7370d6",
+    "empirical-s0-cluster.body": "c5714531f42455cfeef26a60a7d9ed6af4ab72f841d3ff2f2c2ea625a126373e",
     "empirical-s0-characterize.stdout": "75fa3ca3ff03a24798ef2f48c1cdede5f3e549d87fb4f35abda014818a889a02",
     "empirical-s0-characterize": "b076d176025f59ca89b82e2533053804fc55466f49b7c4c736783685327fd643",
-    "empirical-s1-gen-none.stdout": "1a58db73531e3f0afee509a3ab11ff03b95a809cef207627264b02e1e6702bbc",
-    "empirical-s1-gen-none": "dc9eab0486c4bca1b87044dec083daecdaeaefa94e17345339c7a27e7bcadc23",
+    "empirical-s1-gen-none.stdout": "ee4b9fc007b9a3d4835cd277eb78eac57f54b81c31ba8d050153d9110f807d4b",
+    "empirical-s1-gen-none": "f350a057ae028fb415957ac25b4f9af6edc41e472aa14a82eb9bcccec5cd0c9a",
     "empirical-s1-gen-none.columns": "609028efcf82ceffbb6ab3abddb3eb546fa3210e1bbce363df005e5fff908287",
     "empirical-s1-gen-by_session.stdout": "8951c7db472b9f45dd39419783391487301aefa36122019b25db7000773f03f3",
-    "empirical-s1-gen-by_session": "4c9aaf38933421e7e8c0fce49a27b40454dea2ac813c8258ea2a64babdf3ad06",
+    "empirical-s1-gen-by_session": "b4230825d7e0de78463b2319bb9df5e0bd59a9f03db4b79c6cd5d5f510d150d1",
     "empirical-s1-gen-by_session.columns": "f3dddf1b9f68280a553c74da3ab3fbaf980ae0149bf41018d8ff2415735f51e2",
-    "empirical-s1-cluster.stdout": "87b50a99b7e1fb5f65ddfbc0e988fe03b960570a776192f1757183607af24849",
-    "empirical-s1-cluster": "4c9aaf38933421e7e8c0fce49a27b40454dea2ac813c8258ea2a64babdf3ad06",
+    "empirical-s1-gen-by_session.body": "8f919ca318445f3947d2a25a04730a59af7d96cf77e9da266580ec36a3c02e47",
+    "empirical-s1-cluster.stdout": "e69698bfc16d2e21a48c8ffc16d81aaec4074c9f13e05cb8ca78dcefaac02735",
+    "empirical-s1-cluster": "b4230825d7e0de78463b2319bb9df5e0bd59a9f03db4b79c6cd5d5f510d150d1",
     "empirical-s1-cluster.columns": "f3dddf1b9f68280a553c74da3ab3fbaf980ae0149bf41018d8ff2415735f51e2",
+    "empirical-s1-cluster.body": "8f919ca318445f3947d2a25a04730a59af7d96cf77e9da266580ec36a3c02e47",
     "empirical-s1-characterize.stdout": "150fb06d930714aaec02f5058b95d1bbbfb110b76afeb71073647017ad058cfe",
     "empirical-s1-characterize": "4e2e02ef0e9e2fa3b7361db03ff15a9559b1271766836a167e37f1bb21cdf970",
-    "geometric-s0-gen-none.stdout": "a4bdb6336219e6dc332a844fd8a1f6fd5261a1dfc92672f63c66f8747f82ac40",
-    "geometric-s0-gen-none": "a43884362a2285592c24f358544c785388823fa58bce3f9195221ba4ee594487",
+    "geometric-s0-gen-none.stdout": "ef00201574e20a448c0ce7715c4bf531a1137842bc48b23774263dcf90e3cba1",
+    "geometric-s0-gen-none": "656072e6f481db3bf7786e69060672ca212fa83a7ee2d3dae7a059c584531700",
     "geometric-s0-gen-none.columns": "3c7997ca13ef0e31a06e43d5dd5ea4272de0029a5f69561a1df6b9984d315489",
     "geometric-s0-gen-by_session.stdout": "53316b000fab01ce01e754e11ed48b73cbbe104e88f6dfd0120d63d03c6946c9",
-    "geometric-s0-gen-by_session": "590266ad0674f6749fbc445665a4478a6fa26bf0995b4876a99499847fbbbbed",
+    "geometric-s0-gen-by_session": "67e4302c4a37f5a23c4604dc02fdb06ce0bdd9ce91706ccb0229750cdf3ae5f7",
     "geometric-s0-gen-by_session.columns": "5b26f73e11b7eb2b96c89dcd317e801c188cdb7b9a24bc7149d4cbab191ad116",
-    "geometric-s0-cluster.stdout": "f05f6fa897e3165bcb83d80be98564aa5f157f4fba87237d485fa14968cac18a",
-    "geometric-s0-cluster": "590266ad0674f6749fbc445665a4478a6fa26bf0995b4876a99499847fbbbbed",
+    "geometric-s0-gen-by_session.body": "8e837aa6776ac34d8523fcbec81045fa8084ddd0e7295bb30f2119839f6d85d2",
+    "geometric-s0-cluster.stdout": "fdc9580976733778487152d65b51a9a20b5eac731ca9a2e6b124f1d5f4946670",
+    "geometric-s0-cluster": "67e4302c4a37f5a23c4604dc02fdb06ce0bdd9ce91706ccb0229750cdf3ae5f7",
     "geometric-s0-cluster.columns": "5b26f73e11b7eb2b96c89dcd317e801c188cdb7b9a24bc7149d4cbab191ad116",
+    "geometric-s0-cluster.body": "8e837aa6776ac34d8523fcbec81045fa8084ddd0e7295bb30f2119839f6d85d2",
     "geometric-s0-characterize.stdout": "eae238df10d844a87ab69c939ff7c56ded8b58482c79671112862b864131e597",
     "geometric-s0-characterize": "0bd88d9ce8c5c280877e622ce83f90cf107def92d796312985f31790c1a7d3ea",
-    "geometric-s1-gen-none.stdout": "c8d72c29afb9eb68f33d2d993f1da633a764e677d2c043bf64bce1373b681485",
-    "geometric-s1-gen-none": "3c06bae1df103a380b23563363bbc822191f5d97576117a820d3d9485b286e7f",
+    "geometric-s1-gen-none.stdout": "1dc75dac70d69e250cfd9a3f4542ca2c3b12f703181d7d872018d9d90f7030a8",
+    "geometric-s1-gen-none": "d1d279951bddbc9db15a7a74ec287f4764cdf31853b49c299b4ee070366c4c09",
     "geometric-s1-gen-none.columns": "c43e28a95e8354465de73a7d44b5e00db086b8eaa16d9de2ce408a9245dc98b9",
     "geometric-s1-gen-by_session.stdout": "23056f6acf48332ff8f451c3663c30633043d6b8378eb38d34277f5524882ed3",
-    "geometric-s1-gen-by_session": "5c22aabf29398060df287986546043c2d453cc17fb30896e7e34dc5bb8dfe3af",
+    "geometric-s1-gen-by_session": "eaa58e119332f1e52a9d02960f0b29e1891bab559612d909748696e642d8a235",
     "geometric-s1-gen-by_session.columns": "76deabb8de865c63b9553b322dbb4e987e43b259b9732526d717928177019443",
-    "geometric-s1-cluster.stdout": "804ab7bdaabb74b0ecf2c276f1d4a4d7bb98167c40150e05b48ff27ebc310bf8",
-    "geometric-s1-cluster": "5c22aabf29398060df287986546043c2d453cc17fb30896e7e34dc5bb8dfe3af",
+    "geometric-s1-gen-by_session.body": "e3d5618268b3e1ef67424849a4fa275061b52570e447074ede4820a0d07e6e01",
+    "geometric-s1-cluster.stdout": "1f025adc57ab809822682806679b2525fab2b61402ccc3ca03b136914a6aff27",
+    "geometric-s1-cluster": "eaa58e119332f1e52a9d02960f0b29e1891bab559612d909748696e642d8a235",
     "geometric-s1-cluster.columns": "76deabb8de865c63b9553b322dbb4e987e43b259b9732526d717928177019443",
+    "geometric-s1-cluster.body": "e3d5618268b3e1ef67424849a4fa275061b52570e447074ede4820a0d07e6e01",
     "geometric-s1-characterize.stdout": "daf4e054d28ad6433d1a6ce30ea07131df5127a897f6b0cd4b5b35783062f6be",
     "geometric-s1-characterize": "620f3157b28c86bad3afd2e32d32860a48675dd7f028f806ad14d84da9cf38d7",
 }
@@ -1063,13 +1209,24 @@ class TestGoldenBytes:
     and held through it. At version 3 (a row equal to the row before it
     is stored as one -1 length mark) the file digests, the ``gen`` stdout
     digests (which print the file size) and the ``cluster`` stdout
-    digests (which print compressed bytes) were re-taken; the 24
+    digests (which printed compressed bytes) were re-taken; the 24
     ``.columns`` digests, the ``characterize`` stdout digests and the CSV
-    digests held through it."""
+    digests held through it. The ``.body`` digests of the files clustered
+    by session (their bytes after the header) were taken from the
+    version-3 writer, and hold at version 4, whose -d marks never occur
+    in such a file. Version 4 re-took the file digests, the ``gen``
+    stdout digests of the unclustered files, and the ``cluster`` stdout
+    digests, which now print file bytes."""
 
-    def test_cli_outputs_match_pinned_digests(self, tmp_path, monkeypatch, capsys):
-        digests = _golden_digests(tmp_path, monkeypatch, capsys)
+    def test_cli_outputs_match_pinned_digests(self, golden):
+        digests, _ = golden
         assert digests == GOLDEN_DIGESTS
         # cluster copies its source's specs, so its file is gen's by_session one
         for tag in {k.split("-gen-")[0] for k in digests if "-gen-" in k}:
             assert digests[f"{tag}-cluster"] == digests[f"{tag}-gen-by_session"]
+
+    def test_files_clustered_by_session_hold_no_back_references(self, golden):
+        # a session's rows are adjacent there, so its previous row is the row before
+        _, back_marks = golden
+        assert len(back_marks) == 16
+        assert set(back_marks.values()) == {0}

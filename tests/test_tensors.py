@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rows import WRAPPED_LENGTHS, as_batch
+from rows import WRAPPED_LENGTHS, as_batch, from_rows, ikjt_to_kjt, jt_equal, kjt_equal, to_pylists
 from sessiondedup import tensors
 from sessiondedup.datagen import (
     FeatureSpec,
@@ -30,10 +30,7 @@ from sessiondedup.tensors import (
     dedupe_factor,
     dedupe_len,
     expand_runs,
-    ikjt_to_kjt,
     jagged_index_select,
-    jt_equal,
-    kjt_equal,
     measured_dedupe_factor,
     serialize_ikjt,
     serialize_kjt,
@@ -69,14 +66,14 @@ def rows_strategy(max_rows=8, max_len=6, n_keys=2):
 
 class TestJaggedTensor:
     def test_row_extraction(self):
-        jt = JaggedTensor.from_rows([[1, 2], [], [3]])
+        jt = from_rows([[1, 2], [], [3]])
         assert jt.row_count == 3
-        assert jt.to_pylists() == [[1, 2], [], [3]]
+        assert to_pylists(jt) == [[1, 2], [], [3]]
         np.testing.assert_array_equal(jt.row_lengths(), [2, 0, 1])
         np.testing.assert_array_equal(jt.row(1), [])
 
     def test_one_offset_per_row(self):
-        jt = JaggedTensor.from_rows([[1, 2], [3]])
+        jt = from_rows([[1, 2], [3]])
         np.testing.assert_array_equal(jt.offsets, [0, 2])
         np.testing.assert_array_equal(jt.values, [1, 2, 3])
 
@@ -108,7 +105,7 @@ class TestJaggedTensor:
             JaggedTensor.from_lengths(np.arange(3), lengths)
 
     def test_immutable(self):
-        jt = JaggedTensor.from_rows([[1]])
+        jt = from_rows([[1]])
         with pytest.raises(ValueError):
             jt.values[0] = 9
 
@@ -120,9 +117,9 @@ class TestLayoutHelpers:
     @given(st.lists(jagged_rows, min_size=1, max_size=4))
     @settings(max_examples=200, deadline=None)
     def test_concat_rows_matches_from_rows(self, tensors_rows):
-        jts = [JaggedTensor.from_rows(rows) for rows in tensors_rows]
+        jts = [from_rows(rows) for rows in tensors_rows]
         joined = concat_rows(jts)
-        want = JaggedTensor.from_rows([row for jt in jts for row in jt.to_pylists()])
+        want = from_rows([row for jt in jts for row in to_pylists(jt)])
         assert jt_equal(joined, want)
 
     @given(st.lists(st.integers(0, 5), max_size=10))
@@ -147,7 +144,7 @@ class TestBuildKjt:
 
     def test_missing_key_is_empty_list(self):
         kjt = build_kjt(as_batch([{"a": [1]}, {}]), ["a"])
-        assert kjt.entries["a"].to_pylists() == [[1], []]
+        assert to_pylists(kjt.entries["a"]) == [[1], []]
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError, match="empty batch"):
@@ -160,7 +157,7 @@ class TestBuildKjt:
             for _ in range(1000)
         ]
         kjt = build_kjt(as_batch(rows), ["a"])
-        assert kjt.entries["a"].to_pylists() == [list(r["a"]) for r in rows]
+        assert to_pylists(kjt.entries["a"]) == [list(r["a"]) for r in rows]
 
 
 class TestBuildIkjt:
@@ -175,8 +172,8 @@ class TestBuildIkjt:
     def test_synchronized_group(self):
         ikjt = build_ikjt(as_batch(ROWS), ["c", "d"])
         np.testing.assert_array_equal(ikjt.inverse_lookup, [0, 0, 1])
-        assert ikjt.per_feature["c"].to_pylists() == [[7, 8], [10]]
-        assert ikjt.per_feature["d"].to_pylists() == [[9], [11]]
+        assert to_pylists(ikjt.per_feature["c"]) == [[7, 8], [10]]
+        assert to_pylists(ikjt.per_feature["d"]) == [[9], [11]]
         # unique row 0 addresses [7, 8] for c and [9] for d
         np.testing.assert_array_equal(ikjt.per_feature["c"].row(0), [7, 8])
         np.testing.assert_array_equal(ikjt.per_feature["d"].row(0), [9])
@@ -201,7 +198,7 @@ class TestBuildIkjt:
         rows = [{"a": [5]}, {"a": [3]}, {"a": [5]}, {"a": [1]}, {"a": [3]}]
         ikjt = build_ikjt(as_batch(rows), ["a"])
         np.testing.assert_array_equal(ikjt.inverse_lookup, [0, 1, 0, 2, 1])
-        assert ikjt.per_feature["a"].to_pylists() == [[5], [3], [1]]
+        assert to_pylists(ikjt.per_feature["a"]) == [[5], [3], [1]]
 
     def test_length_boundary_not_confused(self):
         # [1, 2] + [3] vs [1] + [2, 3]: same concatenation, different rows
@@ -224,7 +221,7 @@ class TestBuildIkjt:
             IKJT(batch_size=1, group_keys=(), inverse_lookup=[0], per_feature={})
 
     def test_invalid_inverse_rejected(self):
-        jt = JaggedTensor.from_rows([[1]])
+        jt = from_rows([[1]])
         with pytest.raises(ValueError):
             IKJT(
                 batch_size=2,
@@ -238,7 +235,7 @@ class TestBuildIkjt:
                 batch_size=2,
                 group_keys=("a",),
                 inverse_lookup=np.array([0, 0], dtype=np.int64),
-                per_feature={"a": JaggedTensor.from_rows([[1], [2]])},
+                per_feature={"a": from_rows([[1], [2]])},
             )
 
 
@@ -249,7 +246,7 @@ PADDED_ORACLE = tensors._unique_rows_padded
 def group_of(rows):
     """Rows given as tuples of lists, one list per tensor, as the
     tensors :func:`tensors._unique_rows` takes."""
-    return [JaggedTensor.from_rows([row[k] for row in rows]) for k in range(len(rows[0]))]
+    return [from_rows([row[k] for row in rows]) for k in range(len(rows[0]))]
 
 
 def assert_matches_padded_oracle(jts):
@@ -327,6 +324,15 @@ class TestUniqueRowsAgainstPaddedOracle:
         inverse = assert_matches_padded_oracle(jts)
         np.testing.assert_array_equal(inverse, [0, 1, 2, 0, 3, 4])
         assert padded_calls  # the merges the key proposed failed the check
+
+    def test_distinct_keys_skip_the_exact_check(self, monkeypatch, padded_calls):
+        # distinct keys already prove distinct rows; no cell is compared
+        jts = group_of([([i, -i], [i] * (i % 3)) for i in range(12)])
+        monkeypatch.setattr(tensors, "window_index", lambda *a: pytest.fail("exact check ran"))
+        first, inverse = tensors._unique_rows(jts)
+        np.testing.assert_array_equal(first, np.arange(12))
+        np.testing.assert_array_equal(inverse, np.arange(12))
+        assert not padded_calls
 
     def test_constant_key_on_equal_rows_needs_no_fallback(self, monkeypatch, padded_calls):
         jts = group_of([([3, 4], [I64_MIN])] * 5)
@@ -536,7 +542,7 @@ class TestIkjtToKjt:
     def test_expansion_restores_rows(self):
         ikjt = build_ikjt(as_batch(ROWS), ["b"])
         kjt = ikjt_to_kjt(ikjt)
-        assert kjt.entries["b"].to_pylists() == [r["b"] for r in ROWS]
+        assert to_pylists(kjt.entries["b"]) == [r["b"] for r in ROWS]
 
     def test_identity_lookup_is_noop(self):
         rows = [{"a": [i, i + 1]} for i in range(4)]
@@ -608,7 +614,7 @@ class TestPartialIkjt:
 
 def _jt(rows):
     """A JaggedTensor of ``rows`` one-value rows."""
-    return JaggedTensor.from_rows([[i] for i in range(rows)])
+    return from_rows([[i] for i in range(rows)])
 
 
 @pytest.mark.parametrize(
@@ -703,7 +709,7 @@ class TestJaggedIndexSelect:
     @staticmethod
     def dense_oracle(jt: JaggedTensor, indices: np.ndarray) -> list[list[int]]:
         """Pad to a dense matrix, select rows, strip the padding."""
-        rows = jt.to_pylists()
+        rows = to_pylists(jt)
         width = max((len(r) for r in rows), default=0)
         pad = -1
         dense = np.full((len(rows), width + 1), pad, dtype=np.int64)
@@ -720,19 +726,19 @@ class TestJaggedIndexSelect:
                 rng.integers(0, 50, size=rng.integers(0, 6)).tolist()
                 for _ in range(n_rows)
             ]
-            jt = JaggedTensor.from_rows(rows)
+            jt = from_rows(rows)
             idx = rng.integers(0, n_rows, size=rng.integers(0, 20))
             out = jagged_index_select(jt, idx)
-            assert out.to_pylists() == self.dense_oracle(jt, idx)
+            assert to_pylists(out) == self.dense_oracle(jt, idx)
 
     def test_empty_selection(self):
-        jt = JaggedTensor.from_rows([[1, 2]])
+        jt = from_rows([[1, 2]])
         out = jagged_index_select(jt, np.array([], dtype=np.int64))
         assert out.row_count == 0
         assert out.values.size == 0
 
     def test_out_of_range_index_names_position(self):
-        jt = JaggedTensor.from_rows([[1], [2]])
+        jt = from_rows([[1], [2]])
         with pytest.raises(IndexError, match="position 1"):
             jagged_index_select(jt, np.array([0, 5], dtype=np.int64))
 
@@ -742,7 +748,7 @@ class TestJaggedIndexSelect:
     def test_out_of_range_index_reported_at_first_bad_position(self, bad, later):
         # A negative index would wrap silently in a gather, so the range
         # check alone stands between it and a wrong row.
-        jt = JaggedTensor.from_rows([[1], [2], [3, 4]])
+        jt = from_rows([[1], [2], [3, 4]])
         with pytest.raises(
             IndexError, match=rf"^index {bad} at position 2 out of range for 3 rows$"
         ):
@@ -752,11 +758,32 @@ class TestJaggedIndexSelect:
 @st.composite
 def run_tensors(draw):
     """A RunJaggedTensor of 1-16 rows: heads drawn from a small pool, so
-    that heads may repeat, each repeated 1-4 times."""
+    that heads may repeat. Each row takes the next head or any head an
+    earlier row took, the row before's (a run) or another (a
+    back-reference)."""
     pool = draw(st.lists(st.lists(st.integers(0, 3), max_size=3), min_size=1, max_size=3))
     heads = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
-    counts = draw(st.lists(st.integers(1, 4), min_size=len(heads), max_size=len(heads)))
-    return RunJaggedTensor(JaggedTensor.from_rows(heads), np.repeat(np.arange(len(heads)), counts))
+    index, used = [0], 1
+    while used < len(heads) or (len(index) < 16 and draw(st.booleans())):
+        spare = 16 - len(index) > len(heads) - used  # room for a row that takes no new head
+        if used < len(heads) and not (spare and draw(st.booleans())):
+            index.append(used)
+            used += 1
+        else:
+            index.append(draw(st.sampled_from([index[-1], draw(st.integers(0, used - 1))])))
+    return RunJaggedTensor(from_rows(heads), np.array(index, dtype=np.int64))
+
+
+def _first_use_index(rng, heads: int, rows: int) -> np.ndarray:
+    """A random head index in order of first use: each row takes the next
+    head with probability 1/2 (always once no other row is left for it)
+    or a random earlier one."""
+    index = [0]
+    while len(index) < rows:
+        used = max(index) + 1
+        new = used < heads and (rng.random() < 0.5 or rows - len(index) <= heads - used)
+        index.append(used if new else int(rng.integers(0, used)))
+    return np.array(index, dtype=np.int64)
 
 
 def _batch(**entries):
@@ -772,45 +799,69 @@ class TestRunJaggedTensor:
 
     @pytest.mark.parametrize(
         "heads, index",
-        [([[1]], [1]), ([[1], [2]], [0, 2]), ([[1], [2]], [0, 1, 0]), ([[1], [2]], [0, 0]), ([[1]], [])],
-        ids=["starts-past-0", "skips-a-head", "decreases", "head-unused", "no-rows"],
+        [
+            ([[1]], [1]),
+            ([[1], [2]], [0, 2]),
+            ([[1], [2]], [0, 1, -1]),
+            ([[1], [2]], [0, 0]),
+            ([[1]], []),
+            ([[1], [2], [3]], [0, 2, 1]),
+        ],
+        ids=["starts-past-0", "skips-a-head", "below-0", "head-unused", "no-rows", "first-use-out-of-order"],
     )
     def test_malformed_index_rejected(self, heads, index):
-        with pytest.raises(ValueError, match="^head_index must start at 0, step by 0 or 1"):
-            RunJaggedTensor(JaggedTensor.from_rows(heads), np.array(index, dtype=np.int64))
+        with pytest.raises(ValueError, match="^head_index must start at 0 and use each of the"):
+            RunJaggedTensor(from_rows(heads), np.array(index, dtype=np.int64))
+
+    def test_rows_may_point_back_to_any_earlier_head(self):
+        runs = RunJaggedTensor(from_rows([[1], [2], [3]]), [0, 1, 0, 2, 1, 1, 0])
+        assert runs.is_head().tolist() == [True, True, False, True, False, False, False]
+        assert to_pylists(expand_runs(runs)) == [[1], [2], [1], [3], [2], [2], [1]]
 
     @pytest.mark.parametrize("slice_values", [0, 10**9], ids=["slices", "gather"])
     def test_expand_paths_match_laid_out_rows(self, monkeypatch, slice_values):
         monkeypatch.setattr(tensors, "_SLICE_VALUES", slice_values)
         rng = np.random.default_rng(11)
-        for _ in range(300):
+        for k in range(300):
             heads = [rng.integers(0, 9, rng.integers(0, 4)).tolist() for _ in range(rng.integers(1, 8))]
-            runs = RunJaggedTensor(
-                JaggedTensor.from_rows(heads), np.repeat(np.arange(len(heads)), rng.integers(1, 4, len(heads)))
-            )
-            assert expand_runs(runs).to_pylists() == [heads[h] for h in runs.head_index]
+            if k % 2:
+                index = _first_use_index(rng, len(heads), len(heads) + int(rng.integers(0, 8)))
+            else:
+                index = np.repeat(np.arange(len(heads)), rng.integers(1, 4, len(heads)))
+            runs = RunJaggedTensor(from_rows(heads), index)
+            assert to_pylists(expand_runs(runs)) == [heads[h] for h in runs.head_index]
 
     def test_slice_inside_a_run_holds_its_head(self):
-        runs = RunJaggedTensor(JaggedTensor.from_rows([[1, 2], [3], []]), [0, 0, 0, 1, 2, 2])
+        runs = RunJaggedTensor(from_rows([[1, 2], [3], []]), [0, 0, 0, 1, 2, 2])
         part = slice_rows(runs, 1, 4)
-        assert part.heads.to_pylists() == [[1, 2], [3]]
+        assert to_pylists(part.heads) == [[1, 2], [3]]
         assert part.head_index.tolist() == [0, 0, 1]
-        assert expand_runs(part).to_pylists() == [[1, 2], [1, 2], [3]]
+        assert to_pylists(expand_runs(part)) == [[1, 2], [1, 2], [3]]
+
+    def test_slice_after_a_head_it_uses_gathers_its_heads(self):
+        runs = RunJaggedTensor(from_rows([[1], [2, 2], [3]]), [0, 1, 2, 1, 0])
+        part = slice_rows(runs, 3, 5)  # uses head 1, then head 0
+        assert to_pylists(part.heads) == [[2, 2], [1]]
+        assert part.head_index.tolist() == [0, 1]
+        view = slice_rows(runs, 1, 4)  # its own heads, in order of first use
+        assert to_pylists(view.heads) == [[2, 2], [3]]
+        assert view.head_index.tolist() == [0, 1, 0]
+        assert np.shares_memory(view.heads.values, runs.heads.values)
 
     @settings(max_examples=200, deadline=None)
     @given(runs=run_tensors(), other=run_tensors(), data=st.data())
     def test_layout_helpers_match_laid_out_rows(self, runs, other, data):
-        rows = expand_runs(runs).to_pylists()
-        assert rows == [runs.heads.to_pylists()[h] for h in runs.head_index]
+        rows = to_pylists(expand_runs(runs))
+        assert rows == [to_pylists(runs.heads)[h] for h in runs.head_index]
         start = data.draw(st.integers(0, len(rows) - 1))
         stop = data.draw(st.integers(start + 1, len(rows)))
-        assert expand_runs(slice_rows(runs, start, stop)).to_pylists() == rows[start:stop]
+        assert to_pylists(expand_runs(slice_rows(runs, start, stop))) == rows[start:stop]
         idx = np.array(data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=10)), dtype=np.int64)
-        assert jagged_index_select(runs, idx).to_pylists() == [rows[i] for i in idx]
+        assert to_pylists(jagged_index_select(runs, idx)) == [rows[i] for i in idx]
         plain = expand_runs(other)
         joined = concat_rows([runs, plain, other])
         assert isinstance(joined, RunJaggedTensor)
-        assert expand_runs(joined).to_pylists() == rows + 2 * plain.to_pylists()
+        assert to_pylists(expand_runs(joined)) == rows + 2 * to_pylists(plain)
         assert type(concat_rows([plain, plain])) is JaggedTensor
 
     @settings(max_examples=200, deadline=None)
@@ -832,15 +883,34 @@ class TestRunJaggedTensor:
 
     def test_build_ikjt_keys_group_heads_only(self, monkeypatch):
         # f's heads are rows 0, 3, 5; g's are rows 0, 2, 5: group heads 0, 2, 3, 5
-        f = RunJaggedTensor(JaggedTensor.from_rows([[1], [2], [1]]), [0, 0, 0, 1, 1, 2, 2])
-        g = RunJaggedTensor(JaggedTensor.from_rows([[], [5], []]), [0, 0, 1, 1, 1, 2, 2])
+        f = RunJaggedTensor(from_rows([[1], [2], [1]]), [0, 0, 0, 1, 1, 2, 2])
+        g = RunJaggedTensor(from_rows([[], [5], []]), [0, 0, 1, 1, 1, 2, 2])
         batch = _batch(f=f, g=g)
         keyed = []
         unique_rows = tensors._unique_rows
         monkeypatch.setattr(tensors, "_unique_rows", lambda jts: keyed.append(jts) or unique_rows(jts))
         ikjt = build_ikjt(batch, ["f", "g"])
-        assert [jt.to_pylists() for jt in keyed[0]] == [[[1], [1], [2], [1]], [[], [5], [5], []]]
+        assert [to_pylists(jt) for jt in keyed[0]] == [[[1], [1], [2], [1]], [[], [5], [5], []]]
         assert ikjt.inverse_lookup.tolist() == [0, 0, 1, 2, 2, 0, 0]
+
+    def test_build_ikjt_keys_first_use_of_each_head_tuple(self, monkeypatch):
+        # Row 2 starts no head in either member, yet its tuple (0, 1) is
+        # new; row 3's tuple (1, 1) was row 1's.
+        f = RunJaggedTensor(from_rows([[1], [2]]), [0, 1, 0, 1, 0])
+        g = RunJaggedTensor(from_rows([[5], [6]]), [0, 1, 1, 1, 0])
+        keyed = []
+        unique_rows = tensors._unique_rows
+        monkeypatch.setattr(tensors, "_unique_rows", lambda jts: keyed.append(jts) or unique_rows(jts))
+        ikjt = build_ikjt(_batch(f=f, g=g), ["f", "g"])
+        assert [to_pylists(jt) for jt in keyed[0]] == [[[1], [2], [1]], [[5], [6], [6]]]
+        assert ikjt.inverse_lookup.tolist() == [0, 1, 2, 1, 0]
+
+    def test_build_ikjt_keeps_distinct_rows_as_they_are(self):
+        # every keyed row is distinct, so no identity gather copies them
+        f = from_rows([[1], [2, 3], []])
+        runs = RunJaggedTensor(from_rows([[1], [2]]), [0, 1, 0])
+        assert build_ikjt(_batch(f=f), ["f"]).per_feature["f"] is f
+        assert build_ikjt(_batch(f=runs), ["f"]).per_feature["f"] is runs.heads
 
 
 class TestWindowIndex:
@@ -940,7 +1010,7 @@ class TestSerialization:
         assert serialize_ikjt(ikjt) == serialize_ikjt(build_ikjt(as_batch(ROWS), ["c", "d"]))
 
     def test_stream_size_accounting(self):
-        jt = JaggedTensor.from_rows([[1, 2, 3], [4]])
+        jt = from_rows([[1, 2, 3], [4]])
         # u64 count + i64 payload for each of the two streams
         assert slice_stream_bytes(jt) == 16 + 8 * (2 + 4)
         assert values_stream_bytes(jt) == 8 * 4

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rows import ImpressionRecord, as_batch
+from rows import ImpressionRecord, as_batch, from_rows, ikjt_to_kjt, jt_equal, to_pylists
 from sessiondedup.datagen import (
     FeatureSpec,
     SampleCountDist,
@@ -21,12 +21,9 @@ from sessiondedup.datagen import (
 from sessiondedup.reader import DataloaderSpec, convert, read_batches
 from sessiondedup.storage import write_table
 from sessiondedup.tensors import (
-    JaggedTensor,
     build_ikjt,
     build_kjt,
-    ikjt_to_kjt,
     jagged_index_select,
-    jt_equal,
     slice_rows,
     slice_stream_bytes,
     values_stream_bytes,
@@ -165,7 +162,7 @@ class TestPool:
             np.concatenate([ikjt.per_feature["c"].row(i), ikjt.per_feature["d"].row(i)])
             for i in range(ikjt.unique_count)
         ]
-        seq = JaggedTensor.from_rows(seq_rows)
+        seq = from_rows(seq_rows)
         acts = embedding_lookup(seq, table)
         pooled = pool(acts, seq.offsets, "sum")
         np.testing.assert_array_equal(pooled, [[24.0], [21.0]])
@@ -488,7 +485,7 @@ class TestEmbeddingLookup:
 
     def test_empty_values(self):
         table = identity_table("f", 4)
-        jt = JaggedTensor.from_rows([[], []])
+        jt = from_rows([[], []])
         out = embedding_lookup(jt, table)
         assert out.shape == (0, 1)
 
@@ -503,7 +500,7 @@ class TestEmbeddingLookup:
 
     def test_out_of_range_error_names_key_and_position(self):
         table = identity_table("b", 4)
-        jt = JaggedTensor.from_rows([[1], [9]])
+        jt = from_rows([[1], [9]])
         with pytest.raises(ValueError, match=r"'b'.*ID 9 at position 1"):
             embedding_lookup(jt, table, "b")
 
@@ -514,7 +511,7 @@ class TestEmbeddingLookup:
         # np.take would wrap a negative ID to a real row, so only the
         # range check catches it.
         table = identity_table("b", 4)
-        jt = JaggedTensor.from_rows([[0, 3], [bad, 2], [later]])
+        jt = from_rows([[0, 3], [bad, 2], [later]])
         with pytest.raises(
             ValueError, match=rf"^feature 'b': ID {bad} at position 2 out of range \[0, 4\)$"
         ):
@@ -865,7 +862,7 @@ class TestSplitBatch:
             dim=1,
         )
         (unit,) = split_batch(convert(as_batch(rows), spec), model, "dedup", 2)
-        assert unit.tensors["f"].to_pylists() == [[1], [2], [3], [2]]
+        assert to_pylists(unit.tensors["f"]) == [[1], [2], [3], [2]]
         np.testing.assert_array_equal(unit.inverse, [0, 1, 0, 2, 3])
         np.testing.assert_array_equal(unit.bounds, [0, 2, 4])
 
@@ -913,7 +910,7 @@ class TestSplitBatch:
             a, b = plain.bounds[r], plain.bounds[r + 1]
             part = slice_rows(jt, a, b)
             assert np.shares_memory(part.values, jt.values) or part.values.size == 0
-            assert part.to_pylists() == [list(x.features["plain_item"]) for x in rows[a:b]]
+            assert to_pylists(part) == [list(x.features["plain_item"]) for x in rows[a:b]]
 
     def test_chunks_preserve_rows(self):
         # reading each rank's slices back row by row, rank after rank,
@@ -952,7 +949,7 @@ class TestSplitBatch:
             for key, jt in unit.tensors.items():
                 if unit.inverse is not None:
                     jt = jagged_index_select(jt, unit.inverse)
-                assert jt.to_pylists() == [list(x.features[key]) for x in rows]
+                assert to_pylists(jt) == [list(x.features[key]) for x in rows]
 
     @pytest.mark.parametrize("mode", ["baseline", "dedup"])
     @pytest.mark.parametrize("rows,ranks", SPLIT_CASES)
@@ -1138,7 +1135,7 @@ class TestSdd:
         # a key missing, extra or in two units
         plan = self.make_plan(["x"], 1)
         for unit_keys in (["y"], [], ["x", "y"], ["x", "x"]):
-            units = [self.one_rank(k, JaggedTensor.from_rows([[1]])) for k in unit_keys]
+            units = [self.one_rank(k, from_rows([[1]])) for k in unit_keys]
             with pytest.raises(ValueError, match="do not match plan"):
                 sdd(units, plan)
 
