@@ -212,7 +212,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         if len(scores) == 2 and not np.array_equal(*scores):
             raise RuntimeError("dedup and baseline scores diverged; this build is broken")
 
-    raw, comp = storage.stream_sizes(f)
+    size = src.stat().st_size
     speedups = {}
     if len(modes) == 2:
         bl, dd = totals["baseline"], totals["dedup"]
@@ -235,11 +235,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             "batches": totals[modes[0]].batches,
             "model_groups": [list(g.keys) for g in model.groups],
         },
-        "storage": {
-            "raw_stream_bytes": raw,
-            "compressed_stream_bytes": comp,
-            "ratio": _ratio(raw, comp),
-        },
+        "storage": {"file_bytes": size, "rows": f.row_count, "bytes_per_row": size / f.row_count},
         "reader": {m: {k: v for k, v in t.items() if k != "stats"} for m, t in ran.items()},
         "trainer": {m: t["stats"] for m, t in ran.items()},
         "speedups": speedups,

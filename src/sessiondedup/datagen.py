@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .storage import ScanBatch
-from .tensors import KJT, _key_names, _positive_count, _starts, gather_windows, splitmix64
+from .tensors import KJT, _json_fields, _key_names, _positive_count, _real, _starts, gather_windows, splitmix64
 
 __all__ = [
     "FeatureSpec",
@@ -65,12 +65,12 @@ class FeatureSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("user_sequence", "item"):
             raise ValueError(f"unknown feature kind {self.kind!r}")
-        if not 0 < self.avg_len < math.inf:
+        if not 0 < _real("avg_len", self.avg_len) < math.inf:
             raise ValueError(f"avg_len must be finite and > 0, got {self.avg_len}")
         if self.kind == "user_sequence" and self.avg_len < 1:
             raise ValueError("user_sequence features need avg_len >= 1")
         object.__setattr__(self, "vocab_size", _positive_count("vocab_size", self.vocab_size))
-        if not 0.0 <= self.change_prob <= 1.0:
+        if not 0.0 <= _real("change_prob", self.change_prob) <= 1.0:
             raise ValueError("change_prob must be in [0, 1]")
         if self.sync_group == "":
             raise ValueError(f"feature {self.key!r}: sync_group must be a name or null, not empty")
@@ -104,14 +104,12 @@ class SampleCountDist:
                 for k, w in self.histogram.items()
             }
             object.__setattr__(self, "histogram", hist)
-            if not all(0 < w < math.inf for w in self.histogram.values()):
+            if not all(0 < _real("histogram weight", w) < math.inf for w in self.histogram.values()):
                 raise ValueError("histogram weights must be finite and > 0")
-            mean = sum(k * w for k, w in self.histogram.items()) / sum(
-                self.histogram.values()
-            )
+            mean = sum(k * w for k, w in hist.items()) / sum(hist.values())
             if not math.isfinite(mean):  # finite weights whose sums overflow
                 raise ValueError(f"histogram mean must be finite, got {mean}")
-            if self.mean is not None and not math.isclose(self.mean, mean, rel_tol=1e-9):
+            if self.mean is not None and not math.isclose(_real("mean", self.mean), mean, rel_tol=1e-9):
                 raise ValueError(
                     f"empirical mean {self.mean} differs from its histogram's mean {mean}"
                 )
@@ -121,7 +119,7 @@ class SampleCountDist:
                 raise ValueError(f"{self.kind} distribution takes no histogram")
             if self.mean is None:
                 object.__setattr__(self, "mean", 1.0)
-            if not 1 <= self.mean < math.inf:
+            if not 1 <= _real("mean", self.mean) < math.inf:
                 raise ValueError(f"mean samples per session must be finite and >= 1, got {self.mean}")
             if self.kind == "fixed" and self.mean != int(self.mean):
                 raise ValueError("fixed distribution needs an integer mean")
@@ -281,7 +279,7 @@ def save_config(
 
 
 def load_config(path: str | Path) -> tuple[SessionConfig, list[FeatureSpec]]:
-    obj = json.loads(Path(path).read_text())
+    obj = _json_fields(path, SessionConfig, "features")
     specs = [FeatureSpec(**f) for f in obj.pop("features")]
     dist = SampleCountDist(**obj.pop("samples_per_session"))
     return SessionConfig(samples_per_session=dist, **obj), specs

@@ -30,6 +30,7 @@ from .tensors import (
     IKJT,
     KJT,
     JaggedTensor,
+    _json_fields,
     _key_names,
     _positive_count,
     build_ikjt,
@@ -248,6 +249,6 @@ def save_dataloader_spec(path: str | Path, spec: DataloaderSpec) -> None:
 
 
 def load_dataloader_spec(path: str | Path) -> DataloaderSpec:
-    obj = json.loads(Path(path).read_text())
+    obj = _json_fields(path, DataloaderSpec)
     transforms = [Transform(**t) for t in obj.pop("transforms", ())]
     return DataloaderSpec(transforms=transforms, **obj)

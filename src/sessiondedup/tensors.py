@@ -16,19 +16,23 @@ Only this module knows the jagged layout: :meth:`JaggedTensor.from_lengths`
 builds offsets, :func:`_check_offsets` checks them, :func:`concat_rows`
 joins tensors. A :class:`RunJaggedTensor` holds each stored row once as a
 head plus a row -> head index, as a stored stripe's repeat and
-back-reference marks give them; :func:`slice_rows`, :func:`concat_rows`
-and :func:`jagged_index_select` take either kind, :func:`build_ikjt` keys
-group heads only, and :func:`expand_runs` (which :func:`build_kjt` calls)
-lays the rows out. Tensors are immutable (their buffers are read-only) and
-safe to share across threads.
+back-reference marks give them. Every tensor is read as heads plus a row
+index (:func:`_heads`; a plain tensor is its own heads), so
+:func:`build_ikjt` keys group heads only and :func:`expand_runs` (which
+:func:`build_kjt` calls) is the heads themselves or one gather. Tensors
+are immutable (their buffers are read-only) and safe to share across
+threads.
 """
 
 from __future__ import annotations
 
+import json
 import math
+import numbers
 import operator
 import struct
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, fields
+from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -77,6 +81,33 @@ def _positive_count(name: str, value) -> int:
     if count < 1:
         raise ValueError(f"{name} must be >= 1, got {count}")
     return count
+
+
+def _real(name: str, value):
+    """``value`` unchanged: TypeError naming ``name`` unless it is a real
+    number (a bool is not, nor is a numeric string). Range checks are
+    the caller's."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+    return value
+
+
+def _json_fields(path, cls, *also: str) -> dict:
+    """The JSON object in the file ``path``, holding the fields of the
+    dataclass ``cls`` and the required ``also``: TypeError names a field
+    it does not know, ValueError a missing one that has no default; both
+    name the file."""
+    obj = json.loads(Path(path).read_text())
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(obj).__name__}")
+    required = {f.name: f.default is MISSING and f.default_factory is MISSING for f in fields(cls)}
+    required |= dict.fromkeys(also, True)
+    for name in [*obj, *required]:  # unknown fields first, then missing ones
+        if name not in required:
+            raise TypeError(f"{path}: unknown field {name!r}")
+        if required[name] and name not in obj:
+            raise ValueError(f"{path}: missing required field {name!r}")
+    return obj
 
 
 def _key_names(what: str, value) -> tuple[str, ...]:
@@ -188,9 +219,9 @@ class RunJaggedTensor:
     Heads are numbered in order of first use: ``head_index`` starts at 0,
     and each row takes either a head some earlier row took (the row
     before, as in a run, or any earlier one) or the next head. So every
-    head is used, and :meth:`is_head` marks each head's first use. Two
-    heads may still be equal (a run cut by a stripe boundary, or a repeat
-    the writer did not mark).
+    head is used, and the index is the identity exactly when no row
+    repeats a head. Two heads may still be equal (a run cut by a stripe
+    boundary, or a repeat the writer did not mark).
     """
 
     heads: JaggedTensor
@@ -209,42 +240,26 @@ class RunJaggedTensor:
     def row_count(self) -> int:
         return int(self.head_index.size)
 
-    def is_head(self) -> np.ndarray:
-        """Whether each row is the first to use its head."""
-        return np.diff(np.maximum.accumulate(self.head_index), prepend=-1) > 0
 
-
-# Copying one slice costs about as much as gathering 64 values (x86_64,
-# NumPy 2.4: 4096 rows of 12 or 48 values, 1 to 2048 repeats).
-_SLICE_VALUES = 64
+def _heads(jt: JaggedTensor | RunJaggedTensor) -> tuple[JaggedTensor, np.ndarray]:
+    """``jt`` as heads plus a row -> head index in order of first use: a
+    plain tensor is its own heads, under the identity index."""
+    return (jt.heads, jt.head_index) if isinstance(jt, RunJaggedTensor) else (jt, np.arange(jt.row_count))
 
 
 def expand_runs(jt: JaggedTensor | RunJaggedTensor) -> JaggedTensor:
-    """The rows of ``jt`` laid out one by one, ``jt`` itself unless it is
-    a :class:`RunJaggedTensor`.
-
-    A stretch of rows that take consecutive heads is one slice of the
-    heads' values. With few stretches they are copied as slices;
-    otherwise the rows are gathered.
-    """
-    if not isinstance(jt, RunJaggedTensor):
-        return jt
-    heads, idx = jt.heads, jt.head_index
-    head_lengths = heads.row_lengths()
-    breaks = np.flatnonzero(np.diff(idx) != 1) + 1  # rows that start a stretch, row 0 aside
-    if breaks.size * _SLICE_VALUES >= head_lengths[idx].sum():
-        return jagged_index_select(heads, idx)
-    lo = heads.offsets[idx[np.append(0, breaks)]]
-    hi = (heads.offsets + head_lengths)[idx[np.append(breaks, idx.size) - 1]]
-    values = np.concatenate([heads.values[a:b] for a, b in zip(lo.tolist(), hi.tolist())])
-    return JaggedTensor.from_lengths(values, head_lengths[idx])
+    """The rows of ``jt`` laid out one by one: its heads themselves when
+    no row repeats a head (so a plain tensor is returned as it is), else
+    one gather of the heads through the index."""
+    heads, index = _heads(jt)
+    return heads if heads.row_count == index.size else jagged_index_select(heads, index)
 
 
 @dataclass(frozen=True, eq=False)
 class KJT:
     """Keyed jagged tensor: one tensor of ``batch_size`` rows per feature
     key, a JaggedTensor or, for a batch read from storage, a
-    RunJaggedTensor."""
+    RunJaggedTensor; :func:`build_kjt` lays every one out."""
 
     batch_size: int
     entries: Mapping[str, JaggedTensor | RunJaggedTensor]
@@ -327,8 +342,7 @@ class PartialIKJT:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", _freeze(self.values))
-        win = np.ascontiguousarray(self.windows, dtype=np.int64)
-        win.setflags(write=False)
+        win = _freeze(self.windows)
         object.__setattr__(self, "windows", win)
         if win.ndim != 2 or win.shape[1] != 2:
             raise ValueError("windows must be a (B, 2) array")
@@ -498,39 +512,33 @@ def build_ikjt(rows, group: Sequence[str]) -> IKJT:
     first-occurrence order. ``rows`` is a columnar batch such as a
     storage ``ScanBatch``.
 
-    When every member is stored as heads, only the group's heads are
-    keyed: a row is a group head when it is the first to use its tuple of
-    member head indexes. Every other row equals the group head with its
-    tuple in every member, so each distinct row first occurs at a group
-    head, and the other rows take their head's ordinal. When every keyed
-    row is distinct, the keyed tensors are the IKJT's rows as they are.
+    Only group heads are keyed (:func:`_heads`): a row is a group head
+    when it is the first to use its tuple of member head indexes. Every
+    other row equals the group head with its tuple in every member, so
+    each distinct row first occurs at a group head, and the other rows
+    take their head's ordinal. When every keyed row is distinct, the
+    keyed tensors are the IKJT's rows as they are.
     """
     entries = _entries(rows, group)
     if not entries:
         raise ValueError("empty dedup group")
-    jts = list(entries.values())
-    head_of = None  # row -> group head ordinal, when only heads are keyed
-    if all(isinstance(jt, RunJaggedTensor) for jt in jts):
-        head_of, at = jts[0].head_index, None
-        for jt in jts[1:]:
-            # ordinals stay below the row count, so the pair key cannot wrap
-            at, head_of = unique_first_occurrence(head_of * jt.heads.row_count + jt.head_index)
-        # A member whose heads are the group's needs no gather.
-        jts = [
-            jt.heads
-            if at is None or jt.heads.row_count == at.size
-            else jagged_index_select(jt.heads, jt.head_index[at])
-            for jt in jts
-        ]
-    else:
-        jts = [expand_runs(jt) for jt in jts]
+    parts = [_heads(jt) for jt in entries.values()]
+    head_of, at = parts[0][1], None  # row -> group head ordinal; group head -> row
+    for heads, index in parts[1:]:
+        # ordinals stay below the row count, so the pair key cannot wrap
+        at, head_of = unique_first_occurrence(head_of * heads.row_count + index)
+    # A member whose heads are the group's needs no gather.
+    jts = [
+        heads if at is None or heads.row_count == at.size else jagged_index_select(heads, index[at])
+        for heads, index in parts
+    ]
     first, inverse = _unique_rows(jts)
     if first.size < inverse.size:
         jts = [jagged_index_select(jt, first) for jt in jts]
     return IKJT(
         batch_size=rows.features.batch_size,
         group_keys=tuple(entries),
-        inverse_lookup=inverse if head_of is None else inverse[head_of],
+        inverse_lookup=inverse[head_of],
         per_feature=dict(zip(entries, jts)),
     )
 
@@ -590,18 +598,18 @@ def jagged_index_select(jt: JaggedTensor | RunJaggedTensor, indices) -> JaggedTe
     """Select rows of a jagged tensor without densifying.
 
     Output row k equals input row ``indices[k]``; the output value buffer
-    holds exactly the selected rows' elements. Rows of a
-    :class:`RunJaggedTensor` are gathered from its heads through its
-    index, so the selection is still one gather.
+    holds exactly the selected rows' elements. Rows are gathered from the
+    tensor's heads through its index (:func:`_heads`), so the selection
+    is one gather whatever the tensor's form.
     """
     idx = np.asarray(indices, dtype=np.int64)
     n = jt.row_count
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         p = int(np.flatnonzero((idx < 0) | (idx >= n))[0])
         raise IndexError(f"index {int(idx[p])} at position {p} out of range for {n} rows")
-    if isinstance(jt, RunJaggedTensor):
-        jt, idx = jt.heads, jt.head_index[idx]
-    return gather_windows(jt.values, jt.offsets[idx], jt.row_lengths()[idx])
+    heads, index = _heads(jt)
+    idx = index[idx]
+    return gather_windows(heads.values, heads.offsets[idx], heads.row_lengths()[idx])
 
 
 def window_index(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -628,20 +636,14 @@ def concat_rows(jts: Sequence[JaggedTensor | RunJaggedTensor]) -> JaggedTensor |
     and their index if any part holds heads, where a plain part's every
     row is a head. Each part's index is shifted past the heads before it,
     so the joined heads stay in order of first use."""
-    runs = [isinstance(jt, RunJaggedTensor) for jt in jts]
-    heads = [jt.heads if run else jt for jt, run in zip(jts, runs)]
+    heads, index = zip(*map(_heads, jts))
     joined = JaggedTensor.from_lengths(
-        np.concatenate([jt.values for jt in heads]),
-        np.concatenate([jt.row_lengths() for jt in heads]),
+        np.concatenate([h.values for h in heads]), np.concatenate([h.row_lengths() for h in heads])
     )
-    if not any(runs):
+    if not any(isinstance(jt, RunJaggedTensor) for jt in jts):
         return joined
-    base = _starts(np.array([jt.row_count for jt in heads], dtype=np.int64))
-    index = [
-        (jt.head_index if run else np.arange(jt.row_count)) + b
-        for jt, run, b in zip(jts, runs, base)
-    ]
-    return RunJaggedTensor(joined, np.concatenate(index))
+    base = _starts(np.array([h.row_count for h in heads], dtype=np.int64))
+    return RunJaggedTensor(joined, np.concatenate([i + b for i, b in zip(index, base)]))
 
 
 def slice_rows(jt: JaggedTensor | RunJaggedTensor, start: int, stop: int) -> JaggedTensor | RunJaggedTensor:
@@ -679,12 +681,12 @@ class DedupeModel:
     unchanged_prob: float
 
     def __post_init__(self) -> None:
-        if not 1 <= self.samples_per_session < math.inf:
+        if not 1 <= _real("samples_per_session", self.samples_per_session) < math.inf:
             raise ValueError(f"samples_per_session must be finite and >= 1, got {self.samples_per_session}")
         object.__setattr__(self, "batch_size", _positive_count("batch_size", self.batch_size))
-        if not 0 < self.avg_len < math.inf:
+        if not 0 < _real("avg_len", self.avg_len) < math.inf:
             raise ValueError(f"avg_len must be finite and > 0, got {self.avg_len}")
-        if not 0.0 <= self.unchanged_prob <= 1.0:
+        if not 0.0 <= _real("unchanged_prob", self.unchanged_prob) <= 1.0:
             raise ValueError("unchanged_prob must be in [0, 1]")
 
 

@@ -47,6 +47,7 @@ from .datagen import sync_groups
 from .reader import ReaderBatch
 from .tensors import (
     JaggedTensor,
+    _json_fields,
     _key_names,
     _positive_count,
     _row_lengths,
@@ -690,7 +691,7 @@ def save_model_spec(path: str | Path, spec: ModelSpec) -> None:
 
 
 def load_model_spec(path: str | Path) -> ModelSpec:
-    obj = json.loads(Path(path).read_text())
+    obj = _json_fields(path, ModelSpec)
     groups = [GroupConfig(**g) for g in obj.pop("groups")]
     return ModelSpec(groups=groups, **obj)
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -97,6 +98,31 @@ def by_session(records):
 def test_rejection_names_its_cause(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+REAL_FIELDS = [
+    ("avg_len", lambda x: FeatureSpec("f", "user_sequence", x, 10)),
+    ("change_prob", lambda x: FeatureSpec("f", "user_sequence", 2, 10, change_prob=x)),
+    ("mean", lambda x: SampleCountDist(kind="geometric", mean=x)),
+    ("mean", lambda x: SampleCountDist(kind="empirical", histogram={1: 1.0}, mean=x)),
+    ("histogram weight", lambda x: SampleCountDist(kind="empirical", histogram={2: 1.0, 3: x})),
+]
+
+
+@pytest.mark.parametrize("value", [True, "0.5", None], ids=["bool", "string", "none"])
+@pytest.mark.parametrize(
+    "field, build",
+    REAL_FIELDS,
+    ids=["avg_len", "change_prob", "geometric-mean", "empirical-mean", "histogram-weight"],
+)
+def test_real_valued_field_rejects_a_non_number(field, build, value):
+    # True passed every range check as 1, and a string failed a
+    # comparison that named no field
+    if field == "mean" and value is None:
+        assert build(value).mean == 1.0  # an omitted mean: 1.0, or the histogram's
+        return
+    with pytest.raises(TypeError, match=f"^{field} must be a real number, got {re.escape(repr(value))}$"):
+        build(value)
 
 
 class TestSampleCountDist:
@@ -618,6 +644,32 @@ class TestConfigIO:
                 SessionConfig(0, cfg.samples_per_session)
             else:
                 FeatureSpec("f", "item", 1, 0)
+
+    @pytest.mark.parametrize("field", ["num_sessions", "samples_per_session", "features"])
+    def test_missing_field_names_file_and_field(self, tmp_path, field):
+        # the missing features raised a bare KeyError: 'features'
+        path = tmp_path / "config.json"
+        save_config(path, *small_config())
+        obj = json.loads(path.read_text())
+        del obj[field]
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: missing required field '{field}'$"):
+            load_config(path)
+
+    def test_config_must_be_a_json_object(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text("[]")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: expected a JSON object, got list$"):
+            load_config(path)
+
+    def test_real_values_are_kept_as_given(self, tmp_path):
+        # an integer avg_len stays an integer in the saved config
+        cfg, _ = small_config()
+        specs = [FeatureSpec("f", "user_sequence", 48, 10, change_prob=0)]
+        path = tmp_path / "config.json"
+        save_config(path, cfg, specs)
+        assert '"avg_len": 48,' in path.read_text() and '"change_prob": 0,' in path.read_text()
+        assert load_config(path) == (cfg, specs)
 
     def test_saved_null_histogram_loads(self, tmp_path):
         cfg, specs = small_config()

@@ -2,6 +2,8 @@
 
 import copy
 import dataclasses
+import json
+import re
 from dataclasses import fields, is_dataclass
 
 import numpy as np
@@ -201,6 +203,16 @@ class TestSpecValidation:
         path = tmp_path / "spec.json"
         save_dataloader_spec(path, spec)
         assert load_dataloader_spec(path) == spec
+
+    @pytest.mark.parametrize("field", ["keys", "dedup_sparse_features"])
+    def test_missing_field_in_spec_file_names_file_and_field(self, tmp_path, field):
+        # a bare TypeError named the dataclass's argument, not the file
+        path = tmp_path / "spec.json"
+        obj = {"keys": ["a"], "dedup_sparse_features": []}
+        del obj[field]
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: missing required field '{field}'$"):
+            load_dataloader_spec(path)
 
     def test_spec_json_without_transforms_or_batch_size_loads(self, tmp_path):
         path = tmp_path / "spec.json"

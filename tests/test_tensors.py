@@ -1,6 +1,7 @@
 """Tests for jagged tensors, deduplicated encodings, and the analytical model."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -815,12 +816,9 @@ class TestRunJaggedTensor:
 
     def test_rows_may_point_back_to_any_earlier_head(self):
         runs = RunJaggedTensor(from_rows([[1], [2], [3]]), [0, 1, 0, 2, 1, 1, 0])
-        assert runs.is_head().tolist() == [True, True, False, True, False, False, False]
         assert to_pylists(expand_runs(runs)) == [[1], [2], [1], [3], [2], [2], [1]]
 
-    @pytest.mark.parametrize("slice_values", [0, 10**9], ids=["slices", "gather"])
-    def test_expand_paths_match_laid_out_rows(self, monkeypatch, slice_values):
-        monkeypatch.setattr(tensors, "_SLICE_VALUES", slice_values)
+    def test_expand_paths_match_laid_out_rows(self):
         rng = np.random.default_rng(11)
         for k in range(300):
             heads = [rng.integers(0, 9, rng.integers(0, 4)).tolist() for _ in range(rng.integers(1, 8))]
@@ -912,6 +910,52 @@ class TestRunJaggedTensor:
         assert build_ikjt(_batch(f=f), ["f"]).per_feature["f"] is f
         assert build_ikjt(_batch(f=runs), ["f"]).per_feature["f"] is runs.heads
 
+    def test_expand_runs_returns_a_plain_tensor_itself(self):
+        jt = from_rows([[1, 2], [], [1, 2]])
+        assert expand_runs(jt) is jt
+
+    def test_expand_runs_returns_heads_under_the_identity_index(self):
+        # no row repeats a head, so the heads are the rows: no copy
+        runs = RunJaggedTensor(from_rows([[1, 2], [], [3]]), [0, 1, 2])
+        assert expand_runs(runs) is runs.heads
+
+    @staticmethod
+    def _as_heads(jt, form, k):
+        """``jt`` in ``form``: plain, its own heads under the identity
+        index, or (``mixed``) plain for even ``k`` and its distinct rows
+        plus a back-referencing index for odd ``k``."""
+        if form == "identity":
+            return RunJaggedTensor(jt, np.arange(jt.row_count))
+        if form == "mixed" and k % 2:
+            first, inverse = PADDED_ORACLE([jt])
+            return RunJaggedTensor(jagged_index_select(jt, first), inverse)
+        return jt
+
+    @pytest.mark.parametrize("form", ["plain", "mixed", "identity"])
+    @settings(max_examples=100, deadline=None)
+    @given(rows=keyed_groups())
+    def test_build_ikjt_matches_padded_oracle_in_every_form(self, form, rows):
+        jts = group_of(rows)
+        batch = _batch(**{f"f{k}": self._as_heads(jt, form, k) for k, jt in enumerate(jts)})
+        got = build_ikjt(batch, list(batch.features.entries))
+        first, inverse = PADDED_ORACLE(jts)
+        np.testing.assert_array_equal(got.inverse_lookup, inverse)
+        for k, jt in enumerate(jts):
+            assert jt_equal(got.per_feature[f"f{k}"], jagged_index_select(jt, first))
+
+    def test_build_ikjt_on_heads_falls_back_on_a_forced_collision(self, monkeypatch, padded_calls):
+        f = RunJaggedTensor(from_rows([[1, 2], [2, 1], [], [0]]), [0, 1, 1, 2, 0, 3])
+        # row 4 starts a head in g only, so it is keyed, yet equals row 0
+        g = RunJaggedTensor(from_rows([[5], [], [5], [0, 0]]), [0, 0, 0, 1, 2, 3])
+        monkeypatch.setattr(tensors, "_row_keys", lambda jts: np.zeros(jts[0].row_count, np.uint64))
+        got = build_ikjt(_batch(f=f, g=g), ["f", "g"])
+        assert padded_calls  # the merges the constant key proposed failed the check
+        first, inverse = PADDED_ORACLE([expand_runs(f), expand_runs(g)])
+        np.testing.assert_array_equal(got.inverse_lookup, inverse)
+        assert got.inverse_lookup.tolist() == [0, 1, 1, 2, 0, 3]
+        assert to_pylists(got.per_feature["f"]) == [[1, 2], [2, 1], [], [0]]
+        assert to_pylists(got.per_feature["g"]) == [[5], [5], [], [0, 0]]
+
 
 class TestWindowIndex:
     def test_matches_concatenated_ranges(self):
@@ -975,6 +1019,15 @@ class TestDedupeModel:
         # either makes dedupe_len nan
         args = dict(samples_per_session=4, batch_size=8, avg_len=2, unchanged_prob=0.5)
         with pytest.raises(ValueError, match=f"^{field} must be {rule}, got {value}$"):
+            DedupeModel(**{**args, field: value})
+
+    @pytest.mark.parametrize("value", [True, "0.5", None], ids=["bool", "string", "none"])
+    @pytest.mark.parametrize("field", ["samples_per_session", "avg_len", "unchanged_prob"])
+    def test_non_number_rejected(self, field, value):
+        # True passed every range check as 1, and a string failed a
+        # comparison that named no field
+        args = dict(samples_per_session=4, batch_size=8, avg_len=2, unchanged_prob=0.5)
+        with pytest.raises(TypeError, match=f"^{field} must be a real number, got {re.escape(repr(value))}$"):
             DedupeModel(**{**args, field: value})
 
     def test_measured_factor_on_worked_batch(self):

@@ -1,8 +1,10 @@
 """Tests for the simulated-rank forward sparse path."""
 
 import hashlib
+import json
 import math
 import platform
+import re
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -1287,6 +1289,17 @@ class TestModelSpec:
         save_model_spec(path, self.make_spec())
         path.write_text(path.read_text().replace(f'"{key}"', f'"{key}x"', 1))
         with pytest.raises(TypeError, match=f"{key}x"):
+            load_model_spec(path)
+
+    @pytest.mark.parametrize("field", ["tables", "groups"])
+    def test_missing_field_names_file_and_field(self, tmp_path, field):
+        # the missing groups raised a bare KeyError: 'groups'
+        path = tmp_path / "model.json"
+        save_model_spec(path, self.make_spec())
+        obj = json.loads(path.read_text())
+        del obj[field]
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: missing required field '{field}'$"):
             load_model_spec(path)
 
     def test_non_integral_rows_rejected(self, tmp_path):
