@@ -9,17 +9,17 @@ Layout (all integers little-endian, see docs/file_format.md):
     stripe:  u32 row_count | streams in fixed order
              (session_id, timestamp, label, then per key: row lengths,
              then values), each stream u32 raw_len | u32 comp_len |
-             comp bytes. A row equal to the row before it in its stripe
-             is stored as length -1 and no values; a non-empty row equal
-             to stored row i - d (d >= 2) of the stripe, as length -d.
+             comp bytes. A row equal to the previous row of its own
+             session in the stripe is stored as length -1 and no values.
     footer:  u32 stripe count | per stripe u64 file offset + u32 rows |
              u64 footer offset | magic
 
-Streams are varint-packed int64 before compression. The writer marks
--d where a row equals the previous row of its own session in the
-stripe. A decoded stripe keeps each marked feature as its stored rows
-plus a row -> stored row index (``tensors.RunJaggedTensor``). Files are
-write-once; any number of readers may scan one concurrently.
+Streams are varint-packed int64 before compression. Writer and reader
+find a row's session predecessor from the stripe's session ids alone
+(:func:`_session_order`). A decoded stripe keeps each marked feature as
+its stored rows plus a row -> stored row index
+(``tensors.RunJaggedTensor``). Files are write-once; any number of
+readers may scan one concurrently.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ __all__ = [
 ]
 
 MAGIC = b"SESSCOL1"
-VERSION = 4
+VERSION = 5
 CODEC_ZLIB = 1
 DEFAULT_STRIPE_ROWS = 4096
 DEFAULT_LEVEL = 6
@@ -97,8 +97,9 @@ class ScanBatch:
     """Consecutive rows in columns, as stored: one entry per row in
     ``session_ids``, ``timestamps`` and ``labels``, and one jagged tensor
     per feature key in ``features``. A batch read from a file holds a
-    feature whose stripes marked repeated rows as a ``RunJaggedTensor``;
-    ``tensors.build_kjt`` lays its rows out."""
+    feature whose stripes marked rows (a row equal to its session's
+    previous row) as a ``RunJaggedTensor``; ``tensors.build_kjt`` lays
+    its rows out."""
 
     session_ids: np.ndarray
     timestamps: np.ndarray
@@ -240,20 +241,24 @@ def _encode_stripe(chunk: ScanBatch, level: int) -> bytes:
     # Each feature's streams are packed as they are made, so only one
     # feature's copy of its stored values is held at a time.
     streams = [_pack_stream(a, level) for a in (chunk.session_ids, chunk.timestamps, chunk.labels)]
-    before = _session_predecessors(chunk.session_ids)
+    order, first = _session_order(chunk.session_ids)
+    later = ~first[1:]  # positions whose session predecessor is the position before
+    rows, before = order[1:][later], order[:-1][later]
     for jt in chunk.features.entries.values():
-        streams += [_pack_stream(a, level) for a in _mark_repeats(expand_runs(jt), before)]
+        streams += [_pack_stream(a, level) for a in _mark_repeats(expand_runs(jt), rows, before)]
     return struct.pack("<I", len(chunk)) + b"".join(streams)
 
 
-def _session_predecessors(session_ids: np.ndarray) -> np.ndarray:
-    """Each row's previous row of the same session, or -1 for a session's
-    first row: one map per stripe, which every feature shares."""
+def _session_order(session_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A stripe's rows in stable session order, and whether each position
+    of that order starts a session. A row's session predecessor is the
+    row one position before it, unless it starts its session. One map
+    per stripe, which every feature shares."""
     order = np.argsort(session_ids, kind="stable")
-    same = session_ids[order[1:]] == session_ids[order[:-1]]
-    before = np.full(order.size, -1, dtype=np.int64)
-    before[order[1:][same]] = order[:-1][same]
-    return before
+    ids = session_ids[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = ids[1:] != ids[:-1]
+    return order, first
 
 
 def _equal_rows(jt: JaggedTensor, rows: np.ndarray, refs: np.ndarray) -> np.ndarray:
@@ -274,35 +279,17 @@ def _equal_rows(jt: JaggedTensor, rows: np.ndarray, refs: np.ndarray) -> np.ndar
     return equal
 
 
-def _mark_repeats(jt: JaggedTensor, before: np.ndarray) -> list[np.ndarray]:
+def _mark_repeats(jt: JaggedTensor, rows: np.ndarray, before: np.ndarray) -> list[np.ndarray]:
     """One feature's lengths and values streams for a stripe, where
-    ``before`` is :func:`_session_predecessors` of the stripe's rows.
-
-    A row equal to the row before it is stored as length -1 and no
-    values; row 0 is never marked. A non-empty row that is not so marked
-    and equals ``before`` of it is stored as -d and no values, where row
-    i - d is the stored row that ``before`` resolves to through earlier
-    marks; since that row is not the row before, d >= 2. An empty row is
-    never -d: its length 0 costs no more than a mark and needs no lookup.
-    """
+    ``before[k]`` is the session predecessor of row ``rows[k]`` (every
+    row that has one). A row equal to its session predecessor, empty or
+    not, is stored as length -1 and no values."""
     lens, values = jt.row_lengths(), jt.values
-    rows = np.arange(lens.size)
-    repeat = np.zeros(lens.size, dtype=bool)
-    repeat[1:] = _equal_rows(jt, rows[1:], rows[:-1])
-    back = np.flatnonzero(~repeat & (before >= 0) & (before != rows - 1) & (lens > 0))
-    back = back[_equal_rows(jt, back, before[back])]
-    if not (back.size or repeat.any()):
+    repeat = rows[_equal_rows(jt, rows, before)]
+    if not repeat.size:
         return [lens, values]
-    marks = np.where(repeat, -1, lens)
-    if back.size:
-        # Each marked row takes the values of an earlier row, which may be
-        # marked too; jump along those links until each ends at a stored row.
-        source = rows.copy()
-        source[repeat] -= 1
-        source[back] = before[back]
-        while not np.array_equal(source[source], source):
-            source = source[source]
-        marks[back] = source[back] - back
+    marks = lens.copy()
+    marks[repeat] = -1
     return [marks, values[np.repeat(marks >= 0, lens)]]
 
 
@@ -429,29 +416,26 @@ def _read_stream(buf: memoryview, pos: int, where: str, count: int):
     return arr, end
 
 
-def _resolve_marks(lengths: np.ndarray, where: str) -> np.ndarray:
+def _resolve_marks(lengths: np.ndarray, order: np.ndarray, first: np.ndarray, where: str) -> np.ndarray:
     """Each row's stored row ordinal, for a lengths stream that holds
-    marks. Stored rows are numbered in order; a -d row takes the number of
-    row i - d, which must be a stored row with values; a -1 row takes the
-    number of the last row before it that is not -1."""
-    if lengths[0] == -1:
-        raise StorageError(f"{where}: negative row length -1 at row 0, which has no row before it")
-    back = np.flatnonzero(lengths < -1)
-    target = back + lengths[back]
-    if back.size and target.min() < 0:
-        row = int(back[np.argmax(target < 0)])
-        raise StorageError(f"{where}: row {row} refers {-int(lengths[row])} rows back, before row 0")
-    if back.size and lengths[target].min() < 1:
-        k = int(np.argmax(lengths[target] < 1))
-        row, to = int(back[k]), int(target[k])
-        what = "another mark" if lengths[to] < 0 else "a row with no values"
-        raise StorageError(f"{where}: row {row} refers back to row {to}, {what}")
-    number = np.cumsum(lengths >= 0) - 1  # right for every row but those that follow -d
-    if not back.size:
-        return number
-    number[back] = number[target]
-    last = np.where(lengths == -1, 0, np.arange(lengths.size))
-    return number[np.maximum.accumulate(last)]
+    marks, where ``order, first`` is :func:`_session_order` of the
+    stripe. Stored rows are numbered in row order; a -1 row takes the
+    number of its session's last stored row before it, found by one
+    running maximum along the session order."""
+    low = np.flatnonzero(lengths < -1)
+    if low.size:
+        raise StorageError(f"{where}: negative row length {lengths[low[0]]} at row {low[0]}")
+    stored = lengths[order] >= 0
+    orphans = order[first & ~stored]
+    if orphans.size:
+        raise StorageError(
+            f"{where}: negative row length -1 at row {orphans.min()}, which has no earlier row of its session"
+        )
+    number = np.cumsum(lengths >= 0) - 1
+    last = np.maximum.accumulate(np.where(stored, np.arange(order.size), 0))
+    head_index = np.empty_like(number)
+    head_index[order] = number[order[last]]
+    return head_index
 
 
 def read_stripe(file: ColumnarFile, ordinal: int) -> ScanBatch:
@@ -477,12 +461,15 @@ def read_stripe(file: ColumnarFile, ordinal: int) -> ScanBatch:
     sids, pos = _read_stream(buf, pos, where, rows)
     ts, pos = _read_stream(buf, pos, where, rows)
     labels, pos = _read_stream(buf, pos, where, rows)
-    entries = {}
+    entries, sessions = {}, None
     for key in file.feature_keys:
         where = f"stripe {ordinal}: feature {key!r}"
         lengths, pos = _read_stream(buf, pos, where, rows)
         marked = bool(lengths.min() < 0)
-        head_index = _resolve_marks(lengths, where) if marked else None
+        if marked:
+            if sessions is None:
+                sessions = _session_order(sids)
+            head_index = _resolve_marks(lengths, *sessions, where)
         heads = lengths[lengths >= 0] if marked else lengths
         total = int(heads.sum())
         if total < 0:

@@ -15,13 +15,13 @@ comparing whole zero-padded rows.
 Only this module knows the jagged layout: :meth:`JaggedTensor.from_lengths`
 builds offsets, :func:`_check_offsets` checks them, :func:`concat_rows`
 joins tensors. A :class:`RunJaggedTensor` holds each stored row once as a
-head plus a row -> head index, as a stored stripe's repeat and
-back-reference marks give them. Every tensor is read as heads plus a row
-index (:func:`_heads`; a plain tensor is its own heads), so
-:func:`build_ikjt` keys group heads only and :func:`expand_runs` (which
-:func:`build_kjt` calls) is the heads themselves or one gather. Tensors
-are immutable (their buffers are read-only) and safe to share across
-threads.
+head plus a row -> head index, as a stored stripe's marks give them (a
+row equal to its session's previous row is marked). Every tensor is
+read as heads plus a row index (:func:`_heads`; a plain tensor is its
+own heads), so :func:`build_ikjt` keys group heads only and
+:func:`expand_runs` (which :func:`build_kjt` calls) is the heads
+themselves or one gather. Tensors are immutable (their buffers are
+read-only) and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -217,11 +217,12 @@ class RunJaggedTensor:
     ``heads``.
 
     Heads are numbered in order of first use: ``head_index`` starts at 0,
-    and each row takes either a head some earlier row took (the row
-    before, as in a run, or any earlier one) or the next head. So every
-    head is used, and the index is the identity exactly when no row
-    repeats a head. Two heads may still be equal (a run cut by a stripe
-    boundary, or a repeat the writer did not mark).
+    and each row takes either a head some earlier row took (in a stored
+    stripe, its session's previous row, which may be any earlier row) or
+    the next head. So every head is used, and the index is the identity
+    exactly when no row repeats a head. Two heads may still be equal
+    (rows of two sessions, or a session's repeat cut by a stripe
+    boundary).
     """
 
     heads: JaggedTensor

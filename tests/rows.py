@@ -132,14 +132,16 @@ def column_digest(table):
 WRAPPED_LENGTHS = [2**62, 2**62, 2**62, 2**62 + 5]
 
 
-def write_raw_stripe(path, lengths, values) -> None:
+def write_raw_stripe(path, lengths, values, sessions=None) -> None:
     """Write a one-stripe file of feature ``f`` whose row lengths and
     values streams hold ``lengths`` and ``values`` as given, whether or
-    not they agree; session ids, timestamps and labels are 0."""
+    not they agree. The rows' session ids are ``sessions`` (all 0 if
+    None); timestamps and labels are 0."""
     rows = len(lengths)
     written = storage.write_table(as_batch([{"f": [0]}]), path)
     start, level = written.stripes[0].offset, written.level
-    streams = ([0] * rows, [0] * rows, [0] * rows, lengths, values)
+    sessions = [0] * rows if sessions is None else sessions
+    streams = (sessions, [0] * rows, [0] * rows, lengths, values)
     blob = struct.pack("<I", rows) + b"".join(
         storage._pack_stream(np.array(a, dtype=np.int64), level) for a in streams
     )

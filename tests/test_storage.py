@@ -38,6 +38,7 @@ from sessiondedup.datagen import (
     generate_dataset,
     save_config,
 )
+from sessiondedup.varint import encode_varints
 from sessiondedup.storage import (
     MAGIC,
     ScanBatch,
@@ -253,11 +254,12 @@ class TestValidation:
 
     def test_unknown_version(self, records, tmp_path):
         # version 1 (a key-name list with no checksum), version 2 (no
-        # repeat marks) and version 3 (no -d marks) are no longer read
+        # repeat marks), version 3 (marks only against the row before)
+        # and version 4 (a second, -d mark) are no longer read
         path = tmp_path / "t.sesscol"
         write_table(as_batch(records), path)
         good = path.read_bytes()
-        for version in (99, 1, 2, 3):
+        for version in (99, 1, 2, 3, 4):
             data = bytearray(good)
             struct.pack_into("<I", data, len(MAGIC), version)
             path.write_bytes(bytes(data))
@@ -323,11 +325,18 @@ class TestCompression:
         fb = write_table(as_batch(records), pb, clustering="by_session")
         raw_a, comp_a = stream_sizes(fa)
         raw_b, comp_b = stream_sizes(fb)
-        # Clustered rows repeat, and a repeat is stored as one length mark,
-        # so the clustered streams are smaller before and after zlib.
-        assert raw_b < raw_a
+        # One stripe holds every row either way, and a row equal to its
+        # session's previous row is marked wherever that row is, so both
+        # orders store the same rows; zlib still finds more to match in
+        # the clustered order.
+        assert raw_b == raw_a
         assert comp_b < comp_a
         assert pb.stat().st_size < pa.stat().st_size
+        # Across many stripes a session's rows meet in one stripe only
+        # when clustered, so only then are most repeats marked.
+        raw_a = stream_sizes(write_table(as_batch(records), pa, stripe_rows=64))[0]
+        raw_b = stream_sizes(write_table(as_batch(records), pb, stripe_rows=64, clustering="by_session"))[0]
+        assert raw_b < raw_a
 
     def test_report_identities(self, records, tmp_path):
         path = tmp_path / "t.sesscol"
@@ -356,7 +365,7 @@ def _row_tuples(batches):
 def small_file(tmp_path_factory):
     # Each session repeats ``g`` on every row and each ``f`` list (empty
     # ones too) on two rows. The sessions' rows interleave, so most
-    # stripes hold -1 marks (the empty rows) or -d marks (the rest).
+    # stripes hold -1 marks whose session predecessor is rows back.
     recs = [
         ImpressionRecord(
             s,
@@ -431,7 +440,7 @@ def _wide_table() -> ScanBatch:
 @pytest.fixture(scope="module")
 def wide_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("wide") / "wide.sesscol"
-    # unclustered, so the ``wide`` feature's stripes hold -d marks
+    # unclustered, so the ``wide`` feature's -1 marks refer rows back
     write_table(_wide_table(), path, stripe_rows=37)
     return path, path.read_bytes(), _row_tuples(scan(open_table(path), 4))
 
@@ -777,9 +786,37 @@ def _feature_streams(path):
     return [streams["f"] for streams in _stored_streams(path)]
 
 
-def _back_marked_stripes(path):
-    """How many (stripe, feature) pairs of a file hold a -d mark."""
-    return sum(min(lengths) < -1 for streams in _stored_streams(path) for lengths, _ in streams.values())
+def _session_resolved_stripes(path):
+    """How many (stripe, feature) pairs of a file hold a -1 whose session
+    predecessor is not the row before it (whose session differs)."""
+    f = open_table(path)
+    count = 0
+    for ordinal, streams in enumerate(_stored_streams(path)):
+        sids = read_stripe(f, ordinal).session_ids
+        for lengths, _ in streams.values():
+            marks = np.flatnonzero(np.array(lengths) == -1)
+            count += bool((sids[marks - 1] != sids[marks]).any())
+    return count
+
+
+def _raw_bytes(stream):
+    """The bytes a stream of ints takes before compression."""
+    return len(encode_varints(np.array(stream, dtype=np.int64)))
+
+
+def _marks_by_session(rows, sessions, stripe_rows):
+    """The lengths streams a writer stores for ``rows`` (lists of one
+    feature) with session ids ``sessions``, unclustered: per stripe, -1
+    for a row equal to the previous row of its session in the stripe,
+    else the row's length."""
+    out = []
+    for start in range(0, len(rows), stripe_rows):
+        last, lengths = {}, []
+        for row, sid in zip(rows[start : start + stripe_rows], sessions[start : start + stripe_rows]):
+            lengths.append(-1 if last.get(sid) == list(row) else len(row))
+            last[sid] = list(row)
+        out.append(lengths)
+    return out
 
 
 A, B, C = [1, 2, 3], [4], [1, 2, 4]
@@ -828,9 +865,9 @@ def _check_scanned_groups(path, rows, group, stripe_rows, batch_size, sessions=N
 
 
 class TestRunMarks:
-    """A row equal to the row before it in its stripe is stored as length
-    -1 and no values; the reader keeps such a feature as run heads and
-    ``build_ikjt`` keys the heads only."""
+    """Rows of one session: a row equal to the row before it in its
+    stripe is stored as length -1 and no values; the reader keeps such a
+    feature as run heads and ``build_ikjt`` keys the heads only."""
 
     def test_repeats_stored_as_one_length_mark(self, tmp_path):
         path = tmp_path / "marks.sesscol"
@@ -913,8 +950,8 @@ class TestRunMarks:
     @pytest.mark.parametrize(
         "lengths, values, message",
         [
-            ([1, -2], [5], "row 1 refers 2 rows back, before row 0$"),
-            ([2, -1, 1, -9], [5, 6, 7], "row 3 refers 9 rows back, before row 0$"),
+            ([1, -2], [5], "negative row length -2 at row 1$"),
+            ([2, -1, 1, -9], [5, 6, 7], "negative row length -9 at row 3$"),
             ([2, -1, 1], [5, 6], "stream length 2 cannot hold 3 varints$"),
             ([2, -1, 1], [5, 6, 5, 6, 7], "corrupt varints: expected 3 varints, found 5$"),
         ],
@@ -932,25 +969,28 @@ def _session_rows(pairs):
     return [{"f": f} for _, f in pairs], [sid for sid, _ in pairs]
 
 
+_ORPHAN = "which has no earlier row of its session"
+
+
 class TestBackReferences:
-    """A non-empty row equal to the previous row of its own session in
-    the stripe, and not to the row before it, is stored as -d: a
-    reference to the stored row d rows back."""
+    """A row equal to the previous row of its own session in the stripe
+    is stored as -1, wherever that row is: the mark refers back to it.
+    Nothing else is marked."""
 
     def test_session_repeats_stored_as_back_references(self, tmp_path):
         path = tmp_path / "back.sesscol"
         rows = _session_rows([(1, A), (2, B), (1, A), (3, A), (2, C), (1, A), (2, [])])
         write_table(_with_sessions(*rows), path)
-        # row 2 refers to row 0; row 3 repeats row 2; row 5's session
-        # predecessor is row 3, whose values are row 0's
-        assert _feature_streams(path) == [([3, 1, -2, -1, 3, -5, 0], A + B + C)]
+        # rows 2 and 5 repeat session 1's row 0; row 3 equals the row
+        # before it, but that row is another session's
+        assert _feature_streams(path) == [([3, 1, -1, 3, 3, -1, 0], A + B + A + C)]
         stripe = read_stripe(open_table(path), 0).features.entries["f"]
-        assert stripe.head_index.tolist() == [0, 1, 0, 0, 2, 0, 3]
+        assert stripe.head_index.tolist() == [0, 1, 0, 2, 3, 0, 4]
 
-    def test_empty_rows_are_never_back_references(self, tmp_path):
+    def test_empty_rows_refer_back_like_any_row(self, tmp_path):
         path = tmp_path / "empty.sesscol"
-        write_table(_with_sessions(*_session_rows([(1, []), (2, B), (1, []), (2, B)])), path)
-        assert _feature_streams(path) == [([0, 1, 0, -2], B)]
+        write_table(_with_sessions(*_session_rows([(1, []), (2, B), (1, []), (2, B), (3, [])])), path)
+        assert _feature_streams(path) == [([0, 1, -1, -1, 0], B)]
 
     def test_slice_after_a_head_it_uses(self, tmp_path):
         # rows 3 and 4 refer to rows 1 and 0, so the second batch of 3
@@ -958,7 +998,7 @@ class TestBackReferences:
         rows, sessions = _session_rows([(1, A), (2, B), (3, C), (2, B), (1, A)])
         path = tmp_path / "slice.sesscol"
         assert _check_scanned_groups(path, rows, ("f",), 5, 3, sessions) == 2
-        assert _feature_streams(path) == [([3, 1, 3, -2, -4], A + B + C)]
+        assert _feature_streams(path) == [([3, 1, 3, -1, -1], A + B + C)]
         second = list(scan(open_table(path), 3))[1].features.entries["f"]
         assert to_pylists(second.heads) == [B, A]
         assert second.head_index.tolist() == [0, 1]
@@ -979,38 +1019,93 @@ class TestBackReferences:
         batch_size = data.draw(st.integers(1, 20))
         path = tmp_path_factory.mktemp("back") / "back.sesscol"
         _check_scanned_groups(path, rows, group, stripe_rows, batch_size, sessions)
+        for key in ("f", "g"):
+            stored = [streams[key][0] for streams in _stored_streams(path)]
+            assert stored == _marks_by_session([r[key] for r in rows], sessions, stripe_rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_marks_ignore_how_sessions_interleave(self, tmp_path_factory, data):
+        # any order that keeps each session's rows in order stores the
+        # same rows: the same count and raw bytes per feature
+        value = st.lists(st.integers(-2, 2), max_size=3)
+        pool = data.draw(st.lists(st.tuples(value, value), min_size=1, max_size=3))
+        picks = st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=6)
+        sessions = data.draw(st.lists(picks, min_size=1, max_size=5))
+        tags = [sid for sid, picked in enumerate(sessions) for _ in picked]
+        sizes = []
+        for sids in (tags, data.draw(st.permutations(tags))):
+            taken = [iter(picked) for picked in sessions]
+            rows = [{"f": pool[p][0], "g": pool[p][1]} for p in (next(taken[sid]) for sid in sids)]
+            path = tmp_path_factory.mktemp("order") / "order.sesscol"
+            write_table(_with_sessions(rows, sids), path)
+            (streams,) = _stored_streams(path)
+            sizes.append({
+                key: (sum(n >= 0 for n in lengths), _raw_bytes(lengths) + _raw_bytes(values))
+                for key, (lengths, values) in streams.items()
+            })
+        assert sizes[0] == sizes[1]
 
     def test_fuzzed_files_hold_back_references(self, small_file, wide_file):
-        # so that the corruption tests' bit flips reach the -d marks
-        assert _back_marked_stripes(small_file[0]) >= 3
-        assert _back_marked_stripes(wide_file[0]) >= 3
+        # so that the corruption tests' bit flips reach -1 marks that the
+        # reader resolves through the session order
+        assert _session_resolved_stripes(small_file[0]) >= 3
+        assert _session_resolved_stripes(wide_file[0]) >= 3
 
     @pytest.mark.parametrize(
-        "lengths, values, message",
+        "lengths, values, sessions, message",
         [
-            ([1, 2, -3], [5, 6, 7], "row 2 refers 3 rows back, before row 0$"),
-            ([-2, 1], [5], "row 0 refers 2 rows back, before row 0$"),
-            ([2, -1, 1, -2], [5, 6, 7], "row 3 refers back to row 1, another mark$"),
-            ([2, 1, -2, 1, -2], [5, 6, 7, 8], "row 4 refers back to row 2, another mark$"),
-            ([0, 1, -2], [5], "row 2 refers back to row 0, a row with no values$"),
-            ([1, -(2**63)], [5], f"row 1 refers {2**63} rows back, before row 0$"),
-            ([-1, 1], [5], "negative row length -1 at row 0, which has no row before it$"),
+            ([-1, 1], [5], [0, 0], f"negative row length -1 at row 0, {_ORPHAN}$"),
+            ([1, 1, -1], [5, 6], [0, 0, 1], f"negative row length -1 at row 2, {_ORPHAN}$"),
+            ([-2, 1], [5], [0, 0], "negative row length -2 at row 0$"),
+            ([1, -2, -1], [5], [0, 0, 0], "negative row length -2 at row 1$"),
+            ([1, -(2**63)], [5], [0, 0], f"negative row length {-(2**63)} at row 1$"),
+            ([2, -1, -1], [5, 6], [3, 3, 1], f"negative row length -1 at row 2, {_ORPHAN}$"),
+            ([1, 1, -3], [5, 6], [0, 1, 0], "negative row length -3 at row 2$"),
         ],
         ids=[
-            "before-row-0",
-            "at-row-0",
-            "at-a-repeat",
-            "at-a-back-reference",
-            "at-an-empty-row",
-            "int64-min",
             "repeat-at-row-0",
+            "at-a-second-session-start",
+            "at-row-0-minus-two",
+            "before-a-valid-repeat",
+            "int64-min",
+            "lone-row-of-its-session",
+            "minus-three-after-its-session",
         ],
     )
-    def test_corrupt_back_references_name_stripe_feature_and_row(self, tmp_path, lengths, values, message):
+    def test_corrupt_back_references_name_stripe_feature_and_row(
+        self, tmp_path, lengths, values, sessions, message
+    ):
         path = tmp_path / "bad-back.sesscol"
-        write_raw_stripe(path, lengths, values)
+        write_raw_stripe(path, lengths, values, sessions)
         with pytest.raises(StorageError, match="^stripe 0: feature 'f': " + message):
             read_stripe(open_table(path), 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_any_lengths_read_as_marked_or_rejected(self, tmp_path_factory, data):
+        # a stripe whose lengths hold any marks, sound or not: it reads as
+        # the rows the marks describe, or raises StorageError, and nothing
+        # else
+        lengths = data.draw(st.lists(st.integers(-3, 3), min_size=1, max_size=10))
+        sessions = data.draw(st.lists(st.integers(0, 3), min_size=len(lengths), max_size=len(lengths)))
+        values = list(range(sum(n for n in lengths if n > 0)))
+        path = tmp_path_factory.mktemp("marks") / "marks.sesscol"
+        write_raw_stripe(path, lengths, values, sessions)
+        expected, last, taken = [], {}, iter(values)
+        for n, sid in zip(lengths, sessions):
+            if n >= 0:
+                last[sid] = [next(taken) for _ in range(n)]
+            elif n < -1 or sid not in last:
+                expected = None
+                break
+            expected.append(last[sid])
+        try:
+            got = read_stripe(open_table(path), 0).features.entries["f"]
+        except StorageError:
+            assert expected is None
+            return
+        assert to_pylists(expand_runs(got)) == expected
 
 
 def _golden_configs():
@@ -1043,13 +1138,12 @@ def _golden_digests(tmp_path):
     :func:`rows.column_digest` of each ``.sesscol`` file's rows and, for
     each file clustered by session, the sha256 of its bytes after the
     header. The varied configs use ``--stripe-rows 333``, which divides
-    none of their row counts. Also returns how many (stripe, feature)
-    pairs of each clustered file hold a -d mark."""
+    none of their row counts."""
     import hashlib
 
     from sessiondedup.cli import DATA_DIR_ENV, main
 
-    out, back_marks = {}, {}
+    out = {}
 
     def sha(data):
         return hashlib.sha256(data).hexdigest()
@@ -1066,7 +1160,6 @@ def _golden_digests(tmp_path):
             out[f"{tag}.columns"] = column_digest(next(scan(f, f.row_count)))
             if not tag.endswith("-none"):
                 out[f"{tag}.body"] = sha(data[f.stripes[0].offset :])
-                back_marks[tag] = _back_marked_stripes(tmp_path / written)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.chdir(tmp_path)
@@ -1084,7 +1177,7 @@ def _golden_digests(tmp_path):
                 run(f"{tag}-cluster", ["cluster", raw, "--out", f"{tag}-c.sesscol", *stripes], f"{tag}-c.sesscol")
                 csv = f"{tag}.csv"
                 run(f"{tag}-characterize", ["characterize", raw, "--batch-size", 256, "--out", csv], csv)
-    return out, back_marks
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -1093,108 +1186,108 @@ def golden(tmp_path_factory):
 
 
 GOLDEN_DIGESTS = {
-    "default-s0-gen-none.stdout": "6aa86fa947c7248cd4b799e3e4bdd8944c9afeba3ae332fae0078b40f751adc1",
-    "default-s0-gen-none": "8e8607bde0536383130531316e530152716e7334e41a0c4c44bfcc0c07390a63",
+    "default-s0-gen-none.stdout": "70334549e5205919d6e6157ed3a349626031e75b2d1a45dc59b333ac8305314e",
+    "default-s0-gen-none": "d3c7d0a6161843a8b9197a7aed99d4ba5be29664fba0dc2d3a33f532806aebbe",
     "default-s0-gen-none.columns": "19f88191e7fcc93d9268a5bb291900cb3f3b5f2447bc1762c81bc606d5797bc0",
     "default-s0-gen-by_session.stdout": "d37a8bd7e8bbe2fb4b85eb7bade5ce7e53b0b8ede81e08b726e19b18bce90889",
-    "default-s0-gen-by_session": "cc574233b83c7381ca028e9a4237cbec2c60bbaed4bbe4fb53cf1b381689f1d5",
+    "default-s0-gen-by_session": "e871b673b7306d08883b5e961b1f623449f74a61ebf5af9ca123b202cb2cff70",
     "default-s0-gen-by_session.columns": "7beca8b792b71d1690dc3a546052f68730c57b011391893d11e0255661dca517",
     "default-s0-gen-by_session.body": "73f94add424ea0ada785e6639726deb3c5b1d395b609ff0f327a61ffdd5bafcb",
-    "default-s0-cluster.stdout": "f3f9871301cf617cf0ad31545173fe705b2da914c8ec2304e7d4f54665ba07ba",
-    "default-s0-cluster": "cc574233b83c7381ca028e9a4237cbec2c60bbaed4bbe4fb53cf1b381689f1d5",
+    "default-s0-cluster.stdout": "9f9f3a32841ad71b79113bdf72dce2212af008075514f7171bef44d5bc1900ca",
+    "default-s0-cluster": "e871b673b7306d08883b5e961b1f623449f74a61ebf5af9ca123b202cb2cff70",
     "default-s0-cluster.columns": "7beca8b792b71d1690dc3a546052f68730c57b011391893d11e0255661dca517",
     "default-s0-cluster.body": "73f94add424ea0ada785e6639726deb3c5b1d395b609ff0f327a61ffdd5bafcb",
     "default-s0-characterize.stdout": "099c4c411d64cf9e04deea850adc5bd81e22cfed3aa2ce7c38d4d636dcf0dfec",
     "default-s0-characterize": "ce7303521d86f89cbb0eb232dcc68f9cd550dfd1c13f88352204ab0bc7ab6cca",
-    "default-s1-gen-none.stdout": "da57e5727bb7aba9746c360a6ccabb06db107d81bebb5df7cbbff8f0b9accf2b",
-    "default-s1-gen-none": "eb071ea34ee06ed4ea41a46f66ec8963b763261b45219e80a0195e2fb60cfb4a",
+    "default-s1-gen-none.stdout": "c6f6acbd3a150e568f6e738bad628c96d4762f0e9601bb75f7ee7737b881377b",
+    "default-s1-gen-none": "acd0d61c6a9823bbdcb4f2288c3b3a6401c36b8657afc951bab6a2ac3fdc306e",
     "default-s1-gen-none.columns": "c9fa3471b85f7445f1bb1ba05030ac95656642692d3743bedafe454c0b9c548e",
     "default-s1-gen-by_session.stdout": "a64881547d96ce1045e60401e0d392ac839192f8978dba17458b708d5623a07d",
-    "default-s1-gen-by_session": "5e5b939459be926ee4cb8a9c1bd2c596da5322c2f6bdb58356861373d272c69a",
+    "default-s1-gen-by_session": "41d66f105456520ce42cd82e02f647feee24cc47ace8b20dacee4270c30880f2",
     "default-s1-gen-by_session.columns": "bf1471a23b4fc8f7f20d58d0a9f70051ee859eef20d9647d27f5eeca5cd03b11",
     "default-s1-gen-by_session.body": "a06aad3c58cabdd4f1bef5b37198af1f02f5134371ea45c9cc8d8e2681262e40",
-    "default-s1-cluster.stdout": "2ba6725164afa91b59aaf16636a6408aea4ccc12f2d5f4acdf2a811aeb93c58a",
-    "default-s1-cluster": "5e5b939459be926ee4cb8a9c1bd2c596da5322c2f6bdb58356861373d272c69a",
+    "default-s1-cluster.stdout": "a2b24b6faf1457ef1a8b1813f3cee701d9ea665cb3ce91f3f62c4bb4ce096875",
+    "default-s1-cluster": "41d66f105456520ce42cd82e02f647feee24cc47ace8b20dacee4270c30880f2",
     "default-s1-cluster.columns": "bf1471a23b4fc8f7f20d58d0a9f70051ee859eef20d9647d27f5eeca5cd03b11",
     "default-s1-cluster.body": "a06aad3c58cabdd4f1bef5b37198af1f02f5134371ea45c9cc8d8e2681262e40",
     "default-s1-characterize.stdout": "345dd73e1fd958177a9470bb14c8a752ddec20ab2a88a78628cabcb79fe590a8",
     "default-s1-characterize": "15c8c462332c530b5af4437519a309b0096e613fb72520afcd88b6c6e089d580",
-    "fixed1-s0-gen-none.stdout": "a626987bb0b2d0351beb89df366d6ad80fa89993ec42fe8a3209838565c6fe96",
-    "fixed1-s0-gen-none": "b573d2362a196aec362064f46f1869d5ea6552213b1f7291ed85a8888ee28573",
+    "fixed1-s0-gen-none.stdout": "c8892b5bb15823373cbf93c409a4f5f5ef0697aad0bc6a30c3d63fe69f185861",
+    "fixed1-s0-gen-none": "599707ace4cedc656f766702e917dd52431684ac715dcbf0b3180249e9cd0a06",
     "fixed1-s0-gen-none.columns": "dccceb83dd1af1e0fe5ef96c4b5ca570ca9b4ef773a9ce99319f31993b74c19b",
-    "fixed1-s0-gen-by_session.stdout": "6c59bf7e3f2f92de335b6a04032d163b39f39bb619f102b61d90b8f818ce1dbd",
-    "fixed1-s0-gen-by_session": "b7601912d7af5759369db97aa43dc95cd52daf20c2ac326649112fbcbecf5c80",
+    "fixed1-s0-gen-by_session.stdout": "7d017d5c02b820eabfcfcccb66956f3d384d3f98c9cbbe095a18bd1b96a2a272",
+    "fixed1-s0-gen-by_session": "37927ce2c3e1cb3f3ae12c402188fdf403dc3744ce3f61f5767ec6f987c6d74e",
     "fixed1-s0-gen-by_session.columns": "c7cded80aea84decc95f21ef57b344c507ab6edaee99f0860057ea174205df05",
-    "fixed1-s0-gen-by_session.body": "82af02afb2a307635ab498195d6e8f55de40bb11abec355233c8af5b40ec3d3f",
-    "fixed1-s0-cluster.stdout": "c8c720e9c154b325af99e5082df024f2acfaa765bbe3fa0e4e35c0221a7a2dda",
-    "fixed1-s0-cluster": "b7601912d7af5759369db97aa43dc95cd52daf20c2ac326649112fbcbecf5c80",
+    "fixed1-s0-gen-by_session.body": "5506868a230b03e34659fc91d90ac922714d300ac95797bc4da24ece3ce0b24c",
+    "fixed1-s0-cluster.stdout": "c7c2af577940d6470fea508243e9562bbf08ff919fe2c6ac3834339a1a49f84b",
+    "fixed1-s0-cluster": "37927ce2c3e1cb3f3ae12c402188fdf403dc3744ce3f61f5767ec6f987c6d74e",
     "fixed1-s0-cluster.columns": "c7cded80aea84decc95f21ef57b344c507ab6edaee99f0860057ea174205df05",
-    "fixed1-s0-cluster.body": "82af02afb2a307635ab498195d6e8f55de40bb11abec355233c8af5b40ec3d3f",
+    "fixed1-s0-cluster.body": "5506868a230b03e34659fc91d90ac922714d300ac95797bc4da24ece3ce0b24c",
     "fixed1-s0-characterize.stdout": "78e5b53f863f70ab9f8c36cb78d24c663ce56a80f8b23992168e409155d1401f",
     "fixed1-s0-characterize": "5471e742b48234bd2a104a49b825cf8c4fedfa92eaec51a33547954b58b6b113",
-    "fixed1-s1-gen-none.stdout": "1287098c2612f3ad6839babccb1141386a7a71c11cb42154b8311ef894509d3c",
-    "fixed1-s1-gen-none": "396e892d13e12d47827284b663c1fc195bb4a900aa714f9a2cd32c22231a2310",
+    "fixed1-s1-gen-none.stdout": "07c026fd0a6520ef31899b2af61d785f8f71741052391c09182e43c83527a355",
+    "fixed1-s1-gen-none": "a66b53fb3b9d8ca3805b5ee7b2c459532ad8b8ca62261bbad55e0fe22c6fe05b",
     "fixed1-s1-gen-none.columns": "f628fa8bc343bba6abc20f10c939d6d40457075d5d09994f398de1e36da52c63",
-    "fixed1-s1-gen-by_session.stdout": "f2b361f571108b9d36685c27c7d95cb8bb5ccc631bb66253a0383de1ff3f3717",
-    "fixed1-s1-gen-by_session": "72fdffe841fff8e894132c0e76304a901ba236d15fd10e942397b99bfa2c5372",
+    "fixed1-s1-gen-by_session.stdout": "5c0d08f79d41fbdc32f5d7e54ac14165f721844f63cc1dd30073a2226f9296ae",
+    "fixed1-s1-gen-by_session": "f669587ff403cf8af1f0fdacff638e321ba06352b40a09e11061d32d84918f92",
     "fixed1-s1-gen-by_session.columns": "1163b1feaea3eb7a9bfeaacc8471e9c5cdb7829f652fa717757dd1705131c098",
-    "fixed1-s1-gen-by_session.body": "eb6340243f430ff44f73aca44963003e230104253067dd1ee7018e7620296adf",
-    "fixed1-s1-cluster.stdout": "938b765be26299f2ab2a2bde7188fddd130142e5efd57cd976316afbf2b30f74",
-    "fixed1-s1-cluster": "72fdffe841fff8e894132c0e76304a901ba236d15fd10e942397b99bfa2c5372",
+    "fixed1-s1-gen-by_session.body": "9ffb8aa9397b7476fd41204bda0a294663aecd2177429722054b9603137c3ee3",
+    "fixed1-s1-cluster.stdout": "10283377d0d71261b61f8367522aca93d131edf2de7221e6caa4979fcaee3456",
+    "fixed1-s1-cluster": "f669587ff403cf8af1f0fdacff638e321ba06352b40a09e11061d32d84918f92",
     "fixed1-s1-cluster.columns": "1163b1feaea3eb7a9bfeaacc8471e9c5cdb7829f652fa717757dd1705131c098",
-    "fixed1-s1-cluster.body": "eb6340243f430ff44f73aca44963003e230104253067dd1ee7018e7620296adf",
+    "fixed1-s1-cluster.body": "9ffb8aa9397b7476fd41204bda0a294663aecd2177429722054b9603137c3ee3",
     "fixed1-s1-characterize.stdout": "3a5f61fa63bcc267b27ca27376bc275813ab890f14a6f040bff30d8f4f76c4c9",
     "fixed1-s1-characterize": "ccfb240b2bec71b2c48ef2b5298bea565ca6066fe132ca997feadb5e809befff",
-    "empirical-s0-gen-none.stdout": "0de0ca509dc8f7824e5fba46faa224a4b1be0eea210cf52922da68ae4cebae31",
-    "empirical-s0-gen-none": "8de57ec5c0605bba24b48ba19cb2690bd553c1e2d3b317d824617a10cf7a127a",
+    "empirical-s0-gen-none.stdout": "3f0f8c9c2464943564d55a64eb950c88fda078b5e51ffdd53c2270f738d9d98a",
+    "empirical-s0-gen-none": "a1c75ea72ca4f881e86ab9beaf15e628a02dcd03c5ed064b93baa6c8f415aa85",
     "empirical-s0-gen-none.columns": "27405cadadb72b7ddf550e32890307094a8fc8d5f2091e413e4cd641a843884f",
-    "empirical-s0-gen-by_session.stdout": "cdcf7f8672b8f1976baadf5005b4cf5691b98d34d0a44cf2571107d85b96aac4",
-    "empirical-s0-gen-by_session": "4682a35500df215955abd256d3aeb657bcdb29b0800bc9715203554e08c2254b",
+    "empirical-s0-gen-by_session.stdout": "c0bb0ae02f59a1868cba084d42a215c0780c16e3d81794b91c3f480dfc14d5dd",
+    "empirical-s0-gen-by_session": "ff061c0d1fd37552f3cd1ef7e4649d26237c658fcef07d7924932979e4038f8b",
     "empirical-s0-gen-by_session.columns": "20659db32331874c3a4fe774653fb6efd725c38518e72f83549f8358cf7370d6",
-    "empirical-s0-gen-by_session.body": "c5714531f42455cfeef26a60a7d9ed6af4ab72f841d3ff2f2c2ea625a126373e",
-    "empirical-s0-cluster.stdout": "3e8ab72a31b3b68071b050441e85edba58704268a8e8cf2006eeb12102d44f5b",
-    "empirical-s0-cluster": "4682a35500df215955abd256d3aeb657bcdb29b0800bc9715203554e08c2254b",
+    "empirical-s0-gen-by_session.body": "5fda5214a52486a40dc0f5c501516ac67aa8a107a1a35212f33333c1a8c67b7a",
+    "empirical-s0-cluster.stdout": "13dca8bdf6df80e46a2583e9be39f9e2bd7d1b2a2d2c7a183af10c32a6396f2e",
+    "empirical-s0-cluster": "ff061c0d1fd37552f3cd1ef7e4649d26237c658fcef07d7924932979e4038f8b",
     "empirical-s0-cluster.columns": "20659db32331874c3a4fe774653fb6efd725c38518e72f83549f8358cf7370d6",
-    "empirical-s0-cluster.body": "c5714531f42455cfeef26a60a7d9ed6af4ab72f841d3ff2f2c2ea625a126373e",
+    "empirical-s0-cluster.body": "5fda5214a52486a40dc0f5c501516ac67aa8a107a1a35212f33333c1a8c67b7a",
     "empirical-s0-characterize.stdout": "75fa3ca3ff03a24798ef2f48c1cdede5f3e549d87fb4f35abda014818a889a02",
     "empirical-s0-characterize": "b076d176025f59ca89b82e2533053804fc55466f49b7c4c736783685327fd643",
-    "empirical-s1-gen-none.stdout": "ee4b9fc007b9a3d4835cd277eb78eac57f54b81c31ba8d050153d9110f807d4b",
-    "empirical-s1-gen-none": "f350a057ae028fb415957ac25b4f9af6edc41e472aa14a82eb9bcccec5cd0c9a",
+    "empirical-s1-gen-none.stdout": "f8afc463538ca2f2e5b06c638f4a96cdf744f7e476a3910f06cec78510a16761",
+    "empirical-s1-gen-none": "323ccfb864b1b0bc49f491c7777ae0940d5258305cf7206717c9145f41e21322",
     "empirical-s1-gen-none.columns": "609028efcf82ceffbb6ab3abddb3eb546fa3210e1bbce363df005e5fff908287",
-    "empirical-s1-gen-by_session.stdout": "8951c7db472b9f45dd39419783391487301aefa36122019b25db7000773f03f3",
-    "empirical-s1-gen-by_session": "b4230825d7e0de78463b2319bb9df5e0bd59a9f03db4b79c6cd5d5f510d150d1",
+    "empirical-s1-gen-by_session.stdout": "762114ce9c5ddf04ee3aa651e2fc32c7bea88909fc95d16d12b3ac364da7c383",
+    "empirical-s1-gen-by_session": "10db3d6764c33e6fa653b36b9f2bb7cf8317b645718d896412d9ee64862c5fbd",
     "empirical-s1-gen-by_session.columns": "f3dddf1b9f68280a553c74da3ab3fbaf980ae0149bf41018d8ff2415735f51e2",
-    "empirical-s1-gen-by_session.body": "8f919ca318445f3947d2a25a04730a59af7d96cf77e9da266580ec36a3c02e47",
-    "empirical-s1-cluster.stdout": "e69698bfc16d2e21a48c8ffc16d81aaec4074c9f13e05cb8ca78dcefaac02735",
-    "empirical-s1-cluster": "b4230825d7e0de78463b2319bb9df5e0bd59a9f03db4b79c6cd5d5f510d150d1",
+    "empirical-s1-gen-by_session.body": "bbef039957d08facea83f0c9b1a19cc12e99e0d02cd13a8aa51fbd102adb7b1b",
+    "empirical-s1-cluster.stdout": "902f6efa35a892378153d5b9a2b58aa73ea08cd4ebd7faf5b6bad403bd7a5e66",
+    "empirical-s1-cluster": "10db3d6764c33e6fa653b36b9f2bb7cf8317b645718d896412d9ee64862c5fbd",
     "empirical-s1-cluster.columns": "f3dddf1b9f68280a553c74da3ab3fbaf980ae0149bf41018d8ff2415735f51e2",
-    "empirical-s1-cluster.body": "8f919ca318445f3947d2a25a04730a59af7d96cf77e9da266580ec36a3c02e47",
+    "empirical-s1-cluster.body": "bbef039957d08facea83f0c9b1a19cc12e99e0d02cd13a8aa51fbd102adb7b1b",
     "empirical-s1-characterize.stdout": "150fb06d930714aaec02f5058b95d1bbbfb110b76afeb71073647017ad058cfe",
     "empirical-s1-characterize": "4e2e02ef0e9e2fa3b7361db03ff15a9559b1271766836a167e37f1bb21cdf970",
-    "geometric-s0-gen-none.stdout": "ef00201574e20a448c0ce7715c4bf531a1137842bc48b23774263dcf90e3cba1",
-    "geometric-s0-gen-none": "656072e6f481db3bf7786e69060672ca212fa83a7ee2d3dae7a059c584531700",
+    "geometric-s0-gen-none.stdout": "bbf3837600bd8f667389f7c155009aad2322139d95a320454bf5f15b823453b8",
+    "geometric-s0-gen-none": "65d523ea32f4f0ace5965192de2ec7f204e728f71f901e54f275eae5edb36383",
     "geometric-s0-gen-none.columns": "3c7997ca13ef0e31a06e43d5dd5ea4272de0029a5f69561a1df6b9984d315489",
-    "geometric-s0-gen-by_session.stdout": "53316b000fab01ce01e754e11ed48b73cbbe104e88f6dfd0120d63d03c6946c9",
-    "geometric-s0-gen-by_session": "67e4302c4a37f5a23c4604dc02fdb06ce0bdd9ce91706ccb0229750cdf3ae5f7",
+    "geometric-s0-gen-by_session.stdout": "beb880b85468766dae5d9eaa1ee226d65820f45e680f8d68b144118e11ea8369",
+    "geometric-s0-gen-by_session": "01b4d7f562f45c2c3bbb8ce870e0b63d82692e6d9b754c461f5565d66400e1a4",
     "geometric-s0-gen-by_session.columns": "5b26f73e11b7eb2b96c89dcd317e801c188cdb7b9a24bc7149d4cbab191ad116",
-    "geometric-s0-gen-by_session.body": "8e837aa6776ac34d8523fcbec81045fa8084ddd0e7295bb30f2119839f6d85d2",
-    "geometric-s0-cluster.stdout": "fdc9580976733778487152d65b51a9a20b5eac731ca9a2e6b124f1d5f4946670",
-    "geometric-s0-cluster": "67e4302c4a37f5a23c4604dc02fdb06ce0bdd9ce91706ccb0229750cdf3ae5f7",
+    "geometric-s0-gen-by_session.body": "ca0cf52207a2089cfb3177fe3bf430bff21bf9364ff595901d73679a485b8d23",
+    "geometric-s0-cluster.stdout": "ff642924a4fb6a25dd35daf69349c963dc89f80a95f64c4c3aef5d81d9462c44",
+    "geometric-s0-cluster": "01b4d7f562f45c2c3bbb8ce870e0b63d82692e6d9b754c461f5565d66400e1a4",
     "geometric-s0-cluster.columns": "5b26f73e11b7eb2b96c89dcd317e801c188cdb7b9a24bc7149d4cbab191ad116",
-    "geometric-s0-cluster.body": "8e837aa6776ac34d8523fcbec81045fa8084ddd0e7295bb30f2119839f6d85d2",
+    "geometric-s0-cluster.body": "ca0cf52207a2089cfb3177fe3bf430bff21bf9364ff595901d73679a485b8d23",
     "geometric-s0-characterize.stdout": "eae238df10d844a87ab69c939ff7c56ded8b58482c79671112862b864131e597",
     "geometric-s0-characterize": "0bd88d9ce8c5c280877e622ce83f90cf107def92d796312985f31790c1a7d3ea",
-    "geometric-s1-gen-none.stdout": "1dc75dac70d69e250cfd9a3f4542ca2c3b12f703181d7d872018d9d90f7030a8",
-    "geometric-s1-gen-none": "d1d279951bddbc9db15a7a74ec287f4764cdf31853b49c299b4ee070366c4c09",
+    "geometric-s1-gen-none.stdout": "8cf21fc9b12e2e3c88d01b5f2285d0f78578a09f7cbf190c281118b6e5da5963",
+    "geometric-s1-gen-none": "3ef7f0a24e275b1b12118f991610716e6af80065e12454c7920e4c03f1b5193c",
     "geometric-s1-gen-none.columns": "c43e28a95e8354465de73a7d44b5e00db086b8eaa16d9de2ce408a9245dc98b9",
-    "geometric-s1-gen-by_session.stdout": "23056f6acf48332ff8f451c3663c30633043d6b8378eb38d34277f5524882ed3",
-    "geometric-s1-gen-by_session": "eaa58e119332f1e52a9d02960f0b29e1891bab559612d909748696e642d8a235",
+    "geometric-s1-gen-by_session.stdout": "c490593070fa6984e88eb6f60cfd2c9704beff8e0537bda148010e7d9b1fab08",
+    "geometric-s1-gen-by_session": "3f81eaae74e50f36c06e8cb319914634be2b88527d94e9ccffc9fab101348c4a",
     "geometric-s1-gen-by_session.columns": "76deabb8de865c63b9553b322dbb4e987e43b259b9732526d717928177019443",
-    "geometric-s1-gen-by_session.body": "e3d5618268b3e1ef67424849a4fa275061b52570e447074ede4820a0d07e6e01",
-    "geometric-s1-cluster.stdout": "1f025adc57ab809822682806679b2525fab2b61402ccc3ca03b136914a6aff27",
-    "geometric-s1-cluster": "eaa58e119332f1e52a9d02960f0b29e1891bab559612d909748696e642d8a235",
+    "geometric-s1-gen-by_session.body": "f8a10baffa5b3e2f32a264a4972f7fb725a897532fd341e93057bc8526b525e6",
+    "geometric-s1-cluster.stdout": "649b0b6449ac3e46112121f96ce8e63c229f1956c5bf1c1e960d6a0bb8eb1f34",
+    "geometric-s1-cluster": "3f81eaae74e50f36c06e8cb319914634be2b88527d94e9ccffc9fab101348c4a",
     "geometric-s1-cluster.columns": "76deabb8de865c63b9553b322dbb4e987e43b259b9732526d717928177019443",
-    "geometric-s1-cluster.body": "e3d5618268b3e1ef67424849a4fa275061b52570e447074ede4820a0d07e6e01",
+    "geometric-s1-cluster.body": "f8a10baffa5b3e2f32a264a4972f7fb725a897532fd341e93057bc8526b525e6",
     "geometric-s1-characterize.stdout": "daf4e054d28ad6433d1a6ce30ea07131df5127a897f6b0cd4b5b35783062f6be",
     "geometric-s1-characterize": "620f3157b28c86bad3afd2e32d32860a48675dd7f028f806ad14d84da9cf38d7",
 }
@@ -1213,20 +1306,19 @@ class TestGoldenBytes:
     ``.columns`` digests, the ``characterize`` stdout digests and the CSV
     digests held through it. The ``.body`` digests of the files clustered
     by session (their bytes after the header) were taken from the
-    version-3 writer, and hold at version 4, whose -d marks never occur
-    in such a file. Version 4 re-took the file digests, the ``gen``
-    stdout digests of the unclustered files, and the ``cluster`` stdout
-    digests, which now print file bytes."""
+    version-3 writer and held at version 4. Version 4 re-took the file
+    digests, the ``gen`` stdout digests of the unclustered files, and the
+    ``cluster`` stdout digests, which now print file bytes. Version 5 (a
+    -1 refers to the row's session predecessor only) re-took the file
+    digests, the ``gen`` stdout digests but the default clustered ones,
+    the ``cluster`` stdout digests, and the ``.body`` digests of the
+    varied configs, whose empty rows no longer repeat across sessions;
+    the ``.columns``, ``characterize`` and default ``.body`` digests
+    held."""
 
     def test_cli_outputs_match_pinned_digests(self, golden):
-        digests, _ = golden
+        digests = golden
         assert digests == GOLDEN_DIGESTS
         # cluster copies its source's specs, so its file is gen's by_session one
         for tag in {k.split("-gen-")[0] for k in digests if "-gen-" in k}:
             assert digests[f"{tag}-cluster"] == digests[f"{tag}-gen-by_session"]
-
-    def test_files_clustered_by_session_hold_no_back_references(self, golden):
-        # a session's rows are adjacent there, so its previous row is the row before
-        _, back_marks = golden
-        assert len(back_marks) == 16
-        assert set(back_marks.values()) == {0}
