@@ -17,13 +17,15 @@ Counting rules:
             twice in one list needs two occurrences elsewhere to be
             fully matched.
 
-Counting is columnar, in blocks of whole sessions, and each count takes
-one 1-D sort or none: exact keys each (session, list) row by its
-verified 64-bit hash (``tensors._unique_rows``); partial sorts one
-packed int64 key per ID occurrence, (session, value, row); the session
-histograms count one int64 (chunk, session rank) key per row. A block
-whose rows lie in one ascending run, as in a file clustered by session,
-is cut from the stripe batches without a gather.
+Counting is columnar, on stored rows, in blocks of whole sessions. Each
+block's distinct (session, row) rows come from ``tensors._dedup`` over a
+session column and the stored heads, so no row stored as a repeat is
+keyed. Partial sorts one packed int64 key per ID of the distinct rows,
+(session, value, row); a repeated row never raises a (session, value)
+maximum, so duplicate IDs are all IDs less the distinct rows' IDs plus
+their own duplicates. The session histograms count one int64 (chunk,
+session rank) key per row. A block in one ascending run of rows, as in
+a file clustered by session, is cut from the stripes without a gather.
 """
 
 from __future__ import annotations
@@ -33,10 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .storage import ScanBatch
+from .storage import ScanBatch, _session_order
 from .tensors import (
-    JaggedTensor, _key_names, _positive_count, _unique_rows, build_kjt, concat_rows, jagged_index_select,
-    slice_rows
+    JaggedTensor, RunJaggedTensor, _dedup, _entries, _key_names, _positive_count, concat_rows,
+    jagged_index_select, slice_rows
 )
 
 __all__ = [
@@ -78,10 +80,11 @@ class DupStats:
 
 
 def _columns(rows, keys):
-    """Session ids and ``keys`` KJTs of a ScanBatch or a sequence of them."""
+    """Session ids, batch start rows and each key's stored tensors of a ScanBatch or a sequence of them."""
     rows = [rows] if isinstance(rows, ScanBatch) else rows
     sids = [b.session_ids for b in rows] or [np.empty(0, dtype=np.int64)]
-    return np.concatenate(sids), [build_kjt(b, keys) for b in rows]
+    entries = [_entries(b, keys) for b in rows]
+    return np.concatenate(sids), np.cumsum([0, *map(len, rows)]), {k: [e[k] for e in entries] for k in keys}
 
 
 def session_histogram(rows, window: str = "partition", batch_size: int = 4096) -> SessionHistogram:
@@ -157,25 +160,28 @@ def _gather(jts: list[JaggedTensor], starts: np.ndarray, idx: np.ndarray) -> Jag
     return jagged_index_select(concat_rows(parts), np.argsort(by_row))
 
 
-def _feature_stats(sids: np.ndarray, kjts, keys) -> dict[str, FeatureDupStats]:
-    """Each distinct key's statistics, counted in one pass: rows are
-    sorted by session, and each block holds the sessions whose first row
-    falls in one ``_BLOCK_ROWS`` window of that order. Blocks hold whole
-    sessions, so their integer counts add up exactly."""
+def _feature_stats(sids: np.ndarray, starts: np.ndarray, columns: dict) -> dict[str, FeatureDupStats]:
+    """Each key's statistics, counted in one pass over the rows in
+    session order (``storage._session_order``): each block holds the
+    sessions whose first row falls in one ``_BLOCK_ROWS`` window of it,
+    so blocks hold whole sessions and their integer counts add up."""
     n = max(sids.size, 1)  # with no rows every count, and so every statistic, is 0
-    counts = {key: [0, 0, 0] for key in keys}  # duplicate rows, IDs, duplicate IDs
-    starts = np.cumsum([0] + [kjt.batch_size for kjt in kjts])
-    order = np.argsort(sids, kind="stable")
-    first = np.flatnonzero(np.diff(sids[order], prepend=sids[order[:1]] - 1))
-    bounds = [*first[np.unique(first // _BLOCK_ROWS, return_index=True)[1]].tolist(), sids.size]
+    counts = {key: [0, 0, 0] for key in columns}  # duplicate rows, IDs, duplicate IDs
+    order, first = _session_order(sids)
+    heads = np.flatnonzero(first)
+    bounds = [*heads[np.unique(heads // _BLOCK_ROWS, return_index=True)[1]].tolist(), sids.size]
     for lo, hi in zip(bounds, bounds[1:]):
         idx = order[lo:hi]
-        block_sids = sids[idx]
+        block_sids = sids[idx[first[lo:hi]]]
+        # the session column: one [sid] head per session, indexed by session ordinal
+        sessions = JaggedTensor(block_sids, np.arange(block_sids.size))
+        sessions = RunJaggedTensor(sessions, np.cumsum(first[lo:hi]) - 1)
         for key, c in counts.items():
-            jt = _gather([kjt.entries[key] for kjt in kjts], starts, idx)
-            c[0] += hi - lo - _unique_rows([JaggedTensor(block_sids, np.arange(hi - lo)), jt])[0].size
-            c[1] += jt.values.size
-            c[2] += _dup_ids(block_sids, jt)
+            inverse, (unique_sids, jt) = _dedup([sessions, _gather(columns[key], starts, idx)])
+            ids = int(jt.row_lengths()[inverse].sum())
+            c[0] += inverse.size - jt.row_count
+            c[1] += ids
+            c[2] += ids - jt.values.size + _dup_ids(unique_sids.values, jt)
     return {
         key: FeatureDupStats(100.0 * dup_rows / n, 100.0 * dup_ids / max(ids, 1), ids / n)
         for key, (dup_rows, ids, dup_ids) in counts.items()
@@ -195,13 +201,13 @@ def _blend(per_feature: dict[str, FeatureDupStats], keys) -> tuple[float, float]
 def exact_dup_pct(rows, key: str) -> float:
     """Percent of samples whose list for ``key`` repeats another
     same-session sample's list."""
-    return _feature_stats(*_columns(rows, [key]), [key])[key].exact_dup_pct
+    return _feature_stats(*_columns(rows, [key]))[key].exact_dup_pct
 
 
 def partial_dup_pct(rows, key: str) -> float:
     """Percent of individual ID occurrences for ``key`` that repeat
     across same-session samples."""
-    return _feature_stats(*_columns(rows, [key]), [key])[key].partial_dup_pct
+    return _feature_stats(*_columns(rows, [key]))[key].partial_dup_pct
 
 
 def byte_weighted(rows, keys) -> tuple[float, float]:
@@ -209,7 +215,7 @@ def byte_weighted(rows, keys) -> tuple[float, float]:
     features: features carrying more IDs count proportionally more. A
     repeated key would count twice in the blend, so it is rejected."""
     keys = _key_names("keys", keys)
-    return _blend(_feature_stats(*_columns(rows, keys), keys), keys)
+    return _blend(_feature_stats(*_columns(rows, keys)), keys)
 
 
 def compute_dup_stats(rows, keys, batch_size: int = 4096) -> DupStats:
@@ -219,7 +225,7 @@ def compute_dup_stats(rows, keys, batch_size: int = 4096) -> DupStats:
     stream, in order)."""
     keys = _key_names("keys", keys)
     per_batch = session_histogram(rows, "batch", batch_size)  # checks batch_size first
-    per_feature = _feature_stats(*_columns(rows, keys), keys)
+    per_feature = _feature_stats(*_columns(rows, keys))
     partition = session_histogram(rows, "partition")
     return DupStats(per_feature, *_blend(per_feature, keys), partition, per_batch)
 

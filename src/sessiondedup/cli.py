@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import characterize as charmod
-from . import datagen, reader, storage, trainer_sim
+from . import datagen, reader, storage, tensors, trainer_sim
 
 __all__ = ["main", "cmd_gen", "cmd_cluster", "cmd_characterize", "cmd_bench"]
 
@@ -138,8 +138,9 @@ def cmd_characterize(args: argparse.Namespace) -> int:
     f = storage.open_table(src)
     keys = args.keys.split(",") if args.keys else list(f.feature_keys)
     keys = [k for k in keys if k]
-    # Laid out as each is read, so no stripe's heads are held beside its rows.
-    stripes = [storage.read_stripe(f, i).laid_out(keys) for i in range(len(f.stripes))]
+    # Each stripe keeps the counted features only, as stored, so no other feature stays held.
+    read = (storage.read_stripe(f, i) for i in range(len(f.stripes)))
+    stripes = [replace(b, features=tensors.KJT(len(b), tensors._entries(b, keys))) for b in read]
     stats = charmod.compute_dup_stats(stripes, keys, batch_size=args.batch_size)
     print(f"records: {f.row_count}")
     print(

@@ -34,8 +34,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .tensors import (
-    KJT, JaggedTensor, RunJaggedTensor, _key_names, _positive_count, build_kjt, concat_rows, expand_runs,
-    jagged_index_select, slice_rows, window_index
+    KJT, JaggedTensor, RunJaggedTensor, _equal_rows, _key_names, _positive_count, concat_rows, expand_runs,
+    jagged_index_select, slice_rows
 )
 from .varint import decode_varints, encode_varints
 
@@ -119,12 +119,6 @@ class ScanBatch:
     def slice_rows(self, start: int, stop: int) -> "ScanBatch":
         """Rows ``[start, stop)`` as views of this batch's buffers."""
         return self._select(slice(start, stop), lambda jt: slice_rows(jt, start, stop))
-
-    def laid_out(self, keys) -> "ScanBatch":
-        """This batch's rows with features ``keys`` only, laid out row by
-        row (``tensors.build_kjt``), so no stored heads stay referenced."""
-        features = build_kjt(self, keys)
-        return ScanBatch(self.session_ids, self.timestamps, self.labels, features, self.bytes_read)
 
     def take_rows(self, indices: np.ndarray) -> "ScanBatch":
         """Rows ``indices``, in that order, gathered into new buffers."""
@@ -259,24 +253,6 @@ def _session_order(session_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     first = np.ones(order.size, dtype=bool)
     first[1:] = ids[1:] != ids[:-1]
     return order, first
-
-
-def _equal_rows(jt: JaggedTensor, rows: np.ndarray, refs: np.ndarray) -> np.ndarray:
-    """Whether row ``rows[k]`` of ``jt`` equals row ``refs[k]``, for each
-    k. Two rows are compared value by value only when their lengths and
-    first values match."""
-    lens, starts, values = jt.row_lengths(), jt.offsets, jt.values
-    same_length = lens[rows] == lens[refs]
-    equal = same_length & (lens[rows] == 0)
-    full = np.flatnonzero(same_length & (lens[rows] > 0))
-    full = full[values[starts[rows[full]]] == values[starts[refs[full]]]]
-    if full.size:
-        r, f = rows[full], refs[full]
-        cells, first_cell = window_index(starts[r], lens[r])
-        differ = values[cells] != values[cells + np.repeat(starts[f] - starts[r], lens[r])]
-        full = full[~np.logical_or.reduceat(differ, first_cell)]
-    equal[full] = True
-    return equal
 
 
 def _mark_repeats(jt: JaggedTensor, rows: np.ndarray, before: np.ndarray) -> list[np.ndarray]:

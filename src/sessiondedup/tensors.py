@@ -18,10 +18,10 @@ joins tensors. A :class:`RunJaggedTensor` holds each stored row once as a
 head plus a row -> head index, as a stored stripe's marks give them (a
 row equal to its session's previous row is marked). Every tensor is
 read as heads plus a row index (:func:`_heads`; a plain tensor is its
-own heads), so :func:`build_ikjt` keys group heads only and
-:func:`expand_runs` (which :func:`build_kjt` calls) is the heads
-themselves or one gather. Tensors are immutable (their buffers are
-read-only) and safe to share across threads.
+own heads), so :func:`_dedup` (behind :func:`build_ikjt` and
+``characterize``) keys group heads only and :func:`expand_runs` (behind
+:func:`build_kjt`) is the heads themselves or one gather. Tensors are
+immutable (read-only buffers) and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -433,25 +433,38 @@ def _unique_rows(jts: Sequence[JaggedTensor]) -> tuple[np.ndarray, np.ndarray]:
     """Distinct rows across jagged tensors of equal row count.
 
     Row i of the input is the tuple of row i of every tensor. Rows are
-    numbered by one uint64 key each (:func:`_row_keys`), and every row is
-    then compared exactly with the first row of its key: equal lengths,
-    and equal values cell by cell, in every tensor. If any such check
-    fails, two distinct rows shared a key, and the call falls back to
+    numbered by one uint64 key each (:func:`_row_keys`), and every row
+    merged into an earlier row of its key is then compared exactly with
+    it (:func:`_equal_rows`) in every tensor. If any such check fails,
+    two distinct rows shared a key, and the call falls back to
     :func:`_unique_rows_padded`, so unequal rows can never merge. Returns
     what :func:`unique_first_occurrence` returns for the rows.
     """
     first, inverse = unique_first_occurrence(_row_keys(jts))
     if first.size == inverse.size:  # distinct keys: distinct rows, nothing merged
         return first, inverse
-    rep = first[inverse]
-    for jt in jts:
-        lens = jt.row_lengths()
-        # Each cell's counterpart in its row's representative; rep[i] <= i,
-        # so the index stays inside ``values`` even where lengths differ.
-        cells, _ = window_index(jt.offsets[rep], lens)
-        if not (np.array_equal(lens[rep], lens) and np.array_equal(jt.values[cells], jt.values)):
-            return _unique_rows_padded(jts)
-    return first, inverse
+    merged = np.flatnonzero(first[inverse] != np.arange(inverse.size))  # rows merged into an earlier row
+    if all(_equal_rows(jt, merged, first[inverse[merged]]).all() for jt in jts):
+        return first, inverse
+    return _unique_rows_padded(jts)
+
+
+def _equal_rows(jt: JaggedTensor, rows: np.ndarray, refs: np.ndarray) -> np.ndarray:
+    """Whether row ``rows[k]`` of ``jt`` equals row ``refs[k]``, for each
+    k. Two rows are compared value by value only when their lengths and
+    first values match."""
+    lens, starts, values = jt.row_lengths(), jt.offsets, jt.values
+    same_length = lens[rows] == lens[refs]
+    equal = same_length & (lens[rows] == 0)
+    full = np.flatnonzero(same_length & (lens[rows] > 0))
+    full = full[values[starts[rows[full]]] == values[starts[refs[full]]]]
+    if full.size:
+        r, f = rows[full], refs[full]
+        cells, first_cell = window_index(starts[r], lens[r])
+        differ = values[cells] != values[cells + np.repeat(starts[f] - starts[r], lens[r])]
+        full = full[~np.logical_or.reduceat(differ, first_cell)]
+    equal[full] = True
+    return equal
 
 
 def _unique_rows_padded(jts: Sequence[JaggedTensor]) -> tuple[np.ndarray, np.ndarray]:
@@ -502,28 +515,21 @@ def unique_first_occurrence(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first[by_first], inverse
 
 
-def build_ikjt(rows, group: Sequence[str]) -> IKJT:
-    """Deduplicate a feature group across the whole batch into an IKJT.
-
-    Batch rows i and j share an ``inverse_lookup`` entry iff all features
-    in the group have identical lists at i and j. :func:`_unique_rows`
-    groups rows by a 64-bit key and checks every merge exactly, falling
-    back to a whole-row comparison when two distinct rows share a key,
-    so unequal rows can never merge. Unique rows are numbered in
-    first-occurrence order. ``rows`` is a columnar batch such as a
-    storage ``ScanBatch``.
+def _dedup(members: Sequence[JaggedTensor | RunJaggedTensor]) -> tuple[np.ndarray, list[JaggedTensor]]:
+    """Each row's ordinal among the distinct rows, in first-occurrence
+    order, and every member's distinct rows laid out in that order; row i
+    is the tuple of row i of every member, all of equal row count.
 
     Only group heads are keyed (:func:`_heads`): a row is a group head
     when it is the first to use its tuple of member head indexes. Every
     other row equals the group head with its tuple in every member, so
     each distinct row first occurs at a group head, and the other rows
-    take their head's ordinal. When every keyed row is distinct, the
-    keyed tensors are the IKJT's rows as they are.
+    take their head's ordinal. :func:`_unique_rows` numbers the group
+    heads by a 64-bit key and checks every merge exactly, so unequal rows
+    can never merge. When every keyed row is distinct, the keyed tensors
+    are the distinct rows as they are.
     """
-    entries = _entries(rows, group)
-    if not entries:
-        raise ValueError("empty dedup group")
-    parts = [_heads(jt) for jt in entries.values()]
+    parts = [_heads(jt) for jt in members]
     head_of, at = parts[0][1], None  # row -> group head ordinal; group head -> row
     for heads, index in parts[1:]:
         # ordinals stay below the row count, so the pair key cannot wrap
@@ -536,12 +542,23 @@ def build_ikjt(rows, group: Sequence[str]) -> IKJT:
     first, inverse = _unique_rows(jts)
     if first.size < inverse.size:
         jts = [jagged_index_select(jt, first) for jt in jts]
-    return IKJT(
-        batch_size=rows.features.batch_size,
-        group_keys=tuple(entries),
-        inverse_lookup=inverse[head_of],
-        per_feature=dict(zip(entries, jts)),
-    )
+    return inverse[head_of], jts
+
+
+def build_ikjt(rows, group: Sequence[str]) -> IKJT:
+    """Deduplicate a feature group across the whole batch into an IKJT.
+
+    Batch rows i and j share an ``inverse_lookup`` entry iff all features
+    in the group have identical lists at i and j; unique rows are
+    numbered in first-occurrence order (:func:`_dedup`, which keys the
+    group's stored heads only). ``rows`` is a columnar batch such as a
+    storage ``ScanBatch``.
+    """
+    entries = _entries(rows, group)
+    if not entries:
+        raise ValueError("empty dedup group")
+    inverse, jts = _dedup(list(entries.values()))
+    return IKJT(rows.features.batch_size, tuple(entries), inverse, dict(zip(entries, jts)))
 
 
 def build_partial_ikjt(rows, key: str) -> PartialIKJT:

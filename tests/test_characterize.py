@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import sessiondedup.characterize as charmod
+from sessiondedup import tensors
 from sessiondedup.characterize import (
     SessionHistogram,
     byte_weighted,
@@ -389,7 +390,15 @@ ADVERSARIAL = {
     "extreme-session-ids": [
         (s, [t % 2]) for t in range(6) for s in (-(2**63), -1, 0, 2**40, 2**63 - 1)
     ],
+    # two sessions with one row sequence, each repeating its rows: the
+    # other session's equal rows must not count
+    "twin-sessions": [(s, [t // 2, 9]) for t in range(12) for s in (3, 8)],
 }
+
+
+def _adversarial_records(case):
+    """The case's rows as records, plus a key "g" constant within each session."""
+    return [rec(s, {"f": f, "g": [s]}, ts=t) for t, (s, f) in enumerate(ADVERSARIAL[case])]
 
 
 class TestColumnarInput:
@@ -400,10 +409,8 @@ class TestColumnarInput:
     def test_batch_matches_records_and_brute_force(self, case, stream, tmp_path):
         if case == "generator":
             records, keys = as_records(stream), ["seq", "item"]
-        else:  # plus a key "g" constant within each session
-            rows = ADVERSARIAL[case]
-            records = [rec(s, {"f": f, "g": [s]}, ts=t) for t, (s, f) in enumerate(rows)]
-            keys = ["f", "g"]
+        else:
+            records, keys = _adversarial_records(case), ["f", "g"]
         for batch, rows in as_columns(records, tmp_path):
             for key in keys:
                 want = brute_exact_pct(rows, key)
@@ -416,6 +423,52 @@ class TestColumnarInput:
                 assert hist == session_histogram(as_batch(rows), window, 64)
                 assert hist.counts == brute_histogram(rows, size)
             assert compute_dup_stats(batch, keys, 64) == compute_dup_stats(as_batch(rows), keys, 64)
+
+    @pytest.mark.parametrize("case", ADVERSARIAL)
+    def test_shared_row_keys_fall_back_to_padded_rows(self, case, tmp_path, monkeypatch):
+        # one key for every row: each block's merges fail their check, and
+        # the padded comparison must still give the exact counts
+        for batch, _ in as_columns(_adversarial_records(case), tmp_path):
+            want = compute_dup_stats(batch, ["f", "g"], 64)
+            padded = []
+            oracle = tensors._unique_rows_padded
+            with monkeypatch.context() as m:
+                m.setattr(tensors, "_row_keys", lambda jts: np.zeros(jts[0].row_count, dtype=np.uint64))
+                m.setattr(tensors, "_unique_rows_padded", lambda jts: padded.append(1) or oracle(jts))
+                assert compute_dup_stats(batch, ["f", "g"], 64) == want
+            assert padded
+
+
+class TestStoredRows:
+    """On a file clustered by session, counting keys stored rows: no
+    block hands ``_unique_rows`` more rows than its distinct (session,
+    stored row) pairs."""
+
+    def test_keys_at_most_distinct_stored_rows(self, tmp_path, monkeypatch):
+        # 600 sessions of 10 rows in two blocks; f changes every 4th row,
+        # so 7 of each session's 10 rows repeat an earlier one, and g 9 of 10
+        records = [rec(s, {"f": [s % 7, t // 4], "g": [s]}, ts=t) for s in range(600) for t in range(10)]
+        f = write_table(as_batch(records), tmp_path / "c.sesscol", stripe_rows=1000, clustering="by_session")
+        stripes = [read_stripe(f, i) for i in range(len(f.stripes))]
+        for key, want in (("f", 70.0), ("g", 90.0)):
+            pairs = set()  # (session, stripe, stored row)
+            for i, b in enumerate(stripes):
+                index = tensors._heads(b.features.entries[key])[1]
+                pairs |= {(s, i, h) for s, h in zip(b.session_ids.tolist(), index.tolist())}
+            keyed = []
+            unique_rows = tensors._unique_rows
+            with monkeypatch.context() as m:
+                m.setattr(tensors, "_unique_rows", lambda jts: keyed.append(jts) or unique_rows(jts))
+                assert exact_dup_pct(stripes, key) == pytest.approx(want)
+            assert len(keyed) == 2
+            seen = set()
+            for sessions, _ in keyed:
+                block = set(sessions.values.tolist())
+                assert not block & seen
+                seen |= block
+                assert sessions.row_count <= sum(s in block for s, _, _ in pairs)
+            assert seen == set(range(600))
+            assert sum(sessions.row_count for sessions, _ in keyed) == len(pairs) < len(records)
 
 
 def lexsort_dup_ids(sids, jt):

@@ -847,7 +847,8 @@ def _check_scanned_groups(path, rows, group, stripe_rows, batch_size, sessions=N
     runs = start = 0
     for batch in scan(f, batch_size):
         runs += sum(isinstance(jt, RunJaggedTensor) for jt in batch.features.entries.values())
-        plain = batch.laid_out(batch.features.keys)
+        keys = batch.features.keys
+        plain = ScanBatch(batch.session_ids, batch.timestamps, batch.labels, tensors.build_kjt(batch, keys))
         laid_out = plain.features
         assert all(type(jt) is JaggedTensor for jt in laid_out.entries.values())
         for key, jt in laid_out.entries.items():
