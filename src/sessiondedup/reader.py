@@ -3,6 +3,14 @@ process transforms, emit the wire payload. ``read_batches`` runs the
 stages and is their only clock: it times each stage call and stores the
 four times on the batch as one ``StageTimings``.
 
+``read_batches`` runs one batch ahead of its consumer, on one worker
+thread per open iterator: while the consumer works on batch i, the worker
+prepares batch i+1, so at most one extra batch is held. The heavy stage
+work (inflate, varint decode, the sorts and gathers of ``build_ikjt``)
+runs in C with the GIL released, so the two overlap. The stage times are
+taken on the worker and overlap the consumer's work: their sum is the
+reader's work per batch, not the time the consumer waited for it.
+
 A dataloader spec names the feature keys, the dedup groups (each group
 becomes one IKJT whose features share an inverse_lookup slice), the
 transforms to apply, and the batch size. Features outside every group
@@ -19,6 +27,7 @@ from __future__ import annotations
 import json
 import struct
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, astuple, dataclass, field, replace
 from pathlib import Path
 from typing import Iterator
@@ -224,9 +233,7 @@ def emit(batch: ReaderBatch) -> bytes:
     return payload
 
 
-def read_batches(file: ColumnarFile, spec: DataloaderSpec) -> Iterator[ReaderBatch]:
-    """Full fill -> convert -> process -> emit pipeline over a columnar
-    file. Each batch carries the wall time of its four stage calls."""
+def _run_stages(file: ColumnarFile, spec: DataloaderSpec) -> Iterator[ReaderBatch]:
     stream = scan(file, spec.batch_size)
     clock = time.perf_counter
     while True:
@@ -242,6 +249,30 @@ def read_batches(file: ColumnarFile, spec: DataloaderSpec) -> Iterator[ReaderBat
         emit(batch)
         batch.stage_timings = StageTimings(t1 - t0, t2 - t1, t3 - t2, clock() - t3)
         yield batch
+
+
+def read_batches(file: ColumnarFile, spec: DataloaderSpec) -> Iterator[ReaderBatch]:
+    """Full fill -> convert -> process -> emit pipeline over a columnar
+    file. Each batch carries the wall time of its four stage calls.
+
+    One worker thread runs the stages one batch ahead: batch i+1 is
+    prepared while the consumer holds batch i, so at most one extra batch
+    is held. The stage times are measured on the worker and overlap the
+    consumer's work. A stage error is raised at the batch it belongs to,
+    and only if that batch is asked for. Closing the iterator, or
+    dropping it, waits for the batch in flight and stops the worker."""
+    stages = _run_stages(file, spec)
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="read_batches") as worker:
+        ahead = worker.submit(next, stages, None)
+        try:
+            while (batch := ahead.result()) is not None:
+                ahead = worker.submit(next, stages, None)
+                yield batch
+        finally:
+            # A stage's error holds this frame in its traceback and the
+            # future holds the error: drop the future to break the cycle,
+            # which would keep the caller's frames and iterators alive.
+            del ahead
 
 
 def save_dataloader_spec(path: str | Path, spec: DataloaderSpec) -> None:

@@ -147,3 +147,18 @@ def write_raw_stripe(path, lengths, values, sessions=None) -> None:
     )
     footer = struct.pack("<IQIQ", 1, start, rows, start + len(blob)) + storage.MAGIC
     path.write_bytes(path.read_bytes()[:start] + blob + footer)
+
+
+def break_values_stream(path, ordinal, key) -> None:
+    """Overwrite the zlib header of feature ``key``'s values stream in
+    stripe ``ordinal`` of the file at ``path``: reading that stripe fails
+    on that feature, and every other stripe reads as before."""
+    f = storage.open_table(path)
+    data = bytearray(path.read_bytes())
+    pos = f.stripes[ordinal].offset + 4  # past the row count
+    # session ids, timestamps, labels, then a lengths and a values
+    # stream per feature, each framed as (raw_len, comp_len, body)
+    for _ in range(3 + 2 * f.feature_keys.index(key) + 1):
+        pos += 8 + struct.unpack_from("<I", data, pos + 4)[0]
+    data[pos + 8 : pos + 10] = b"\xff\xff"
+    path.write_bytes(bytes(data))

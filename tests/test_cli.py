@@ -592,6 +592,24 @@ class TestBench:
         # bench raises when any batch's dedup and baseline scores differ
         assert report["speedups"]["scores_equal"] is True
 
+    def test_prefetched_error_raised_only_for_its_batch(self, clustered_ds, tmp_path, capsys):
+        # two 128-row stripes, the last one corrupt: the reader prepares
+        # batch 1 while batch 0 runs, so that batch's error exists early
+        f = open_table(clustered_ds)
+        table = next(scan(f, 256))
+        path = tmp_path / "broken.sesscol"
+        write_table(table, path, stripe_rows=128, feature_specs=f.feature_specs)
+        row_adapter.break_values_stream(path, 1, "cart_a")
+        capsys.readouterr()
+        assert run(["bench", path, "--batch-size", 128, "--batches", 1]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["config"]["batches"] == 1
+        assert report["reader"]["dedup"]["rows"] == 128
+        assert run(["bench", path, "--batch-size", 128]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert re.fullmatch(r"error \[bench\]: stripe 1: feature 'cart_a': corrupt stream: .+\n", err)
+
     def test_plotdata_from_report(self, clustered_ds, tmp_path):
         report_path = tmp_path / "report.json"
         run(

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import json
 import re
+import threading
 from dataclasses import fields, is_dataclass
 
 import numpy as np
@@ -29,7 +30,8 @@ from sessiondedup.reader import (
     read_batches,
     save_dataloader_spec,
 )
-from sessiondedup.storage import open_table, scan, write_table
+from sessiondedup.storage import StorageError, open_table, read_stripe, scan, write_table
+from sessiondedup.tensors import RunJaggedTensor, expand_runs
 
 
 def rec(sid, ts, feats, label=0):
@@ -521,3 +523,118 @@ class TestPipeline:
         )
         f = open_table(dataset_file)
         assert sum(b.batch_size for b in read_batches(f, spec)) == f.row_count
+
+
+def _variable_rows(n_sessions=40, seed=11):
+    """Sessions of 1-12 rows with features of 0-4 IDs, where about half
+    the rows repeat their session's previous row, so the file stores run
+    marks, and some rows are empty."""
+    rng = np.random.default_rng(seed)
+    records = []
+    for sid in range(n_sessions):
+        row = None
+        for ts in range(int(rng.integers(1, 13))):
+            if row is None or rng.random() < 0.5:
+                row = {k: rng.integers(0, 50, size=rng.integers(0, 5)) for k in ("a", "b", "c")}
+            records.append(rec(sid, ts, row, label=int(rng.integers(0, 2))))
+    return records
+
+
+def _hand_batches(file, spec):
+    """The four stages run by hand, one batch at a time, on this thread."""
+    stream = scan(file, spec.batch_size)
+    while (rows := fill(stream)) is not None:
+        batch = process(convert(rows, spec), spec.transforms)
+        emit(batch)
+        yield batch
+
+
+def _tensors(batch):
+    """Every tensor of a batch as (name, values, offsets)."""
+    out = [(key, jt.values, jt.offsets) for key, jt in batch.kjts.items()]
+    for ikjt in batch.ikjts:
+        out += [(key, jt.values, jt.offsets) for key, jt in ikjt.per_feature.items()]
+    return out
+
+
+class TestPipelinedReader:
+    STRIPE_ROWS, BATCH = 50, 40
+    SPEC = DataloaderSpec(keys=("a", "b", "c"), dedup_sparse_features=(("a", "b"),), batch_size=BATCH)
+
+    @pytest.fixture()
+    def striped(self, tmp_path):
+        path = tmp_path / "v.sesscol"
+        table = as_batch(_variable_rows())
+        f = write_table(table, path, stripe_rows=self.STRIPE_ROWS, clustering="by_session")
+        assert len(f.stripes) >= 4
+        return path
+
+    @pytest.mark.parametrize("dedup", [True, False], ids=["dedup", "baseline"])
+    @pytest.mark.parametrize("hashed", [False, True], ids=["plain", "mod_hash"])
+    def test_matches_the_stages_run_by_hand(self, striped, dedup, hashed):
+        f = open_table(striped)
+        stripes = [read_stripe(f, i).features.entries for i in range(len(f.stripes))]
+        assert any(isinstance(jt, RunJaggedTensor) for s in stripes for jt in s.values())
+        assert any((expand_runs(jt).row_lengths() == 0).any() for s in stripes for jt in s.values())
+        assert self.STRIPE_ROWS % self.BATCH != 0  # batches join across stripes
+        spec = self.SPEC if dedup else self.SPEC.without_dedup()
+        if hashed:
+            spec = dataclasses.replace(
+                spec, transforms=(Transform("mod_hash", "a", 7), Transform("mod_hash", "c", 5))
+            )
+        got = list(read_batches(f, spec))
+        want = list(_hand_batches(f, spec))
+        assert len(got) == len(want) == -(-f.row_count // self.BATCH)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g.labels, w.labels)
+            assert [k for k, *_ in _tensors(g)] == [k for k, *_ in _tensors(w)]
+            for (_, gv, go), (_, wv, wo) in zip(_tensors(g), _tensors(w)):
+                np.testing.assert_array_equal(gv, wv)
+                np.testing.assert_array_equal(go, wo)
+            assert len(g.ikjts) == len(w.ikjts) == (1 if dedup else 0)
+            for gi, wi in zip(g.ikjts, w.ikjts):
+                np.testing.assert_array_equal(gi.inverse_lookup, wi.inverse_lookup)
+            assert (g.bytes_in, g.bytes_out) == (w.bytes_in, w.bytes_out)
+
+    @staticmethod
+    def _started_by_first_batch(it):
+        before = set(threading.enumerate())
+        next(it)
+        return set(threading.enumerate()) - before
+
+    def test_one_worker_gone_once_exhausted(self, striped):
+        before = set(threading.enumerate())
+        it = read_batches(open_table(striped), self.SPEC)
+        assert set(threading.enumerate()) == before  # nothing starts until asked
+        assert len(self._started_by_first_batch(it)) == 1
+        rest = list(it)
+        assert rest and set(threading.enumerate()) == before
+
+    def test_one_worker_gone_once_closed(self, striped):
+        before = set(threading.enumerate())
+        it = read_batches(open_table(striped), self.SPEC)
+        assert len(self._started_by_first_batch(it)) == 1
+        it.close()
+        assert set(threading.enumerate()) == before
+
+    def test_stage_error_raised_at_its_batch_and_worker_gone(self, striped):
+        row_adapter.break_values_stream(striped, 2, "b")
+        f = open_table(striped)
+        with pytest.raises(StorageError) as today:
+            read_stripe(f, 2)
+        assert str(today.value).startswith("stripe 2: feature 'b': ")
+        # run by hand, batches 0 and 1 come from stripes 0 and 1, and
+        # batch 2 needs stripe 2
+        hand = _hand_batches(f, self.SPEC)
+        assert [b.batch_size for b in (next(hand), next(hand))] == [self.BATCH] * 2
+        with pytest.raises(StorageError, match=f"^{re.escape(str(today.value))}$"):
+            next(hand)
+
+        before = set(threading.enumerate())
+        it = read_batches(f, self.SPEC)
+        assert len(self._started_by_first_batch(it)) == 1
+        assert next(it).batch_size == self.BATCH
+        with pytest.raises(StorageError, match=f"^{re.escape(str(today.value))}$"):
+            next(it)
+        assert set(threading.enumerate()) == before
+        assert next(it, None) is None  # finished, as a generator that raised
