@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import struct
 import zlib
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -155,7 +156,14 @@ def _join(parts: list[ScanBatch], bytes_read: int) -> ScanBatch:
 
 
 def _pack_stream(arr: np.ndarray, level: int) -> bytes:
-    raw = encode_varints(arr)
+    """One stream as a file holds it: ``arr`` varint-encoded, then
+    deflated and framed by :func:`_deflate`."""
+    return _deflate(encode_varints(arr), level)
+
+
+def _deflate(raw: bytes, level: int) -> bytes:
+    """The stream frame of varint bytes ``raw``: u32 raw_len | u32
+    comp_len | zlib body."""
     comp = zlib.compress(raw, level)
     return struct.pack("<II", len(raw), len(comp)) + comp
 
@@ -175,6 +183,12 @@ def write_table(
     writes each stripe as a slice of the table's rows. ``feature_specs``,
     one JSON-ready dict per key in the table's key order (a feature
     spec's ``asdict``), is recorded in the header.
+
+    Stripes are encoded on the calling thread and deflated on two worker
+    threads, one stripe ahead: stripe i's streams deflate while stripe
+    i+1 is encoded, so at most two stripes' raw streams are held. The
+    bytes written do not depend on that overlap. A failure is raised as
+    a StorageError naming its stripe, after the workers have stopped.
     """
     stripe_rows = _count("stripe_rows", stripe_rows)
     if clustering not in ("none", "by_session"):
@@ -199,23 +213,26 @@ def write_table(
 
     path = Path(path)
     stripes: list[StripeInfo] = []
-    with open(path, "wb") as out:
+    with (
+        open(path, "wb") as out,
+        ThreadPoolExecutor(max_workers=2, thread_name_prefix="write_table") as pool,
+    ):
         out.write(header + struct.pack("<I", zlib.crc32(header)))
-        for start in range(0, len(table), stripe_rows):
+        ahead = None  # (ordinal, row count, framed streams) of the stripe deflating
+        for ordinal, start in enumerate(range(0, len(table), stripe_rows)):
             stop = min(start + stripe_rows, len(table))
-            offset = out.tell()
             try:
                 if order is None:
                     chunk = table.slice_rows(start, stop)
                 else:
                     chunk = table.take_rows(order[start:stop])
-                blob = _encode_stripe(chunk, level)
-            except Exception as exc:  # pragma: no cover - defensive
-                raise StorageError(f"stripe {len(stripes)}: write failed: {exc}") from exc
-            out.write(blob)
-            stripes.append(
-                StripeInfo(offset=offset, row_count=len(chunk), byte_size=len(blob))
-            )
+                frames = [pool.submit(_deflate, raw, level) for raw in _stripe_streams(chunk)]
+            except Exception as exc:
+                raise _write_failed(ordinal, exc) from exc
+            if ahead is not None:
+                stripes.append(_write_stripe(out, *ahead))
+            ahead = (ordinal, len(chunk), frames)
+        stripes.append(_write_stripe(out, *ahead))
         footer_offset = out.tell()
         out.write(struct.pack("<I", len(stripes)))
         for s in stripes:
@@ -231,26 +248,51 @@ def write_table(
     )
 
 
-def _encode_stripe(chunk: ScanBatch, level: int) -> bytes:
-    # Each feature's streams are packed as they are made, so only one
-    # feature's copy of its stored values is held at a time.
-    streams = [_pack_stream(a, level) for a in (chunk.session_ids, chunk.timestamps, chunk.labels)]
+def _write_failed(ordinal: int, exc: Exception) -> StorageError:
+    return StorageError(f"stripe {ordinal}: write failed: {exc}")
+
+
+def _write_stripe(out, ordinal: int, rows: int, frames: list[Future]) -> StripeInfo:
+    """Write stripe ``ordinal``: its row count, then its framed streams
+    in order, each once it has deflated."""
+    offset = out.tell()
+    out.write(struct.pack("<I", rows))
+    for frame in frames:
+        try:
+            body = frame.result()
+        except Exception as exc:
+            raise _write_failed(ordinal, exc) from exc
+        out.write(body)
+    return StripeInfo(offset=offset, row_count=rows, byte_size=out.tell() - offset)
+
+
+def _stripe_streams(chunk: ScanBatch) -> Iterator[bytes]:
+    """A stripe's streams in file order, varint-encoded. Each feature's
+    marked streams are encoded as they are made, so beside the raw
+    streams only one feature's copy of its stored values is held."""
+    for column in (chunk.session_ids, chunk.timestamps, chunk.labels):
+        yield encode_varints(column)
     order, first = _session_order(chunk.session_ids)
-    later = ~first[1:]  # positions whose session predecessor is the position before
-    rows, before = order[1:][later], order[:-1][later]
+    rows = np.flatnonzero(~first[1:]) + 1  # positions whose session predecessor is the position before
+    before = rows - 1
+    if order is not None:
+        rows, before = order[rows], order[before]
     for jt in chunk.features.entries.values():
-        streams += [_pack_stream(a, level) for a in _mark_repeats(expand_runs(jt), rows, before)]
-    return struct.pack("<I", len(chunk)) + b"".join(streams)
+        for stream in _mark_repeats(expand_runs(jt), rows, before):
+            yield encode_varints(stream)
 
 
-def _session_order(session_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _session_order(session_ids: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
     """A stripe's rows in stable session order, and whether each position
     of that order starts a session. A row's session predecessor is the
     row one position before it, unless it starts its session. One map
-    per stripe, which every feature shares."""
-    order = np.argsort(session_ids, kind="stable")
-    ids = session_ids[order]
-    first = np.ones(order.size, dtype=bool)
+    per stripe, which every feature shares. The order is None when the
+    ids never decrease, as in every stripe of a file clustered by
+    session: the rows are then in session order already."""
+    ascending = bool((session_ids[1:] >= session_ids[:-1]).all())
+    order = None if ascending else np.argsort(session_ids, kind="stable")
+    ids = session_ids if order is None else session_ids[order]
+    first = np.ones(ids.size, dtype=bool)
     first[1:] = ids[1:] != ids[:-1]
     return order, first
 
@@ -392,23 +434,31 @@ def _read_stream(buf: memoryview, pos: int, where: str, count: int):
     return arr, end
 
 
-def _resolve_marks(lengths: np.ndarray, order: np.ndarray, first: np.ndarray, where: str) -> np.ndarray:
+def _resolve_marks(
+    lengths: np.ndarray, order: np.ndarray | None, first: np.ndarray, where: str
+) -> np.ndarray:
     """Each row's stored row ordinal, for a lengths stream that holds
     marks, where ``order, first`` is :func:`_session_order` of the
     stripe. Stored rows are numbered in row order; a -1 row takes the
-    number of its session's last stored row before it, found by one
+    number of its session's last stored row before it. Rows already in
+    session order (``order`` None) hold each session's rows together, so
+    that is the last stored row before it; otherwise it is found by one
     running maximum along the session order."""
     low = np.flatnonzero(lengths < -1)
     if low.size:
         raise StorageError(f"{where}: negative row length {lengths[low[0]]} at row {low[0]}")
-    stored = lengths[order] >= 0
-    orphans = order[first & ~stored]
+    stored = lengths >= 0
+    in_order = stored if order is None else stored[order]
+    orphans = np.flatnonzero(first & ~in_order)
     if orphans.size:
+        row = orphans[0] if order is None else order[orphans].min()
         raise StorageError(
-            f"{where}: negative row length -1 at row {orphans.min()}, which has no earlier row of its session"
+            f"{where}: negative row length -1 at row {row}, which has no earlier row of its session"
         )
-    number = np.cumsum(lengths >= 0) - 1
-    last = np.maximum.accumulate(np.where(stored, np.arange(order.size), 0))
+    number = np.cumsum(stored) - 1
+    if order is None:
+        return number
+    last = np.maximum.accumulate(np.where(in_order, np.arange(order.size), 0))
     head_index = np.empty_like(number)
     head_index[order] = number[order[last]]
     return head_index

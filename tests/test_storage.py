@@ -3,6 +3,7 @@
 import contextlib
 import io
 import struct
+import threading
 import tracemalloc
 import types
 import zlib
@@ -88,9 +89,15 @@ class TestRoundTrip:
     @pytest.mark.parametrize("level", [0, 1, 6, 9])
     def test_levels_round_trip(self, records, tmp_path, level):
         path = tmp_path / f"l{level}.sesscol"
-        write_table(as_batch(records), path, level=level)
+        table = as_batch(records)
+        f = write_table(table, path, level=level)
         got = [r for b in scan(open_table(path), 256) for r in as_records(b)]
         assert_same_records(got, records)
+        # the first stream, stripe 0's session ids, is deflated at this level
+        data, pos = path.read_bytes(), f.stripes[0].offset + 4
+        _, comp_len = struct.unpack_from("<II", data, pos)
+        raw = encode_varints(table.session_ids[: f.stripes[0].row_count])
+        assert data[pos + 8 : pos + 8 + comp_len] == zlib.compress(raw, level)
 
     @pytest.mark.parametrize("level", [-1, 10, 300])
     def test_level_outside_range_rejected_before_writing(self, records, tmp_path, level):
@@ -965,6 +972,87 @@ class TestRunMarks:
             read_stripe(open_table(path), 0)
 
 
+def _interleaved_table(seed=4):
+    """Rows of 12 interleaved sessions whose features hold 0-3 IDs, where
+    about half the rows repeat their session's previous row; timestamps
+    tie, so clustering's stable sort matters."""
+    rng = np.random.default_rng(seed)
+    last, records = {}, []
+    for ts in range(150):
+        sid = int(rng.integers(0, 12))
+        if sid not in last or rng.random() < 0.5:
+            last[sid] = {k: rng.integers(0, 9, size=rng.integers(0, 4)) for k in ("a", "b")}
+        records.append(ImpressionRecord(sid, int(rng.integers(0, 50)), last[sid], ts % 2))
+    return as_batch(records)
+
+
+def _sequential_file(table, stripe_rows, clustering, level, header):
+    """The bytes of ``table`` written as a file, assembled one stripe and
+    one stream at a time with ``storage._pack_stream``; each feature's
+    marks come from :func:`_marks_by_session`."""
+    records = as_records(table)
+    if clustering == "by_session":
+        records = [records[i] for i in np.lexsort((table.timestamps, table.session_ids))]
+    out, index = bytearray(header), []
+    for start in range(0, len(records), stripe_rows):
+        chunk = records[start : start + stripe_rows]
+        sids = [r.session_id for r in chunk]
+        streams = [sids, [r.timestamp for r in chunk], [r.label for r in chunk]]
+        for key in table.features.keys:
+            rows = [r.features[key].tolist() for r in chunk]
+            (lengths,) = _marks_by_session(rows, sids, len(chunk))
+            streams += [lengths, [v for row, n in zip(rows, lengths) if n >= 0 for v in row]]
+        index.append((len(out), len(chunk)))
+        out += struct.pack("<I", len(chunk))
+        for stream in streams:
+            out += storage._pack_stream(np.array(stream, dtype=np.int64), level)
+    footer = struct.pack("<I", len(index)) + b"".join(struct.pack("<QI", *entry) for entry in index)
+    return bytes(out) + footer + struct.pack("<Q", len(out)) + MAGIC
+
+
+class TestPipelinedWrite:
+    """``write_table`` deflates one stripe ahead on worker threads; the
+    file must be the one a sequential writer would make."""
+
+    @pytest.mark.parametrize("level", [0, 9])
+    @pytest.mark.parametrize("clustering", ["none", "by_session"])
+    @pytest.mark.parametrize("stripe_rows", [1, 7, 4096])
+    def test_bytes_equal_stripes_packed_in_order(self, tmp_path, stripe_rows, clustering, level):
+        table = _interleaved_table()
+        path = tmp_path / "p.sesscol"
+        f = write_table(table, path, stripe_rows=stripe_rows, clustering=clustering, level=level)
+        data = path.read_bytes()
+        stored = [lengths for streams in _stored_streams(path) for lengths, _ in streams.values()]
+        assert any(0 in lengths for lengths in stored)
+        assert any(-1 in lengths for lengths in stored) == (stripe_rows > 1)  # a lone row has no predecessor
+        header = data[: f.stripes[0].offset]
+        assert data == _sequential_file(table, stripe_rows, clustering, level, header)
+
+    @pytest.mark.parametrize(
+        "step, fails",
+        [
+            # stripe 2 is the only one whose session id stream is 2, 2, 2
+            ("_deflate", lambda raw, level: raw == encode_varints(np.full(3, 2))),
+            ("_session_order", lambda session_ids: session_ids[0] == 2),
+        ],
+        ids=["deflate-on-a-worker", "encode-on-the-caller"],
+    )
+    def test_failure_names_its_stripe_and_stops_the_workers(self, tmp_path, monkeypatch, step, fails):
+        rows = [ImpressionRecord(i // 3, i, {"f": np.array([10 + i])}, 0) for i in range(15)]
+        real = getattr(storage, step)
+
+        def failing(*args):
+            if fails(*args):
+                raise ValueError("disk on fire")
+            return real(*args)
+
+        monkeypatch.setattr(storage, step, failing)
+        with pytest.raises(StorageError, match="^stripe 2: write failed: disk on fire$") as err:
+            write_table(as_batch(rows), tmp_path / "fail.sesscol", stripe_rows=3)
+        assert type(err.value.__cause__) is ValueError
+        assert not [t for t in threading.enumerate() if t.name.startswith("write_table")]
+
+
 def _session_rows(pairs):
     """(session id, ``f`` list) pairs as feature dicts and session ids."""
     return [{"f": f} for _, f in pairs], [sid for sid, _ in pairs]
@@ -1107,6 +1195,60 @@ class TestBackReferences:
             assert expected is None
             return
         assert to_pylists(expand_runs(got)) == expected
+
+
+def _head_index_by_session(lengths, sessions):
+    """Each row's stored row ordinal, found row by row."""
+    number, last, out = -1, {}, []
+    for n, sid in zip(lengths, sessions):
+        if n >= 0:
+            number += 1
+            last[sid] = number
+        out.append(last[sid])
+    return out
+
+
+class TestResolveMarks:
+    """A stripe whose session ids never decrease is in session order
+    already; its marks resolve without the running maximum, to the same
+    head indexes. The corrupt-mark tests above reject marks on both
+    paths: their stripes with ascending session ids take this one."""
+
+    @staticmethod
+    def _both_paths(lengths, sessions):
+        lengths, sessions = np.array(lengths, dtype=np.int64), np.array(sessions, dtype=np.int64)
+        order, first = storage._session_order(sessions)
+        assert order is None
+        fast = storage._resolve_marks(lengths, None, first, "w")
+        general = storage._resolve_marks(lengths, np.arange(sessions.size), first, "w")
+        return fast, general
+
+    def test_paths_agree_on_the_default_clustered_file(self, tmp_path):
+        path = tmp_path / "default.sesscol"
+        f = write_table(generate_dataset(*default_config()), path, clustering="by_session")
+        marked = 0
+        for ordinal, streams in enumerate(_stored_streams(path)):
+            sids = read_stripe(f, ordinal).session_ids
+            for lengths, _ in streams.values():
+                if -1 in lengths:
+                    fast, general = self._both_paths(lengths, sids)
+                    np.testing.assert_array_equal(fast, general)
+                    marked += 1
+        assert marked >= len(f.stripes)
+
+    @pytest.mark.parametrize(
+        "lengths, sessions",
+        [
+            ([2, -1, 3, 1, -1], [0, 0, 1, 2, 2]),
+            ([3, -1, -1, -1], [5, 5, 5, 5]),
+            ([1, 2, -1], [0, 1, 1]),
+            ([0, -1, 0, -1, -1, 2], [0, 0, 1, 1, 1, 4]),
+        ],
+        ids=["one-row-session", "all-marked-after-the-first", "mark-on-the-last-row", "marked-empty-rows"],
+    )
+    def test_paths_agree_on_hand_built_stripes(self, lengths, sessions):
+        fast, general = self._both_paths(lengths, sessions)
+        assert fast.tolist() == general.tolist() == _head_index_by_session(lengths, sessions)
 
 
 def _golden_configs():
