@@ -168,8 +168,6 @@ def _feature_stats(sids: np.ndarray, starts: np.ndarray, columns: dict) -> dict[
     n = max(sids.size, 1)  # with no rows every count, and so every statistic, is 0
     counts = {key: [0, 0, 0] for key in columns}  # duplicate rows, IDs, duplicate IDs
     order, first = _session_order(sids)
-    if order is None:  # rows already in session order
-        order = np.arange(sids.size)
     heads = np.flatnonzero(first)
     bounds = [*heads[np.unique(heads // _BLOCK_ROWS, return_index=True)[1]].tolist(), sids.size]
     for lo, hi in zip(bounds, bounds[1:]):

@@ -188,7 +188,8 @@ def write_table(
     threads, one stripe ahead: stripe i's streams deflate while stripe
     i+1 is encoded, so at most two stripes' raw streams are held. The
     bytes written do not depend on that overlap. A failure is raised as
-    a StorageError naming its stripe, after the workers have stopped.
+    a StorageError naming its stripe, the first stripe in file order
+    that failed, after the workers have stopped.
     """
     stripe_rows = _count("stripe_rows", stripe_rows)
     if clustering not in ("none", "by_session"):
@@ -219,20 +220,26 @@ def write_table(
     ):
         out.write(header + struct.pack("<I", zlib.crc32(header)))
         ahead = None  # (ordinal, row count, framed streams) of the stripe deflating
-        for ordinal, start in enumerate(range(0, len(table), stripe_rows)):
-            stop = min(start + stripe_rows, len(table))
-            try:
-                if order is None:
-                    chunk = table.slice_rows(start, stop)
-                else:
-                    chunk = table.take_rows(order[start:stop])
-                frames = [pool.submit(_deflate, raw, level) for raw in _stripe_streams(chunk)]
-            except Exception as exc:
-                raise _write_failed(ordinal, exc) from exc
-            if ahead is not None:
-                stripes.append(_write_stripe(out, *ahead))
-            ahead = (ordinal, len(chunk), frames)
-        stripes.append(_write_stripe(out, *ahead))
+        try:
+            for ordinal, start in enumerate(range(0, len(table), stripe_rows)):
+                stop = min(start + stripe_rows, len(table))
+                try:
+                    if order is None:
+                        chunk = table.slice_rows(start, stop)
+                    else:
+                        chunk = table.take_rows(order[start:stop])
+                    frames = [pool.submit(_deflate, raw, level) for raw in _stripe_streams(chunk)]
+                except Exception as exc:
+                    if ahead is not None:  # a failure of the stripe before is raised first
+                        _write_stripe(out, *ahead)
+                    raise _write_failed(ordinal, exc) from exc
+                if ahead is not None:
+                    stripes.append(_write_stripe(out, *ahead))
+                ahead = (ordinal, len(chunk), frames)
+            stripes.append(_write_stripe(out, *ahead))
+        except BaseException:
+            pool.shutdown(cancel_futures=True)  # deflates queued behind a failure are dropped
+            raise
         footer_offset = out.tell()
         out.write(struct.pack("<I", len(stripes)))
         for s in stripes:
@@ -273,26 +280,21 @@ def _stripe_streams(chunk: ScanBatch) -> Iterator[bytes]:
     for column in (chunk.session_ids, chunk.timestamps, chunk.labels):
         yield encode_varints(column)
     order, first = _session_order(chunk.session_ids)
-    rows = np.flatnonzero(~first[1:]) + 1  # positions whose session predecessor is the position before
-    before = rows - 1
-    if order is not None:
-        rows, before = order[rows], order[before]
+    later = ~first[1:]  # positions whose session predecessor is the position before
+    rows, before = order[1:][later], order[:-1][later]
     for jt in chunk.features.entries.values():
         for stream in _mark_repeats(expand_runs(jt), rows, before):
             yield encode_varints(stream)
 
 
-def _session_order(session_ids: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
+def _session_order(session_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A stripe's rows in stable session order, and whether each position
     of that order starts a session. A row's session predecessor is the
     row one position before it, unless it starts its session. One map
-    per stripe, which every feature shares. The order is None when the
-    ids never decrease, as in every stripe of a file clustered by
-    session: the rows are then in session order already."""
-    ascending = bool((session_ids[1:] >= session_ids[:-1]).all())
-    order = None if ascending else np.argsort(session_ids, kind="stable")
-    ids = session_ids if order is None else session_ids[order]
-    first = np.ones(ids.size, dtype=bool)
+    per stripe, which every feature shares."""
+    order = np.argsort(session_ids, kind="stable")
+    ids = session_ids[order]
+    first = np.ones(order.size, dtype=bool)
     first[1:] = ids[1:] != ids[:-1]
     return order, first
 
@@ -434,31 +436,23 @@ def _read_stream(buf: memoryview, pos: int, where: str, count: int):
     return arr, end
 
 
-def _resolve_marks(
-    lengths: np.ndarray, order: np.ndarray | None, first: np.ndarray, where: str
-) -> np.ndarray:
+def _resolve_marks(lengths: np.ndarray, order: np.ndarray, first: np.ndarray, where: str) -> np.ndarray:
     """Each row's stored row ordinal, for a lengths stream that holds
     marks, where ``order, first`` is :func:`_session_order` of the
     stripe. Stored rows are numbered in row order; a -1 row takes the
-    number of its session's last stored row before it. Rows already in
-    session order (``order`` None) hold each session's rows together, so
-    that is the last stored row before it; otherwise it is found by one
+    number of its session's last stored row before it, found by one
     running maximum along the session order."""
     low = np.flatnonzero(lengths < -1)
     if low.size:
         raise StorageError(f"{where}: negative row length {lengths[low[0]]} at row {low[0]}")
-    stored = lengths >= 0
-    in_order = stored if order is None else stored[order]
-    orphans = np.flatnonzero(first & ~in_order)
+    stored = lengths[order] >= 0
+    orphans = order[first & ~stored]
     if orphans.size:
-        row = orphans[0] if order is None else order[orphans].min()
         raise StorageError(
-            f"{where}: negative row length -1 at row {row}, which has no earlier row of its session"
+            f"{where}: negative row length -1 at row {orphans.min()}, which has no earlier row of its session"
         )
-    number = np.cumsum(stored) - 1
-    if order is None:
-        return number
-    last = np.maximum.accumulate(np.where(in_order, np.arange(order.size), 0))
+    number = np.cumsum(lengths >= 0) - 1
+    last = np.maximum.accumulate(np.where(stored, np.arange(order.size), 0))
     head_index = np.empty_like(number)
     head_index[order] = number[order[last]]
     return head_index

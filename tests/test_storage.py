@@ -1052,6 +1052,30 @@ class TestPipelinedWrite:
         assert type(err.value.__cause__) is ValueError
         assert not [t for t in threading.enumerate() if t.name.startswith("write_table")]
 
+    def test_earlier_stripe_failure_is_raised_first(self, tmp_path, monkeypatch):
+        # stripe 2's deflate fails late, after stripe 3's encoding has failed
+        rows = [ImpressionRecord(i // 3, i, {"f": np.array([10 + i])}, 0) for i in range(15)]
+        deflate, session_order = storage._deflate, storage._session_order
+        stripe_3_failed = threading.Event()
+
+        def failing_deflate(raw, level):
+            if raw == encode_varints(np.full(3, 2)):
+                stripe_3_failed.wait(5)
+                raise ValueError("stripe 2 deflate")
+            return deflate(raw, level)
+
+        def failing_order(session_ids):
+            if session_ids[0] == 3:
+                stripe_3_failed.set()
+                raise ValueError("stripe 3 encode")
+            return session_order(session_ids)
+
+        monkeypatch.setattr(storage, "_deflate", failing_deflate)
+        monkeypatch.setattr(storage, "_session_order", failing_order)
+        with pytest.raises(StorageError, match="^stripe 2: write failed: stripe 2 deflate$"):
+            write_table(as_batch(rows), tmp_path / "fail.sesscol", stripe_rows=3)
+        assert not [t for t in threading.enumerate() if t.name.startswith("write_table")]
+
 
 def _session_rows(pairs):
     """(session id, ``f`` list) pairs as feature dicts and session ids."""
@@ -1195,60 +1219,6 @@ class TestBackReferences:
             assert expected is None
             return
         assert to_pylists(expand_runs(got)) == expected
-
-
-def _head_index_by_session(lengths, sessions):
-    """Each row's stored row ordinal, found row by row."""
-    number, last, out = -1, {}, []
-    for n, sid in zip(lengths, sessions):
-        if n >= 0:
-            number += 1
-            last[sid] = number
-        out.append(last[sid])
-    return out
-
-
-class TestResolveMarks:
-    """A stripe whose session ids never decrease is in session order
-    already; its marks resolve without the running maximum, to the same
-    head indexes. The corrupt-mark tests above reject marks on both
-    paths: their stripes with ascending session ids take this one."""
-
-    @staticmethod
-    def _both_paths(lengths, sessions):
-        lengths, sessions = np.array(lengths, dtype=np.int64), np.array(sessions, dtype=np.int64)
-        order, first = storage._session_order(sessions)
-        assert order is None
-        fast = storage._resolve_marks(lengths, None, first, "w")
-        general = storage._resolve_marks(lengths, np.arange(sessions.size), first, "w")
-        return fast, general
-
-    def test_paths_agree_on_the_default_clustered_file(self, tmp_path):
-        path = tmp_path / "default.sesscol"
-        f = write_table(generate_dataset(*default_config()), path, clustering="by_session")
-        marked = 0
-        for ordinal, streams in enumerate(_stored_streams(path)):
-            sids = read_stripe(f, ordinal).session_ids
-            for lengths, _ in streams.values():
-                if -1 in lengths:
-                    fast, general = self._both_paths(lengths, sids)
-                    np.testing.assert_array_equal(fast, general)
-                    marked += 1
-        assert marked >= len(f.stripes)
-
-    @pytest.mark.parametrize(
-        "lengths, sessions",
-        [
-            ([2, -1, 3, 1, -1], [0, 0, 1, 2, 2]),
-            ([3, -1, -1, -1], [5, 5, 5, 5]),
-            ([1, 2, -1], [0, 1, 1]),
-            ([0, -1, 0, -1, -1, 2], [0, 0, 1, 1, 1, 4]),
-        ],
-        ids=["one-row-session", "all-marked-after-the-first", "mark-on-the-last-row", "marked-empty-rows"],
-    )
-    def test_paths_agree_on_hand_built_stripes(self, lengths, sessions):
-        fast, general = self._both_paths(lengths, sessions)
-        assert fast.tolist() == general.tolist() == _head_index_by_session(lengths, sessions)
 
 
 def _golden_configs():
