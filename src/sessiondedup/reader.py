@@ -1,7 +1,8 @@
 """Reader pipeline in four stages: fill raw rows, convert them to tensors,
-process transforms, emit the wire payload. ``read_batches`` runs the
-stages and is their only clock: it times each stage call and stores the
-four times on the batch as one ``StageTimings``.
+process transforms, emit: price the tensors as the bytes a trainer is
+sent, without building them. ``read_batches`` runs the stages and is
+their only clock: it times each stage call and stores the four times on
+the batch as one ``StageTimings``.
 
 ``read_batches`` runs one batch ahead of its consumer, on one worker
 thread per open iterator: while the consumer works on batch i, the worker
@@ -25,7 +26,6 @@ here (there is simply no such transform kind).
 from __future__ import annotations
 
 import json
-import struct
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, astuple, dataclass, field, replace
@@ -37,15 +37,13 @@ import numpy as np
 from .storage import ColumnarFile, ScanBatch, scan
 from .tensors import (
     IKJT,
-    KJT,
     JaggedTensor,
     _json_fields,
     _key_names,
     _positive_count,
     build_ikjt,
     build_kjt,
-    serialize_ikjt,
-    serialize_kjt,
+    payload_bytes,
     splitmix64,
 )
 
@@ -143,7 +141,9 @@ class StageTimings:
 @dataclass
 class ReaderBatch:
     """One batch as the trainer takes it: its size is the label count, and
-    every plain tensor and IKJT has one row per label."""
+    every plain tensor and IKJT has one row per label. ``bytes_in`` is
+    the stored bytes read for its rows, ``bytes_out`` the wire size that
+    ``emit`` prices its tensors at."""
 
     kjts: dict[str, JaggedTensor]
     ikjts: list[IKJT]
@@ -216,21 +216,17 @@ def process(batch: ReaderBatch, transforms) -> ReaderBatch:
     return replace(batch, kjts=kjts, ikjts=ikjts)
 
 
-def emit(batch: ReaderBatch) -> bytes:
-    """Serialize a processed batch with the canonical tensor wire format
-    and record bytes_out."""
-    parts = [struct.pack("<I", len(batch.ikjts))]
-    for ikjt in batch.ikjts:
-        parts.append(serialize_ikjt(ikjt))
-    plain = batch.kjts
-    parts.append(struct.pack("<B", 1 if plain else 0))
-    if plain:
-        parts.append(serialize_kjt(KJT(batch_size=batch.batch_size, entries=plain)))
-    parts.append(struct.pack("<Q", batch.labels.size))
-    parts.append(batch.labels.astype("<i8", copy=False).tobytes())
-    payload = b"".join(parts)
-    batch.bytes_out = len(payload)
-    return payload
+def emit(batch: ReaderBatch) -> int:
+    """Price a processed batch as the bytes a trainer is sent, in the
+    tensor layout of ``docs/file_format.md``: the IKJT count, one payload
+    per IKJT, the plain flag and the plain KJT's payload, then the
+    count-prefixed labels. Records the sum as bytes_out and returns it;
+    no payload is built."""
+    n = batch.batch_size
+    size = 4 + sum(payload_bytes(ikjt.per_feature, n) for ikjt in batch.ikjts)
+    size += 1 + (payload_bytes(batch.kjts, 0) if batch.kjts else 0)
+    batch.bytes_out = size + 8 + 8 * n
+    return batch.bytes_out
 
 
 def _run_stages(file: ColumnarFile, spec: DataloaderSpec) -> Iterator[ReaderBatch]:
@@ -253,7 +249,8 @@ def _run_stages(file: ColumnarFile, spec: DataloaderSpec) -> Iterator[ReaderBatc
 
 def read_batches(file: ColumnarFile, spec: DataloaderSpec) -> Iterator[ReaderBatch]:
     """Full fill -> convert -> process -> emit pipeline over a columnar
-    file. Each batch carries the wall time of its four stage calls.
+    file. Each batch carries the wall time of its four stage calls and
+    its bytes_in and bytes_out.
 
     One worker thread runs the stages one batch ahead: batch i+1 is
     prepared while the consumer holds batch i, so at most one extra batch

@@ -30,7 +30,6 @@ import json
 import math
 import numbers
 import operator
-import struct
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -57,8 +56,7 @@ __all__ = [
     "dedupe_len",
     "dedupe_factor",
     "measured_dedupe_factor",
-    "serialize_kjt",
-    "serialize_ikjt",
+    "payload_bytes",
     "slice_stream_bytes",
     "values_stream_bytes",
     "splitmix64",
@@ -742,50 +740,6 @@ def measured_dedupe_factor(ikjt: IKJT, baseline: KJT) -> dict[str, float]:
     return out
 
 
-# Canonical wire format, used for reader->trainer transport and for all
-# network byte accounting. Little-endian throughout:
-#   u32 key count; per key: u32 byte length + UTF-8 bytes
-#   u64 batch size B
-#   u8 inverse flag; if 1, B x i64 inverse_lookup (no count: length is B)
-#   per key: u64 offsets count + i64 offsets
-#   per key: u64 values count + i64 values
-
-
-def _serialize(keys: Sequence[str], batch_size: int,
-               inverse: np.ndarray | None,
-               tensors: Mapping[str, JaggedTensor]) -> bytes:
-    parts = [struct.pack("<I", len(keys))]
-    for key in keys:
-        kb = key.encode("utf-8")
-        parts.append(struct.pack("<I", len(kb)))
-        parts.append(kb)
-    parts.append(struct.pack("<Q", batch_size))
-    if inverse is None:
-        parts.append(b"\x00")
-    else:
-        parts.append(b"\x01")
-        parts.append(inverse.astype(_I64, copy=False).tobytes())
-    for key in keys:
-        off = tensors[key].offsets
-        parts.append(struct.pack("<Q", off.size))
-        parts.append(off.astype(_I64, copy=False).tobytes())
-    for key in keys:
-        val = tensors[key].values
-        parts.append(struct.pack("<Q", val.size))
-        parts.append(val.astype(_I64, copy=False).tobytes())
-    return b"".join(parts)
-
-
-def serialize_kjt(kjt: KJT) -> bytes:
-    return _serialize(kjt.keys, kjt.batch_size, None, kjt.entries)
-
-
-def serialize_ikjt(ikjt: IKJT) -> bytes:
-    return _serialize(
-        ikjt.group_keys, ikjt.batch_size, ikjt.inverse_lookup, ikjt.per_feature
-    )
-
-
 def slice_stream_bytes(jt: JaggedTensor) -> int:
     """Wire size of one feature's (offsets, values) slices: two
     count-prefixed i64 streams."""
@@ -795,3 +749,15 @@ def slice_stream_bytes(jt: JaggedTensor) -> int:
 def values_stream_bytes(jt: JaggedTensor) -> int:
     """Data bytes of the values stream alone (excluding the count prefix)."""
     return 8 * jt.values.size
+
+
+def payload_bytes(tensors: Mapping[str, JaggedTensor], inverse_rows: int) -> int:
+    """Wire size of one tensor payload in the layout that
+    ``docs/file_format.md`` defines, worked out from sizes alone: no
+    payload is built. ``tensors`` are a KJT's entries or an IKJT's
+    per-feature tensors, and ``inverse_rows`` is the IKJT's batch size
+    (its inverse_lookup entries), 0 for a KJT. The key table, the u64
+    batch size and u8 inverse flag, the inverse, then each key's
+    (offsets, values) streams."""
+    key_table = 4 + sum(4 + len(key.encode("utf-8")) for key in tensors)
+    return key_table + 9 + 8 * inverse_rows + sum(map(slice_stream_bytes, tensors.values()))

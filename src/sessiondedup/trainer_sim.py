@@ -15,21 +15,23 @@ The rank is part of the dedup key, so each rank's unique rows sit
 contiguously in one tensor per feature, rank after rank. Lookup,
 pooling, expand and the interaction stub run once per pooling unit over
 the whole batch, since where a row is pooled changes no score and no
-counter. ``sdd`` counts the serialized bytes of every (rank, key)
-slice from the units' rank bounds alone, since a slice's wire size
-depends only on its row and value counts. Stacked pooling blocks are
-cut straight from each key's activations and the interaction stub dots
-the pooled blocks pair by pair, so no step copies a whole batch only to
-lay it out; ``_ATTENTION_BLOCK_ELEMENTS`` bounds attention's memory.
+counter. ``sdd`` prices the wire bytes of every (rank, key) slice
+from the units' rank bounds alone, since a slice's wire size depends
+only on its row and value counts; no slice is built. Stacked pooling
+blocks are cut straight from each key's activations and the
+interaction stub dots the pooled blocks pair by pair, so no step copies
+a whole batch only to lay it out; ``_ATTENTION_BLOCK_ELEMENTS`` bounds
+attention's memory.
 
 The baseline path runs every batch row; the dedup path runs each unique
 row once and expands afterwards. Both paths reduce each logical row's
 elements in the same order with the same float32 routines, so their
 scores match bit for bit, which the test suite asserts exhaustively.
 
-"Network bytes" are serialized-slice sizes, not wall-clock transfers,
-and R=1 counts local serialization rather than zero: byte volume is the
-desk-scale observable, independent of transport.
+"Network bytes" are slice sizes in the tensor layout of
+``docs/file_format.md``, not wall-clock transfers, and R=1 counts the
+local slices rather than zero: byte volume is the desk-scale
+observable, independent of transport.
 """
 
 from __future__ import annotations
@@ -283,9 +285,9 @@ def sdd(units: list[PoolingUnit], plan: ShardingPlan) -> SddResult:
     """Account for every rank sending its slices of the pooling units'
     tensors to their owners.
 
-    a2a_bytes_fwd counts the canonical serialized size of each
-    transmitted (offsets, values) slice pair, one per (rank, key), local
-    destinations included, so R=1 reports the local serialization size.
+    a2a_bytes_fwd counts the wire size of each transmitted (offsets,
+    values) slice pair, one per (rank, key), local destinations
+    included, so R=1 reports the size of the local slices.
     A unit's R' rank slices (``bounds``) split each tensor's rows and
     values, so they cost the whole tensor's ``slice_stream_bytes`` plus
     one more 16-byte pair of count prefixes per extra slice; inverses

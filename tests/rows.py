@@ -7,6 +7,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -111,6 +112,56 @@ def serialize_log_records(records) -> bytes:
         pieces.append(np.array(head, dtype=np.int64))
         pieces.extend(rec.features.values())
     return encode_varints(np.concatenate(pieces))
+
+
+def _serialize(
+    keys: Sequence[str], batch_size: int, inverse: np.ndarray | None, tensors: Mapping[str, JaggedTensor]
+) -> bytes:
+    """One tensor payload, byte for byte, in the layout of
+    docs/file_format.md: the reference that ``tensors.payload_bytes``
+    prices without building it."""
+    parts = [struct.pack("<I", len(keys))]
+    for key in keys:
+        kb = key.encode("utf-8")
+        parts.append(struct.pack("<I", len(kb)))
+        parts.append(kb)
+    parts.append(struct.pack("<Q", batch_size))
+    if inverse is None:
+        parts.append(b"\x00")
+    else:
+        parts.append(b"\x01")
+        parts.append(inverse.astype("<i8", copy=False).tobytes())
+    for key in keys:
+        off = tensors[key].offsets
+        parts.append(struct.pack("<Q", off.size))
+        parts.append(off.astype("<i8", copy=False).tobytes())
+    for key in keys:
+        val = tensors[key].values
+        parts.append(struct.pack("<Q", val.size))
+        parts.append(val.astype("<i8", copy=False).tobytes())
+    return b"".join(parts)
+
+
+def serialize_kjt(kjt: KJT) -> bytes:
+    return _serialize(kjt.keys, kjt.batch_size, None, kjt.entries)
+
+
+def serialize_ikjt(ikjt: IKJT) -> bytes:
+    return _serialize(ikjt.group_keys, ikjt.batch_size, ikjt.inverse_lookup, ikjt.per_feature)
+
+
+def serialize_batch(batch) -> bytes:
+    """A reader batch's tensors byte for byte in the envelope of
+    docs/file_format.md, whose length ``reader.emit`` prices: equal bytes
+    mean equal tensors and labels."""
+    parts = [struct.pack("<I", len(batch.ikjts))]
+    parts += [serialize_ikjt(ikjt) for ikjt in batch.ikjts]
+    parts.append(struct.pack("<B", 1 if batch.kjts else 0))
+    if batch.kjts:
+        parts.append(serialize_kjt(KJT(batch_size=batch.batch_size, entries=batch.kjts)))
+    parts.append(struct.pack("<Q", batch.labels.size))
+    parts.append(batch.labels.astype("<i8", copy=False).tobytes())
+    return b"".join(parts)
 
 
 def column_digest(table):

@@ -9,9 +9,19 @@ from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rows as row_adapter
-from rows import ImpressionRecord, as_batch, as_records, ikjt_to_kjt, jt_equal, to_pylists
+from rows import (
+    ImpressionRecord,
+    as_batch,
+    as_records,
+    ikjt_to_kjt,
+    jt_equal,
+    serialize_batch,
+    to_pylists,
+)
 from sessiondedup.datagen import (
     FeatureSpec,
     SampleCountDist,
@@ -393,12 +403,43 @@ class TestTransforms:
             process(batch, (Transform(op="clamp", key="zzz", param=1),))
 
 
+# Key names whose UTF-8 encoding is longer than their character count.
+_EMIT_KEYS = ("f", "café", "日本語", "ключ")
+
+
+@st.composite
+def _emit_cases(draw):
+    """Rows and a spec for one batch: keys with non-ASCII names, rows of
+    0-4 IDs (so empty rows), drawn rows or all-duplicate or no-duplicate
+    ones, and a baseline spec, a spec grouping every key, or groups and
+    plain keys drawn."""
+    keys = tuple(draw(st.lists(st.sampled_from(_EMIT_KEYS), min_size=1, max_size=4, unique=True)))
+    n = draw(st.integers(1, 12))
+    row = st.fixed_dictionaries({k: st.lists(st.integers(-(2**40), 2**40), max_size=4) for k in keys})
+    duplicates = draw(st.sampled_from(["drawn", "all-duplicate", "no-duplicate"]))
+    if duplicates == "all-duplicate":
+        rows = [draw(row)] * n
+    else:
+        rows = draw(st.lists(row, min_size=n, max_size=n))
+    if duplicates == "no-duplicate":
+        rows = [{k: [i, *ids] for k, ids in r.items()} for i, r in enumerate(rows)]
+    # each key's group, 0 or 1, or -1 for a plain key
+    layout = draw(st.sampled_from([[-1], [0, 1], [-1, 0, 1]]))  # baseline, all grouped, drawn
+    where = draw(st.lists(st.sampled_from(layout), min_size=len(keys), max_size=len(keys)))
+    groups = [tuple(k for k, w in zip(keys, where) if w == g) for g in (0, 1)]
+    spec = DataloaderSpec(keys=keys, dedup_sparse_features=tuple(g for g in groups if g), batch_size=n)
+    return rows, spec
+
+
 class TestEmit:
+    """``emit`` prices a batch; the reference serializer in
+    ``tests/rows.py`` builds the bytes it prices."""
+
     def test_emit_deterministic_and_sized(self):
         batch = convert(as_batch(WORKED_ROWS), SPEC)
-        payload = emit(batch)
-        assert batch.bytes_out == len(payload)
-        assert payload == emit(convert(as_batch(WORKED_ROWS), SPEC))
+        size = emit(batch)
+        assert batch.bytes_out == size == len(serialize_batch(batch))
+        assert size == emit(convert(as_batch(WORKED_ROWS), SPEC))
 
     def test_dedup_payload_smaller_on_duplicated_batch(self):
         rows = [
@@ -407,7 +448,7 @@ class TestEmit:
         spec = DataloaderSpec(keys=("f", "g"), dedup_sparse_features=(("f",),))
         dedup_bytes = emit(convert(as_batch(rows), spec))
         base_bytes = emit(convert(as_batch(rows), spec.without_dedup()))
-        assert len(dedup_bytes) < 0.2 * len(base_bytes)
+        assert dedup_bytes < 0.2 * base_bytes
 
     def test_identity_batch_overhead_is_lookup_plus_flag(self):
         # without duplicates the encodings carry the same streams; the
@@ -416,7 +457,34 @@ class TestEmit:
         spec = DataloaderSpec(keys=("f",), dedup_sparse_features=(("f",),))
         dedup_bytes = emit(convert(as_batch(rows), spec))
         base_bytes = emit(convert(as_batch(rows), spec.without_dedup()))
-        assert len(dedup_bytes) == len(base_bytes) + 8 * 8
+        assert dedup_bytes == base_bytes + 8 * 8
+
+    @settings(max_examples=200, deadline=None)
+    @given(_emit_cases())
+    def test_bytes_out_is_reference_payload_length(self, case):
+        rows, spec = case
+        batch = convert(as_batch(rows, spec.keys), spec)
+        assert emit(batch) == batch.bytes_out == len(serialize_batch(batch))
+
+    @pytest.mark.parametrize("clustering", ["none", "by_session"])
+    def test_bytes_out_is_reference_payload_length_on_file(self, clustering, tmp_path):
+        cfg = SessionConfig(num_sessions=40, samples_per_session=SampleCountDist("geometric", mean=6.0))
+        specs = [
+            FeatureSpec(key="seq", kind="user_sequence", avg_len=3.5, vocab_size=50, change_prob=0.3),
+            FeatureSpec(key="item", kind="item", avg_len=0.5, vocab_size=50),
+        ]
+        table = generate_dataset(cfg, specs)
+        f = write_table(table, tmp_path / "t.sesscol", stripe_rows=50, clustering=clustering)
+        spec = DataloaderSpec(
+            keys=("seq", "item"),
+            dedup_sparse_features=(("seq",),),
+            transforms=(Transform(op="mod_hash", key="item", param=7),),
+            batch_size=64,
+        )
+        for s in (spec, spec.without_dedup()):
+            batches = list(read_batches(f, s))
+            assert sum(b.batch_size for b in batches) == f.row_count
+            assert [b.bytes_out for b in batches] == [len(serialize_batch(b)) for b in batches]
 
 
 class TestPipeline:
@@ -463,8 +531,8 @@ class TestPipeline:
             batch_size=512,
             transforms=(Transform(op="mod_hash", key="item", param=4096),),
         )
-        a = [emit(b) for b in read_batches(open_table(dataset_file), spec)]
-        b = [emit(x) for x in read_batches(open_table(dataset_file), spec)]
+        a = [serialize_batch(b) for b in read_batches(open_table(dataset_file), spec)]
+        b = [serialize_batch(x) for x in read_batches(open_table(dataset_file), spec)]
         assert a == b
 
     def test_clustered_batches_dedup_well(self, dataset_file):
@@ -508,7 +576,8 @@ class TestPipeline:
         batches = list(scan(open_table(path), batch_size))
         assert len(batches) > 2
         for b in batches:
-            assert emit(convert(b, spec)) == emit(convert(as_batch(as_records(b)), spec))
+            from_records = convert(as_batch(as_records(b)), spec)
+            assert serialize_batch(convert(b, spec)) == serialize_batch(from_records)
 
     def test_read_batches_builds_no_records(self, dataset_file, monkeypatch):
         def no_records(*args, **kwargs):

@@ -8,7 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rows import WRAPPED_LENGTHS, as_batch, from_rows, ikjt_to_kjt, jt_equal, kjt_equal, to_pylists
+from rows import (
+    WRAPPED_LENGTHS,
+    as_batch,
+    from_rows,
+    ikjt_to_kjt,
+    jt_equal,
+    kjt_equal,
+    serialize_ikjt,
+    serialize_kjt,
+    to_pylists,
+)
 from sessiondedup import tensors
 from sessiondedup.datagen import (
     FeatureSpec,
@@ -33,8 +43,7 @@ from sessiondedup.tensors import (
     expand_runs,
     jagged_index_select,
     measured_dedupe_factor,
-    serialize_ikjt,
-    serialize_kjt,
+    payload_bytes,
     slice_rows,
     slice_stream_bytes,
     unique_first_occurrence,
@@ -1044,23 +1053,40 @@ class TestDedupeModel:
         assert measured_dedupe_factor(ikjt, baseline) == {"b": 1.0}
 
 
+def ikjt_bytes(ikjt: IKJT) -> int:
+    return payload_bytes(ikjt.per_feature, ikjt.batch_size)
+
+
+def kjt_bytes(kjt: KJT) -> int:
+    return payload_bytes(kjt.entries, 0)
+
+
 class TestSerialization:
+    """``payload_bytes``, the size rule of the tensor layout, against the
+    reference serializer in ``tests/rows.py``."""
+
     def test_identity_ikjt_costs_exactly_one_slot_per_row(self):
         # all-distinct batch: IKJT carries the same streams plus B lookups
         rows = [{"a": [i, i + 1], "b": [i]} for i in range(16)]
         kjt = build_kjt(as_batch(rows), ["a", "b"])
         ikjt = build_ikjt(as_batch(rows), ["a", "b"])
-        assert len(serialize_ikjt(ikjt)) == len(serialize_kjt(kjt)) + 8 * 16
+        assert ikjt_bytes(ikjt) == kjt_bytes(kjt) + 8 * 16
+        assert ikjt_bytes(ikjt) == len(serialize_ikjt(ikjt))
+        assert kjt_bytes(kjt) == len(serialize_kjt(kjt))
 
     def test_duplicates_shrink_payload(self):
         rows = [{"a": list(range(50))} for _ in range(64)]
         kjt = build_kjt(as_batch(rows), ["a"])
         ikjt = build_ikjt(as_batch(rows), ["a"])
-        assert len(serialize_ikjt(ikjt)) < len(serialize_kjt(kjt))
+        assert ikjt_bytes(ikjt) < kjt_bytes(kjt)
+        assert ikjt_bytes(ikjt) == len(serialize_ikjt(ikjt))
+        assert kjt_bytes(kjt) == len(serialize_kjt(kjt))
 
     def test_serialization_deterministic(self):
         ikjt = build_ikjt(as_batch(ROWS), ["c", "d"])
-        assert serialize_ikjt(ikjt) == serialize_ikjt(build_ikjt(as_batch(ROWS), ["c", "d"]))
+        again = build_ikjt(as_batch(ROWS), ["c", "d"])
+        assert ikjt_bytes(ikjt) == ikjt_bytes(again) == len(serialize_ikjt(ikjt))
+        assert serialize_ikjt(ikjt) == serialize_ikjt(again)
 
     def test_stream_size_accounting(self):
         jt = from_rows([[1, 2, 3], [4]])
