@@ -13,15 +13,20 @@ group in turn, then each plain key alone. The round-robin plan,
 
 The rank is part of the dedup key, so each rank's unique rows sit
 contiguously in one tensor per feature, rank after rank. Lookup,
-pooling, expand and the interaction stub run once per pooling unit over
-the whole batch, since where a row is pooled changes no score and no
-counter. ``sdd`` prices the wire bytes of every (rank, key) slice
+pooling and expand run per pooling unit over a range of ranks: the
+batch's two rank halves on two threads when it has more than one rank
+and ``_SPLIT_MIN_VALUES`` looked-up values, else all its ranks on the
+calling thread. Where a row is pooled changes no score and no counter:
+the counters are taken from the whole units, and the interaction stub
+runs once over the whole batch's pooled blocks on the calling thread.
+``sdd`` prices the wire bytes of every (rank, key) slice
 from the units' rank bounds alone, since a slice's wire size depends
 only on its row and value counts; no slice is built. Stacked pooling
-blocks are cut straight from each key's activations and the
-interaction stub dots the pooled blocks pair by pair, so no step copies
-a whole batch only to lay it out; ``_ATTENTION_BLOCK_ELEMENTS`` bounds
-attention's memory.
+blocks are cut straight from each key's activations, the expand writes
+each rank range's rows straight into the batch's pooled blocks, and the
+interaction stub dots those blocks pair by pair, so no step copies a
+whole batch only to lay it out; ``_ATTENTION_BLOCK_ELEMENTS`` bounds
+attention's memory per thread.
 
 The baseline path runs every batch row; the dedup path runs each unique
 row once and expands afterwards. Both paths reduce each logical row's
@@ -36,10 +41,12 @@ observable, independent of transport.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -54,6 +61,7 @@ from .tensors import (
     _positive_count,
     _row_lengths,
     jagged_index_select,
+    slice_rows,
     slice_stream_bytes,
     unique_first_occurrence,
     values_stream_bytes,
@@ -93,10 +101,21 @@ POOLING_OPS = ELEMENT_POOLING + ("attention",)
 # slower than ``reduceat`` alone, and 4096 rows of 48 ran about 3x faster.
 _POOL_BLOCK_ROWS = 32
 
+# Fewest looked-up values in a batch for ``forward_iteration`` to run its
+# two rank halves on two threads. Sized on the benchmark's default files
+# (4096-row batches, 4 ranks, 2-core x86_64): baseline batches hold about
+# 495k values and interleaved dedup batches about 439k, and both ran
+# 1.5-1.9x faster split (forward alone). Clustered dedup batches hold
+# about 118k values; split, they ran no faster alone and slower beside
+# the reader threads (wall-clock rows/s -23% over 4 benchmark pairs).
+_SPLIT_MIN_VALUES = 1 << 18
+
 # Score elements (rows x n x n) per stacked attention block. Attention
-# pools a whole batch at once, so this caps its working set: a block's
-# q, k, v and score tensors, not the batch's sequences, set the peak.
-_ATTENTION_BLOCK_ELEMENTS = 1 << 20
+# pools a rank half at once on each of up to two threads, so this caps
+# each thread's working set: a block's q, k, v and score tensors, not the
+# half's sequences, set the peak. Two blocks in flight hold what one held
+# at 1 << 20, and block size did not move the speed from 1 << 15 up.
+_ATTENTION_BLOCK_ELEMENTS = 1 << 19
 
 # Rows of a table drawn at once. ``Generator.uniform`` draws one double
 # per value in order, so chunks give the one-shot draw's weights while
@@ -315,7 +334,13 @@ def embedding_lookup(
     The range check is explicit because ``np.take`` would wrap a
     negative ID rather than reject it.
     """
-    vals = jt.values
+    _check_ids(jt.values, table, key)
+    return np.take(table.weights, jt.values, axis=0)
+
+
+def _check_ids(vals: np.ndarray, table: EmbeddingTable, key: str) -> None:
+    """Raise ValueError naming the first ID in ``vals`` outside the table
+    and its position in ``vals``."""
     rows = table.weights.shape[0]
     if vals.size and (vals.min() < 0 or vals.max() >= rows):
         p = int(np.flatnonzero((vals < 0) | (vals >= rows))[0])
@@ -323,7 +348,6 @@ def embedding_lookup(
             f"feature {key or table.key!r}: ID {int(vals[p])} at position {p} "
             f"out of range [0, {rows})"
         )
-    return np.take(table.weights, vals, axis=0)
 
 
 def _length_buckets(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -528,8 +552,7 @@ def attention_pool(
         [_row_lengths(offs, acts.shape[0]) for acts, offs in per_key_activations]
     )
     rows, bounds = _length_buckets(key_lens)
-    ns = key_lens[:, rows].sum(axis=0)
-    macs = int(np.sum(3 * ns * d * d + 2 * ns * ns * d + d * d))
+    macs = _attention_macs(key_lens, d)
 
     scale = np.float32(1.0 / math.sqrt(d))
     for first, stop in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
@@ -555,6 +578,14 @@ def attention_pool(
             pooled = ctx.mean(axis=1, keepdims=True)
             out[r] = (pooled @ params.w_o)[:, 0]
     return out, macs
+
+
+def _attention_macs(key_lens: np.ndarray, d: int) -> int:
+    """Attention's multiply-accumulates over rows of a (keys, rows) length
+    matrix: 3nd^2 + 2n^2 d + d^2 per non-empty row of sequence length n."""
+    ns = key_lens.sum(axis=0)
+    ns = ns[ns > 0]
+    return int(np.sum(3 * ns * d * d + 2 * ns * ns * d + d * d))
 
 
 def _rank_bounds(batch_size: int, num_ranks: int) -> np.ndarray:
@@ -637,39 +668,102 @@ def forward_iteration(
     ``mode`` must match how the batch was read: "dedup" consumes the
     batch's IKJTs, "baseline" consumes plain tensors for every key.
     Scores are float32 and bit-identical across modes and rank counts.
+
+    The calling thread splits the batch, prices the SDD, checks every ID
+    and counts every counter over the whole units. Lookup, pooling and
+    expand then run per rank range (:func:`_forward_ranks`): ranks
+    ``[0, ⌈R/2⌉)`` and ``[⌈R/2⌉, R)`` on two threads when the batch has
+    more than one rank and at least ``_SPLIT_MIN_VALUES`` looked-up
+    values, else all R ranks on the calling thread. Both paths fill the
+    same (B, d) pooled blocks, which the calling thread scores, so the
+    path changes no score and no counter. The threads are joined before
+    this returns, also when one of them raises.
     """
     units = split_batch(batch, spec, mode, plan.num_ranks)
     dim = spec.dim
     stats = IterationStats()
     stats.a2a_bytes_fwd = sdd(units, plan).a2a_bytes_fwd
 
-    # Pooled blocks in unit order: groups, then plain keys.
-    blocks: list[np.ndarray] = []
+    # Per unit: its attention projections, if any, and its pooled outputs.
+    params: list[AttentionParams | None] = []
+    outputs = 0
     for unit, (keys, op, _) in zip(units, spec.units):
-        acts = []
         for key, jt in unit.tensors.items():
-            acts.append((embedding_lookup(jt, tables[key], key), jt.offsets))
+            _check_ids(jt.values, tables[key], key)
             stats.lookup_count += jt.values.size
             rank_values = np.diff(np.append(jt.offsets, jt.values.size)[unit.bounds])
             stats.activation_elements = max(
                 stats.activation_elements, int(rank_values.max()) * dim
             )
+        tensors = list(unit.tensors.values())
         if op == "attention":
-            params = AttentionParams.create("/".join(keys), dim, spec.seed)
-            pooled, macs = attention_pool(acts, params)
-            stats.pooling_mac_count += macs
-            unit_blocks = [pooled]
+            params.append(AttentionParams.create("/".join(keys), dim, spec.seed))
+            key_lens = np.stack([jt.row_lengths() for jt in tensors])
+            stats.pooling_mac_count += _attention_macs(key_lens, dim)
+            unit_outputs = 1
         else:
-            unit_blocks = [pool(a, offs, op) for a, offs in acts]
-            stats.pooling_mac_count += sum(a.shape[0] for a, _ in acts) * dim
-        stats.a2a_bytes_back += sum(b.shape[0] * dim * 4 for b in unit_blocks)
+            params.append(None)
+            stats.pooling_mac_count += sum(jt.values.size for jt in tensors) * dim
+            unit_outputs = len(tensors)
+        stats.a2a_bytes_back += unit_outputs * tensors[0].row_count * dim * 4
         if unit.inverse is not None:
-            unit_blocks = [np.take(b, unit.inverse, axis=0) for b in unit_blocks]
-            stats.index_select_elements += len(unit_blocks) * unit.inverse.size * dim
-        blocks.extend(unit_blocks)
+            stats.index_select_elements += unit_outputs * unit.inverse.size * dim
+        outputs += unit_outputs
+
+    # Pooled blocks in unit order: groups, then plain keys.
+    rows = _rank_bounds(batch.batch_size, plan.num_ranks)
+    blocks = [np.empty((batch.batch_size, dim), dtype=np.float32) for _ in range(outputs)]
+    run = functools.partial(_forward_ranks, units, spec, tables, params, rows, blocks)
+    ranks = rows.size - 1
+    if ranks == 1 or stats.lookup_count < _SPLIT_MIN_VALUES:
+        run(0, ranks)
+    else:
+        half = -(-ranks // 2)
+        with ThreadPoolExecutor(max_workers=2, thread_name_prefix="forward") as ex:
+            for f in [ex.submit(run, 0, half), ex.submit(run, half, ranks)]:
+                f.result()
 
     logit = _interaction_logits(blocks)
     return (1.0 / (1.0 + np.exp(-logit))).astype(np.float32), stats
+
+
+def _forward_ranks(
+    units: list[PoolingUnit],
+    spec: ModelSpec,
+    tables: dict[str, EmbeddingTable],
+    params: list[AttentionParams | None],
+    rows: np.ndarray,
+    blocks: list[np.ndarray],
+    r0: int,
+    r1: int,
+) -> None:
+    """Lookup, pooling and expand of ranks ``[r0, r1)``, writing batch
+    rows ``rows[r0]:rows[r1]`` of every pooled block.
+
+    Each rank's unit rows sit contiguously (``unit.bounds``) and each of
+    its batch rows maps into them, so the ranks' unit rows are one slice
+    and their inverse entries index into it. A row pools the same bits
+    whichever rows share its call (see :func:`pool` and
+    :func:`attention_pool`).
+    """
+    b0, b1 = int(rows[r0]), int(rows[r1])
+    dst = iter(blocks)
+    for unit, (_, op, _), p in zip(units, spec.units, params):
+        lo, hi = int(unit.bounds[r0]), int(unit.bounds[r1])
+        acts = []
+        for key, jt in unit.tensors.items():
+            part = slice_rows(jt, lo, hi)
+            acts.append((embedding_lookup(part, tables[key], key), part.offsets))
+        if op == "attention":
+            pooled = [attention_pool(acts, p)[0]]
+        else:
+            pooled = [pool(a, offs, op) for a, offs in acts]
+        for block in pooled:
+            out = next(dst)[b0:b1]
+            if unit.inverse is None:
+                out[...] = block
+            else:
+                np.take(block, unit.inverse[b0:b1] - lo, axis=0, out=out)
 
 
 def _interaction_logits(blocks: list[np.ndarray]) -> np.ndarray:

@@ -5,6 +5,7 @@ import json
 import math
 import platform
 import re
+import threading
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -677,7 +678,7 @@ class TestBatchedAttentionPool:
         assert np.array_equal(mixed[2], alone[0])
 
     def test_long_sequences_split_into_sub_blocks(self):
-        # 300 rows of n=200 hold 12M score elements, about twelve blocks
+        # 300 rows of n=200 hold 12M score elements, about 23 blocks
         rng = np.random.default_rng(6)
         lens = [[200] * 300]
         assert 300 * 200 * 200 > 2 * trainer_sim._ATTENTION_BLOCK_ELEMENTS
@@ -744,15 +745,15 @@ class TestAttentionBlockLayout:
     @pytest.mark.parametrize(
         "lens, takes",
         [
-            # One empty row after row 300: of the three sub-blocks only the
+            # One empty row after row 150: of the three sub-blocks only the
             # middle one spans it.
-            pytest.param([64] * 301 + [0] + [64] * 399, 1, id="one-gap"),
-            pytest.param([64, 0] * 700, 3, id="scattered"),
+            pytest.param([64] * 151 + [0] + [64] * 199, 1, id="one-gap"),
+            pytest.param([64, 0] * 350, 3, id="scattered"),
         ],
     )
     def test_long_bucket_cut_into_sub_blocks(self, calls, lens, takes):
         step = trainer_sim._ATTENTION_BLOCK_ELEMENTS // (64 * 64)
-        assert 2 * step < 700 <= 3 * step
+        assert 2 * step < 350 <= 3 * step
         self.check([lens])
         assert calls == {"take": takes, "concatenate": 0}
 
@@ -1787,3 +1788,131 @@ class TestGoldenForwardVariableLength:
                 assert digests == VARIABLE_SCORE_SHA256[clustering], (mode, ranks)
                 counters = [astuple(st) for _, st in out]
                 assert counters == VARIABLE_COUNTERS[clustering, ranks, mode]
+
+
+class TestRankHalves:
+    """``forward_iteration`` runs a batch's rank halves on two threads when
+    it has more than one rank and at least ``_SPLIT_MIN_VALUES`` looked-up
+    values, else every rank on the calling thread; the path must change
+    no score bit and no counter."""
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        cfg, specs = variable_length_config()
+        model = default_model_spec(specs, seed=0)
+        table = generate_dataset(cfg, specs)
+        spec = DataloaderSpec(
+            keys=model.all_keys,
+            dedup_sparse_features=tuple(g.keys for g in model.groups),
+            batch_size=len(table),
+        )
+        assert np.any(table.features.entries["item_id"].row_lengths() == 0)
+        return table, model, build_tables(model), spec
+
+    @staticmethod
+    def run(data, start, size, ranks, mode, floor):
+        """The forward pass of rows ``[start, start + size)`` with the
+        split floor at ``floor``, and the rank ranges it ran, each with
+        whether it ran on the calling thread."""
+        table, model, tables, spec = data
+        batch = convert(table.slice_rows(start, start + size), spec if mode == "dedup" else spec.without_dedup())
+        calls = []
+        forward_ranks = trainer_sim._forward_ranks
+
+        def spy(*args):
+            calls.append((args[-2], args[-1], threading.current_thread() is threading.main_thread()))
+            return forward_ranks(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(trainer_sim, "_SPLIT_MIN_VALUES", floor)
+            mp.setattr(trainer_sim, "_forward_ranks", spy)
+            scores, stats = forward_iteration(batch, model, make_round_robin_plan(model, ranks), mode, tables)
+        return scores, stats, sorted(calls)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        size=st.sampled_from([*range(1, 10), 2540]),
+        ranks=st.integers(1, 5),
+        mode=st.sampled_from(["baseline", "dedup"]),
+        where=st.floats(0, 1),
+    )
+    def test_split_matches_calling_thread(self, data, size, ranks, mode, where):
+        # Sizes 1-9 include tails with fewer rows than ranks; 2540 rows (the
+        # whole table) hold more baseline values than the floor, and pool
+        # and attention stack blocks on them.
+        start = int(where * (len(data[0]) - size))
+        split_scores, split_stats, split_calls = self.run(data, start, size, ranks, mode, 0)
+        one_scores, one_stats, one_calls = self.run(data, start, size, ranks, mode, math.inf)
+        assert split_scores.dtype == one_scores.dtype == np.float32
+        assert split_scores.tobytes() == one_scores.tobytes()
+        assert astuple(split_stats) == astuple(one_stats)
+        used = min(ranks, size)
+        assert one_calls == [(0, used, True)]
+        if used == 1:
+            assert split_calls == [(0, 1, True)]
+        else:
+            half = -(-used // 2)
+            assert split_calls == [(0, half, False), (half, used, False)]
+
+    @pytest.mark.parametrize(
+        "mode, ranks, above, calls",
+        [
+            ("baseline", 4, True, [(0, 2, False), (2, 4, False)]),
+            ("dedup", 4, False, [(0, 4, True)]),
+            ("baseline", 1, True, [(0, 1, True)]),
+        ],
+    )
+    def test_floor_and_rank_count_pick_the_path(self, data, mode, ranks, above, calls):
+        floor = trainer_sim._SPLIT_MIN_VALUES
+        _, stats, ran = self.run(data, 0, 2540, ranks, mode, floor)
+        assert (stats.lookup_count >= floor) == above
+        assert ran == calls
+
+    @pytest.mark.parametrize("mode", ["baseline", "dedup"])
+    @pytest.mark.parametrize("key", ["item_category_ids", "cart_seller_ids"])
+    def test_bad_id_in_second_half_named_across_unit(self, data, mode, key):
+        # The bad ID sits in the last row: rank 2 of 3, the second half.
+        table, model, tables, spec = data
+        rows = table.slice_rows(0, 9)
+        values = rows.features.entries[key].values.copy()
+        values[-1] = model.tables[key] + 7
+        bad = replace(
+            rows,
+            features=replace(
+                rows.features,
+                entries={**rows.features.entries, key: replace(rows.features.entries[key], values=values)},
+            ),
+        )
+        batch = convert(bad, spec if mode == "dedup" else spec.without_dedup())
+        unit = next(u for u in split_batch(batch, model, mode, 3) if key in u.tensors)
+        jt = unit.tensors[key]
+        position = jt.values.size - 1
+        assert position >= jt.offsets[unit.bounds[2]]
+        with pytest.raises(ValueError) as want:
+            embedding_lookup(jt, tables[key], key)
+        assert str(want.value) == (
+            f"feature {key!r}: ID {model.tables[key] + 7} at position {position} "
+            f"out of range [0, {model.tables[key]})"
+        )
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(trainer_sim, "_SPLIT_MIN_VALUES", 0)
+            with pytest.raises(ValueError) as got:
+                forward_iteration(batch, model, make_round_robin_plan(model, 3), mode, tables)
+        assert str(got.value) == str(want.value)
+
+    def test_worker_error_raised_after_both_halves_stop(self, data, monkeypatch):
+        # Ranks [0, 2) pool 6 rows and rank 2 pools 3; the second half fails.
+        table, model, tables, spec = data
+        batch = convert(table.slice_rows(0, 9), spec.without_dedup())
+        attention = trainer_sim.attention_pool
+
+        def failing(acts, params):
+            if acts[0][1].size == 3:
+                raise RuntimeError("second half failed")
+            return attention(acts, params)
+
+        monkeypatch.setattr(trainer_sim, "_SPLIT_MIN_VALUES", 0)
+        monkeypatch.setattr(trainer_sim, "attention_pool", failing)
+        with pytest.raises(RuntimeError, match="second half failed"):
+            forward_iteration(batch, model, make_round_robin_plan(model, 3), "baseline", tables)
+        assert not [t.name for t in threading.enumerate() if t.name.startswith("forward")]
