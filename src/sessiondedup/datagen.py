@@ -14,7 +14,21 @@ adjacent.
 
 Everything is deterministic given the config seed: each session owns an
 independent child RNG, so a session's content does not depend on how
-many other sessions exist.
+many other sessions exist. Session ``i``'s Generator is seeded with
+``SeedSequence((seed, i))`` and makes its draws in one fixed order, the
+contract that the golden digests pin:
+
+1. the sample count (``SampleCountDist.sample``);
+2. ``count`` timestamps, ``integers(0, horizon)``;
+3. ``count`` label doubles, then ``count - 1`` mutation coins per sync
+   group in group order, as one ``random`` call;
+4. per feature in spec order: if its ``avg_len`` has a fraction, the
+   Bernoulli doubles of its lengths (one per session for a user
+   sequence, one per row for an item); then its ID pool,
+   ``integers(0, vocab_size)``.
+
+Only the draws happen session by session; the columns are built from
+them afterwards, whole.
 """
 
 from __future__ import annotations
@@ -144,16 +158,6 @@ class SessionConfig:
         object.__setattr__(self, "num_sessions", _positive_count("num_sessions", self.num_sessions))
 
 
-def _draw_lengths(avg_len: float, count: int, rng: np.random.Generator) -> np.ndarray:
-    # floor(l) plus a Bernoulli on the fraction keeps the mean exact.
-    base = int(avg_len)
-    frac = avg_len - base
-    lengths = np.full(count, base, dtype=np.int64)
-    if frac > 0:
-        lengths += rng.random(count) < frac
-    return lengths
-
-
 def _session_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, index)))
 
@@ -190,67 +194,131 @@ def generate_dataset(
     session_cfg: SessionConfig, feature_specs: list[FeatureSpec]
 ) -> ScanBatch:
     """Generate the full interleaved impression log for a config, as one
-    columnar table in (timestamp, session_id) order."""
+    columnar table in (timestamp, session_id) order.
+
+    Session ``i`` draws from its own Generator, seeded with
+    ``SeedSequence((seed, i))``, in the order that the golden digests
+    pin: its sample count; ``count`` timestamps from ``integers(0,
+    horizon)``; ``count`` label doubles, then ``count - 1`` mutation
+    coins per sync group in group order; then, per feature in spec
+    order, a fractional length's Bernoulli doubles (one per session for
+    a user sequence, one per row for an item) and the feature's ID pool
+    from ``integers(0, vocab_size)``. Consecutive doubles are one
+    ``random`` call, and consecutive pools one ``integers`` call with one
+    bound per ID; each draws the stream exactly as the separate calls
+    would. No double moves across an integer draw: both take 64-bit
+    words from the one stream (a 32-bit draw keeps a word's other half
+    for the next 32-bit draw, and doubles skip it), so moving one would
+    move the words the other reads."""
     keys = _key_names("feature_specs", [s.key for s in feature_specs])
     groups = sync_groups(feature_specs)
     group_of = {s.key: i for i, (_, members) in enumerate(groups) for s in members}
-    # Columns grow as raw int64 bytes, so no per-session array outlives
-    # its session; per key: "pool" holds every session's ID pool end to
-    # end, "start" and "length" each row's window into it.
-    columns = {name: bytearray() for name in ("session_id", "timestamp", "label")}
-    for key in keys:
-        columns.update({(key, name): bytearray() for name in ("pool", "start", "length")})
+    num_groups = len(groups)
+    change_probs = np.array([members[0].change_prob for _, members in groups]).reshape(-1, 1)
+    # Per feature: its index into a session's change counts per group
+    # (num_groups, which reads 0, for an item); its base length and the
+    # fraction drawn on top as a Bernoulli, which keeps the mean length
+    # exact; and whether it has a length per row (an item) or one per
+    # session.
+    terms = [
+        (group_of.get(s.key, num_groups), int(s.avg_len), s.avg_len - int(s.avg_len), s.key not in group_of)
+        for s in feature_specs
+    ]
+    # A fractional length's doubles must stay between the pools before
+    # and after it, so each such feature starts a new run of pools drawn
+    # in one integers call, bounded by each member's vocab_size.
+    cuts = [f for f, (_, _, frac, _) in enumerate(terms) if f == 0 or frac > 0] + [len(terms)]
+    vocab = np.array([s.vocab_size for s in feature_specs], dtype=np.int64)
+    runs = [(range(a, b), vocab[a:b]) for a, b in zip(cuts, cuts[1:])]
+    # Draws grow as raw bytes in session order, so no per-session array
+    # outlives its session; the columns are built from them after the
+    # loop.
+    counts: list[int] = []
+    pool_sizes: list[int] = []
+    ts_buf, coin_buf, pool_buf = bytearray(), bytearray(), bytearray()
+    frac_buf = {f: bytearray() for f, (_, _, frac, _) in enumerate(terms) if frac > 0}
     # Timestamps are drawn over one shared horizon so sessions overlap
     # heavily; a global sort then interleaves them.
-    mean_s = session_cfg.samples_per_session.mean
-    horizon = max(64, int(4 * session_cfg.num_sessions * mean_s))
+    dist = session_cfg.samples_per_session
+    horizon = max(64, int(4 * session_cfg.num_sessions * dist.mean))
     for idx in range(session_cfg.num_sessions):
         rng = _session_rng(session_cfg.seed, idx)
-        count = session_cfg.samples_per_session.sample(rng)
-        ts = np.sort(rng.integers(0, horizon, count))
-        ts += np.arange(count)  # break ties: strictly increasing in session
-        columns["session_id"] += np.full(count, idx, dtype=np.int64).tobytes()
-        columns["timestamp"] += ts.tobytes()
-        columns["label"] += (rng.random(count) < _LABEL_RATE).astype(np.int64).tobytes()
-        # One mutation coin sequence per sync group, so a group's members
-        # change on the same impressions. Shift-append update: impression
-        # i reads a window of the feature's pool that starts at the
-        # group's number of changes so far.
-        group_starts = []
-        for _, members in groups:
-            starts = np.zeros(count, dtype=np.int64)
-            np.cumsum(rng.random(count - 1) < members[0].change_prob, out=starts[1:])
-            group_starts.append(starts)
-        for s in feature_specs:
-            if s.key in group_of:
-                starts = group_starts[group_of[s.key]]
-                lengths = np.full(count, _draw_lengths(s.avg_len, 1, rng)[0], dtype=np.int64)
-            else:
-                lengths = _draw_lengths(s.avg_len, count, rng)
-                starts = _starts(lengths)
-            pool = rng.integers(0, s.vocab_size, int(starts[-1] + lengths[-1]), dtype=np.int64)
-            base = len(columns[s.key, "pool"]) // 8
-            columns[s.key, "pool"] += pool.tobytes()
-            columns[s.key, "start"] += (starts + base).tobytes()
-            columns[s.key, "length"] += lengths.tobytes()
+        count = dist.sample(rng)
+        counts.append(count)
+        ts_buf += rng.integers(0, horizon, count).tobytes()
+        coins = rng.random(count + num_groups * (count - 1))
+        coin_buf += coins.tobytes()
+        changes = (coins[count:].reshape(num_groups, count - 1) < change_probs).sum(axis=1).tolist()
+        changes.append(0)
+        for members, highs in runs:
+            sizes = []
+            for f in members:
+                g, base, frac, per_row = terms[f]
+                rows = count if per_row else 1
+                size = changes[g] + base * rows
+                if frac > 0:  # the run's first member
+                    draws = rng.random(rows)
+                    frac_buf[f] += draws.tobytes()
+                    size += np.count_nonzero(draws < frac)
+                sizes.append(size)
+            pool_sizes += sizes
+            pool_buf += rng.integers(0, np.repeat(highs, sizes)).tobytes()
+    counts = np.array(counts, dtype=np.int64)
+    first = _starts(counts)  # each session's first row
 
-    def column(name):
-        return np.frombuffer(columns.pop(name), dtype=np.int64)
+    def in_session(running):
+        # a running total over all rows, restarted at each session
+        return running - np.repeat(running[first], counts)
 
-    session_ids = column("session_id")
-    ts = column("timestamp")
+    session_ids = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
+    rank = in_session(np.arange(session_ids.size, dtype=np.int64))
+    ts = np.frombuffer(ts_buf, dtype=np.int64)
+    # each session's timestamps sorted, then ties broken: strictly
+    # increasing in session
+    ts = ts[np.lexsort((ts, session_ids))] + rank
+    del ts_buf
     order = np.lexsort((session_ids, ts))
-    # Each row's values are gathered once, straight into final order.
-    features = {
-        key: gather_windows(
-            column((key, "pool")), column((key, "start"))[order], column((key, "length"))[order]
-        )
-        for key in keys
-    }
+    coins = np.frombuffer(coin_buf, dtype=np.float64)
+    # A row's label double sits at its rank in the session's doubles.
+    # Group g's coin for rank k >= 1 follows the session's labels and the
+    # g groups' coins before it; rank 0 reads some earlier double, which
+    # in_session cancels below.
+    label_at = np.repeat(_starts(counts + num_groups * (counts - 1)), counts) + rank
+    labels = (coins[label_at] < _LABEL_RATE).astype(np.int64)[order]
+    changed = [
+        coins[label_at + np.repeat(counts + g * (counts - 1) - 1, counts)] < change_probs[g, 0]
+        for g in range(num_groups)
+    ]
+    del coins, coin_buf, label_at, rank
+    session_ids, ts = session_ids[order], ts[order]
+    # Each feature's pools end to end, one row per session, so that each
+    # is freed once the feature's column exists.
+    sizes = np.array(pool_sizes, dtype=np.int64).reshape(counts.size, len(feature_specs))
+    pool = np.frombuffer(pool_buf, dtype=np.int64)
+    pool_at = _starts(sizes.ravel()).reshape(sizes.shape)
+    pools = [gather_windows(pool, at, n) for at, n in zip(pool_at.T, sizes.T)]
+    del pool, pool_buf
+    # A row's window into its session's pool of a feature: a user
+    # sequence's starts at its group's changes so far (the shift-append
+    # update), an item's after the session's earlier rows.
+    features = {}
+    for f, (key, (g, base, frac, per_row)) in enumerate(zip(keys, terms)):
+        lengths = np.full(session_ids.size if per_row else counts.size, base, dtype=np.int64)
+        if frac > 0:
+            lengths += np.frombuffer(frac_buf.pop(f)) < frac
+        if per_row:
+            starts = in_session(_starts(lengths))
+        else:
+            lengths = np.repeat(lengths, counts)
+            starts = in_session(np.cumsum(changed[g], dtype=np.int64))
+        pool, pools[f] = pools[f], None
+        starts += np.repeat(pool.offsets, counts)
+        # Each row's values are gathered once, straight into final order.
+        features[key] = gather_windows(pool.values, starts[order], lengths[order])
     return ScanBatch(
-        session_ids=session_ids[order],
-        timestamps=ts[order],
-        labels=column("label")[order],
+        session_ids=session_ids,
+        timestamps=ts,
+        labels=labels,
         features=KJT(batch_size=order.size, entries=features),
     )
 

@@ -64,7 +64,6 @@ from .tensors import (
     slice_rows,
     slice_stream_bytes,
     unique_first_occurrence,
-    values_stream_bytes,
     window_index,
 )
 
@@ -75,7 +74,6 @@ __all__ = [
     "GroupConfig",
     "ModelSpec",
     "AttentionParams",
-    "SddResult",
     "PoolingUnit",
     "sdd",
     "embedding_lookup",
@@ -294,19 +292,13 @@ def activation_bytes(
     return int(batch_size * list_len * dim * elem_bytes)
 
 
-@dataclass
-class SddResult:
-    a2a_bytes_fwd: int
-    values_bytes_by_key: dict[str, int]
+def sdd(units: list[PoolingUnit], plan: ShardingPlan) -> int:
+    """The forward a2a bytes of every rank sending its slices of the
+    pooling units' tensors to their owners.
 
-
-def sdd(units: list[PoolingUnit], plan: ShardingPlan) -> SddResult:
-    """Account for every rank sending its slices of the pooling units'
-    tensors to their owners.
-
-    a2a_bytes_fwd counts the wire size of each transmitted (offsets,
-    values) slice pair, one per (rank, key), local destinations
-    included, so R=1 reports the size of the local slices.
+    They are the wire size of each transmitted (offsets, values) slice
+    pair, one per (rank, key), local destinations included, so R=1
+    reports the size of the local slices.
     A unit's R' rank slices (``bounds``) split each tensor's rows and
     values, so they cost the whole tensor's ``slice_stream_bytes`` plus
     one more 16-byte pair of count prefixes per extra slice; inverses
@@ -317,13 +309,9 @@ def sdd(units: list[PoolingUnit], plan: ShardingPlan) -> SddResult:
         raise ValueError(
             f"pooling unit keys {keys} do not match plan keys {sorted(plan.assignment)}"
         )
-    total = 0
-    values_bytes: dict[str, int] = {}
-    for u in units:
-        for key, jt in u.tensors.items():
-            total += slice_stream_bytes(jt) + 16 * (u.bounds.size - 2)
-            values_bytes[key] = values_stream_bytes(jt)
-    return SddResult(a2a_bytes_fwd=total, values_bytes_by_key=values_bytes)
+    return sum(
+        slice_stream_bytes(jt) + 16 * (u.bounds.size - 2) for u in units for jt in u.tensors.values()
+    )
 
 
 def embedding_lookup(
@@ -682,7 +670,7 @@ def forward_iteration(
     units = split_batch(batch, spec, mode, plan.num_ranks)
     dim = spec.dim
     stats = IterationStats()
-    stats.a2a_bytes_fwd = sdd(units, plan).a2a_bytes_fwd
+    stats.a2a_bytes_fwd = sdd(units, plan)
 
     # Per unit: its attention projections, if any, and its pooled outputs.
     params: list[AttentionParams | None] = []

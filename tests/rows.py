@@ -12,8 +12,18 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from sessiondedup import storage
+from sessiondedup.datagen import _LABEL_RATE, sync_groups
 from sessiondedup.storage import ScanBatch
-from sessiondedup.tensors import IKJT, KJT, JaggedTensor, expand_runs, jagged_index_select
+from sessiondedup.tensors import (
+    IKJT,
+    KJT,
+    JaggedTensor,
+    _key_names,
+    _starts,
+    expand_runs,
+    gather_windows,
+    jagged_index_select,
+)
 from sessiondedup.varint import encode_varints
 
 
@@ -98,6 +108,74 @@ def as_records(batch: ScanBatch) -> list[ImpressionRecord]:
         ImpressionRecord(sid, ts, {k: v[b[i] : b[i + 1]] for k, v, b in cols}, label)
         for i, (sid, ts, label) in enumerate(rows)
     ]
+
+
+def _draw_lengths(avg_len: float, count: int, rng: np.random.Generator) -> np.ndarray:
+    # floor(l) plus a Bernoulli on the fraction keeps the mean exact.
+    base = int(avg_len)
+    frac = avg_len - base
+    lengths = np.full(count, base, dtype=np.int64)
+    if frac > 0:
+        lengths += rng.random(count) < frac
+    return lengths
+
+
+def reference_generate_dataset(session_cfg, feature_specs) -> ScanBatch:
+    """``datagen.generate_dataset`` one session at a time: each session's
+    draws made and laid out before the next session's Generator exists.
+    The library's generator must equal it bit for bit."""
+    keys = _key_names("feature_specs", [s.key for s in feature_specs])
+    groups = sync_groups(feature_specs)
+    group_of = {s.key: i for i, (_, members) in enumerate(groups) for s in members}
+    columns = {name: bytearray() for name in ("session_id", "timestamp", "label")}
+    for key in keys:
+        columns.update({(key, name): bytearray() for name in ("pool", "start", "length")})
+    mean_s = session_cfg.samples_per_session.mean
+    horizon = max(64, int(4 * session_cfg.num_sessions * mean_s))
+    for idx in range(session_cfg.num_sessions):
+        rng = np.random.default_rng(np.random.SeedSequence((session_cfg.seed, idx)))
+        count = session_cfg.samples_per_session.sample(rng)
+        ts = np.sort(rng.integers(0, horizon, count))
+        ts += np.arange(count)
+        columns["session_id"] += np.full(count, idx, dtype=np.int64).tobytes()
+        columns["timestamp"] += ts.tobytes()
+        columns["label"] += (rng.random(count) < _LABEL_RATE).astype(np.int64).tobytes()
+        group_starts = []
+        for _, members in groups:
+            starts = np.zeros(count, dtype=np.int64)
+            np.cumsum(rng.random(count - 1) < members[0].change_prob, out=starts[1:])
+            group_starts.append(starts)
+        for s in feature_specs:
+            if s.key in group_of:
+                starts = group_starts[group_of[s.key]]
+                lengths = np.full(count, _draw_lengths(s.avg_len, 1, rng)[0], dtype=np.int64)
+            else:
+                lengths = _draw_lengths(s.avg_len, count, rng)
+                starts = _starts(lengths)
+            pool = rng.integers(0, s.vocab_size, int(starts[-1] + lengths[-1]), dtype=np.int64)
+            base = len(columns[s.key, "pool"]) // 8
+            columns[s.key, "pool"] += pool.tobytes()
+            columns[s.key, "start"] += (starts + base).tobytes()
+            columns[s.key, "length"] += lengths.tobytes()
+
+    def column(name):
+        return np.frombuffer(columns.pop(name), dtype=np.int64)
+
+    session_ids = column("session_id")
+    ts = column("timestamp")
+    order = np.lexsort((session_ids, ts))
+    features = {
+        key: gather_windows(
+            column((key, "pool")), column((key, "start"))[order], column((key, "length"))[order]
+        )
+        for key in keys
+    }
+    return ScanBatch(
+        session_ids=session_ids[order],
+        timestamps=ts[order],
+        labels=column("label")[order],
+        features=KJT(batch_size=order.size, entries=features),
+    )
 
 
 def serialize_log_records(records) -> bytes:

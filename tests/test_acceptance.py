@@ -50,20 +50,18 @@ from sessiondedup.tensors import (
     dedupe_len,
     jagged_index_select,
     measured_dedupe_factor,
+    values_stream_bytes,
 )
 from sessiondedup.trainer_sim import (
     EmbeddingTable,
     GroupConfig,
     ModelSpec,
-    PoolingUnit,
-    ShardingPlan,
     activation_bytes,
     build_tables,
     embedding_lookup,
     forward_iteration,
     make_round_robin_plan,
     pool,
-    sdd,
 )
 
 
@@ -389,17 +387,8 @@ def test_acceptance_4_byte_dominance(capsys):
                 if getattr(d_stats, counter) > getattr(b_stats, counter):
                     failures.append(f"case {i}: {counter} grew under dedup")
 
-            # values-stream shrink vs the whole-batch measured factor,
-            # exchanged at R=1 so the transmitted slices are the batch
-            # encodings themselves
-            plan1 = ShardingPlan(num_ranks=1, assignment={"u": 0, "v": 0})
-            dedup_slices = {
-                ik.group_keys[0]: ik.per_feature[ik.group_keys[0]]
-                for ik in dedup_batch.ikjts
-            }
-            base_slices = {k: base_batch.kjts[k] for k in keys}
-            d_sdd = sdd([PoolingUnit({k: jt}, None, np.array([0, jt.row_count])) for k, jt in dedup_slices.items()], plan1)
-            b_sdd = sdd([PoolingUnit({k: jt}, None, np.array([0, jt.row_count])) for k, jt in base_slices.items()], plan1)
+            # values-stream shrink vs the whole-batch measured factor, on
+            # the batch encodings: the slices an R=1 exchange transmits
             for ik in dedup_batch.ikjts:
                 key = ik.group_keys[0]
                 factor = measured_dedupe_factor(
@@ -408,8 +397,8 @@ def test_acceptance_4_byte_dominance(capsys):
                 if factor < 1.5:
                     continue
                 shrink_checked += 1
-                db = d_sdd.values_bytes_by_key[key]
-                bb = b_sdd.values_bytes_by_key[key]
+                db = values_stream_bytes(ik.per_feature[key])
+                bb = values_stream_bytes(base_batch.kjts[key])
                 if db == 0 or bb / db < factor:
                     failures.append(
                         f"case {i}: {key} bytes {bb}->{db}, factor {factor:.2f}"

@@ -6,8 +6,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from rows import as_batch, as_records, column_digest, serialize_log_records
+from rows import as_batch, as_records, column_digest, kjt_equal, reference_generate_dataset, serialize_log_records
 
 from sessiondedup.datagen import (
     FeatureSpec,
@@ -369,6 +371,101 @@ class TestGenerateDataset:
         labels = [r.label for r in as_records(generate_dataset(cfg, specs))]
         assert set(labels) <= {0, 1}
         assert np.mean(labels) == pytest.approx(0.1, abs=0.02)
+
+
+@st.composite
+def generator_configs(draw):
+    """A small config: any sample-count kind, and 0-6 features of either
+    kind with integer, fractional or (items only) sub-1 lengths, any
+    vocab size from 1 (no draws) past 2**32 (64-bit draws), and sync
+    groups whose members share one change_prob."""
+    kind = draw(st.sampled_from(["fixed", "geometric", "empirical"]))
+    if kind == "fixed":
+        dist = SampleCountDist(kind, mean=draw(st.integers(1, 5)))
+    elif kind == "geometric":
+        dist = SampleCountDist(kind, mean=draw(st.sampled_from([1.0, 2.5, 6.0])))
+    else:
+        counts = draw(st.lists(st.integers(1, 7), min_size=1, max_size=3, unique=True))
+        dist = SampleCountDist(kind, histogram={c: draw(st.sampled_from([1.0, 2.0, 0.5])) for c in counts})
+    probs = {name: draw(st.sampled_from([0.0, 0.3, 1.0])) for name in (None, "a", "b")}
+    specs = []
+    for i in range(draw(st.integers(0, 6))):
+        vocab = draw(st.sampled_from([1, 2, 50, 2**32, 2**33]))
+        if draw(st.booleans()):
+            avg_len = draw(st.sampled_from([1, 3, 1.25, 2.5, 4.75]))
+            group = draw(st.sampled_from([None, "a", "b"]))
+            prob = probs[group] if group else draw(st.sampled_from([0.0, 0.3, 1.0]))
+            specs.append(FeatureSpec(f"u{i}", "user_sequence", avg_len, vocab, prob, group))
+        else:
+            avg_len = draw(st.sampled_from([1, 4, 0.3, 0.75, 1.5]))
+            specs.append(FeatureSpec(f"i{i}", "item", avg_len, vocab))
+    return SessionConfig(draw(st.integers(1, 12)), dist, seed=draw(st.integers(0, 2**32))), specs
+
+
+def assert_tables_identical(a, b):
+    for name in ("session_ids", "timestamps", "labels"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype == np.int64 and np.array_equal(x, y), name
+    assert kjt_equal(a.features, b.features)
+    for key, jt in a.features.entries.items():
+        assert jt.values.dtype == b.features.entries[key].values.dtype == np.int64, key
+
+
+class TestMatchesReferenceGenerator:
+    """generate_dataset draws all of a session's values before building
+    any column; rows.reference_generate_dataset builds each session's
+    rows right after its draws. Both must read each stream alike."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(config=generator_configs())
+    @example(config=mixed_config())
+    @example(config=default_config(seed=3, num_sessions=20))
+    @example(  # 1-sample sessions
+        config=(
+            SessionConfig(5, SampleCountDist("fixed", mean=1), seed=11),
+            [FeatureSpec("u", "user_sequence", 2.5, 9, 0.3), FeatureSpec("one", "item", 0.5, 1)],
+        )
+    )
+    @example(  # a three-member group that mutates on every impression
+        config=(
+            SessionConfig(4, SampleCountDist("fixed", mean=6), seed=12),
+            [FeatureSpec(f"g{i}", "user_sequence", 1.75 + i, 9, 1.0, "g") for i in range(3)],
+        )
+    )
+    def test_bit_identical(self, config):
+        cfg, specs = config
+        assert_tables_identical(generate_dataset(cfg, specs), reference_generate_dataset(cfg, specs))
+
+
+class TestNumpyStreamEquivalences:
+    """The two NumPy Generator behaviours that let generate_dataset make
+    one call where the reference generator makes several. A NumPy that
+    breaks either fails here by name, not only in the golden digests."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("a, b", [(0, 3), (1, 1), (7, 0), (5, 12)])
+    def test_one_random_call_equals_consecutive_calls(self, seed, a, b):
+        one, two = np.random.default_rng(seed), np.random.default_rng(seed)
+        one.integers(0, 5, 3)  # leave half a word buffered in both
+        two.integers(0, 5, 3)
+        np.testing.assert_array_equal(one.random(a + b), np.concatenate([two.random(a), two.random(b)]))
+        assert one.bit_generator.state == two.bit_generator.state
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("lead", [0, 1, 2, 3], ids=lambda n: f"after{n}")
+    def test_array_bounds_equal_per_bound_calls(self, seed, lead):
+        # bounds of 1 (no draw), 32-bit, 2**32 (a raw 32-bit draw) and
+        # 64-bit, after an even or odd count of 32-bit draws
+        pools = [(1, 4), (50, 3), (2**32, 3), (7, 0), (2**33, 2), (100_000, 5), (3, 1)]
+        one, two = np.random.default_rng(seed), np.random.default_rng(seed)
+        one.integers(0, 9, lead)
+        two.integers(0, 9, lead)
+        highs = np.repeat([h for h, _ in pools], [n for _, n in pools])
+        merged = one.integers(0, highs)
+        separate = np.concatenate([two.integers(0, h, n, dtype=np.int64) for h, n in pools])
+        assert merged.dtype == separate.dtype == np.int64
+        np.testing.assert_array_equal(merged, separate)
+        assert one.bit_generator.state == two.bit_generator.state
 
 
 class TestSyncGroups:

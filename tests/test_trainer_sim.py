@@ -1118,21 +1118,22 @@ class TestSdd:
         ikjt = build_ikjt(as_batch(WORKED_ROWS), ["b"])
         jt = ikjt.per_feature["b"]
         plan = self.make_plan(["b"], 1)
-        result = sdd([self.one_rank("b", jt)], plan)
-        assert result.a2a_bytes_fwd == slice_stream_bytes(jt)
-        assert result.values_bytes_by_key["b"] == 8 * jt.values.size
+        unit = self.one_rank("b", jt)
+        assert sdd([unit], plan) == slice_stream_bytes(jt)
+        assert values_stream_bytes(unit.tensors["b"]) == 8 * jt.values.size
 
     def test_dedup_slices_shrink_values_stream(self):
         # each of 2 ranks transmits the worked batch's feature b:
         # 9 IDs as a KJT slice, 6 after dedup, factor 1.5
         plan = self.make_plan(["b"], 2)
-        dedup = sdd(self.split_worked_rows("dedup"), plan)
-        base = sdd(self.split_worked_rows("baseline"), plan)
-        assert base.values_bytes_by_key["b"] == 2 * 9 * 8
-        assert dedup.values_bytes_by_key["b"] == 2 * 6 * 8
-        ratio = base.values_bytes_by_key["b"] / dedup.values_bytes_by_key["b"]
-        assert ratio == 1.5
-        assert dedup.a2a_bytes_fwd < base.a2a_bytes_fwd
+        dedup_units = self.split_worked_rows("dedup")
+        base_units = self.split_worked_rows("baseline")
+        dedup_values = sum(values_stream_bytes(u.tensors["b"]) for u in dedup_units)
+        base_values = sum(values_stream_bytes(u.tensors["b"]) for u in base_units)
+        assert base_values == 2 * 9 * 8
+        assert dedup_values == 2 * 6 * 8
+        assert base_values / dedup_values == 1.5
+        assert sdd(dedup_units, plan) < sdd(base_units, plan)
 
     def test_key_mismatch_rejected(self):
         # a key missing, extra or in two units
@@ -1156,9 +1157,9 @@ class TestSdd:
                     part = slice_rows(jt, unit.bounds[r], unit.bounds[r + 1])
                     total += slice_stream_bytes(part)
                     values[key] += values_stream_bytes(part)
-        result = sdd(units, plan)
-        assert result.a2a_bytes_fwd == total
-        assert result.values_bytes_by_key == values
+        assert sdd(units, plan) == total
+        # the rank slices split each unit tensor's values stream
+        assert values == {k: values_stream_bytes(jt) for u in units for k, jt in u.tensors.items()}
 
 
 class TestModelSpec:
